@@ -23,7 +23,7 @@ from .errors import InvalidConfig, ModlabError, SizeLimitExceeded
 from .lattice import is_small, submodules
 from .modules import FiniteModule, hom_set, span
 from .reports import profile_module
-from .rings import builtin_ring, builtin_ring_ids
+from .rings import FiniteRing, builtin_ring, builtin_ring_ids
 from .serialize import (
     lattice_to_hasse_json,
     module_from_json,
@@ -289,6 +289,19 @@ def _rings_arg(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
+def _module_from_file(path: str, ring: FiniteRing) -> FiniteModule:
+    """Module from a JSON file; a ``"ring"`` field must name ``ring``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        module = module_from_json(obj, ring=None if "ring" in obj else ring)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidConfig(f"module file {path}: {type(exc).__name__}: {exc}") from None
+    if module.ring != ring:
+        raise InvalidConfig(f"module file {path} is over a different ring than --ring")
+    return module
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -320,8 +333,7 @@ def main(argv=None) -> int:
             config.validate()
             ring = builtin_ring(args.ring)
             if os.path.exists(args.module):
-                with open(args.module) as fh:
-                    module = module_from_json(json.load(fh), ring=ring)
+                module = _module_from_file(args.module, ring)
                 desc = args.module
             else:
                 catalog = _catalog(args.ring, config)

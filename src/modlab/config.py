@@ -22,8 +22,10 @@ class Limits:
 
 DEFAULT_LIMITS = Limits()
 
-# Addition tables are precomputed for modules up to this many elements;
-# larger modules fall back to coordinate arithmetic.
+# Additive groups (and so modules) up to this many elements get a dense
+# addition table (size**2 entries); larger ones get a two-level table of
+# two halves split near the square root of the size, so their tables
+# stay O(size).
 ADD_TABLE_MAX = 1024
 
 CACHE_ENV_VAR = "MODLAB_CACHE"

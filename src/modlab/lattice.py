@@ -118,8 +118,9 @@ class SubmoduleLattice:
 def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
     ws = parent.workspace()
     if a.size * b.size <= 1 << 16:
-        add = ws.add
-        out = {add(x, y) for x in a.elements for y in b.elements}
+        out: set[int] = set()
+        for x in a.elements:
+            out.update(ws.translate(x, b.elements))
         return tuple(sorted(out))
     return tuple(sorted(ws.span(a.generators() + b.generators())))
 

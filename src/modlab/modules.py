@@ -6,11 +6,24 @@ basis order).  The action of the ring basis element e_b is a t x t row
 matrix A_b: the image of x is x @ A_b with column l reduced mod m_l.
 Homomorphism matrices follow the same row convention, so composition
 "f then g" is the product F @ G.
+
+Element arithmetic is table-driven.  Modules with the same component
+orders share one additive group: its addition table (dense, or
+two-level above ``ADD_TABLE_MAX`` elements) is built by composing
+translations, and its negation table like any other map.  Each module's
+workspace adds one action table per ring basis element.  The
+whole-module table of any linear map comes from :func:`image_table`,
+which uses additivity: the images of a block of codes, translated by
+the image of one generator multiple, give the next block.  ``encode``, ``decode`` and
+``ModuleHom.apply`` work on single elements and serve as the reference
+the tables are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
+from itertools import compress, product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -100,11 +113,17 @@ class FiniteModule:
         k = len(ring.component_orders)
         for b in range(k):
             mat = self.action[b]
+            d = ring.component_orders[b]
             for j in range(t):
                 for l in range(t):
                     if (orders[j] * mat[j][l]) % orders[l]:
                         raise NotSubmodule(
                             f"action of e_{b+1} not well defined at entry ({j+1},{l+1})"
+                        )
+                    if (d * mat[j][l]) % orders[l]:
+                        raise NotSubmodule(
+                            f"additive order {d} of e_{b+1} does not annihilate "
+                            f"its action at entry ({j+1},{l+1})"
                         )
         for i in range(k):
             for j in range(k):
@@ -185,76 +204,129 @@ class FiniteModule:
         return f"<{label} over {ring} orders={self.component_orders}>"
 
 
-class _Workspace:
-    """Per-module element tables: decode list, addition/negation, per-ring-
-    element action maps, generators and generator words.  Lazy; shared by
-    everything that touches the module."""
+def _add_table(orders) -> list[list[int]]:
+    """Dense addition table of Z/m_1 x ... x Z/m_t on mixed-radix codes,
+    built by translation: row c is row c - r_i moved by the "+e_i"
+    permutation, where i is the highest nonzero digit of c."""
+    n = prod(orders)
+    rows = [list(range(n))]
+    radix = 1
+    for m in orders:
+        block = radix * m
+        turn = list(range(radix, block)) + list(range(radix))
+        step = [x + off for off in range(0, n, block) for x in turn].__getitem__
+        for c in range(radix, block):
+            rows.append(list(map(step, rows[c - radix])))
+        radix = block
+    return rows
 
-    def __init__(self, module: FiniteModule):
-        self.module = module
-        m = module
-        self.coords = [m.decode(c) for c in range(m.size)]
-        t = len(m.component_orders)
-        if m.size <= ADD_TABLE_MAX:
-            self.add_table = [
-                [
-                    m.encode(tuple(x + y for x, y in zip(a, b)))
-                    for b in self.coords
-                ]
-                for a in self.coords
-            ]
+
+def _image_table(source_orders, group: "_AdditiveGroup", row_codes) -> list[int]:
+    """Target codes of every source code under an additive map, given the
+    target codes u_i of the source basis vectors.  By additivity, the
+    codes below radix r_i form a block, and the block for digit d of
+    component i is that block translated by d * u_i."""
+    tab = [0]
+    for m, u in zip(source_orders, row_codes):
+        block = tab[:]
+        y = u
+        for _ in range(1, m):
+            tab.extend(group.translate(y, block))
+            y = group.add(y, u)
+    return tab
+
+
+def image_table(source: FiniteModule, target: FiniteModule, matrix) -> list[int]:
+    """The image code of every source code under the map with this matrix
+    (row convention), indexed by source code."""
+    return _image_table(source.component_orders,
+                        additive_group(target.component_orders),
+                        [target.encode(row) for row in matrix])
+
+
+class _AdditiveGroup:
+    """Z/m_1 x ... x Z/m_t on mixed-radix codes: decode list, addition and
+    negation.  Depends on the orders only, so modules share it.
+
+    Groups up to ``ADD_TABLE_MAX`` elements get a dense addition table.
+    Larger ones split their components at a radix boundary R near the
+    square root of the size, so a + b is lo[a % R][b % R] + hi[a // R][b // R]
+    with two small tables (hi holding multiples of R)."""
+
+    def __init__(self, orders: tuple[int, ...]):
+        self.coords = [c[::-1] for c in product(*map(range, reversed(orders)))]
+        if len(self.coords) <= ADD_TABLE_MAX:
+            self.add_table = _add_table(orders)
         else:
             self.add_table = None
-        self.neg = [m.encode(tuple(-x for x in a)) for a in self.coords]
-        self._basis_action: list[list[int]] | None = None
-        self._ring_action: dict[tuple[int, ...], list[int]] = {}
-        self._cyclic: dict[int, frozenset[int]] = {}
-        self._generators: tuple[int, ...] | None = None
-        self._gen_words: list[tuple[tuple[int, ...], ...]] | None = None
-        self._coord_words: list[tuple[tuple[int, ...], ...]] | None = None
-        self._ann_gens: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    # -- additive structure ------------------------------------------------
+            cut = min(range(len(orders) + 1),
+                      key=lambda s: max(prod(orders[:s]), prod(orders[s:])))
+            self._split = split = prod(orders[:cut])
+            self._lo = _add_table(orders[:cut])
+            self._hi = [list(map(split.__mul__, row)) for row in _add_table(orders[cut:])]
+        minus_basis = [(m - 1) * prod(orders[:i]) for i, m in enumerate(orders)]
+        self.neg = _image_table(orders, self, minus_basis)
 
     def add(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return self.add_table[a][b]
-        m = self.module
-        ca, cb = self.coords[a], self.coords[b]
-        return m.encode(tuple(x + y for x, y in zip(ca, cb)))
+        split = self._split
+        return self._lo[a % split][b % split] + self._hi[a // split][b // split]
+
+    def translate(self, a: int, codes: Iterable[int]) -> Iterable[int]:
+        """a + b for every b in codes, in order."""
+        if self.add_table is not None:
+            return map(self.add_table[a].__getitem__, codes)
+        split = self._split
+        lo, hi = self._lo[a % split], self._hi[a // split]
+        return [lo[b % split] + hi[b // split] for b in codes]
+
+
+_groups: dict[tuple[int, ...], _AdditiveGroup] = {}
+
+
+def additive_group(orders: tuple[int, ...]) -> _AdditiveGroup:
+    """The shared additive group of these component orders."""
+    got = _groups.get(orders)
+    if got is None:
+        got = _groups[orders] = _AdditiveGroup(orders)
+    return got
+
+
+class _Workspace:
+    """Per-module element tables: the additive group's tables, per-ring-
+    element action maps, generators and generator words.  Built by
+    :meth:`FiniteModule.workspace` and shared by everything that touches
+    the module."""
+
+    def __init__(self, module: FiniteModule):
+        self.module = module
+        group = additive_group(module.component_orders)
+        self.coords = group.coords
+        self.add_table = group.add_table
+        self.neg = group.neg
+        # bound methods of the group, so a workspace add is one call
+        self.add = group.add
+        self.translate = group.translate
+        self._basis_action = [image_table(module, module, mat) for mat in module.action]
+        self._ring_action: dict[tuple[int, ...], list[int]] = {}
+        self._cyclic: dict[int, frozenset[int]] = {}
+        self._generators: tuple[int, ...] | None = None
+        self._gen_words: list[tuple[tuple[int, ...], ...]] | None = None
+        self._ann_gens: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def basis_action(self) -> list[list[int]]:
-        if self._basis_action is None:
-            m = self.module
-            out = []
-            for mat in m.action:
-                out.append([self._apply(mat, c) for c in range(m.size)])
-            self._basis_action = out
+        """Per ring basis element e_b, the code table of x -> x * e_b."""
         return self._basis_action
-
-    def _apply(self, matrix, code: int) -> int:
-        coords = self.coords[code]
-        t = len(coords)
-        acc = [0] * t
-        for j, x in enumerate(coords):
-            if x:
-                row = matrix[j]
-                for l in range(t):
-                    acc[l] += x * row[l]
-        return self.module.encode(acc)
 
     def act(self, code: int, rcoords: tuple[int, ...]) -> int:
         """code * r for a ring element given in coordinates."""
         tab = self._ring_action.get(rcoords)
-        if tab is not None:
-            return tab[code]
-        mat = self.module.ring_action_matrix(rcoords)
-        tab = [self._apply(mat, c) for c in range(self.module.size)]
-        self._ring_action[rcoords] = tab
+        if tab is None:
+            m = self.module
+            tab = image_table(m, m, m.ring_action_matrix(rcoords))
+            self._ring_action[rcoords] = tab
         return tab[code]
-
-    def apply_matrix(self, matrix, code: int) -> int:
-        return self._apply(matrix, code)
 
     # -- spans ---------------------------------------------------------------
 
@@ -287,7 +359,7 @@ class _Workspace:
             base = list(group)
             x = h
             while x not in group:
-                group.update(add(s, x) for s in base)
+                group.update(self.translate(x, base))
                 x = add(x, h)
         return group
 
@@ -616,7 +688,7 @@ class SubmoduleModule:
         return frozenset(self.to_sub[c] for c in codes)
 
     def push_out(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.include.apply(c) for c in codes)
+        return self.include.restrict_codes(codes)
 
 
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:
@@ -653,7 +725,8 @@ class ModuleHom:
     """Right-linear map between modules over the same ring, as a matrix in
     the row convention (row j is the image of the j-th basis vector)."""
 
-    __slots__ = ("source", "target", "matrix", "key", "_hash", "_image", "_kernel")
+    __slots__ = ("source", "target", "matrix", "key", "_hash", "_table", "_image",
+                 "_kernel")
 
     def __init__(self, source: FiniteModule, target: FiniteModule, matrix,
                  validate: bool = True):
@@ -665,6 +738,7 @@ class ModuleHom:
             self.matrix = _reduce_matrix(matrix, target.component_orders)
         else:
             self.matrix = tuple(() for _ in range(len(source.component_orders)))
+        self._table = None
         self._image = None
         self._kernel = None
         if validate:
@@ -712,15 +786,20 @@ class ModuleHom:
         ]
         return ModuleHom(self.source, self.target, mat, validate=False)
 
+    def table(self) -> list[int]:
+        """The image code of every source code, as :func:`image_table`."""
+        if self._table is None:
+            self._table = image_table(self.source, self.target, self.matrix)
+        return self._table
+
     def image(self) -> Submodule:
         if self._image is None:
-            codes = {self.apply(c) for c in self.source.elements()}
-            self._image = Submodule(self.target, frozenset(codes))
+            self._image = Submodule(self.target, frozenset(self.table()))
         return self._image
 
     def kernel(self) -> Submodule:
         if self._kernel is None:
-            codes = {c for c in self.source.elements() if self.apply(c) == 0}
+            codes = compress(self.source.elements(), map(operator.not_, self.table()))
             self._kernel = Submodule(self.source, frozenset(codes))
         return self._kernel
 
@@ -734,7 +813,7 @@ class ModuleHom:
         return self.source.size == self.target.size and self.is_injective()
 
     def restrict_codes(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.apply(c) for c in codes)
+        return frozenset(map(self.table().__getitem__, codes))
 
     def __eq__(self, other):
         return isinstance(other, ModuleHom) and self.key == other.key
@@ -1137,8 +1216,12 @@ class EndRing:
         got = self._zbar_images.get(key)
         if got is not None:
             return got
-        base = codes if codes is not None else frozenset(self.module.elements())
-        out = [frozenset(h.apply(c) for c in base) for h in self.homs]
+        m = self.module
+        tables = (image_table(m, m, h.matrix) for h in self.homs)
+        if codes is None:
+            out = [frozenset(tab) for tab in tables]
+        else:
+            out = [frozenset(map(tab.__getitem__, codes)) for tab in tables]
         self._zbar_images[key] = out
         return out
 

@@ -7,7 +7,7 @@ serialized bundles omit them so repeated runs are byte-identical.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import CACHE_ENV_VAR, DEFAULT_LIMITS, Limits
 from .cosingular import classify, zbar, zbar2
@@ -117,13 +117,16 @@ def profile_module(module: FiniteModule, desc: str | None = None,
                    limits: Limits = DEFAULT_LIMITS) -> PropertyReport:
     """Every predicate of the catalog evaluated on one module, with
     internal-consistency flags."""
+    module_desc = desc or repr(module)
     cached = _profile_cache.get(module.key)
+    if cached is None:
+        cached = _disk_cache_load(module)
+        if cached is not None:
+            _profile_cache[module.key] = cached
     if cached is not None:
-        return cached
-    loaded = _disk_cache_load(module)
-    if loaded is not None:
-        _profile_cache[module.key] = loaded
-        return loaded
+        if cached.module_desc == module_desc:
+            return cached
+        return replace(cached, module_desc=module_desc)
     lat = submodules(module, limits)
     prof = classify(module, limits)
     try:
@@ -169,7 +172,7 @@ def profile_module(module: FiniteModule, desc: str | None = None,
         flags.append("noncosingular but t_small differs from small")
 
     report = PropertyReport(
-        module_desc=desc or repr(module),
+        module_desc=module_desc,
         orders=module.component_orders,
         size=module.size,
         lattice_size=len(lat.nodes),

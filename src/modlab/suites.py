@@ -82,7 +82,7 @@ def _finish(suite_id, catalog, scope, instances, skipped, t0) -> TheoremReport:
             "disagreements": disagreements,
             "skipped": skipped,
         },
-        runtime=time.time() - t0,
+        runtime=time.perf_counter() - t0,
     )
 
 
@@ -108,7 +108,7 @@ def _holds_record(label, holds: bool, witness=None) -> dict:
 def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Four characterizations of relative smallness agree on amply
     supplemented modules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -127,7 +127,7 @@ def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Containment, quotient and transitivity behavior of relatively
     coclosed submodules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -203,7 +203,7 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 
 def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Five characterizations of relatively coclosed submodules agree."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -237,7 +237,7 @@ def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """The square radical is relatively coclosed and endomorphic images of
     relatively coclosed submodules stay relatively coclosed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -275,7 +275,7 @@ def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 
 def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Sums of relatively coclosed submodules are relatively coclosed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -305,7 +305,7 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Seven characterizations of relative lifting agree on amply
     supplemented modules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -319,7 +319,7 @@ def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Relative lifting passes to submodules and to quotients by fully
     invariant submodules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_t_lifting(m, limits):
@@ -360,7 +360,7 @@ def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 
 def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Four characterizations of the relative dual-Baer property agree."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
@@ -375,7 +375,7 @@ def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Summand-sum property inside the square radical plus regularity
     forces the relative dual-Baer property."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not (has_sssp_in_zbar2(m, limits) and is_regular(m)):
@@ -392,7 +392,7 @@ def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 
 def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Regular relative dual-Baer modules have semisimple square radical."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         tdb = is_t_dual_baer(m, limits)
@@ -414,7 +414,7 @@ def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Dual-Baer with split square radical is equivalent to the relative
     dual-Baer property plus the quotient splitting condition."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
@@ -440,7 +440,7 @@ def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Direct summands of relative dual-Baer modules are relative
     dual-Baer."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         tdb = is_t_dual_baer(m, limits)
@@ -469,7 +469,7 @@ def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """The relative annihilator condition restricted below the square
     radical, and its passage to the radical itself."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -516,7 +516,7 @@ def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Relative lifting equals relative dual-Baer plus each of the three
     annihilator-style conditions on relatively coclosed submodules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -555,7 +555,7 @@ def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Noncosingular lifting equals relative dual-Baer plus the strong
     annihilator-style conditions on coclosed submodules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -594,7 +594,7 @@ def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Seven ring-level statements evaluated as bounded universal claims
     over the catalog."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     skipped = 0
     noncosingular = []
     injective_members = []

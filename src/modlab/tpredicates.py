@@ -100,7 +100,7 @@ def zbar2_pullback(module: FiniteModule, n: Submodule,
         return got
     q, proj = quotient_module(module, n)
     target = zbar2(q, limits).elements
-    got = frozenset(c for c in module.elements() if proj.apply(c) in target)
+    got = frozenset(c for c, y in enumerate(proj.table()) if y in target)
     _z2_pullback_cache[key] = got
     return got
 

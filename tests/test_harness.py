@@ -212,6 +212,32 @@ def test_cli_profile_bad_index(capsys):
     assert main(["profile", "--ring", "Z4", "--module", "99"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"ring": "Z8", "orders": [8]}',
+    '{"orders": [8], "action": 3}',
+    "[1, 2]",
+])
+def test_cli_profile_bad_module_file(tmp_path, capsys, text):
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    assert main(["profile", "--ring", "Z8", "--module", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert "Traceback" not in err
+
+
+def test_cli_profile_module_file_ring_mismatch(tmp_path, capsys, z4_reg):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module_to_json(z4_reg, ring_id="Z4")))
+    assert main(["profile", "--ring", "Z8", "--module", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration:")
+    # the ring may also be given inline, and then it must match too
+    path.write_text(json.dumps(module_to_json(z4_reg)))
+    assert main(["profile", "--ring", "Z8", "--module", str(path)]) == 2
+    assert main(["profile", "--ring", "Z4", "--module", str(path)]) == 0
+
+
 def test_cli_verify_bad_ring(capsys):
     assert main(["verify", "--ring", "NOPE"]) == 2
 
@@ -251,3 +277,22 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, Z4):
     reports_mod._profile_cache.pop(m.key, None)
     rep2 = profile_module(m)
     assert rep1.predicates == rep2.predicates
+
+
+def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
+    import modlab.reports as reports_mod
+
+    monkeypatch.setenv("MODLAB_CACHE", str(tmp_path / "cache"))
+    m = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4").modules[-1]
+    reports_mod._profile_cache.pop(m.key, None)
+    first = profile_module(m, desc="first")
+    assert first.module_desc == "first"
+    assert profile_module(m, desc="first") is first
+    second = profile_module(m, desc="second")
+    assert second.module_desc == "second"
+    assert second.predicates == first.predicates
+    assert profile_module(m).module_desc == repr(m)
+    # a report loaded from the disk cache takes the caller's description too
+    reports_mod._profile_cache.pop(m.key, None)
+    assert profile_module(m, desc="third").module_desc == "third"
+    assert profile_module(m, desc="first").module_desc == "first"

@@ -2,10 +2,16 @@
 independently of the code paths they check."""
 
 import itertools
+import random
+from math import prod
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modlab.errors import RingMismatch, SizeLimitExceeded
+from modlab import modules
+from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
     FiniteModule,
     ModuleHom,
@@ -15,14 +21,17 @@ from modlab.modules import (
     find_isomorphism,
     hom_set,
     identity_hom,
+    image_table,
     is_isomorphic,
     kernel_image,
     quotient_module,
     regular_module,
     span,
+    submodule_as_module,
     zero_hom,
     zero_module,
 )
+from modlab.rings import builtin_ring
 
 
 # -- oracles -------------------------------------------------------------------
@@ -256,13 +265,14 @@ def test_hom_validation_rejects_non_linear(Z4, z2_over_z4, z4_reg):
         ModuleHom(z2_over_z4, z4_reg, [[1]])
 
 
-def test_module_validation_rejects_bad_action(Z4):
-    from modlab.errors import NotSubmodule
-
+def test_module_validation_rejects_bad_action(Z4, Z8):
     # over Z4, doubling is fine but 'x -> 3x only under e_1' breaks the
     # compatibility with e_1 * e_1 = e_1 unless 3*3 = 3 (false mod 4)
     with pytest.raises(NotSubmodule):
         FiniteModule(Z4, (4,), (((3,),),))
+    # x * 8 e_1 = x * 0 must be 0, so Z/3 cannot carry a Z/8-action
+    with pytest.raises(NotSubmodule):
+        FiniteModule(Z8, (3,), (((1,),),))
 
 
 def test_zero_module_roundtrip(Z4):
@@ -303,3 +313,81 @@ def test_quotient_rejects_non_submodule(z2_plus_z4):
         worse = Submodule(z2_plus_z4, frozenset({0, z2_plus_z4.encode((0, 1))}))
         with pytest.raises(NotSubmodule):
             quotient_module(z2_plus_z4, worse)
+
+
+# -- element tables against coordinate arithmetic -------------------------------
+
+
+def check_tables(module, homs, samples):
+    """Every workspace table and hom table against encode/decode and
+    ModuleHom.apply, on a fresh copy of the module (so that it gets a new
+    workspace).  Homs from or to the module are moved onto the copy."""
+    m = FiniteModule(module.ring, module.component_orders, module.action,
+                     validate=False)
+    ws = m.workspace()
+    for a, b in samples:
+        xa, xb = m.decode(a), m.decode(b)
+        assert ws.add(a, b) == m.encode([x + y for x, y in zip(xa, xb)])
+        assert list(ws.translate(a, [b, 0])) == [ws.add(a, b), a]
+    for c in m.elements():
+        assert ws.coords[c] == m.decode(c)
+        assert ws.neg[c] == m.encode([-x for x in m.decode(c)])
+        assert ws.add(c, ws.neg[c]) == 0
+    for mat, tab in zip(m.action, ws.basis_action()):
+        h = ModuleHom(m, m, mat, validate=False)
+        assert tab == [h.apply(c) for c in m.elements()]
+    for r in itertools.islice(m.ring.element_coords(), 5):
+        h = ModuleHom(m, m, m.ring_action_matrix(r), validate=False)
+        assert [ws.act(c, r) for c in m.elements()] == [h.apply(c) for c in m.elements()]
+    for f in homs:
+        f = ModuleHom(m if f.source == module else f.source,
+                      m if f.target == module else f.target, f.matrix, validate=False)
+        applied = [f.apply(c) for c in f.source.elements()]
+        assert image_table(f.source, f.target, f.matrix) == applied
+        assert f.image().elements == frozenset(applied)
+        assert f.kernel().elements == frozenset(
+            c for c, y in zip(f.source.elements(), applied) if y == 0)
+    return ws
+
+
+def _piece(data, ring):
+    """The regular module or a cyclic submodule of it, as a module."""
+    reg = regular_module(ring)
+    gen = data.draw(st.integers(1, reg.size - 1), label="generator")
+    if data.draw(st.booleans(), label="whole"):
+        return reg
+    return submodule_as_module(span(reg, [gen])).module
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["Z4", "Z8", "Z6", "F3", "F2xZ4", "T2F2"]),
+       st.integers(1, 3), st.booleans(), st.data())
+def test_tables_match_coordinate_arithmetic(ring_id, count, two_level, data):
+    ring = builtin_ring(ring_id)
+    pieces = [_piece(data, ring) for _ in range(count)]
+    while len(pieces) > 1 and prod(p.size for p in pieces) > 512:
+        pieces.pop()
+    if len(pieces) == 1:
+        total, injections, projections = pieces[0], [], []
+    else:
+        total, injections, projections = direct_sum_with_maps(*pieces)
+    homs = injections + projections
+    if total.size <= 16:
+        homs += hom_set(total, total)[:8]
+    n = total.size
+    samples = [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+               for _ in range(20)]
+    # a limit of 0 puts every group on the two-level table; the groups
+    # built before are set aside so that every table is built afresh
+    with mock.patch.object(modules, "ADD_TABLE_MAX", 0 if two_level else 1024), \
+            mock.patch.dict(modules._groups, clear=True):
+        ws = check_tables(total, homs, samples)
+    assert (ws.add_table is None) == two_level
+
+
+def test_tables_of_large_module_use_two_levels(z8_reg):
+    total, injections, projections = direct_sum_with_maps(*[z8_reg] * 4)
+    assert total.size == 4096
+    rng = random.Random(7)
+    samples = [(rng.randrange(4096), rng.randrange(4096)) for _ in range(2000)]
+    assert check_tables(total, injections + projections, samples).add_table is None
