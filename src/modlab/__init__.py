@@ -37,6 +37,7 @@ from .modules import (
     direct_sum_with_maps,
     end_ring,
     find_isomorphism,
+    hom_group,
     hom_set,
     identity_hom,
     is_isomorphic,

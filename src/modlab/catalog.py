@@ -78,7 +78,7 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
             return
         inv = iso_signature(candidate)
         for m, i in zip(members, invariants):
-            if i == inv and is_isomorphic(m, candidate, limits):
+            if i == inv and is_isomorphic(m, candidate):
                 return
         members.append(candidate)
         invariants.append(inv)

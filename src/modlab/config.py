@@ -1,8 +1,10 @@
 """Size limits and shared tuning knobs.
 
 All values are per-object bounds, not global budgets.  Operations that
-enumerate (endomorphism rings, hom sets, free-module lattices) raise
+enumerate (endomorphism rings, free-module lattices) raise
 :class:`~modlab.errors.SizeLimitExceeded` instead of silently truncating.
+Hom groups are solved as linear congruence systems, so their size is
+known before anything is enumerated.
 """
 
 from dataclasses import dataclass
@@ -13,8 +15,6 @@ class Limits:
     max_ring: int = 4096
     max_module: int = 4096
     max_end: int = 65536
-    # |R|**k bound when solving for relation modules of a k-generator module.
-    max_relation_space: int = 1 << 20
     # Endomorphism rings up to this size get their literal right-ideal
     # lattice; larger ones use the equivalent image-join-closure route.
     max_ideal_lattice: int = 1024

@@ -68,7 +68,7 @@ def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
         return got
     inv = (module.ring.key, tuple(sorted(module.component_orders)))
     for rep, rep_sub_key in _zbar_reps.get(inv, ()):
-        iso = find_isomorphism(rep, module, limits)
+        iso = find_isomorphism(rep, module)
         if iso is not None:
             mapped = Submodule(module, iso.restrict_codes(rep_sub_key))
             _zbar_cache[module.key] = mapped

@@ -11,11 +11,13 @@ part of the oracle suite rather than assumed silently.
 
 from __future__ import annotations
 
+import json
 from typing import Literal
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ParentMismatch, SizeLimitExceeded
 from .modules import FiniteModule, Submodule, regular_module, span
+from .serialize import cache_path, cache_read, cache_write
 
 _lattice_cache: dict = {}
 _radical_cache: dict = {}
@@ -181,39 +183,23 @@ def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodu
     return _lattice_cache.setdefault(module.key, lattice)
 
 
-def _cache_path(module: FiniteModule) -> str | None:
-    import os
-
-    root = os.environ.get("MODLAB_CACHE")
-    if not root:
-        return None
-    from .serialize import content_hash
-
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"lattice-{content_hash(module)}.json")
-
-
 def _disk_load(module: FiniteModule) -> SubmoduleLattice | None:
-    import json
-    import os
-
-    path = _cache_path(module)
-    if path is None or not os.path.exists(path):
+    path = cache_path("lattice", module)
+    if path is None:
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    nodes = [
-        Submodule(module, frozenset(entry["elements"]),
-                  gens=tuple(entry["gens"]))
-        for entry in data["nodes"]
-    ]
-    return SubmoduleLattice(module, nodes)
+
+    def parse(data: dict) -> SubmoduleLattice:
+        nodes = [
+            Submodule(module, frozenset(entry["elements"]), gens=tuple(entry["gens"]))
+            for entry in data["nodes"]
+        ]
+        return SubmoduleLattice(module, nodes)
+
+    return cache_read(path, parse)
 
 
 def _disk_store(module: FiniteModule, lattice: SubmoduleLattice) -> None:
-    import json
-
-    path = _cache_path(module)
+    path = cache_path("lattice", module)
     if path is None:
         return
     payload = {
@@ -222,8 +208,7 @@ def _disk_store(module: FiniteModule, lattice: SubmoduleLattice) -> None:
             for node in lattice.nodes
         ]
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    cache_write(path, json.dumps(payload))
 
 
 def _prune_generators(module: FiniteModule, gens: tuple[int, ...], target_size: int) -> tuple[int, ...]:

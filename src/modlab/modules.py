@@ -17,6 +17,15 @@ which uses additivity: the images of a block of codes, translated by
 the image of one generator multiple, give the next block.  ``encode``, ``decode`` and
 ``ModuleHom.apply`` work on single elements and serve as the reference
 the tables are tested against.
+
+Hom groups are solved, not searched.  :func:`hom_group` writes each
+matrix entry F_jl as (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l), so
+every candidate is well defined, and solves the remaining congruences
+A_b F = F B_b (mod n_l) by Smith reduction.  It returns the cyclic
+decomposition of Hom(M, N) inside the matrix group: factor orders and
+one representative matrix per factor.  Counts need only the orders,
+subgroup tests only the representatives, and :func:`hom_set` enumerates
+the group (refusing before it starts when the group is too large).
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import operator
 from itertools import compress, product
-from math import prod
-from typing import Iterable, Iterator, Sequence
+from math import gcd, prod
+from typing import Iterable, Sequence
 
 from .config import ADD_TABLE_MAX, DEFAULT_LIMITS, Limits
 from .errors import (
@@ -843,68 +852,10 @@ def kernel_image(f: ModuleHom) -> tuple[Submodule, Submodule]:
     return f.kernel(), f.image()
 
 
-# -- hom enumeration ---------------------------------------------------------
+# -- hom groups --------------------------------------------------------------
 
-_relation_cache: dict = {}
-_free_cache: dict = {}
+_hom_group_cache: dict = {}
 _signature_cache: dict = {}
-
-
-def _free_module(ring: FiniteRing, k: int) -> FiniteModule:
-    got = _free_cache.get((ring.key, k))
-    if got is None:
-        if k == 1:
-            got = regular_module(ring)
-        else:
-            # internal scratch space for relation solving; its size is
-            # guarded by max_relation_space, not the module limit
-            scratch = Limits(max_module=max(DEFAULT_LIMITS.max_relation_space,
-                                            ring.size ** k))
-            got = direct_sum_with_maps(*[regular_module(ring)] * k,
-                                       limits=scratch)[0]
-        _free_cache[(ring.key, k)] = got
-    return got
-
-
-def _relation_generators(module: FiniteModule, limits: Limits) -> list[tuple[tuple[int, ...], ...]]:
-    """Generators of the relation module of the selected generators:
-    tuples (r_1..r_k) in R^k with sum g_i r_i = 0.  Cached per module."""
-    got = _relation_cache.get(module.key)
-    if got is not None:
-        return got
-    ws = module.workspace()
-    gens = ws.generators
-    k = len(gens)
-    ring = module.ring
-    if k == 0:
-        _relation_cache[module.key] = []
-        return []
-    if ring.size ** k > limits.max_relation_space:
-        raise SizeLimitExceeded(
-            f"relation search space |R|^{k} = {ring.size ** k} exceeds limit"
-        )
-    free = _free_module(ring, k)
-    fws = free.workspace()
-    # evaluation map R^k -> M on the free generators
-    rows = []
-    for i in range(k):
-        for b in range(len(ring.component_orders)):
-            img = ws.basis_action()[b][gens[i]]
-            rows.append(list(ws.coords[img]))
-    ev = ModuleHom(free, module, rows)
-    kernel = ev.kernel()
-    out = []
-    for c in kernel.generators():
-        coords = fws.coords[c]
-        word = []
-        off = 0
-        for _ in range(k):
-            nb = len(ring.component_orders)
-            word.append(tuple(coords[off:off + nb]))
-            off += nb
-        out.append(tuple(word))
-    _relation_cache[module.key] = out
-    return out
 
 
 def iso_signature(module: FiniteModule) -> tuple:
@@ -926,86 +877,103 @@ def iso_signature(module: FiniteModule) -> tuple:
     return got
 
 
-def hom_iter(source: FiniteModule, target: FiniteModule,
-             limits: Limits = DEFAULT_LIMITS) -> Iterator[ModuleHom]:
-    """All right-linear maps, by backtracking over generator images.
+def hom_group(source: FiniteModule, target: FiniteModule
+              ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
+    """Cyclic decomposition ``(orders, reps)`` of Hom(source, target)
+    inside the group of matrices whose column l lives in Z/n_l: factor
+    orders (a divisor chain) and one representative matrix per factor.
 
-    Candidate images of each generator are filtered by its annihilator;
-    full assignments are checked against the relation generators, which
-    is sufficient because the constraint set is closed under the right
-    action and addition.
-    """
+    Entry (j, l) is written (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l),
+    which is exactly the well-defined entries.  What remains is the
+    congruence system (A_b F - F B_b)_jl = 0 mod n_l; its integer kernel,
+    read off the column transform of a Smith reduction, spans the
+    solutions."""
     if source.ring != target.ring:
         raise RingMismatch("hom endpoints must share the base ring")
-    sws = source.workspace()
-    tws = target.workspace()
-    gens = sws.generators
-    k = len(gens)
-    if k == 0:
-        yield zero_hom(source, target)
-        return
-    relations = _relation_generators(source, limits)
-    candidates = []
-    for g in gens:
-        ann = sws.annihilator_generators(g)
-        cand = [y for y in target.elements()
-                if all(tws.act(y, r) == 0 for r in ann)]
-        candidates.append(cand)
-    words = sws.generator_words()
-    coord_rows = [words[source.encode(tuple(
-        1 if i == j else 0 for i in range(len(source.component_orders))
-    ))] for j in range(len(source.component_orders))]
-
-    def relation_ok(images):
-        for rel in relations:
-            acc = 0
-            for yi, ri in zip(images, rel):
-                if any(ri):
-                    acc = tws.add(acc, tws.act(yi, ri))
-            if acc != 0:
-                return False
-        return True
-
-    def build_matrix(images):
-        rows = []
-        for word in coord_rows:
-            acc = 0
-            for yi, ri in zip(images, word):
-                if any(ri):
-                    acc = tws.add(acc, tws.act(yi, ri))
-            rows.append(list(tws.coords[acc]))
-        return rows
-
-    stack = [()]  # partial image tuples
-    while stack:
-        partial = stack.pop()
-        depth = len(partial)
-        if depth == k:
-            if relation_ok(partial):
-                yield ModuleHom(source, target, build_matrix(partial), validate=False)
-            continue
-        for y in reversed(candidates[depth]):
-            stack.append(partial + (y,))
+    key = (source.key, target.key)
+    got = _hom_group_cache.get(key)
+    if got is not None:
+        return got
+    src, tgt = source.component_orders, target.component_orders
+    cells, mods = [], []
+    for j, m in enumerate(src):
+        for l, n in enumerate(tgt):
+            if (g := gcd(m, n)) > 1:
+                cells.append((j, l))
+                mods.append(g)
+    var = {cell: i for i, cell in enumerate(cells)}
+    # n_l / g per variable: the scale from y back to the matrix entry
+    scale = [tgt[l] // g for (j, l), g in zip(cells, mods)]
+    equations, moduli = [], []
+    for a, b in zip(source.action, target.action):
+        for j in range(len(src)):
+            for l, n in enumerate(tgt):
+                row = [0] * len(cells)
+                for k, x in enumerate(a[j]):     # (A_b F)_jl
+                    i = var.get((k, l))
+                    if x and i is not None:
+                        row[i] += x * scale[i]
+                for k, brow in enumerate(b):     # (F B_b)_jl
+                    i = var.get((j, k))
+                    if brow[l] and i is not None:
+                        row[i] -= scale[i] * brow[l]
+                row = [x % n for x in row]
+                if any(row):
+                    equations.append(row)
+                    moduli.append(n)
+    v_count, r_count = len(cells), len(equations)
+    if equations:
+        # The y with C y = 0 mod the moduli are the first v_count entries
+        # of the integer kernel of [C | diag(moduli)].  That matrix has
+        # full row rank, so its kernel is spanned by the columns of the
+        # Smith column transform past the diagonal.
+        system = [row + [n if e == r else 0 for e in range(r_count)]
+                  for r, (row, n) in enumerate(zip(equations, moduli))]
+        _, v, _ = smith_normal_form(system)
+        gens = [[v[r][i] for r in range(v_count)] for i in range(r_count, r_count + v_count)]
+    else:
+        gens = [[int(r == i) for r in range(v_count)] for i in range(v_count)]
+    orders, y_reps, _ = subgroup_decomposition(tuple(mods), gens)
+    reps = []
+    for y in y_reps:
+        mat = [[0] * len(tgt) for _ in src]
+        for (j, l), yi, sc in zip(cells, y, scale):
+            mat[j][l] = yi * sc
+        reps.append(tuple(map(tuple, mat)))
+    got = _hom_group_cache[key] = (orders, reps)
+    return got
 
 
 def hom_set(source: FiniteModule, target: FiniteModule,
-            limits: Limits = DEFAULT_LIMITS,
             max_count: int | None = None) -> list[ModuleHom]:
-    """Complete hom list in a canonical (matrix-sorted) order."""
-    out = []
-    for h in hom_iter(source, target, limits):
-        out.append(h)
-        if max_count is not None and len(out) > max_count:
-            raise SizeLimitExceeded(
-                f"hom set larger than {max_count} between {source!r} and {target!r}"
-            )
-    out.sort(key=lambda h: h.matrix)
-    return out
+    """Complete hom list in a canonical (matrix-sorted) order, enumerated
+    from :func:`hom_group`.  Raises :class:`SizeLimitExceeded` without
+    enumerating when there are more than ``max_count`` homs."""
+    orders, reps = hom_group(source, target)
+    if max_count is not None and prod(orders) > max_count:
+        raise SizeLimitExceeded(
+            f"hom set larger than {max_count} between {source!r} and {target!r}"
+        )
+    t = len(target.component_orders)
+    col_orders = target.component_orders * len(source.component_orders)
+    flats = [(0,) * len(col_orders)]
+    for o, rep in zip(orders, reps):
+        step = [x for row in rep for x in row]
+        block = flats
+        flats = list(block)
+        for _ in range(1, o):
+            block = [tuple((x + y) % n for x, y, n in zip(f, step, col_orders))
+                     for f in block]
+            flats.extend(block)
+    mats = sorted(tuple(f[j * t:(j + 1) * t] for j in range(len(source.component_orders)))
+                  for f in flats)
+    return [ModuleHom(source, target, mat, validate=False) for mat in mats]
 
 
-def find_isomorphism(m: FiniteModule, n: FiniteModule,
-                     limits: Limits = DEFAULT_LIMITS) -> ModuleHom | None:
-    """A bijective hom m -> n, or None.  Cheap invariants first."""
+def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
+    """A bijective hom m -> n, or None.  Cheap invariants first, then a
+    search over generator images filtered by additive order, annihilator
+    and span size."""
     if m.ring != n.ring:
         raise RingMismatch("isomorphism needs a common base ring")
     if m.size != n.size:
@@ -1020,7 +988,6 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule,
     k = len(gens)
     if k == 0:
         return identity_hom(m) if m == n else ModuleHom(m, n, [], validate=False)
-    relations = _relation_generators(m, limits)
     words = mws.generator_words()
     coord_rows = [words[m.encode(tuple(
         1 if i == j else 0 for i in range(len(m.component_orders))
@@ -1041,22 +1008,22 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule,
     def extend(partial: tuple[int, ...]) -> ModuleHom | None:
         depth = len(partial)
         if depth == k:
-            for rel in relations:
-                acc = 0
-                for yi, ri in zip(partial, rel):
-                    if any(ri):
-                        acc = nws.add(acc, nws.act(yi, ri))
-                if acc != 0:
-                    return None
+            # the words give the only matrix that can send each g_i to
+            # partial[i]; the images extend to a hom exactly when that
+            # matrix is a hom and does so
             rows = []
             for word in coord_rows:
                 acc = 0
                 for yi, ri in zip(partial, word):
                     if any(ri):
                         acc = nws.add(acc, nws.act(yi, ri))
-                rows.append(list(nws.coords[acc]))
-            h = ModuleHom(m, n, rows, validate=False)
-            if h.is_bijective():
+                rows.append(nws.coords[acc])
+            try:
+                h = ModuleHom(m, n, rows)
+            except NotSubmodule:
+                return None
+            table = h.table()
+            if all(table[g] == y for g, y in zip(gens, partial)) and h.is_bijective():
                 return h
             return None
         for y in cand_sets[depth]:
@@ -1070,9 +1037,8 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule,
     return extend(())
 
 
-def is_isomorphic(m: FiniteModule, n: FiniteModule,
-                  limits: Limits = DEFAULT_LIMITS) -> bool:
-    return find_isomorphism(m, n, limits) is not None
+def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:
+    return find_isomorphism(m, n) is not None
 
 
 def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
@@ -1234,7 +1200,7 @@ def end_ring(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> EndRing:
                 f"endomorphism ring of size {got.size} over limit {limits.max_end}"
             )
         return got
-    homs = hom_set(module, module, limits, max_count=limits.max_end)
+    homs = hom_set(module, module, max_count=limits.max_end)
     out = EndRing(module, homs, limits)
     _end_cache[module.key] = out
     return out

@@ -6,15 +6,14 @@ serialized bundles omit them so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
-from .config import CACHE_ENV_VAR, DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, Limits
 from .cosingular import classify, zbar, zbar2
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
 from .modules import FiniteModule, end_ring, submodule_as_module
-from .serialize import content_hash, stable_dumps
+from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
     coclosed_keys,
     is_amply_supplemented,
@@ -196,44 +195,30 @@ def profile_module(module: FiniteModule, desc: str | None = None,
 # -- optional disk cache -------------------------------------------------------
 
 
-def _cache_dir() -> str | None:
-    path = os.environ.get(CACHE_ENV_VAR)
-    if not path:
-        return None
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _disk_cache_load(module: FiniteModule) -> PropertyReport | None:
-    path = _cache_dir()
+    path = cache_path("profile", module)
     if path is None:
         return None
-    fname = os.path.join(path, f"profile-{content_hash(module)}.json")
-    if not os.path.exists(fname):
-        return None
-    import json
 
-    with open(fname) as fh:
-        data = json.load(fh)
-    return PropertyReport(
-        module_desc=data["module"],
-        orders=tuple(data["orders"]),
-        size=data["size"],
-        lattice_size=data["lattice_size"],
-        end_size=data["end_size"],
-        predicates=data["predicates"],
-        cosingular=data["cosingular"],
-        radical_size=data["radical_size"],
-        socle_size=data["socle_size"],
-        submodule_counts=data["submodule_counts"],
-        flags=data["flags"],
-    )
+    def parse(data: dict) -> PropertyReport:
+        return PropertyReport(
+            module_desc=data["module"],
+            orders=tuple(data["orders"]),
+            size=data["size"],
+            lattice_size=data["lattice_size"],
+            end_size=data["end_size"],
+            predicates=data["predicates"],
+            cosingular=data["cosingular"],
+            radical_size=data["radical_size"],
+            socle_size=data["socle_size"],
+            submodule_counts=data["submodule_counts"],
+            flags=data["flags"],
+        )
+
+    return cache_read(path, parse)
 
 
 def _disk_cache_store(module: FiniteModule, report: PropertyReport) -> None:
-    path = _cache_dir()
-    if path is None:
-        return
-    fname = os.path.join(path, f"profile-{content_hash(module)}.json")
-    with open(fname, "w") as fh:
-        fh.write(stable_dumps(report.to_json()))
+    path = cache_path("profile", module)
+    if path is not None:
+        cache_write(path, stable_dumps(report.to_json()))

@@ -1,5 +1,5 @@
 """JSON wire formats for rings, modules, lattices and reports, plus the
-content hashes used as cache keys.
+content hashes used as cache keys and the on-disk cache files.
 
 All integers are decimal; coordinates are little-endian in basis order.
 """
@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
+from typing import Callable, TypeVar
 
+from .config import CACHE_ENV_VAR
 from .errors import InvalidConfig
 from .modules import FiniteModule, Submodule
 from .rings import FiniteRing, builtin_ring, ring_from_constants
@@ -67,6 +71,11 @@ def lattice_to_hasse_json(lattice) -> dict:
     }
 
 
+# Bump when the meaning or layout of a cached file changes, so that files
+# written by older code are never read as current.
+CACHE_SCHEMA = 1
+
+
 def content_hash(obj: FiniteRing | FiniteModule) -> str:
     if isinstance(obj, FiniteRing):
         payload = {"kind": "ring", "data": ring_to_json(obj)}
@@ -77,5 +86,48 @@ def content_hash(obj: FiniteRing | FiniteModule) -> str:
             "orders": list(obj.component_orders),
             "action": [[list(row) for row in mat] for mat in obj.action],
         }
+    payload["schema"] = CACHE_SCHEMA
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+# -- on-disk cache -----------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def cache_path(kind: str, module: FiniteModule) -> str | None:
+    """The cache file of one kind of result for a module, or None when no
+    cache directory is configured."""
+    root = os.environ.get(CACHE_ENV_VAR)
+    if not root:
+        return None
+    os.makedirs(root, exist_ok=True)
+    return os.path.join(root, f"{kind}-{content_hash(module)}.json")
+
+
+def cache_read(path: str, parse: Callable[[dict], T]) -> T | None:
+    """``parse`` of the JSON stored at path.  A file that is missing,
+    unreadable, not JSON, or lacks what ``parse`` looks up is a miss
+    (None); the caller recomputes and overwrites it."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, IndexError):
+        return None
+
+
+def cache_write(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it
+    into place, so readers see the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -13,6 +13,7 @@ extension test).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch
@@ -29,7 +30,7 @@ from .modules import (
     SubmoduleModule,
     direct_sum_with_maps,
     end_ring,
-    hom_set,
+    hom_group,
     identity_hom,
     is_isomorphic,
     quotient_module,
@@ -415,7 +416,7 @@ def primitive_blocks(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> list[
         sub = span(reg, [e_code])
         block = submodule_as_module(sub)
         top, _ = quotient_module(block.module, radical(block.module))
-        end_size = len(hom_set(top, top, limits))
+        end_size = prod(hom_group(top, top)[0])
         blocks.append(_PrimitiveBlock(e, block, top, end_size))
     _prim_cache[ring.key] = blocks
     return blocks
@@ -438,13 +439,12 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     # are not double counted when distinct idempotents share a top
     classes: list[_PrimitiveBlock] = []
     for blk in blocks:
-        if not any(is_isomorphic(blk.top, other.top, limits) for other in classes):
+        if not any(is_isomorphic(blk.top, other.top) for other in classes):
             classes.append(blk)
     top, _ = quotient_module(module, radical(module))
     chosen: list[_PrimitiveBlock] = []
     for blk in classes:
-        homs = hom_set(top, blk.top, limits)
-        count = len(homs)
+        count = prod(hom_group(top, blk.top)[0])
         mult = 0
         while blk.end_size ** (mult + 1) <= count:
             mult += 1
@@ -510,7 +510,9 @@ def _right_ideal_modules(ring: FiniteRing, limits: Limits):
 
 def is_injective(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Right-ideal extension test: every hom from a right ideal into the
-    module is left multiplication by some element."""
+    module is left multiplication by some element.  The extendable homs
+    form a subgroup (the image of m |-> (m * v_j)_j on the ideal's basis
+    images v_j), so checking the generators of Hom(I, M) suffices."""
     got = _injective_cache.get(module.key)
     if got is not None:
         return got
@@ -526,14 +528,9 @@ def is_injective(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
         for m in module.elements():
             key = tuple(ws.act(m, v) for v in basis_vectors)
             extendable.add(key)
-        for h in hom_set(ideal.module, module, limits):
-            key = tuple(
-                h.apply(ideal.module.encode(
-                    tuple(1 if i == j else 0 for i in range(len(ideal.module.component_orders)))
-                ))
-                for j in range(len(ideal.module.component_orders))
-            )
-            if key not in extendable:
+        for rep in hom_group(ideal.module, module)[1]:
+            # row j of the matrix is the image of the j-th basis vector
+            if tuple(map(module.encode, rep)) not in extendable:
                 ok = False
                 break
         if not ok:
@@ -574,7 +571,7 @@ def is_small_module(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bo
         return got[0]
     inv = (module.ring.key, tuple(sorted(module.component_orders)))
     for rep, value in _small_module_reps.get(inv, ()):
-        if is_isomorphic(rep, module, limits):
+        if is_isomorphic(rep, module):
             _small_module_cache[module.key] = (value,)
             return value
     hull, embed = injective_hull(module, limits)

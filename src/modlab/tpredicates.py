@@ -381,7 +381,6 @@ class _EndData:
                 max_ring=max(self.limits.max_ring, ring.size),
                 max_module=max(self.limits.max_module, ring.size),
                 max_end=self.limits.max_end,
-                max_relation_space=self.limits.max_relation_space,
                 max_ideal_lattice=self.limits.max_ideal_lattice,
             )
             reg = regular_module(ring, ideal_limits)

@@ -279,6 +279,32 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, Z4):
     assert rep1.predicates == rep2.predicates
 
 
+@pytest.mark.parametrize("damage", ["truncate", "drop_keys"])
+def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
+    import modlab.lattice as lattice_mod
+    import modlab.reports as reports_mod
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MODLAB_CACHE", str(cache))
+    m = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4").modules[-1]
+    reports_mod._profile_cache.pop(m.key, None)
+    lattice_mod._lattice_cache.pop(m.key, None)
+    expected = profile_module(m).to_json()
+    files = sorted(cache.iterdir())
+    assert {f.name.split("-")[0] for f in files} == {"lattice", "profile"}
+    for f in files:
+        text = f.read_text()
+        f.write_text(text[: len(text) // 2] if damage == "truncate" else "{}")
+    reports_mod._profile_cache.pop(m.key, None)
+    lattice_mod._lattice_cache.pop(m.key, None)
+    assert profile_module(m).to_json() == expected
+    # the damaged files were overwritten with whole ones, and no
+    # temporary file is left behind
+    assert sorted(cache.iterdir()) == files
+    for f in files:
+        json.loads(f.read_text())
+
+
 def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
     import modlab.reports as reports_mod
 

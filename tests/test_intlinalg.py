@@ -55,6 +55,38 @@ def test_smith_transform_is_unimodular(rows):
     assert mat_mul(vinv, v) == identity_matrix(n)
 
 
+def _rank(rows):
+    """Rank over the rationals, by exact elimination."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_smith_kernel_columns(rows):
+    # the columns of v past the nonzero diagonal solve a @ x = 0, and
+    # there are as many as the kernel's dimension
+    diag, v, _ = smith_normal_form(rows)
+    cols = len(rows[0])
+    free = [i for i in range(cols) if i >= len(diag) or diag[i] == 0]
+    for i in free:
+        assert mat_mul(rows, [[r[i]] for r in v]) == [[0]] * len(rows)
+    assert len(free) == cols - _rank(rows)
+
+
 def test_smith_recovers_known_form():
     # |det| = 8, entry gcd 2, so the invariant factors are 2 and 4
     diag, _, _ = smith_normal_form([[2, 4], [6, 8]])

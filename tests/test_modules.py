@@ -19,6 +19,7 @@ from modlab.modules import (
     direct_sum_with_maps,
     end_ring,
     find_isomorphism,
+    hom_group,
     hom_set,
     identity_hom,
     image_table,
@@ -54,9 +55,9 @@ def closure_oracle(module, gens):
         current = nxt
 
 
-def brute_hom_count(source, target):
-    """Count maps by filtering every matrix candidate entrywise (only for
-    very small search spaces)."""
+def brute_hom_list(source, target):
+    """The sorted matrices of all maps, by filtering every matrix candidate
+    entrywise (only for very small search spaces)."""
     from math import gcd
 
     src = source.component_orders
@@ -66,18 +67,17 @@ def brute_hom_count(source, target):
         for n in tgt:
             g = gcd(m, n)
             choices.append([(n // g) * i for i in range(g)])
-    count = 0
+    found = []
     for flat in itertools.product(*choices):
         rows = []
         it = iter(flat)
         for _ in src:
             rows.append([next(it) for _ in tgt])
         try:
-            ModuleHom(source, target, rows)
-        except Exception:
+            found.append(ModuleHom(source, target, rows).matrix)
+        except NotSubmodule:
             continue
-        count += 1
-    return count
+    return sorted(found)
 
 
 # -- constructions -------------------------------------------------------------
@@ -168,15 +168,28 @@ def test_hom_set_counts(Z4, z4_reg, z2_over_z4, s_block, c_block):
     assert len(hom_set(z4_reg, zero_module(Z4))) == 1
 
 
-def test_hom_counts_match_bruteforce(z4_reg, z2_over_z4, z2_plus_z4):
+def test_hom_counts_match_bruteforce(z4_reg, z2_over_z4, z2_plus_z4, s_block, c_block,
+                                    s_plus_c, T2F2):
+    t2_reg = regular_module(T2F2)
+    t2_simple = submodule_as_module(span(t2_reg, [t2_reg.encode((0, 1, 0))])).module
+    t2_column = submodule_as_module(span(t2_reg, [t2_reg.encode((1, 0, 0))])).module
     pairs = [
         (z2_over_z4, z4_reg),
         (z4_reg, z2_over_z4),
         (z2_plus_z4, z2_plus_z4),
         (z4_reg, z2_plus_z4),
+        (s_block, c_block),
+        (c_block, s_block),
+        (s_plus_c, s_plus_c),
+        (t2_reg, t2_reg),
+        (t2_simple, t2_reg),
+        (t2_reg, t2_simple),
+        (t2_column, t2_reg),
     ]
     for src, tgt in pairs:
-        assert len(hom_set(src, tgt)) == brute_hom_count(src, tgt)
+        homs = hom_set(src, tgt)
+        assert [h.matrix for h in homs] == brute_hom_list(src, tgt)
+        assert prod(hom_group(src, tgt)[0]) == len(homs)
 
 
 def test_hom_product_formula(z4_reg, z2_over_z4, z2_plus_z4):
@@ -313,6 +326,137 @@ def test_quotient_rejects_non_submodule(z2_plus_z4):
         worse = Submodule(z2_plus_z4, frozenset({0, z2_plus_z4.encode((0, 1))}))
         with pytest.raises(NotSubmodule):
             quotient_module(z2_plus_z4, worse)
+
+
+# -- constructor and hom validation against the axioms ---------------------------
+
+
+def _coord_map(source, target, matrix):
+    """x -> decode(x) @ matrix, encoded in the target: the map a matrix
+    defines on the canonical coordinates, well defined or not."""
+    def f(code):
+        x = source.decode(code)
+        return target.encode([sum(xi * row[l] for xi, row in zip(x, matrix))
+                              for l in range(len(target.component_orders))])
+    return f
+
+
+def _coord_add(module, a, b):
+    return module.encode([x + y for x, y in zip(module.decode(a), module.decode(b))])
+
+
+def hom_axioms_hold(source, target, matrix):
+    """Brute force: the coordinate map is additive on every pair of
+    elements (that is, well defined) and commutes with every ring basis
+    action."""
+    f = _coord_map(source, target, matrix)
+    for x in source.elements():
+        for y in source.elements():
+            if f(_coord_add(source, x, y)) != _coord_add(target, f(x), f(y)):
+                return False
+    for a, b in zip(source.action, target.action):
+        act_s, act_t = _coord_map(source, source, a), _coord_map(target, target, b)
+        if any(f(act_s(x)) != act_t(f(x)) for x in source.elements()):
+            return False
+    return True
+
+
+def module_axioms_hold(ring, orders, action):
+    """Brute force over all elements x, y and ring elements r, s, with
+    x * r computed from coordinates: (x + y) r = xr + yr (well defined),
+    x(r + s) = xr + xs, x(rs) = (xr)s and x * 1 = x."""
+    probe = FiniteModule(ring, orders, action, validate=False)
+    ring_elements = list(ring.element_coords())
+
+    def act(x, r):
+        mat = [[sum(c * a[j][l] for c, a in zip(r, action)) for l in range(len(orders))]
+               for j in range(len(orders))]
+        return _coord_map(probe, probe, mat)(x)
+
+    def ring_add(r, s):
+        return tuple((x + y) % d for x, y, d in zip(r, s, ring.component_orders))
+
+    for x in probe.elements():
+        if act(x, ring.one) != x:
+            return False
+        for r in ring_elements:
+            xr = act(x, r)
+            for y in probe.elements():
+                if act(_coord_add(probe, x, y), r) != _coord_add(probe, xr, act(y, r)):
+                    return False
+            for s in ring_elements:
+                if act(x, ring_add(r, s)) != _coord_add(probe, xr, act(x, s)):
+                    return False
+                if act(x, ring.mul_coords(r, s)) != act(xr, s):
+                    return False
+    return True
+
+
+def _small_module(data, ring):
+    """The regular module, a cyclic submodule of it, or a direct sum of
+    two such pieces of at most 16 elements."""
+    pieces = [_piece(data, ring) for _ in range(data.draw(st.integers(1, 2)))]
+    if len(pieces) == 2 and pieces[0].size * pieces[1].size <= 16:
+        return direct_sum(*pieces)
+    return pieces[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Z4", "F2xZ4", "T2F2"]), st.booleans(), st.data())
+def test_hom_validation_matches_axioms(ring_id, from_hom_set, data):
+    ring = builtin_ring(ring_id)
+    source, target = _small_module(data, ring), _small_module(data, ring)
+    s, t = len(source.component_orders), len(target.component_orders)
+    if from_hom_set:
+        # a hom, possibly with one entry moved, so both outcomes occur
+        matrix = [list(row) for row in data.draw(st.sampled_from(hom_set(source, target))).matrix]
+        if s and t and data.draw(st.booleans()):
+            j, l = data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, t - 1))
+            matrix[j][l] += data.draw(st.integers(1, target.component_orders[l]))
+    else:
+        matrix = [[data.draw(st.integers(0, n - 1)) for n in target.component_orders]
+                  for _ in range(s)]
+    try:
+        ModuleHom(source, target, matrix)
+        accepted = True
+    except NotSubmodule:
+        accepted = False
+    assert accepted == hom_axioms_hold(source, target, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Z4", "F2xZ4", "T2F2"]), st.booleans(), st.data())
+def test_module_validation_matches_axioms(ring_id, from_module, data):
+    ring = builtin_ring(ring_id)
+    k = len(ring.component_orders)
+    if from_module:
+        # a module, possibly with one action entry moved, so both outcomes occur
+        module = _small_module(data, ring)
+        orders = module.component_orders
+        action = [[list(row) for row in mat] for mat in module.action]
+        if orders and data.draw(st.booleans()):
+            t = len(orders)
+            b, j, l = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, t - 1)),
+                       data.draw(st.integers(0, t - 1)))
+            action[b][j][l] += data.draw(st.integers(1, orders[l]))
+    else:
+        orders = tuple(data.draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2)))
+        action = [[[data.draw(st.integers(0, n - 1)) for n in orders] for _ in orders]
+                  for _ in range(k)]
+        if data.draw(st.booleans()):
+            # solve x * 1 = x for one basis action, so that the other
+            # axioms decide
+            b0 = ring.one.index(1)
+            for j in range(len(orders)):
+                for l in range(len(orders)):
+                    action[b0][j][l] = int(j == l) - sum(
+                        ring.one[b] * action[b][j][l] for b in range(k) if b != b0)
+    try:
+        FiniteModule(ring, orders, action)
+        accepted = True
+    except NotSubmodule:
+        accepted = False
+    assert accepted == module_axioms_hold(ring, orders, action)
 
 
 # -- element tables against coordinate arithmetic -------------------------------
