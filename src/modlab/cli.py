@@ -14,14 +14,13 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import GenerationPolicy, ModuleCatalog, enumerate_modules
 from .cosingular import zbar
 from .errors import InvalidConfig, ModlabError, SizeLimitExceeded
 from .lattice import is_small, submodules
-from .modules import FiniteModule, hom_set, span
+from .modules import FiniteModule, hom_set, regular_module, span
 from .reports import profile_module
 from .rings import FiniteRing, builtin_ring, builtin_ring_ids
 from .serialize import (
@@ -36,6 +35,14 @@ from .suites import SUITES, verify_theorem
 DEFAULT_RINGS = ("Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2")
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class HarnessConfig:
     rings: tuple[str, ...] = DEFAULT_RINGS
@@ -43,7 +50,8 @@ class HarnessConfig:
     max_generators: int = 2
     max_size: int = 256
     out_dir: str | None = None
-    jobs: int = 1
+    # upper bound on worker processes; rings are the unit of work
+    jobs: int = field(default_factory=usable_cpus)
 
     def validate(self) -> None:
         for rid in self.rings:
@@ -66,6 +74,45 @@ def _catalog(rid: str, config: HarnessConfig) -> ModuleCatalog:
     )
 
 
+def _ring_job(rid: str, config: HarnessConfig):
+    """One ring's share of ``run_all`` as plain picklable data: (module
+    count, skipped candidates, profile reports, suite reports)."""
+    catalog = _catalog(rid, config)
+    profiles = [
+        profile_module(m, desc=catalog.label(i))
+        for i, m in enumerate(catalog.modules)
+    ]
+    suite_reports = [verify_theorem(sid, catalog) for sid in config.suites]
+    return len(catalog.modules), catalog.skipped, profiles, suite_reports
+
+
+def _ring_cost(rid: str) -> int:
+    """Right-ideal count of the ring: it bounds the cyclic modules R/I the
+    catalog is built from, and ranks the rings' measured costs."""
+    return len(submodules(regular_module(builtin_ring(rid))))
+
+
+def _ring_results(config: HarnessConfig) -> list:
+    """``_ring_job`` over every configured ring, in config order.  With
+    more than one worker the rings run in separate processes, costliest
+    first, so the largest ring does not start last.  Workers are spawned,
+    not forked: they start from a fresh import with their own memos, and
+    a caller that runs threads cannot leave them a half-held lock."""
+    workers = min(config.jobs, len(config.rings))
+    if workers <= 1:
+        return [_ring_job(rid, config) for rid in config.rings]
+    # imported here: concurrent.futures.process costs about 30 ms to load
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    by_cost = sorted(config.rings, key=_ring_cost, reverse=True)
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        futures = {rid: pool.submit(_ring_job, rid, config) for rid in by_cost}
+        return [futures[rid].result() for rid in config.rings]
+
+
 def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     """Profiles plus every configured suite over every configured ring.
     Returns (exit status, summary object) and writes the report bundle
@@ -73,26 +120,13 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     config.validate()
     reports = []
     profile_flags = 0
-
-    def ring_job(rid: str):
-        catalog = _catalog(rid, config)
-        profiles = []
-        for i, m in enumerate(catalog.modules):
-            profiles.append(profile_module(m, desc=catalog.label(i)))
-        suite_reports = [
-            verify_theorem(sid, catalog) for sid in config.suites
-        ]
-        return rid, catalog, profiles, suite_reports
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            ring_results = list(pool.map(ring_job, config.rings))
-    else:
-        ring_results = [ring_job(rid) for rid in config.rings]
+    ring_results = _ring_results(config)
 
     bundle: dict[str, str] = {}
     summary_rows = []
-    for rid, catalog, profiles, suite_reports in ring_results:
+    for rid, (n_modules, skipped, profiles, suite_reports) in zip(
+        config.rings, ring_results
+    ):
         flags = sum(len(p.flags) for p in profiles)
         profile_flags += flags
         bundle[f"profiles_{rid}.json"] = stable_dumps(
@@ -113,8 +147,8 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
         summary_rows.append(
             {
                 "ring": rid,
-                "modules": len(catalog.modules),
-                "skipped_candidates": catalog.skipped,
+                "modules": n_modules,
+                "skipped_candidates": skipped,
                 "profile_flags": flags,
                 "suites": {
                     rep.suite: rep.summary for rep in suite_reports
@@ -270,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all")
     verify.add_argument("--ring", default="all")
     verify.add_argument("--out", default=None)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=int, default=usable_cpus(),
+                        help="at most this many worker processes "
+                             "(default: the usable CPUs)")
     verify.add_argument("--gens", type=int, default=2)
     verify.add_argument("--max-size", type=int, default=256)
 

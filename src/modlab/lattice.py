@@ -16,7 +16,7 @@ from typing import Literal
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ParentMismatch, SizeLimitExceeded
-from .modules import FiniteModule, Submodule, regular_module, span
+from .modules import FiniteModule, Submodule, regular_module
 from .serialize import cache_path, cache_read, cache_write
 
 _lattice_cache: dict = {}

@@ -43,7 +43,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .intlinalg import smith_normal_form, subgroup_decomposition
-from .rings import FiniteRing, additive_order, exponent, opposite_ring
+from .rings import FiniteRing, additive_order, exponent
 
 
 def _reduce_matrix(matrix, col_orders) -> tuple[tuple[int, ...], ...]:

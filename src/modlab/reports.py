@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_LIMITS, Limits
-from .cosingular import classify, zbar, zbar2
+from .cosingular import classify
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
-from .modules import FiniteModule, end_ring, submodule_as_module
+from .modules import FiniteModule, end_ring
 from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
     coclosed_keys,

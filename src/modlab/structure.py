@@ -498,7 +498,7 @@ _small_module_cache: dict = {}
 _small_module_reps: dict = {}
 
 
-def _right_ideal_modules(ring: FiniteRing, limits: Limits):
+def _right_ideal_modules(ring: FiniteRing):
     got = _right_ideal_mods_cache.get(ring.key)
     if got is None:
         reg = regular_module(ring)
@@ -519,7 +519,7 @@ def is_injective(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     ring = module.ring
     ws = module.workspace()
     ok = True
-    for ideal in _right_ideal_modules(ring, limits):
+    for ideal in _right_ideal_modules(ring):
         basis_vectors = [
             tuple(x % d for x, d in zip(row, ring.component_orders))
             for row in ideal.include.matrix

@@ -349,16 +349,25 @@ class _EndData:
         self._ideals = None
         self._code_to_endo = None
         self._pair_closure = None
+        # code set -> endo index set, one memo per image table.  Equal
+        # results share one object: many submodules get the same large
+        # set (every endomorphism, when the square radical is zero).
+        self._t_sets: dict[frozenset[int], frozenset[int]] = {}
+        self._d_sets: dict[frozenset[int], frozenset[int]] = {}
+        self._endo_sets: dict[frozenset[int], frozenset[int]] = {}
+
+    def _within(self, images, memo: dict, codes: frozenset[int]) -> frozenset[int]:
+        got = memo.get(codes)
+        if got is None:
+            got = frozenset(i for i, img in enumerate(images) if img <= codes)
+            got = memo[codes] = self._endo_sets.setdefault(got, got)
+        return got
 
     def t_set(self, codes: frozenset[int]) -> frozenset[int]:
-        return frozenset(
-            i for i, img in enumerate(self.z_images) if img <= codes
-        )
+        return self._within(self.z_images, self._t_sets, codes)
 
     def d_set(self, codes: frozenset[int]) -> frozenset[int]:
-        return frozenset(
-            i for i, img in enumerate(self.full_images) if img <= codes
-        )
+        return self._within(self.full_images, self._d_sets, codes)
 
     def code_to_endo(self) -> list[int]:
         if self._code_to_endo is None:

@@ -232,10 +232,12 @@ def test_criterion_7_duality_and_hulls():
 
 
 def test_criterion_8_determinism(full_bundle, tmp_path_factory):
+    """The fixture's run uses the default worker processes; this one runs
+    every ring in one process, so the two paths must agree byte for byte."""
     out1, _ = full_bundle
     out2 = tmp_path_factory.mktemp("bundle_second")
     proc = _run_cli(["verify", "--suite", "all", "--ring", "all",
-                     "--out", str(out2)])
+                     "--out", str(out2), "--jobs", "1"])
     assert proc.returncode == 0, proc.stderr[-2000:]
     names1 = sorted(os.listdir(out1))
     names2 = sorted(os.listdir(out2))
@@ -246,7 +248,7 @@ def test_criterion_8_determinism(full_bundle, tmp_path_factory):
                            shallow=False):
             diffs.append(name)
     ok = same_names and not diffs
-    _report(8, ok, f"two consecutive full runs byte-identical "
+    _report(8, ok, f"default-jobs and --jobs 1 full runs byte-identical "
                    f"({len(names1)} report files)")
     assert same_names
     assert diffs == []

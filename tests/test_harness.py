@@ -2,11 +2,19 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
-from modlab.cli import HarnessConfig, main, run_all
+from modlab.cli import (
+    DEFAULT_RINGS,
+    HarnessConfig,
+    _ring_cost,
+    main,
+    run_all,
+    usable_cpus,
+)
 from modlab.errors import InvalidConfig
 from modlab.modules import is_isomorphic, regular_module
 from modlab.reports import profile_module
@@ -154,18 +162,43 @@ def test_run_all_report_bundles_are_byte_identical(tmp_path):
         assert b1 == b2, f"bundle file {name} differs between runs"
 
 
+def _timing_free(line: str) -> str:
+    return re.sub(r" \[[0-9.]+s\]$", "", line)
+
+
 def test_run_all_jobs_parallel_matches_serial(tmp_path):
-    quiet = lambda *a, **k: None
-    serial = HarnessConfig(rings=("Z4", "F3"), out_dir=str(tmp_path / "s"))
-    parallel = HarnessConfig(rings=("Z4", "F3"), out_dir=str(tmp_path / "p"), jobs=2)
-    run_all(serial, echo=quiet)
-    run_all(parallel, echo=quiet)
-    for name in sorted(os.listdir(tmp_path / "s")):
-        with open(tmp_path / "s" / name) as fh:
-            a = fh.read()
-        with open(tmp_path / "p" / name) as fh:
-            b = fh.read()
-        assert a == b
+    # cost order (Z6, Z4, F3) differs from config order, so the parallel
+    # run finishes rings out of order and must merge them back
+    rings = ("F3", "Z4", "Z6")
+    runs = {}
+    for jobs in (1, 2):
+        lines = []
+        config = HarnessConfig(rings=rings, out_dir=str(tmp_path / str(jobs)),
+                               jobs=jobs)
+        status, summary = run_all(config, echo=lambda *a, **k: lines.append(a[0]))
+        assert status == 0
+        runs[jobs] = (summary, [_timing_free(line) for line in lines])
+    assert runs[1] == runs[2]
+    assert len(runs[1][1]) == len(rings) * len(SUITES)
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_ring_cost_ranks_the_default_rings():
+    costs = {rid: _ring_cost(rid) for rid in DEFAULT_RINGS}
+    assert costs == {"T2F2": 7, "F2xZ4": 6, "Z8": 4, "Z6": 4, "Z4": 3, "F3": 2}
+
+
+def test_harness_jobs_default_to_usable_cpus():
+    assert HarnessConfig().jobs == usable_cpus() >= 1
+
+
+def test_cli_verify_rejects_zero_jobs(capsys):
+    assert main(["verify", "--ring", "Z4", "--jobs", "0"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 # -- CLI ------------------------------------------------------------------------

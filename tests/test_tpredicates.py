@@ -89,6 +89,18 @@ def test_d_set_t_set_examples(s_plus_c):
     assert tc.members == t0.members
 
 
+def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
+    for m in (s_plus_c, z2_plus_z8):
+        data = end_data(m)
+        for _ in range(2):  # the second pass reads the memo
+            for node in submodules(m).nodes:
+                codes = frozenset(node.elements)  # equal, not the same object
+                for got, images in ((data.t_set(codes), data.z_images),
+                                    (data.d_set(codes), data.full_images)):
+                    assert got == {i for i, img in enumerate(images)
+                                   if img <= node.elements}
+
+
 def test_endo_subsets_are_right_ideals(s_plus_c, z2_plus_z4):
     for m in (s_plus_c, z2_plus_z4):
         lat = submodules(m)
