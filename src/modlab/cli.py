@@ -55,15 +55,20 @@ class HarnessConfig:
 
     def validate(self) -> None:
         for rid in self.rings:
-            try:
-                builtin_ring(rid)
-            except KeyError as exc:
-                raise InvalidConfig(str(exc)) from None
+            _builtin_ring(rid)
         for sid in self.suites:
             if sid not in SUITES:
                 raise InvalidConfig(f"unknown suite id {sid!r}")
         if self.max_generators < 1 or self.max_size < 1 or self.jobs < 1:
             raise InvalidConfig("policy bounds must be positive")
+
+
+def _builtin_ring(rid: str) -> FiniteRing:
+    """``builtin_ring``, with an unknown id as an invalid configuration."""
+    try:
+        return builtin_ring(rid)
+    except KeyError as exc:
+        raise InvalidConfig(exc.args[0]) from None
 
 
 def _catalog(rid: str, config: HarnessConfig) -> ModuleCatalog:
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
                     ring = builtin_ring(rid)
                     print(f"{rid:8s} orders={ring.component_orders} size={ring.size}")
                 return 0
-            ring = builtin_ring(args.ring_id)
+            ring = _builtin_ring(args.ring_id)
             print(stable_dumps(ring_to_json(ring)))
             return 0
 
@@ -372,8 +377,13 @@ def main(argv=None) -> int:
                 module = _module_from_file(args.module, ring)
                 desc = args.module
             else:
+                try:
+                    idx = int(args.module)
+                except ValueError:
+                    raise InvalidConfig(
+                        f"--module {args.module!r} is neither a file nor a catalog index"
+                    ) from None
                 catalog = _catalog(args.ring, config)
-                idx = int(args.module)
                 if not 0 <= idx < len(catalog.modules):
                     raise InvalidConfig(
                         f"catalog index {idx} out of range 0..{len(catalog.modules)-1}"
@@ -410,6 +420,8 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             config = HarnessConfig(rings=_rings_arg(args.ring))
             config.validate()
+            if args.samples < 0:
+                raise InvalidConfig("--samples must not be negative")
             if args.check == "small":
                 return oracle_small(config, args.samples, args.seed)
             if args.check == "summand":

@@ -3,7 +3,9 @@ sums, intersections, small, essential, radical, socle.
 
 The lattice is produced by closing the set of cyclic spans under pairwise
 sums, which is complete because every submodule is a finite sum of cyclic
-ones.  Smallness has two implementations: the definitional scan over all
+ones.  A sum A + B is built as a union of cosets of the larger summand,
+translating it only by elements of the smaller one not yet covered.
+Smallness has two implementations: the definitional scan over all
 proper submodules, and the radical fast path A <= Rad(M), which agree
 over finite rings (every finite ring is perfect); the agreement itself is
 part of the oracle suite rather than assumed silently.
@@ -38,6 +40,7 @@ class SubmoduleLattice:
         self._joins: dict[tuple[int, int], int] = {}
         self._meets: dict[tuple[int, int], int] = {}
         self._covers: list[list[int]] | None = None
+        self._subnodes: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -111,20 +114,27 @@ class SubmoduleLattice:
                 out.append(i)
         return out
 
-    def subnode_indices(self, i: int) -> list[int]:
-        """Indices of all nodes contained in node i (including i)."""
-        a = self.nodes[i]
-        return [j for j, b in enumerate(self.nodes) if b.elements <= a.elements]
+    def subnode_indices(self, i: int) -> tuple[int, ...]:
+        """Indices of all nodes contained in node i (including i), memoized.
+        Nodes are sorted by size, so only indices up to i can qualify."""
+        got = self._subnodes.get(i)
+        if got is None:
+            a = self.nodes[i].elements
+            got = tuple(j for j in range(i + 1) if self.nodes[j].elements <= a)
+            self._subnodes[i] = got
+        return got
 
 
 def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
-    ws = parent.workspace()
-    if a.size * b.size <= 1 << 16:
-        out: set[int] = set()
-        for x in a.elements:
-            out.update(ws.translate(x, b.elements))
-        return tuple(sorted(out))
-    return tuple(sorted(ws.span(a.generators() + b.generators())))
+    # A + B is a union of cosets of the larger summand; an element of the
+    # smaller one already in the union adds no new coset.
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    translate = parent.workspace().translate
+    out = set(large.elements)
+    for x in small.elements:
+        if x not in out:
+            out.update(translate(x, large.elements))
+    return tuple(sorted(out))
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:

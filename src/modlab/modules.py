@@ -1081,7 +1081,6 @@ class EndRing:
         self._as_ring = None
         self._basis = None
         self._coords = None
-        self._zbar_images: dict[tuple, list[frozenset[int]]] = {}
         ident = identity_hom(module)
         self.identity_index = self.index[ident.matrix]
         self.zero_index = self.index[zero_hom(module, module).matrix]
@@ -1175,21 +1174,18 @@ class EndRing:
                         acc[j][l] += c * row[l]
         return self.index[_reduce_matrix(acc, self.module.component_orders)]
 
-    def image_sets(self, codes: frozenset[int] | None = None) -> list[frozenset[int]]:
-        """Per endomorphism, the image of the given code set (whole module
-        by default)."""
-        key = tuple(sorted(codes)) if codes is not None else None
-        got = self._zbar_images.get(key)
-        if got is not None:
-            return got
+    def image_sets(self, codes: frozenset[int]) -> tuple[list[frozenset[int]],
+                                                         list[frozenset[int]]]:
+        """Per endomorphism, its whole image and the image of the given
+        code set, both read off one code table."""
         m = self.module
-        tables = (image_table(m, m, h.matrix) for h in self.homs)
-        if codes is None:
-            out = [frozenset(tab) for tab in tables]
-        else:
-            out = [frozenset(map(tab.__getitem__, codes)) for tab in tables]
-        self._zbar_images[key] = out
-        return out
+        full: list[frozenset[int]] = []
+        of_codes: list[frozenset[int]] = []
+        for h in self.homs:
+            tab = image_table(m, m, h.matrix)
+            full.append(frozenset(tab))
+            of_codes.append(frozenset(map(tab.__getitem__, codes)))
+        return full, of_codes
 
 
 def end_ring(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> EndRing:

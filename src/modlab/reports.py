@@ -145,7 +145,7 @@ def profile_module(module: FiniteModule, desc: str | None = None,
     preds.update(kc)
     preds["regular"] = is_regular(module)
     preds["semisimple"] = is_semisimple(module)
-    preds["injective"] = is_injective(module, limits)
+    preds["injective"] = is_injective(module)
     preds["small"] = is_small_module(module, limits)
     preds["noncosingular"] = prof.zbar.is_full()
     preds["cosingular"] = prof.zbar.is_zero()

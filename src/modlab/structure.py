@@ -508,7 +508,7 @@ def _right_ideal_modules(ring: FiniteRing):
     return got
 
 
-def is_injective(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_injective(module: FiniteModule) -> bool:
     """Right-ideal extension test: every hom from a right ideal into the
     module is left multiplication by some element.  The extendable homs
     form a subgroup (the image of m |-> (m * v_j)_j on the ideal's basis
@@ -557,7 +557,7 @@ def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS,
             raise NotSubmodule("hull embedding is not injective")
         if not is_essential(embed.image(), hull):
             raise NotSubmodule("hull embedding is not essential")
-        if not is_injective(hull, limits):
+        if not is_injective(hull):
             raise NotSubmodule("computed hull fails the injectivity test")
     _hull_cache[module.key] = (hull, embed)
     return hull, embed

@@ -601,7 +601,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     per_module = []
     for idx, m in enumerate(catalog.modules):
         nc = zbar(m, limits).is_full()
-        inj = is_injective(m, limits)
+        inj = is_injective(m)
         per_module.append((idx, m, nc, inj))
         if nc:
             noncosingular.append((idx, m))
@@ -618,7 +618,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 return False
             if z2.is_zero():
                 continue
-            if not is_injective(submodule_as_module(z2).module, limits):
+            if not is_injective(submodule_as_module(z2).module):
                 return False
         return True
 

@@ -344,8 +344,7 @@ class _EndData:
         self.limits = limits
         self.end = end_ring(module, limits)
         self.z2 = zbar2(module, limits)
-        self.z_images = self.end.image_sets(self.z2.elements)
-        self.full_images = self.end.image_sets(None)
+        self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
         self._ideals = None
         self._code_to_endo = None
         self._pair_closure = None

@@ -275,6 +275,26 @@ def test_cli_verify_bad_ring(capsys):
     assert main(["verify", "--ring", "NOPE"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ring", "show", "BOGUS"], "unknown ring id 'BOGUS'"),
+    (["verify", "--ring", "BOGUS"], "unknown ring id 'BOGUS'"),
+    (["profile", "--ring", "Z8", "--module", "abc"],
+     "--module 'abc' is neither a file nor a catalog index"),
+    (["oracle", "--check", "small", "--ring", "Z4", "--samples", "-5"],
+     "--samples must not be negative"),
+    (["oracle", "--check", "summand", "--ring", "Z4", "--samples", "-5"],
+     "--samples must not be negative"),
+    (["oracle", "--check", "zbar", "--ring", "Z4", "--samples", "-5"],
+     "--samples must not be negative"),
+], ids=["ring-show", "verify-ring", "profile-module", "oracle-small",
+        "oracle-summand", "oracle-zbar"])
+def test_cli_bad_input_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid configuration: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_verify_single_suite(tmp_path, capsys):
     code = main([
         "verify", "--suite", "P2.2", "--ring", "Z4",

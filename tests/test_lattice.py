@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.errors import ParentMismatch
 from modlab.lattice import (
     intersect_submodules,
@@ -15,7 +16,8 @@ from modlab.lattice import (
     submodules,
     sum_submodules,
 )
-from modlab.modules import regular_module, span, zero_module
+from modlab.modules import direct_sum, regular_module, span, zero_module
+from modlab.rings import builtin_ring
 
 
 def subgroup_filter_oracle(module):
@@ -99,6 +101,44 @@ def test_sum_example_in_mixed_module(z2_plus_z4):
     assert total.elements == frozenset(union)
     assert total.size == 4
     assert total.elements == span(z2_plus_z4, [(1, 0), (0, 2)]).elements
+
+
+@pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
+def test_joins_match_the_span_of_both_generator_sets(rid):
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 32), ring_id=rid)
+    for m in catalog.modules:
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            for j, b in enumerate(lat.nodes):
+                want = span(m, a.generators() + b.generators()).elements
+                assert lat.nodes[lat.join(i, j)].elements == want
+                assert sum_submodules(a, b).elements == want
+
+
+def test_large_sum_matches_the_span(Z4):
+    # |A| * |B| = 256 * 512 and 256 * 1024, above the old 1 << 16 span cutoff
+    m = direct_sum(*[regular_module(Z4)] * 5)  # Z4^5, 1024 elements
+    e = [tuple(int(k == i) for k in range(5)) for i in range(5)]
+    a = span(m, e[:4])
+    b = span(m, [(2, 0, 0, 0, 0)] + e[1:])
+    full = m.full_submodule()
+    assert (a.size, b.size) == (256, 512)
+    assert not a.elements <= b.elements
+    for x, y in ((a, b), (b, a), (a, full)):
+        got = sum_submodules(x, y).elements
+        assert got == span(m, x.generators() + y.generators()).elements
+        assert len(got) == 1024
+
+
+@pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
+def test_subnode_indices_match_the_scan(rid):
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 64), ring_id=rid)
+    for m in catalog.modules:
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            want = tuple(j for j, b in enumerate(lat.nodes) if b.elements <= a.elements)
+            assert lat.subnode_indices(i) == want
+            assert lat.subnode_indices(i) == want  # from the memo
 
 
 def test_parent_mismatch(z4_reg, z2_plus_z4):

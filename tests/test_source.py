@@ -40,3 +40,40 @@ def test_unused_import_scan_sees_unused_names():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function that its body never reads.  ``self``,
+    ``cls``, names starting with ``_`` and ``*args``/``**kwargs`` are not
+    checked."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend(f"line {node.lineno}: {node.name}({p})" for p in params
+                   if p not in ("self", "cls") and not p.startswith("_")
+                   and p not in read)
+    return sorted(out)
+
+
+def test_unused_parameter_scan_sees_unused_names():
+    source = ("class A:\n"
+              "    def m(self, x, _y, *args, z=1, **kwargs):\n"
+              "        return x\n"
+              "def f(a, b, c=None):\n"
+              "    def g():\n"
+              "        return a\n"
+              "    b = 2\n"
+              "    return g\n")
+    assert unused_parameters(source) == ["line 2: m(z)", "line 4: f(b)",
+                                         "line 4: f(c)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

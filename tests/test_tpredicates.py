@@ -101,6 +101,19 @@ def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
                                    if img <= node.elements}
 
 
+def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
+    from modlab.cosingular import zbar2
+
+    for m in (s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
+        end = end_ring(m)
+        radical = zbar2(m).elements
+        full, of_radical = end.image_sets(radical)
+        assert len(full) == len(of_radical) == end.size
+        for h, img, rad_img in zip(end.homs, full, of_radical):
+            assert img == frozenset(h.table())
+            assert rad_img == h.restrict_codes(radical)
+
+
 def test_endo_subsets_are_right_ideals(s_plus_c, z2_plus_z4):
     for m in (s_plus_c, z2_plus_z4):
         lat = submodules(m)
