@@ -47,12 +47,6 @@ class ModuleCatalog:
         orders = "x".join(str(o) for o in m.component_orders) or "0"
         return f"{self.ring_id}[{index}]{{{orders}}}"
 
-    def index_of(self, module: FiniteModule) -> int | None:
-        for i, m in enumerate(self.modules):
-            if m.key == module.key:
-                return i
-        return None
-
 
 _catalog_cache: dict = {}
 

@@ -230,34 +230,38 @@ def oracle_small(config: HarnessConfig, samples: int, seed: int, echo=print) -> 
     return 0 if mismatches == 0 else 1
 
 
-def oracle_summand(config: HarnessConfig, samples: int, echo=print) -> int:
-    """Complement scan versus idempotent witness on all catalog pairs."""
-    mismatches = 0
-    checked = 0
+def _summand_pairs(config: HarnessConfig):
+    """(module, node, idempotent witness) over every catalog node whose
+    End ring is within the limits."""
     for rid in config.rings:
-        catalog = _catalog(rid, config)
-        for m in catalog.modules:
-            lat = submodules(m)
-            for node in lat.nodes:
+        for m in _catalog(rid, config).modules:
+            for node in submodules(m).nodes:
                 try:
                     witness = summand_witness_idempotent(node)
                 except SizeLimitExceeded:
                     continue
-                checked += 1
-                if (complement_of(node) is not None) != (witness is not None):
-                    mismatches += 1
-                    echo(f"MISMATCH summand: {m!r} node={sorted(node.elements)}")
-                if samples and checked >= samples:
-                    break
+                yield m, node, witness
+
+
+def oracle_summand(config: HarnessConfig, samples: int, echo=print) -> int:
+    """Complement scan versus idempotent witness on all catalog pairs, or
+    on the first ``samples`` of them when ``samples`` is positive."""
+    mismatches = 0
+    checked = 0
+    for m, node, witness in _summand_pairs(config):
+        checked += 1
+        if (complement_of(node) is not None) != (witness is not None):
+            mismatches += 1
+            echo(f"MISMATCH summand: {m!r} node={sorted(node.elements)}")
+        if samples and checked >= samples:
+            break
     echo(f"oracle summand: {checked} pairs, {mismatches} mismatches", file=sys.stderr)
     return 0 if mismatches == 0 else 1
 
 
-def oracle_zbar(config: HarnessConfig, samples: int, echo=print) -> int:
-    """Quotient formula against the kernel-intersection bound: the radical
-    must sit inside the kernel of every map into a small module."""
-    mismatches = 0
-    checked = 0
+def _zbar_homs(config: HarnessConfig):
+    """(module, its radical, small target, hom) over every catalog module
+    and every hom into a small catalog module."""
     for rid in config.rings:
         catalog = _catalog(rid, config)
         smalls = [m for m in catalog.modules if is_small_module(m)]
@@ -265,12 +269,22 @@ def oracle_zbar(config: HarnessConfig, samples: int, echo=print) -> int:
             z = zbar(m)
             for target in smalls:
                 for h in hom_set(m, target):
-                    checked += 1
-                    if any(h.apply(c) != 0 for c in z.elements):
-                        mismatches += 1
-                        echo(f"MISMATCH zbar: {m!r} -> {target!r}")
-                if samples and checked >= samples:
-                    break
+                    yield m, z, target, h
+
+
+def oracle_zbar(config: HarnessConfig, samples: int, echo=print) -> int:
+    """Quotient formula against the kernel-intersection bound: the radical
+    must sit inside the kernel of every map into a small module.  Checks
+    the first ``samples`` homs when ``samples`` is positive."""
+    mismatches = 0
+    checked = 0
+    for m, z, target, h in _zbar_homs(config):
+        checked += 1
+        if any(h.apply(c) != 0 for c in z.elements):
+            mismatches += 1
+            echo(f"MISMATCH zbar: {m!r} -> {target!r}")
+        if samples and checked >= samples:
+            break
     echo(f"oracle zbar: {checked} homs, {mismatches} violations", file=sys.stderr)
     return 0 if mismatches == 0 else 1
 

@@ -101,10 +101,6 @@ def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     return out
 
 
-def is_noncosingular(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return zbar(module, limits).is_full()
-
-
 def is_cosingular(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     return zbar(module, limits).is_zero()
 

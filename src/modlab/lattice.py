@@ -3,8 +3,12 @@ sums, intersections, small, essential, radical, socle.
 
 The lattice is produced by closing the set of cyclic spans under pairwise
 sums, which is complete because every submodule is a finite sum of cyclic
-ones.  A sum A + B is built as a union of cosets of the larger summand,
-translating it only by elements of the smaller one not yet covered.
+ones.  Joins are found by size: |A + B| = |A| |B| / |A & B|, and A + B is
+the only submodule of that size containing A and B, so a join is looked
+up among the nodes of that size.  The closure skips a pair whose sum is
+already a known node that way and builds a sum only for a new node, as a
+union of cosets of the larger summand, translating it only by elements of
+the smaller one not yet covered.
 Smallness has two implementations: the definitional scan over all
 proper submodules, and the radical fast path A <= Rad(M), which agree
 over finite rings (every finite ring is perfect); the agreement itself is
@@ -41,6 +45,9 @@ class SubmoduleLattice:
         self._meets: dict[tuple[int, int], int] = {}
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
+        self._by_size: dict[int, list[int]] = {}
+        for i, node in enumerate(self.nodes):
+            self._by_size.setdefault(node.size, []).append(i)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -59,7 +66,15 @@ class SubmoduleLattice:
             i, j = j, i
         got = self._joins.get((i, j))
         if got is None:
-            got = self.index[_sum_key(self.parent, self.nodes[i], self.nodes[j])]
+            nodes = self.nodes
+            a, b = nodes[i], nodes[j]
+            if a.elements <= b.elements:
+                got = j
+            else:
+                # the one node of size |A + B| holding both generator sets
+                span = frozenset(a.generators() + b.generators())
+                got = next(k for k in self._by_size[_sum_size(a, b)]
+                           if span <= nodes[k].elements)
             self._joins[(i, j)] = got
         return got
 
@@ -125,6 +140,11 @@ class SubmoduleLattice:
         return got
 
 
+def _sum_size(a: Submodule, b: Submodule) -> int:
+    """|A + B| = |A| |B| / |A & B|."""
+    return a.size * b.size // len(a.elements & b.elements)
+
+
 def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
     # A + B is a union of cosets of the larger summand; an element of the
     # smaller one already in the union adds no new coset.
@@ -172,6 +192,9 @@ def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodu
         key = tuple(sorted(cyc))
         if key not in seen:
             seen[key] = Submodule(module, cyc, gens=(code,))
+    by_size: dict[int, list[frozenset[int]]] = {}
+    for node in seen.values():
+        by_size.setdefault(node.size, []).append(node.elements)
     worklist = list(seen.values())
     while worklist:
         nxt = []
@@ -180,13 +203,17 @@ def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodu
             for b in current:
                 if a.elements <= b.elements or b.elements <= a.elements:
                     continue
+                size = _sum_size(a, b)
+                gens = a.generators() + b.generators()
+                # a known node of that size holding both generator sets is A + B
+                if any(map(frozenset(gens).issubset, by_size.get(size, ()))):
+                    continue
                 key = _sum_key(module, a, b)
-                if key not in seen:
-                    gens = _prune_generators(module, a.generators() + b.generators(),
-                                             len(key))
-                    new = Submodule(module, frozenset(key), gens=gens)
-                    seen[key] = new
-                    nxt.append(new)
+                new = Submodule(module, frozenset(key),
+                                gens=_prune_generators(module, gens, size))
+                seen[key] = new
+                by_size.setdefault(size, []).append(new.elements)
+                nxt.append(new)
         worklist = nxt
     lattice = SubmoduleLattice(module, list(seen.values()))
     _disk_store(module, lattice)

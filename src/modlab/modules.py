@@ -26,6 +26,13 @@ decomposition of Hom(M, N) inside the matrix group: factor orders and
 one representative matrix per factor.  Counts need only the orders,
 subgroup tests only the representatives, and :func:`hom_set` enumerates
 the group (refusing before it starts when the group is too large).
+
+Endomorphism data is built by additivity too.  :func:`hom_set` carries a
+code table along its enumeration: the table of f + rep is the pointwise
+sum of the two tables, so only the representatives' tables come from
+matrices, and ``ModuleHom.table()`` of a listed hom is never rebuilt.
+:class:`EndRing` takes its additive basis from the :func:`hom_group`
+representatives instead of decomposing every endomorphism again.
 """
 
 from __future__ import annotations
@@ -289,6 +296,12 @@ class _AdditiveGroup:
         split = self._split
         lo, hi = self._lo[a % split], self._hi[a // split]
         return [lo[b % split] + hi[b // split] for b in codes]
+
+    def add_pointwise(self, a: list[int], b: list[int]) -> list[int]:
+        """a[x] + b[x] at every position x: the table of a sum of maps."""
+        if self.add_table is not None:
+            return list(map(operator.getitem, map(self.add_table.__getitem__, a), b))
+        return list(map(self.add, a, b))
 
 
 _groups: dict[tuple[int, ...], _AdditiveGroup] = {}
@@ -947,8 +960,10 @@ def hom_group(source: FiniteModule, target: FiniteModule
 def hom_set(source: FiniteModule, target: FiniteModule,
             max_count: int | None = None) -> list[ModuleHom]:
     """Complete hom list in a canonical (matrix-sorted) order, enumerated
-    from :func:`hom_group`.  Raises :class:`SizeLimitExceeded` without
-    enumerating when there are more than ``max_count`` homs."""
+    from :func:`hom_group`, each hom with its code table already set: the
+    table of f + rep is the pointwise sum of their tables.  Raises
+    :class:`SizeLimitExceeded` without enumerating when there are more
+    than ``max_count`` homs."""
     orders, reps = hom_group(source, target)
     if max_count is not None and prod(orders) > max_count:
         raise SizeLimitExceeded(
@@ -956,18 +971,30 @@ def hom_set(source: FiniteModule, target: FiniteModule,
         )
     t = len(target.component_orders)
     col_orders = target.component_orders * len(source.component_orders)
+    group = additive_group(target.component_orders)
     flats = [(0,) * len(col_orders)]
+    tables = [[0] * source.size]
     for o, rep in zip(orders, reps):
         step = [x for row in rep for x in row]
-        block = flats
-        flats = list(block)
+        step_table = image_table(source, target, rep)
+        block, block_tables = flats, tables
+        flats, tables = list(block), list(block_tables)
         for _ in range(1, o):
             block = [tuple((x + y) % n for x, y, n in zip(f, step, col_orders))
                      for f in block]
+            block_tables = [group.add_pointwise(tab, step_table) for tab in block_tables]
             flats.extend(block)
-    mats = sorted(tuple(f[j * t:(j + 1) * t] for j in range(len(source.component_orders)))
-                  for f in flats)
-    return [ModuleHom(source, target, mat, validate=False) for mat in mats]
+            tables.extend(block_tables)
+    # rows have equal length, so flat order is matrix order
+    homs = []
+    for pos in sorted(range(len(flats)), key=flats.__getitem__):
+        f = flats[pos]
+        h = ModuleHom(source, target,
+                      tuple(f[j * t:(j + 1) * t] for j in range(len(source.component_orders))),
+                      validate=False)
+        h._table = tables[pos]
+        homs.append(h)
+    return homs
 
 
 def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
@@ -1081,6 +1108,7 @@ class EndRing:
         self._as_ring = None
         self._basis = None
         self._coords = None
+        self._idempotents = None
         ident = identity_hom(module)
         self.identity_index = self.index[ident.matrix]
         self.zero_index = self.index[zero_hom(module, module).matrix]
@@ -1106,11 +1134,13 @@ class EndRing:
         return self.index[m]
 
     def _decompose(self):
+        # the hom_group representatives generate End(M) additively
         orders = self.module.component_orders
         t = len(orders)
         ambient = tuple(orders[l] for _ in range(t) for l in range(t))
         vectors = [
-            [x for row in h.matrix for x in row] for h in self.homs
+            [x for row in rep for x in row]
+            for rep in hom_group(self.module, self.module)[1]
         ]
         factor_orders, reps, coords = subgroup_decomposition(ambient, vectors)
         basis = []
@@ -1178,14 +1208,27 @@ class EndRing:
                                                          list[frozenset[int]]]:
         """Per endomorphism, its whole image and the image of the given
         code set, both read off one code table."""
-        m = self.module
         full: list[frozenset[int]] = []
         of_codes: list[frozenset[int]] = []
         for h in self.homs:
-            tab = image_table(m, m, h.matrix)
+            tab = h.table()
             full.append(frozenset(tab))
             of_codes.append(frozenset(map(tab.__getitem__, codes)))
         return full, of_codes
+
+    def idempotents_by_image(self) -> dict[frozenset[int], ModuleHom]:
+        """For each image of an idempotent endomorphism, the first such
+        idempotent in canonical order.  h is idempotent exactly when its
+        table is the identity on its image."""
+        if self._idempotents is None:
+            out: dict[frozenset[int], ModuleHom] = {}
+            for h in self.homs:
+                tab = h.table()
+                img = frozenset(tab)
+                if img not in out and all(tab[y] == y for y in img):
+                    out[img] = h
+            self._idempotents = out
+        return self._idempotents
 
 
 def end_ring(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> EndRing:

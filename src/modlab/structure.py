@@ -162,14 +162,10 @@ def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
 
 
 def summand_witness_idempotent(sub: Submodule, limits: Limits = DEFAULT_LIMITS) -> ModuleHom | None:
-    """Idempotent endomorphism with image equal to the submodule, if any.
-    Independent cross-check for the complement scan."""
-    ends = end_ring(sub.parent, limits)
-    target = sub.elements
-    for h in ends.homs:
-        if h.then(h) == h and h.image().elements == target:
-            return h
-    return None
+    """Idempotent endomorphism with image equal to the submodule, if any:
+    the first in canonical order.  Independent cross-check for the
+    complement scan."""
+    return end_ring(sub.parent, limits).idempotents_by_image().get(sub.elements)
 
 
 # -- supplements -------------------------------------------------------------
@@ -454,7 +450,8 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
         hom = ModuleHom(p, module, [], validate=False)
         _cover_cache[module.key] = (p, hom)
         return p, hom
-    total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen])
+    total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen],
+                                                limits=limits)
     ws = module.workspace()
     rad = radical(module).elements
     images: list[int] = []

@@ -335,6 +335,16 @@ class EndoSubset:
         return True
 
 
+def _group_by_image(images: list[frozenset[int]]
+                    ) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """(image, indexes of the endomorphisms with that image) per distinct
+    image, so a query tests each image once."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, img in enumerate(images):
+        groups.setdefault(img, []).append(i)
+    return [(img, frozenset(members)) for img, members in groups.items()]
+
+
 class _EndData:
     """End ring of a module plus the image data every endomorphism-set
     predicate consumes."""
@@ -345,6 +355,8 @@ class _EndData:
         self.end = end_ring(module, limits)
         self.z2 = zbar2(module, limits)
         self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
+        self._z_groups = _group_by_image(self.z_images)
+        self._full_groups = _group_by_image(self.full_images)
         self._ideals = None
         self._code_to_endo = None
         self._pair_closure = None
@@ -355,18 +367,18 @@ class _EndData:
         self._d_sets: dict[frozenset[int], frozenset[int]] = {}
         self._endo_sets: dict[frozenset[int], frozenset[int]] = {}
 
-    def _within(self, images, memo: dict, codes: frozenset[int]) -> frozenset[int]:
+    def _within(self, groups, memo: dict, codes: frozenset[int]) -> frozenset[int]:
         got = memo.get(codes)
         if got is None:
-            got = frozenset(i for i, img in enumerate(images) if img <= codes)
+            got = frozenset().union(*(members for img, members in groups if img <= codes))
             got = memo[codes] = self._endo_sets.setdefault(got, got)
         return got
 
     def t_set(self, codes: frozenset[int]) -> frozenset[int]:
-        return self._within(self.z_images, self._t_sets, codes)
+        return self._within(self._z_groups, self._t_sets, codes)
 
     def d_set(self, codes: frozenset[int]) -> frozenset[int]:
-        return self._within(self.full_images, self._d_sets, codes)
+        return self._within(self._full_groups, self._d_sets, codes)
 
     def code_to_endo(self) -> list[int]:
         if self._code_to_endo is None:
@@ -458,14 +470,13 @@ _end_data_cache: dict = {}
 
 
 def end_data(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> _EndData:
-    got = _end_data_cache.get(module.key)
+    """The End-ring data of a module, memoized per module and limits: the
+    limits choose the right-ideal route, and building the data raises
+    :class:`SizeLimitExceeded` when the End ring is over ``max_end``."""
+    key = (module.key, limits)
+    got = _end_data_cache.get(key)
     if got is None:
-        got = _EndData(module, limits)
-        _end_data_cache[module.key] = got
-    if got.end.size > limits.max_end:
-        raise SizeLimitExceeded(
-            f"endomorphism ring of size {got.end.size} over limit {limits.max_end}"
-        )
+        got = _end_data_cache[key] = _EndData(module, limits)
     return got
 
 

@@ -318,6 +318,12 @@ def test_cli_oracle_zbar(capsys):
     assert main(["oracle", "--check", "zbar", "--ring", "Z4", "--samples", "60"]) == 0
 
 
+@pytest.mark.parametrize("check, noun", [("summand", "pairs"), ("zbar", "homs")])
+def test_cli_oracle_stops_at_samples(capsys, check, noun):
+    assert main(["oracle", "--check", check, "--ring", "Z4", "--samples", "5"]) == 0
+    assert capsys.readouterr().err.startswith(f"oracle {check}: 5 {noun},")
+
+
 def test_disk_cache_roundtrip(tmp_path, monkeypatch, Z4):
     import modlab.reports as reports_mod
 

@@ -8,6 +8,7 @@ import pytest
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.errors import ParentMismatch
 from modlab.lattice import (
+    _sum_key,
     intersect_submodules,
     is_essential,
     is_small,
@@ -113,6 +114,22 @@ def test_joins_match_the_span_of_both_generator_sets(rid):
                 want = span(m, a.generators() + b.generators()).elements
                 assert lat.nodes[lat.join(i, j)].elements == want
                 assert sum_submodules(a, b).elements == want
+
+
+@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+def test_join_by_size_matches_the_coset_sum(rid):
+    """The size lookup of a join names the node the coset sum builds, for
+    every node pair of every catalog module and of R^2."""
+    ring = builtin_ring(rid)
+    catalog = enumerate_modules(ring, GenerationPolicy(2, 256), ring_id=rid)
+    reg = regular_module(ring)
+    for m in list(catalog.modules) + [direct_sum(reg, reg)]:
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            for j in range(i, len(lat.nodes)):
+                want = _sum_key(m, a, lat.nodes[j])
+                assert lat.nodes[lat.join(i, j)].key == want
+                assert lat.nodes[lat.join(j, i)].key == want
 
 
 def test_large_sum_matches_the_span(Z4):

@@ -219,6 +219,18 @@ def test_end_ring_as_ring_valid(z2_plus_z4):
             assert left == ring.mul_coords(fi, fj)
 
 
+@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+def test_end_tables_built_by_additivity_match_image_table(rid):
+    """hom_set sums the tables of its enumeration; each must equal the
+    table built from the hom's own matrix."""
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    for m in catalog.modules:
+        for h in end_ring(m).homs:
+            assert h._table == image_table(m, m, h.matrix), (rid, m, h.matrix)
+
+
 def test_end_ring_limit(z2_plus_z4):
     from modlab.config import Limits
 

@@ -50,6 +50,19 @@ def test_summand_idempotent_witness_agrees(z2_plus_z4):
             assert witness.image().elements == node.elements
 
 
+def test_idempotent_index_keeps_the_first_idempotent(z2_plus_z4, s_plus_c):
+    """The per-End-ring index returns what the scan over the canonical hom
+    list finds first: an idempotent h with image equal to the node."""
+    from modlab.modules import end_ring
+
+    for m in (z2_plus_z4, s_plus_c):
+        homs = end_ring(m).homs
+        for node in submodules(m).nodes:
+            want = next((h for h in homs if h.then(h) == h
+                         and h.image().elements == node.elements), None)
+            assert summand_witness_idempotent(node) is want
+
+
 def test_supplements(z4_reg, s_plus_c):
     assert is_supplement(z4_reg.full_submodule(), z4_reg.zero_submodule(), z4_reg)
     assert is_supplement(z4_reg.full_submodule(), span(z4_reg, [2]), z4_reg)

@@ -1,12 +1,20 @@
 """Suite mechanics: record shapes, hypothesis skipping, disagreement
 accounting, and spot checks of suite verdicts."""
 
+import json
+import random
+import subprocess
+import sys
+
 import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.rings import builtin_ring
-from modlab.suites import SUITES, _values_record, verify_theorem
+from modlab.lattice import submodules
+from modlab.modules import end_ring
+from modlab.suites import SUITES, _values_record, endo_image_witness, verify_theorem
+from modlab.tpredicates import t_coclosed_keys
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +85,61 @@ def test_suites_skip_when_end_ring_over_limit(z8_catalog):
     rep = verify_theorem("T3.2", z8_catalog, limits=tight)
     assert rep.summary["skipped"] > 0
     assert rep.summary["disagreements"] == 0
+
+
+def per_endomorphism_image_witness(module, end, keys):
+    """C2.7's definitional scan: the image of every node of ``keys`` under
+    every endomorphism, built and tested one by one."""
+    lat = submodules(module)
+    ws = module.workspace()
+    for key in keys:
+        c = lat.nodes[lat.index[key]]
+        for i, h in enumerate(end.homs):
+            img = ws.additive_closure(h.restrict_codes(c.elements))
+            if tuple(sorted(img)) not in keys:
+                return {"C": {"size": c.size, "elements": list(c.key)}, "endo": i}
+    return None
+
+
+@pytest.mark.parametrize("rid", ["Z4", "Z8", "Z6", "F2xZ4", "T2F2"])
+def test_c27_image_dedupe_matches_per_endomorphism_scan(rid):
+    """Same verdict and witness as the scan, on the t-coclosed nodes and on
+    random node sets, where images do leave the set."""
+    rng = random.Random(rid)
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 64), ring_id=rid)
+    failures = 0
+    for m in catalog.modules:
+        end = end_ring(m)
+        node_keys = [n.key for n in submodules(m).nodes]
+        key_sets = [t_coclosed_keys(m)] + [
+            frozenset(k for k in node_keys if rng.random() < 0.7) for _ in range(4)
+        ]
+        for keys in key_sets:
+            want = per_endomorphism_image_witness(m, end, keys)
+            assert endo_image_witness(m, end, keys) == want
+            failures += want is not None
+    assert failures
+
+
+def test_t312_skips_modules_over_limits():
+    """Projective covers over ``max_module`` make zbar raise; T3.12 counts
+    those modules as skipped instead of failing.  A fresh interpreter, so
+    no memo from another test already holds the radicals."""
+    code = (
+        "import json\n"
+        "from modlab.catalog import GenerationPolicy, enumerate_modules\n"
+        "from modlab.config import Limits\n"
+        "from modlab.rings import builtin_ring\n"
+        "from modlab.suites import verify_theorem\n"
+        "cat = enumerate_modules(builtin_ring('Z4'), GenerationPolicy(2, 256), ring_id='Z4')\n"
+        "rep = verify_theorem('T3.12', cat, Limits(max_module=8))\n"
+        "print(json.dumps(rep.summary))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the injective hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements
+    assert json.loads(proc.stdout) == {"instances": 1, "disagreements": 0, "skipped": 3}
 
 
 def test_suite_reports_are_json_stable(z8_catalog):

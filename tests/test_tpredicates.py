@@ -248,3 +248,25 @@ def test_noncosingular_t_small_equals_small(s_block, F3):
 def test_endo_subset_kinds(s_plus_c):
     assert d_set(s_plus_c.zero_submodule(), s_plus_c).kind == "d_set"
     assert t_set(s_plus_c.zero_submodule(), s_plus_c).kind == "t_set"
+
+
+def test_dual_baer_witness_independent_of_call_order(monkeypatch):
+    """The End-data memo is keyed by the limits too, so a call with
+    ``max_ideal_lattice=1`` (the image-join route) does not change the
+    route of a later default call."""
+    from modlab import tpredicates
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+    from modlab.config import DEFAULT_LIMITS, Limits
+    from modlab.rings import builtin_ring
+
+    tight = Limits(max_ideal_lattice=1)
+    catalog = enumerate_modules(builtin_ring("Z8"), GenerationPolicy(2, 256), ring_id="Z8")
+    for m in catalog.modules:
+        monkeypatch.setattr(tpredicates, "_end_data_cache", {})
+        tight_first = dual_baer_witness(m, tight)
+        default_second = dual_baer_witness(m, DEFAULT_LIMITS)
+        monkeypatch.setattr(tpredicates, "_end_data_cache", {})
+        default_first = dual_baer_witness(m, DEFAULT_LIMITS)
+        tight_second = dual_baer_witness(m, tight)
+        assert default_second == default_first, m
+        assert tight_second == tight_first, m
