@@ -1,6 +1,13 @@
 """Submodule lattice enumeration and the basic relative predicates:
 sums, intersections, small, essential, radical, socle.
 
+Radical and socle come from J = J(R) without the lattice of the module:
+Rad(M) = M * J, and Soc(M) = ann_M(J) = {x : x * J = 0}.  A finite ring
+is semilocal, so ann_M(J) is an R/J-module, hence semisimple and inside
+the socle; every simple module is killed by J, so the socle is inside
+ann_M(J).  A submodule is essential exactly when it contains the socle,
+since in a finite module every nonzero submodule contains a simple one.
+
 The lattice is produced by closing the set of cyclic spans under pairwise
 sums, which is complete because every submodule is a finite sum of cyclic
 ones.  Joins are found by size: |A + B| = |A| |B| / |A & B|, and A + B is
@@ -117,15 +124,6 @@ class SubmoduleLattice:
                 b.size > a.size and b.size < top.size and a.elements < b.elements
                 for b in self.nodes
             ):
-                out.append(i)
-        return out
-
-    def atom_indices(self) -> list[int]:
-        out = []
-        for i, a in enumerate(self.nodes):
-            if a.size == 1:
-                continue
-            if not any(1 < b.size < a.size and b.elements < a.elements for b in self.nodes):
                 out.append(i)
         return out
 
@@ -282,21 +280,10 @@ def jacobson_radical(ring) -> frozenset[int]:
 def radical(module: FiniteModule) -> Submodule:
     """Rad(M) = M * J(R), also the sum of all small submodules."""
     got = _radical_cache.get(module.key)
-    if got is not None:
-        return got
-    ring = module.ring
-    jac = jacobson_radical(ring)
-    ws = module.workspace()
-    products = set()
-    for j in jac:
-        rcoords = ring.decode(j)
-        if not any(rcoords):
-            continue
-        for x in module.elements():
-            products.add(ws.act(x, rcoords))
-    sub = Submodule(module, frozenset(ws.additive_closure(products)))
-    _radical_cache[module.key] = sub
-    return sub
+    if got is None:
+        codes = radical_of_subset(module, frozenset(module.elements()))
+        got = _radical_cache[module.key] = Submodule(module, codes)
+    return got
 
 
 def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[int]:
@@ -316,18 +303,18 @@ def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[
 
 
 def socle(module: FiniteModule) -> Submodule:
-    """Soc(M): sum of the atoms of the lattice."""
+    """Soc(M) = ann_M(J(R)): the elements that every element of J kills."""
     got = _socle_cache.get(module.key)
-    if got is not None:
-        return got
-    lat = submodules(module)
-    ws = module.workspace()
-    gens: list[int] = []
-    for i in lat.atom_indices():
-        gens.extend(lat.nodes[i].generators())
-    sub = Submodule(module, frozenset(ws.span(gens)), gens=tuple(gens))
-    _socle_cache[module.key] = sub
-    return sub
+    if got is None:
+        ring = module.ring
+        ws = module.workspace()
+        members = list(module.elements())
+        for j in jacobson_radical(ring):
+            rcoords = ring.decode(j)
+            if any(rcoords):
+                members = [x for x in members if ws.act(x, rcoords) == 0]
+        got = _socle_cache[module.key] = Submodule(module, frozenset(members))
+    return got
 
 
 def is_small(sub: Submodule, module: FiniteModule | None = None,
@@ -361,14 +348,9 @@ def is_small_within(module: FiniteModule, inner: frozenset[int], outer: frozense
 
 
 def is_essential(sub: Submodule, module: FiniteModule | None = None) -> bool:
-    """A is essential iff it meets every nonzero cyclic submodule."""
+    """A is essential iff it meets every nonzero submodule, iff it
+    contains Soc(M)."""
     parent = sub.parent
     if module is not None and module != parent:
         raise ParentMismatch("submodule does not live in the given module")
-    ws = parent.workspace()
-    elems = sub.elements
-    for code in range(1, parent.size):
-        cyc = ws.cyclic_span(code)
-        if len(cyc & elems) == 1:
-            return False
-    return True
+    return socle(parent).elements <= sub.elements

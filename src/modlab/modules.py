@@ -873,18 +873,18 @@ _signature_cache: dict = {}
 
 def iso_signature(module: FiniteModule) -> tuple:
     """Cheap isomorphism invariant: the multiset over elements of
-    (additive order, annihilator size, cyclic span size)."""
+    (additive order, annihilator size, cyclic span size).  R/ann(x) is
+    isomorphic to xR, so |ann(x)| = |R| / |xR|."""
     got = _signature_cache.get(module.key)
     if got is not None:
         return got
     ws = module.workspace()
-    ring = module.ring
+    ring_size = module.ring.size
     profile = []
     for code in module.elements():
-        coords = ws.coords[code]
-        o = additive_order(module.component_orders, coords)
-        ann = sum(1 for r in ring.element_coords() if ws.act(code, r) == 0)
-        profile.append((o, ann, len(ws.cyclic_span(code))))
+        o = additive_order(module.component_orders, ws.coords[code])
+        span_size = len(ws.cyclic_span(code))
+        profile.append((o, ring_size // span_size, span_size))
     got = (tuple(sorted(module.component_orders)), tuple(sorted(profile)))
     _signature_cache[module.key] = got
     return got
@@ -998,11 +998,16 @@ def hom_set(source: FiniteModule, target: FiniteModule,
 
 
 def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
-    """A bijective hom m -> n, or None.  Cheap invariants first, then a
-    search over generator images filtered by additive order, annihilator
-    and span size."""
+    """A bijective hom m -> n, or None.  Equal presentations (same ring,
+    orders and action matrices) give the identity matrix.  Otherwise
+    cheap invariants first, then a search over generator images filtered
+    by additive order, annihilator and span size."""
     if m.ring != n.ring:
         raise RingMismatch("isomorphism needs a common base ring")
+    if m == n:
+        t = len(m.component_orders)
+        return ModuleHom(m, n, [[int(i == j) for j in range(t)] for i in range(t)],
+                         validate=False)
     if m.size != n.size:
         return None
     if _abelian_invariants(m.component_orders) != _abelian_invariants(n.component_orders):
@@ -1014,7 +1019,7 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
     gens = mws.generators
     k = len(gens)
     if k == 0:
-        return identity_hom(m) if m == n else ModuleHom(m, n, [], validate=False)
+        return ModuleHom(m, n, [], validate=False)
     words = mws.generator_words()
     coord_rows = [words[m.encode(tuple(
         1 if i == j else 0 for i in range(len(m.component_orders))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch
+from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
 from .lattice import (
     is_small_within,
     is_essential,
@@ -369,11 +369,11 @@ class _PrimitiveBlock:
 def primitive_blocks(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> list[_PrimitiveBlock]:
     """One block per member of a complete orthogonal set of primitive
     idempotents of the ring, found by exhaustive search."""
+    if ring.size > limits.max_ring:
+        raise SizeLimitExceeded(f"ring too large for idempotent search: {ring.size}")
     got = _prim_cache.get(ring.key)
     if got is not None:
         return got
-    if ring.size > limits.max_ring:
-        raise IdempotentSearchExceeded(f"ring too large for idempotent search: {ring.size}")
     idems = ring.idempotent_coords()
     reg = regular_module(ring)
 
@@ -426,7 +426,8 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     the induced map on tops is bijective, which forces the kernel into
     Rad(P).
     """
-    got = _cover_cache.get(module.key)
+    key = (module.key, limits)
+    got = _cover_cache.get(key)
     if got is not None:
         return got
     ring = module.ring
@@ -448,7 +449,7 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     if not chosen:
         p = zero_module(ring)
         hom = ModuleHom(p, module, [], validate=False)
-        _cover_cache[module.key] = (p, hom)
+        _cover_cache[key] = (p, hom)
         return p, hom
     total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen],
                                                 limits=limits)
@@ -482,7 +483,7 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
         raise IdempotentSearchExceeded("projective cover candidate is not surjective")
     if not p_hom.kernel().elements <= radical(total).elements:
         raise IdempotentSearchExceeded("projective cover kernel is not small")
-    _cover_cache[module.key] = (total, p_hom)
+    _cover_cache[key] = (total, p_hom)
     return total, p_hom
 
 
@@ -536,11 +537,12 @@ def is_injective(module: FiniteModule) -> bool:
     return ok
 
 
-def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS,
-                   verify: bool = True):
+def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     """(E, i) with E injective and i an essential embedding, built as the
-    dual of the projective cover of the dual."""
-    got = _hull_cache.get(module.key)
+    dual of the projective cover of the dual.  The embedding, its
+    essentiality and the injectivity of E are checked."""
+    key = (module.key, limits)
+    got = _hull_cache.get(key)
     if got is not None:
         return got
     dual = character_dual(module)
@@ -549,14 +551,13 @@ def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS,
     hull = embed.target
     if embed.source.key != module.key:
         raise NotSubmodule("double dual did not return the original presentation")
-    if verify:
-        if not embed.is_injective():
-            raise NotSubmodule("hull embedding is not injective")
-        if not is_essential(embed.image(), hull):
-            raise NotSubmodule("hull embedding is not essential")
-        if not is_injective(hull):
-            raise NotSubmodule("computed hull fails the injectivity test")
-    _hull_cache[module.key] = (hull, embed)
+    if not embed.is_injective():
+        raise NotSubmodule("hull embedding is not injective")
+    if not is_essential(embed.image(), hull):
+        raise NotSubmodule("hull embedding is not essential")
+    if not is_injective(hull):
+        raise NotSubmodule("computed hull fails the injectivity test")
+    _hull_cache[key] = (hull, embed)
     return hull, embed
 
 

@@ -116,14 +116,22 @@ def test_joins_match_the_span_of_both_generator_sets(rid):
                 assert sum_submodules(a, b).elements == want
 
 
-@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
-def test_join_by_size_matches_the_coset_sum(rid):
-    """The size lookup of a join names the node the coset sum builds, for
-    every node pair of every catalog module and of R^2."""
+RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
+
+
+def catalog_and_square(rid):
+    """The two-generator catalog of a built-in ring, plus R^2."""
     ring = builtin_ring(rid)
     catalog = enumerate_modules(ring, GenerationPolicy(2, 256), ring_id=rid)
     reg = regular_module(ring)
-    for m in list(catalog.modules) + [direct_sum(reg, reg)]:
+    return list(catalog.modules) + [direct_sum(reg, reg)]
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_join_by_size_matches_the_coset_sum(rid):
+    """The size lookup of a join names the node the coset sum builds, for
+    every node pair of every catalog module and of R^2."""
+    for m in catalog_and_square(rid):
         lat = submodules(m)
         for i, a in enumerate(lat.nodes):
             for j in range(i, len(lat.nodes)):
@@ -182,6 +190,42 @@ def test_is_essential_examples(z4_reg, s_plus_c):
     assert is_essential(z4_reg.full_submodule())
     assert is_essential(span(z4_reg, [2]))
     assert not is_essential(span(s_plus_c, [(1, 0)]))
+
+
+def atom_sum(module):
+    """Soc(M) by definition: the span of the minimal nonzero nodes."""
+    nodes = submodules(module).nodes
+    atoms = [a for a in nodes if a.size > 1
+             and not any(1 < b.size < a.size and b.elements < a.elements for b in nodes)]
+    gens = [g for a in atoms for g in a.generators()]
+    return frozenset(module.workspace().span(gens))
+
+
+def meets_every_cyclic_span(sub):
+    """Essentiality by definition: A meets every nonzero cyclic submodule."""
+    ws = sub.parent.workspace()
+    return all(len(ws.cyclic_span(code) & sub.elements) > 1
+               for code in range(1, sub.parent.size))
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_socle_is_the_sum_of_atoms(rid):
+    for m in catalog_and_square(rid):
+        assert socle(m).elements == atom_sum(m)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_is_essential_matches_the_cyclic_span_scan(rid):
+    """Every node of every catalog module and of R^2, and every hull
+    embedding of those modules."""
+    from modlab.structure import injective_hull
+
+    for m in catalog_and_square(rid):
+        for node in submodules(m).nodes:
+            assert is_essential(node) == meets_every_cyclic_span(node)
+        _, embed = injective_hull(m)
+        assert is_essential(embed.image()) == meets_every_cyclic_span(embed.image())
+        assert meets_every_cyclic_span(embed.image())
 
 
 def test_radical_socle_examples(z4_reg, z2_plus_z8, F3):

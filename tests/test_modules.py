@@ -80,6 +80,36 @@ def brute_hom_list(source, target):
     return sorted(found)
 
 
+RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
+
+
+def catalog_modules(rid):
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+
+    return enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid).modules
+
+
+def rebuilt(m, order):
+    """A separately built copy of m with its components taken in the given
+    order: the same presentation for the identity order."""
+    action = [[[a[j][l] for l in order] for j in order] for a in m.action]
+    return FiniteModule(m.ring, [m.component_orders[j] for j in order], action)
+
+
+def signature_by_definition(m):
+    """iso_signature's profile, with the annihilator of x counted over
+    every ring element and the additive order found by repeated addition."""
+    ws = m.workspace()
+    profile = []
+    for x in m.elements():
+        order, y = 1, x
+        while y:
+            y, order = ws.add(y, x), order + 1
+        ann = sum(1 for r in m.ring.element_coords() if ws.act(x, r) == 0)
+        profile.append((order, ann, len(ws.cyclic_span(x))))
+    return tuple(sorted(m.component_orders)), tuple(sorted(profile))
+
+
 # -- constructions -------------------------------------------------------------
 
 
@@ -219,14 +249,11 @@ def test_end_ring_as_ring_valid(z2_plus_z4):
             assert left == ring.mul_coords(fi, fj)
 
 
-@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+@pytest.mark.parametrize("rid", RING_IDS)
 def test_end_tables_built_by_additivity_match_image_table(rid):
     """hom_set sums the tables of its enumeration; each must equal the
     table built from the hom's own matrix."""
-    from modlab.catalog import GenerationPolicy, enumerate_modules
-
-    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
-    for m in catalog.modules:
+    for m in catalog_modules(rid):
         for h in end_ring(m).homs:
             assert h._table == image_table(m, m, h.matrix), (rid, m, h.matrix)
 
@@ -273,6 +300,40 @@ def test_is_isomorphic_basic(z4_reg, z2_over_z4):
     assert is_isomorphic(z4_reg, z4_reg)
     two_by_two = direct_sum(z2_over_z4, z2_over_z4)
     assert not is_isomorphic(two_by_two, z4_reg)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_iso_signature_matches_the_definitional_count(rid):
+    for m in catalog_modules(rid):
+        assert modules.iso_signature(m) == signature_by_definition(m)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_find_isomorphism_of_equal_presentations_is_bijective(rid):
+    for m in catalog_modules(rid):
+        copy = rebuilt(m, range(len(m.component_orders)))
+        assert copy == m and copy is not m
+        for n in (m, copy):
+            iso = find_isomorphism(m, n)
+            assert iso.source is m and iso.target is n
+            assert iso.is_bijective()
+            # a checked hom with the same matrix: the map is module-linear
+            ModuleHom(m, n, iso.matrix)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_is_isomorphic_separates_catalog_members(rid):
+    """Distinct catalog members are never isomorphic; every member is
+    isomorphic to a copy built again, in the same presentation and with
+    its components reversed."""
+    mods = catalog_modules(rid)
+    for a, b in itertools.combinations(mods, 2):
+        assert not is_isomorphic(a, b)
+    for m in mods:
+        t = len(m.component_orders)
+        assert is_isomorphic(m, rebuilt(m, range(t)))
+        iso = find_isomorphism(m, rebuilt(m, range(t - 1, -1, -1)))
+        assert iso is not None and iso.is_bijective()
 
 
 def test_regular_product_ring_decomposition(F2xZ4, s_block, c_block):

@@ -175,6 +175,27 @@ def test_injective_hull_postconditions(z2_plus_z8):
         assert is_injective(e)
 
 
+def test_hull_memo_is_keyed_by_limits(Z4):
+    """A hull memoized under the default limits is not returned for
+    tighter ones: the hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements."""
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+    from modlab.config import Limits
+    from modlab.errors import SizeLimitExceeded
+
+    catalog = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
+    tight = Limits(max_module=8)
+    over = []
+    for m in catalog.modules:
+        hull, _ = injective_hull(m)
+        try:
+            injective_hull(m, tight)
+        except SizeLimitExceeded:
+            over.append(m.component_orders)
+        else:
+            assert hull.size <= 8
+    assert sorted(over) == [(2, 2), (2, 4), (4, 4)]
+
+
 def test_hull_of_direct_sum(z2_over_z4, z4_reg):
     e1, _ = injective_hull(z2_over_z4)
     e2, _ = injective_hull(z4_reg)

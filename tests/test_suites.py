@@ -121,10 +121,10 @@ def test_c27_image_dedupe_matches_per_endomorphism_scan(rid):
     assert failures
 
 
-def test_t312_skips_modules_over_limits():
-    """Projective covers over ``max_module`` make zbar raise; T3.12 counts
-    those modules as skipped instead of failing.  A fresh interpreter, so
-    no memo from another test already holds the radicals."""
+def t312_summary_in_fresh_interpreter(limits: str) -> dict:
+    """T3.12 over the Z4 catalog with the given ``Limits(...)`` source, in a
+    fresh interpreter, so no memo from another test already holds the
+    radicals."""
     code = (
         "import json\n"
         "from modlab.catalog import GenerationPolicy, enumerate_modules\n"
@@ -132,14 +132,37 @@ def test_t312_skips_modules_over_limits():
         "from modlab.rings import builtin_ring\n"
         "from modlab.suites import verify_theorem\n"
         "cat = enumerate_modules(builtin_ring('Z4'), GenerationPolicy(2, 256), ring_id='Z4')\n"
-        "rep = verify_theorem('T3.12', cat, Limits(max_module=8))\n"
+        f"rep = verify_theorem('T3.12', cat, {limits})\n"
         "print(json.dumps(rep.summary))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_t312_skips_modules_over_limits():
+    """Projective covers over ``max_module`` make zbar raise; T3.12 counts
+    those modules as skipped instead of failing."""
     # the injective hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements
-    assert json.loads(proc.stdout) == {"instances": 1, "disagreements": 0, "skipped": 3}
+    assert t312_summary_in_fresh_interpreter("Limits(max_module=8)") == {
+        "instances": 1, "disagreements": 0, "skipped": 3}
+
+
+def test_t312_skips_modules_over_the_ring_limit():
+    """Over a ring above ``max_ring`` the primitive idempotent search raises
+    a limit error, so every nonzero module is skipped."""
+    assert t312_summary_in_fresh_interpreter("Limits(max_ring=2)") == {
+        "instances": 1, "disagreements": 0, "skipped": 5}
+
+
+def test_primitive_blocks_checks_the_ring_limit_before_its_memo(Z4):
+    from modlab.errors import SizeLimitExceeded
+    from modlab.structure import primitive_blocks
+
+    assert primitive_blocks(Z4)
+    with pytest.raises(SizeLimitExceeded):
+        primitive_blocks(Z4, Limits(max_ring=2))
 
 
 def test_suite_reports_are_json_stable(z8_catalog):
