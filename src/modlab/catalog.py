@@ -57,7 +57,7 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
     """Quotients of R^n for n up to the policy bound, deduplicated up to
     isomorphism and closed under direct summands."""
     rid = ring_id or ring.name or "R"
-    cache_key = (ring.key, policy)
+    cache_key = (ring.key, policy, rid, limits)
     got = _catalog_cache.get(cache_key)
     if got is not None:
         return got

@@ -62,19 +62,21 @@ def _zbar_full_witnesses(module: FiniteModule, limits: Limits) -> list[Submodule
 
 def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """Intersection of all submodules with small quotient.  Equals the
-    whole module exactly when no proper quotient is small."""
-    got = _zbar_cache.get(module.key)
+    whole module exactly when no proper quotient is small.  Memoized per
+    presentation and limits, and per isomorphism class and limits."""
+    key = (module.key, limits)
+    got = _zbar_cache.get(key)
     if got is not None:
         return got
-    inv = (module.ring.key, tuple(sorted(module.component_orders)))
+    inv = (module.ring.key, tuple(sorted(module.component_orders)), limits)
     for rep, rep_sub_key in _zbar_reps.get(inv, ()):
         iso = find_isomorphism(rep, module)
         if iso is not None:
             mapped = Submodule(module, iso.restrict_codes(rep_sub_key))
-            _zbar_cache[module.key] = mapped
+            _zbar_cache[key] = mapped
             return mapped
     sub = _zbar_fast(module, limits)
-    _zbar_cache[module.key] = sub
+    _zbar_cache[key] = sub
     _zbar_reps.setdefault(inv, []).append((module, sub.key))
     return sub
 
@@ -87,17 +89,18 @@ def zbar_witnesses(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> lis
 def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """The radical applied to its own value, pulled back along the
     inclusion."""
-    got = _zbar2_cache.get(module.key)
+    key = (module.key, limits)
+    got = _zbar2_cache.get(key)
     if got is not None:
         return got
     z = zbar(module, limits)
     if z.is_full():
-        _zbar2_cache[module.key] = z
+        _zbar2_cache[key] = z
         return z
     inner = submodule_as_module(z)
     w = zbar(inner.module, limits)
     out = Submodule(module, inner.push_out(w.elements))
-    _zbar2_cache[module.key] = out
+    _zbar2_cache[key] = out
     return out
 
 

@@ -85,6 +85,21 @@ class SubmoduleLattice:
             self._joins[(i, j)] = got
         return got
 
+    def join_closure(self, indices) -> set[int]:
+        """The given nodes and every join of two or more of them: pairwise
+        joins closed until nothing new appears (a finite lattice needs no
+        more)."""
+        worklist = list(indices)
+        closure = set(worklist)
+        while worklist:
+            i = worklist.pop()
+            for j in list(closure):
+                s = self.join(i, j)
+                if s not in closure:
+                    closure.add(s)
+                    worklist.append(s)
+        return closure
+
     def meet(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
@@ -172,12 +187,13 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
 
 def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> SubmoduleLattice:
     """Complete submodule lattice (cached per module presentation, and on
-    disk when a cache directory is configured)."""
+    disk when a cache directory is configured).  The size limit is checked
+    before the memo."""
+    if module.size > limits.max_module:
+        raise SizeLimitExceeded(f"module of size {module.size} over lattice limit")
     got = _lattice_cache.get(module.key)
     if got is not None:
         return got
-    if module.size > limits.max_module:
-        raise SizeLimitExceeded(f"module of size {module.size} over lattice limit")
     loaded = _disk_load(module)
     if loaded is not None:
         return _lattice_cache.setdefault(module.key, loaded)

@@ -18,6 +18,11 @@ the image of one generator multiple, give the next block.  ``encode``, ``decode`
 ``ModuleHom.apply`` work on single elements and serve as the reference
 the tables are tested against.
 
+Spans are seeded from generator images: G spans the additive span of the
+g * e_b (g * r = sum_b r_b (g * e_b), g = g * 1), which seeds the
+closure, a quotient's Smith rows and a submodule's own presentation.
+Validation is a pure function of a module's key, so it runs once per key.
+
 Hom groups are solved, not searched.  :func:`hom_group` writes each
 matrix entry F_jl as (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l), so
 every candidate is well defined, and solves the remaining congruences
@@ -54,9 +59,7 @@ from .rings import FiniteRing, additive_order, exponent
 
 
 def _reduce_matrix(matrix, col_orders) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(int(x) % o for x, o in zip(row, col_orders)) for row in matrix
-    )
+    return tuple([tuple(map(operator.mod, map(int, row), col_orders)) for row in matrix])
 
 
 def _mat_mul_mod(a, b, col_orders):
@@ -117,10 +120,11 @@ class FiniteModule:
             radix[i] = radix[i - 1] * orders[i - 1]
         self._radix = tuple(radix)
         self._ws = None
-        if validate:
-            self._validate()
         self.key = ("module", ring.key, orders, self.action)
         self._hash = hash(self.key)
+        if validate and self.key not in _validated:
+            self._validate()
+            _validated.add(self.key)
 
     def _validate(self):
         orders = self.component_orders
@@ -305,6 +309,9 @@ class _AdditiveGroup:
 
 
 _groups: dict[tuple[int, ...], _AdditiveGroup] = {}
+# Module keys whose presentation passed FiniteModule._validate, a pure
+# function of the key; an invalid presentation is never added.
+_validated: set[tuple] = set()
 
 
 def additive_group(orders: tuple[int, ...]) -> _AdditiveGroup:
@@ -352,27 +359,16 @@ class _Workspace:
 
     # -- spans ---------------------------------------------------------------
 
-    def orbit(self, gens: Iterable[int]) -> list[int]:
-        """Closure of gens under the ring basis actions (not addition)."""
-        basis = self.basis_action()
-        seen = set()
-        stack = [g for g in gens]
-        out = []
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            out.append(x)
-            for tab in basis:
-                y = tab[x]
-                if y not in seen:
-                    stack.append(y)
-        return out
+    def generator_images(self, gens: Iterable[int]) -> list[int]:
+        """The distinct codes g * e_b over the generators and the ring
+        basis, ascending.  Their additive span is the submodule the
+        generators span: g * r = sum_b r_b (g * e_b), and g = g * 1."""
+        return sorted({tab[g] for g in gens for tab in self.basis_action()})
 
     def additive_closure(self, seeds: Iterable[int]) -> set[int]:
-        """Subgroup generated by the seed codes (seeds assumed action-stable
-        as a family when a submodule is wanted; see :meth:`span`)."""
+        """Subgroup generated by the seed codes.  It is a submodule when the
+        seeds include every seed's images under the ring basis, as
+        :meth:`generator_images` does."""
         add = self.add
         group = {0}
         for h in seeds:
@@ -387,7 +383,7 @@ class _Workspace:
 
     def span(self, gens: Iterable[int]) -> set[int]:
         """Smallest action-closed subgroup containing the generators."""
-        return self.additive_closure(self.orbit(gens))
+        return self.additive_closure(self.generator_images(gens))
 
     def cyclic_span(self, code: int) -> frozenset[int]:
         got = self._cyclic.get(code)
@@ -667,8 +663,7 @@ def quotient_module(module: FiniteModule, sub: Submodule):
         proj = ModuleHom(module, q, [[] for _ in range(t)], validate=False)
         _quotient_cache[(module.key, sub.key)] = (q, proj)
         return q, proj
-    # additive generators: the action orbit of the module generators
-    rel = [list(ws.coords[g]) for g in sorted(ws.orbit(sub.generators()))]
+    rel = [list(ws.coords[g]) for g in ws.generator_images(sub.generators())]
     rel.extend([orders[i] if j == i else 0 for j in range(t)] for i in range(t))
     diag, v, vinv = smith_normal_form(rel if rel else [[0] * t])
     keep = [i for i, s in enumerate(diag[:t]) if s != 1]
@@ -721,8 +716,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleModule:
     if cached is not None:
         return cached
     ws = parent.workspace()
-    # the action orbit additively spans the submodule
-    gen_vectors = [list(ws.coords[c]) for c in sorted(ws.orbit(sub.generators()))]
+    gen_vectors = [list(ws.coords[c]) for c in ws.generator_images(sub.generators())]
     orders, reps, coords = subgroup_decomposition(parent.component_orders, gen_vectors)
     t = len(orders)
     # action matrices: image of each basis representative under e_b
@@ -767,6 +761,23 @@ class ModuleHom:
             self._validate()
         self.key = (source._hash, target._hash, self.matrix)
         self._hash = hash(self.key)
+
+    @classmethod
+    def _reduced(cls, source: FiniteModule, target: FiniteModule, matrix,
+                 table: list[int]) -> "ModuleHom":
+        """A hom from a matrix of tuples already reduced into the target's
+        column orders and known to be a hom, with its code table: no
+        reduction and no check."""
+        h = cls.__new__(cls)
+        h.source = source
+        h.target = target
+        h.matrix = matrix
+        h._table = table
+        h._image = None
+        h._kernel = None
+        h.key = (source._hash, target._hash, matrix)
+        h._hash = hash(h.key)
+        return h
 
     def _validate(self):
         src_orders = self.source.component_orders
@@ -986,14 +997,12 @@ def hom_set(source: FiniteModule, target: FiniteModule,
             flats.extend(block)
             tables.extend(block_tables)
     # rows have equal length, so flat order is matrix order
+    rows = range(len(source.component_orders))
     homs = []
     for pos in sorted(range(len(flats)), key=flats.__getitem__):
         f = flats[pos]
-        h = ModuleHom(source, target,
-                      tuple(f[j * t:(j + 1) * t] for j in range(len(source.component_orders))),
-                      validate=False)
-        h._table = tables[pos]
-        homs.append(h)
+        homs.append(ModuleHom._reduced(source, target,
+                                       tuple([f[j * t:(j + 1) * t] for j in rows]), tables[pos]))
     return homs
 
 

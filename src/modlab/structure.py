@@ -562,18 +562,20 @@ def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
 
 
 def is_small_module(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Small in its injective hull.  Cached per presentation and, behind a
-    cheap invariant filter, per isomorphism class."""
-    got = _small_module_cache.get(module.key)
+    """Small in its injective hull.  Cached per presentation and limits
+    and, behind a cheap invariant filter, per isomorphism class and
+    limits."""
+    key = (module.key, limits)
+    got = _small_module_cache.get(key)
     if got is not None:
         return got[0]
-    inv = (module.ring.key, tuple(sorted(module.component_orders)))
+    inv = (module.ring.key, tuple(sorted(module.component_orders)), limits)
     for rep, value in _small_module_reps.get(inv, ()):
         if is_isomorphic(rep, module):
-            _small_module_cache[module.key] = (value,)
+            _small_module_cache[key] = (value,)
             return value
     hull, embed = injective_hull(module, limits)
     value = embed.image().elements <= radical(hull).elements
-    _small_module_cache[module.key] = (value,)
+    _small_module_cache[key] = (value,)
     _small_module_reps.setdefault(inv, []).append((module, value))
     return value

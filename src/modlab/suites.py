@@ -297,16 +297,7 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         lat = submodules(m)
         tcc = t_coclosed_keys(m, limits)
-        base = [lat.index[k] for k in tcc]
-        closure = set(base)
-        worklist = list(base)
-        while worklist:
-            i = worklist.pop()
-            for j in list(closure):
-                s = lat.join(i, j)
-                if s not in closure:
-                    closure.add(s)
-                    worklist.append(s)
+        closure = lat.join_closure([lat.index[k] for k in tcc])
         bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
         instances.append(_holds_record(
             f"{catalog.label(idx)} sums of t-coclosed are t-coclosed",

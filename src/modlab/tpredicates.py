@@ -432,37 +432,33 @@ class _EndData:
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """All pairs (sum of images, sum of radical images) realized by
-        right ideals.
+        right ideals, in the order the closure finds them.
 
         Ideals are sums of their principal subideals, and a principal
         ideal's image sum equals the single generator's image (radical
         images use that the square radical is carried into itself by each
         endomorphism), so the realized pairs are the pairwise-join
-        closure of the single-endomorphism pairs.
+        closure of the single-endomorphism pairs.  Both components are
+        nodes of the module's lattice, so the closure runs on pairs of
+        node indices and joins through :meth:`SubmoduleLattice.join`.
         """
         if self._pair_closure is not None:
             return self._pair_closure
-        ws = self.module.workspace()
-        base: dict[tuple, tuple[frozenset[int], frozenset[int]]] = {}
-        for full, zi in zip(self.full_images, self.z_images):
-            key = (tuple(sorted(full)), tuple(sorted(zi)))
-            base.setdefault(key, (full, zi))
-        closure = dict(base)
-        worklist = list(base.values())
+        lat = submodules(self.module)
+        node = {img: lat.index[tuple(sorted(img))]
+                for img in {*self.full_images, *self.z_images}}
+        closure = dict.fromkeys(zip(map(node.__getitem__, self.full_images),
+                                    map(node.__getitem__, self.z_images)))
+        worklist = list(closure)
         while worklist:
             fu, zu = worklist.pop()
-            for fv, zv in list(closure.values()):
-                if fu <= fv and zu <= zv:
-                    continue
-                fj = fu | fv if (fu <= fv or fv <= fu) else frozenset(
-                    ws.additive_closure(fu | fv))
-                zj = zu | zv if (zu <= zv or zv <= zu) else frozenset(
-                    ws.additive_closure(zu | zv))
-                key = (tuple(sorted(fj)), tuple(sorted(zj)))
-                if key not in closure:
-                    closure[key] = (fj, zj)
-                    worklist.append((fj, zj))
-        self._pair_closure = list(closure.values())
+            for fv, zv in list(closure):
+                pair = (lat.join(fu, fv), lat.join(zu, zv))
+                if pair not in closure:
+                    closure[pair] = None
+                    worklist.append(pair)
+        nodes = lat.nodes
+        self._pair_closure = [(nodes[f].elements, nodes[z].elements) for f, z in closure]
         return self._pair_closure
 
 
@@ -568,16 +564,7 @@ def has_sssp_in_zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> 
     summands = summand_keys(module)
     z2 = zbar2(module, limits).elements
     inside = [lat.index[k] for k in summands if frozenset(lat.nodes[lat.index[k]].elements) <= z2]
-    closure = set(inside)
-    worklist = list(inside)
-    while worklist:
-        i = worklist.pop()
-        for j in list(closure):
-            s = lat.join(i, j)
-            if s not in closure:
-                closure.add(s)
-                worklist.append(s)
-    return all(lat.nodes[i].key in summands for i in closure)
+    return all(lat.nodes[i].key in summands for i in lat.join_closure(inside))
 
 
 def is_regular(module: FiniteModule) -> bool:
@@ -635,16 +622,7 @@ def t_dual_baer_variants(module: FiniteModule,
         base = set()
         for img in data.z_images:
             base.add(lat.index[tuple(sorted(ws.additive_closure(img)))])
-        closure = set(base)
-        worklist = list(base)
-        while worklist:
-            i = worklist.pop()
-            for j in list(closure):
-                s = lat.join(i, j)
-                if s not in closure:
-                    closure.add(s)
-                    worklist.append(s)
-        return all(lat.nodes[i].key in summands for i in closure)
+        return all(lat.nodes[i].key in summands for i in lat.join_closure(base))
 
     return {
         "definitional": bool(is_t_dual_baer(module, limits)),

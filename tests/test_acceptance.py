@@ -8,6 +8,7 @@ measurements.
 """
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -252,3 +253,18 @@ def test_criterion_8_determinism(full_bundle, tmp_path_factory):
                    f"({len(names1)} report files)")
     assert same_names
     assert diffs == []
+
+
+def test_bundle_bytes_match_the_benchmark_digests(full_bundle):
+    """Every report file of the default bundle has the sha256 that the
+    benchmark's expected digests record, so a byte change fails here too."""
+    out, _ = full_bundle
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "expected", "bundle.json")
+    with open(path) as fh:
+        expected = json.load(fh)["files"]
+    got = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == expected

@@ -1,9 +1,13 @@
 """The cosingularity radical, its square, and the classification."""
 
+import pytest
 
+from modlab.config import Limits
 from modlab.cosingular import classify, is_cosingular, zbar, zbar2, zbar_witnesses
+from modlab.errors import SizeLimitExceeded
 from modlab.lattice import submodules
 from modlab.modules import (
+    FiniteModule,
     direct_sum,
     hom_set,
     quotient_module,
@@ -127,3 +131,31 @@ def test_images_of_noncosingular_are_noncosingular(s_block, s_plus_c, F3):
             inner = submodule_as_module(img)
             if inner.module.size > 1:
                 assert zbar(inner.module).is_full()
+
+
+def reversed_copy(m):
+    """m with its components in reverse order: isomorphic to m, with a
+    different presentation."""
+    order = range(len(m.component_orders) - 1, -1, -1)
+    action = [[[a[j][l] for l in order] for j in order] for a in m.action]
+    return FiniteModule(m.ring, [m.component_orders[j] for j in order], action)
+
+
+def test_radical_and_small_module_memos_are_keyed_by_limits(z2_plus_z4, z2_over_z4):
+    """Under max_module=8 the hull of the quotient Z2 + Z2 (16 elements) is
+    over the limit, so a value memoized under the default limits, for the
+    same presentation or an isomorphic one, must not answer."""
+    tight = Limits(max_module=8)
+    copy = reversed_copy(z2_plus_z4)
+    assert copy != z2_plus_z4
+    assert not zbar(z2_plus_z4).is_full()
+    assert zbar2(z2_plus_z4).is_zero()
+    for m in (z2_plus_z4, copy):
+        for radical in (zbar, zbar2):
+            with pytest.raises(SizeLimitExceeded):
+                radical(m, tight)
+    pair = direct_sum(z2_over_z4, z2_over_z4)
+    assert is_small_module(pair)
+    for m in (pair, reversed_copy(pair)):
+        with pytest.raises(SizeLimitExceeded):
+            is_small_module(m, tight)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
+from modlab.config import Limits
 from modlab.cli import (
     DEFAULT_RINGS,
     HarnessConfig,
@@ -63,6 +64,17 @@ def test_catalog_closed_under_summands(F2xZ4):
             node = lat.nodes[lat.index[key]]
             part = submodule_as_module(node).module
             assert any(is_isomorphic(part, other) for other in cat.modules)
+
+
+def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4):
+    policy = GenerationPolicy(2, 256)
+    a = enumerate_modules(Z4, policy, ring_id="A")
+    b = enumerate_modules(Z4, policy, ring_id="B")
+    assert (a.label(1), b.label(1)) == ("A[1]{2}", "B[1]{2}")
+    assert enumerate_modules(Z4, policy, ring_id="A") is a
+    small = enumerate_modules(Z4, policy, ring_id="A", limits=Limits(max_module=8))
+    assert "free module R^2 over module size limit" in small.skipped
+    assert a.skipped == []
 
 
 def test_catalog_deterministic(Z8):

@@ -1,12 +1,15 @@
 """Lattice enumeration against a brute-force subgroup filter, and the
 relative predicates small/essential/radical/socle."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
-from modlab.errors import ParentMismatch
+from modlab.config import Limits
+from modlab.errors import ParentMismatch, SizeLimitExceeded
 from modlab.lattice import (
     _sum_key,
     intersect_submodules,
@@ -164,6 +167,29 @@ def test_subnode_indices_match_the_scan(rid):
             want = tuple(j for j, b in enumerate(lat.nodes) if b.elements <= a.elements)
             assert lat.subnode_indices(i) == want
             assert lat.subnode_indices(i) == want  # from the memo
+
+
+def test_lattice_memo_checks_the_size_limit_first(Z4):
+    reg = regular_module(Z4)
+    m = direct_sum(reg, reg)
+    assert len(submodules(m)) == 15
+    with pytest.raises(SizeLimitExceeded):
+        submodules(m, Limits(max_module=4))
+
+
+@pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
+def test_join_closure_holds_the_join_of_every_subset(rid):
+    rng = random.Random(rid)
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 64), ring_id=rid)
+    for m in catalog.modules:
+        lat = submodules(m)
+        for _ in range(6):
+            picked = rng.sample(range(len(lat)), min(len(lat), rng.randint(1, 5)))
+            want = set()
+            for r in range(1, len(picked) + 1):
+                for subset in itertools.combinations(picked, r):
+                    want.add(functools.reduce(lat.join, subset))
+            assert lat.join_closure(picked) == want
 
 
 def test_parent_mismatch(z4_reg, z2_plus_z4):

@@ -164,6 +164,52 @@ def test_span_matches_closure_oracle_everywhere(s_plus_c):
         )
 
 
+def orbit_span(module, gens):
+    """The span as closure of the generators under the ring basis actions,
+    then the additive closure of that orbit."""
+    ws = module.workspace()
+    orbit, stack = set(), list(gens)
+    while stack:
+        x = stack.pop()
+        if x not in orbit:
+            orbit.add(x)
+            stack.extend(tab[x] for tab in ws.basis_action())
+    return ws.additive_closure(orbit), sorted(orbit)
+
+
+def catalog_and_square(rid):
+    reg = regular_module(builtin_ring(rid))
+    return list(catalog_modules(rid)) + [direct_sum(reg, reg)]
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_span_of_generator_images_matches_the_orbit_span(rid):
+    rng = random.Random(rid)
+    for m in catalog_and_square(rid):
+        ws = m.workspace()
+        for _ in range(12):
+            gens = rng.sample(range(m.size), min(m.size, rng.randint(1, 3)))
+            assert ws.span(gens) == orbit_span(m, gens)[0], (m, gens)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_generator_images_and_orbit_generate_the_same_subgroup(rid):
+    """The seed rows of quotients and submodule presentations generate each
+    node, as the action orbit of its generators does."""
+    from modlab.intlinalg import subgroup_decomposition
+    from modlab.lattice import submodules
+
+    for m in catalog_and_square(rid):
+        ws = m.workspace()
+        for node in submodules(m).nodes:
+            seeds = ws.generator_images(node.generators())
+            closed, orbit = orbit_span(m, node.generators())
+            assert ws.additive_closure(seeds) == closed == node.elements
+            rows = [[list(ws.coords[c]) for c in codes] for codes in (seeds, orbit)]
+            orders = [subgroup_decomposition(m.component_orders, r)[0] for r in rows]
+            assert orders[0] == orders[1]
+
+
 def test_quotient_by_zero_and_full(z2_plus_z4):
     q, proj = quotient_module(z2_plus_z4, z2_plus_z4.zero_submodule())
     assert is_isomorphic(q, z2_plus_z4)
@@ -258,6 +304,19 @@ def test_end_tables_built_by_additivity_match_image_table(rid):
             assert h._table == image_table(m, m, h.matrix), (rid, m, h.matrix)
 
 
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_hom_set_matrices_are_reduced_homs(rid):
+    """hom_set builds its homs unchecked from reduced matrices; each must
+    be its own reduction and pass the checked constructor unchanged."""
+    mods = catalog_modules(rid)
+    for src in mods:
+        for tgt in mods:
+            for h in hom_set(src, tgt):
+                assert h.matrix == modules._reduce_matrix(h.matrix, tgt.component_orders)
+                checked = ModuleHom(src, tgt, h.matrix)
+                assert checked.matrix == h.matrix and checked == h
+
+
 def test_end_ring_limit(z2_plus_z4):
     from modlab.config import Limits
 
@@ -349,6 +408,19 @@ def test_hom_validation_rejects_non_linear(Z4, z2_over_z4, z4_reg):
 
     with pytest.raises(NotSubmodule):
         ModuleHom(z2_over_z4, z4_reg, [[1]])
+
+
+def test_validation_runs_once_per_presentation(Z4):
+    regular_module(Z4)
+    with mock.patch.object(FiniteModule, "_validate") as check:
+        FiniteModule(Z4, [4], [[[1]]])
+        FiniteModule(Z4, [4], [[[5]]])
+    check.assert_not_called()
+    bad = ([4], [[[2]]])
+    for _ in range(2):
+        with pytest.raises(NotSubmodule):
+            FiniteModule(Z4, *bad)
+    assert ("module", Z4.key, (4,), (((2,),),)) not in modules._validated
 
 
 def test_module_validation_rejects_bad_action(Z4, Z8):

@@ -149,6 +149,15 @@ def test_t312_skips_modules_over_limits():
         "instances": 1, "disagreements": 0, "skipped": 3}
 
 
+def test_t312_skips_modules_over_limits_after_a_default_run():
+    """The same count in this process after a default-limits T3.12 run has
+    filled the radical, small-module and hull memos."""
+    cat = enumerate_modules(builtin_ring("Z4"), GenerationPolicy(2, 256), ring_id="Z4")
+    assert verify_theorem("T3.12", cat).summary["skipped"] == 0
+    assert verify_theorem("T3.12", cat, Limits(max_module=8)).summary == {
+        "instances": 1, "disagreements": 0, "skipped": 3}
+
+
 def test_t312_skips_modules_over_the_ring_limit():
     """Over a ring above ``max_ring`` the primitive idempotent search raises
     a limit error, so every nonzero module is skipped."""

@@ -1,7 +1,9 @@
 """Relative smallness, coclosure, lifting, the dual-Baer family, and the
 annihilator-style endomorphism conditions."""
 
+import pytest
 
+from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.lattice import is_small, submodules
 from modlab.modules import (
     end_ring,
@@ -9,6 +11,7 @@ from modlab.modules import (
     span,
     zero_module,
 )
+from modlab.rings import builtin_ring
 from modlab.structure import is_coclosed, is_lifting
 from modlab.tpredicates import (
     d_set,
@@ -162,6 +165,41 @@ def test_ideal_lattice_route_matches_closure_route(z4_reg, s_plus_c, z2_plus_z4)
         closure_z = {tuple(sorted(z)) for _, z in data.image_pair_closure()}
         assert from_ideals_full == closure_full
         assert from_ideals_z == closure_z
+
+
+def additive_pair_closure(data):
+    """image_pair_closure by additive closures of unions: the pairwise-join
+    closure of the single-endomorphism (image, radical image) pairs, in
+    the order it finds them."""
+    ws = data.module.workspace()
+    closure = {}
+    for full, zi in zip(data.full_images, data.z_images):
+        closure.setdefault((tuple(sorted(full)), tuple(sorted(zi))), (full, zi))
+    worklist = list(closure.values())
+    while worklist:
+        fu, zu = worklist.pop()
+        for fv, zv in list(closure.values()):
+            if fu <= fv and zu <= zv:
+                continue
+            fj = frozenset(ws.additive_closure(fu | fv))
+            zj = frozenset(ws.additive_closure(zu | zv))
+            key = (tuple(sorted(fj)), tuple(sorted(zj)))
+            if key not in closure:
+                closure[key] = (fj, zj)
+                worklist.append((fj, zj))
+    return list(closure.values())
+
+
+@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+def test_pair_closure_by_node_index_matches_additive_closure(rid):
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    large = 0
+    for m in catalog.modules:
+        data = end_data(m)
+        large += not data.has_small_end()
+        assert data.image_pair_closure() == additive_pair_closure(data), m
+    if rid in ("Z8", "F2xZ4", "T2F2"):
+        assert large
 
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
