@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_LIMITS, Limits
 from .errors import SizeLimitExceeded
 from .lattice import submodules
+from .memo import memo
 from .modules import (
     FiniteModule,
+    IsoClasses,
     direct_sum_with_maps,
-    is_isomorphic,
-    iso_signature,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -48,34 +48,30 @@ class ModuleCatalog:
         return f"{self.ring_id}[{index}]{{{orders}}}"
 
 
-_catalog_cache: dict = {}
-
-
 def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPolicy(),
                       ring_id: str | None = None,
                       limits: Limits = DEFAULT_LIMITS) -> ModuleCatalog:
     """Quotients of R^n for n up to the policy bound, deduplicated up to
-    isomorphism and closed under direct summands."""
-    rid = ring_id or ring.name or "R"
-    cache_key = (ring.key, policy, rid, limits)
-    got = _catalog_cache.get(cache_key)
-    if got is not None:
-        return got
+    isomorphism and closed under direct summands.  Memoized with the ring
+    id resolved, since a ring's key leaves out its name."""
+    return _enumerate(ring, policy, ring_id or ring.name or "R", limits)
+
+
+@memo
+def _enumerate(ring: FiniteRing, policy: GenerationPolicy, rid: str,
+               limits: Limits) -> ModuleCatalog:
     catalog = ModuleCatalog(ring, rid, policy)
     members: list[FiniteModule] = []
-    invariants: list = []
+    classes = IsoClasses()
     skipped: list[str] = []
 
     def try_add(candidate: FiniteModule) -> None:
         if candidate.size > policy.max_size:
             skipped.append(f"size {candidate.size} over policy bound")
             return
-        inv = iso_signature(candidate)
-        for m, i in zip(members, invariants):
-            if i == inv and is_isomorphic(m, candidate):
-                return
-        members.append(candidate)
-        invariants.append(inv)
+        if classes.find(candidate) is None:
+            classes.add(candidate)
+            members.append(candidate)
 
     try_add(zero_module(ring))
     for n in range(1, policy.max_generators + 1):
@@ -124,5 +120,4 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
     members.sort(key=lambda m: (m.size, m.component_orders, m.action))
     catalog.modules = members
     catalog.skipped = skipped
-    _catalog_cache[cache_key] = catalog
     return catalog

@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
 from .lattice import submodules
+from .memo import memo
 from .modules import (
     FiniteModule,
+    IsoClasses,
     Submodule,
-    find_isomorphism,
     quotient_module,
     submodule_as_module,
 )
 from .structure import is_small_module
-
-_zbar_cache: dict = {}
-_zbar_reps: dict = {}
-_zbar2_cache: dict = {}
 
 
 @dataclass
@@ -60,24 +57,25 @@ def _zbar_full_witnesses(module: FiniteModule, limits: Limits) -> list[Submodule
     return out
 
 
+@memo
+def _zbar_classes(_limits: Limits) -> IsoClasses:
+    """An empty index for the radicals computed under these limits, one
+    per isomorphism class; the limits only key the memo."""
+    return IsoClasses()
+
+
+@memo
 def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """Intersection of all submodules with small quotient.  Equals the
     whole module exactly when no proper quotient is small.  Memoized per
     presentation and limits, and per isomorphism class and limits."""
-    key = (module.key, limits)
-    got = _zbar_cache.get(key)
-    if got is not None:
-        return got
-    inv = (module.ring.key, tuple(sorted(module.component_orders)), limits)
-    for rep, rep_sub_key in _zbar_reps.get(inv, ()):
-        iso = find_isomorphism(rep, module)
-        if iso is not None:
-            mapped = Submodule(module, iso.restrict_codes(rep_sub_key))
-            _zbar_cache[key] = mapped
-            return mapped
+    classes = _zbar_classes(limits)
+    found = classes.find(module)
+    if found is not None:
+        rep_zbar, iso = found
+        return Submodule(module, iso.restrict_codes(rep_zbar.elements))
     sub = _zbar_fast(module, limits)
-    _zbar_cache[key] = sub
-    _zbar_reps.setdefault(inv, []).append((module, sub.key))
+    classes.add(module, sub)
     return sub
 
 
@@ -86,22 +84,16 @@ def zbar_witnesses(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> lis
     return _zbar_full_witnesses(module, limits)
 
 
+@memo
 def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """The radical applied to its own value, pulled back along the
     inclusion."""
-    key = (module.key, limits)
-    got = _zbar2_cache.get(key)
-    if got is not None:
-        return got
     z = zbar(module, limits)
     if z.is_full():
-        _zbar2_cache[key] = z
         return z
     inner = submodule_as_module(z)
     w = zbar(inner.module, limits)
-    out = Submodule(module, inner.push_out(w.elements))
-    _zbar2_cache[key] = out
-    return out
+    return Submodule(module, inner.push_out(w.elements))
 
 
 def is_cosingular(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:

@@ -29,13 +29,9 @@ from typing import Literal
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ParentMismatch, SizeLimitExceeded
+from .memo import memo
 from .modules import FiniteModule, Submodule, regular_module
 from .serialize import cache_path, cache_read, cache_write
-
-_lattice_cache: dict = {}
-_radical_cache: dict = {}
-_socle_cache: dict = {}
-_jacobson_cache: dict = {}
 
 
 class SubmoduleLattice:
@@ -186,17 +182,19 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
 
 
 def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> SubmoduleLattice:
-    """Complete submodule lattice (cached per module presentation, and on
+    """Complete submodule lattice (memoized per module presentation, and on
     disk when a cache directory is configured).  The size limit is checked
     before the memo."""
     if module.size > limits.max_module:
         raise SizeLimitExceeded(f"module of size {module.size} over lattice limit")
-    got = _lattice_cache.get(module.key)
-    if got is not None:
-        return got
+    return _lattice(module)
+
+
+@memo
+def _lattice(module: FiniteModule) -> SubmoduleLattice:
     loaded = _disk_load(module)
     if loaded is not None:
-        return _lattice_cache.setdefault(module.key, loaded)
+        return loaded
     ws = module.workspace()
     seen: dict[tuple[int, ...], Submodule] = {}
     zero = module.zero_submodule()
@@ -231,7 +229,7 @@ def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodu
         worklist = nxt
     lattice = SubmoduleLattice(module, list(seen.values()))
     _disk_store(module, lattice)
-    return _lattice_cache.setdefault(module.key, lattice)
+    return lattice
 
 
 def _disk_load(module: FiniteModule) -> SubmoduleLattice | None:
@@ -278,28 +276,22 @@ def _prune_generators(module: FiniteModule, gens: tuple[int, ...], target_size: 
     return tuple(kept)
 
 
+@memo
 def jacobson_radical(ring) -> frozenset[int]:
     """Element codes of J(R): intersection of the maximal right ideals of
     the regular module."""
-    got = _jacobson_cache.get(ring.key)
-    if got is None:
-        reg = regular_module(ring)
-        lat = submodules(reg)
-        elems = frozenset(reg.elements())
-        for i in lat.maximal_indices():
-            elems = elems & lat.nodes[i].elements
-        got = elems
-        _jacobson_cache[ring.key] = got
-    return got
+    reg = regular_module(ring)
+    lat = submodules(reg)
+    elems = frozenset(reg.elements())
+    for i in lat.maximal_indices():
+        elems = elems & lat.nodes[i].elements
+    return elems
 
 
+@memo
 def radical(module: FiniteModule) -> Submodule:
     """Rad(M) = M * J(R), also the sum of all small submodules."""
-    got = _radical_cache.get(module.key)
-    if got is None:
-        codes = radical_of_subset(module, frozenset(module.elements()))
-        got = _radical_cache[module.key] = Submodule(module, codes)
-    return got
+    return Submodule(module, radical_of_subset(module, frozenset(module.elements())))
 
 
 def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[int]:
@@ -318,19 +310,17 @@ def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[
     return frozenset(ws.additive_closure(products))
 
 
+@memo
 def socle(module: FiniteModule) -> Submodule:
     """Soc(M) = ann_M(J(R)): the elements that every element of J kills."""
-    got = _socle_cache.get(module.key)
-    if got is None:
-        ring = module.ring
-        ws = module.workspace()
-        members = list(module.elements())
-        for j in jacobson_radical(ring):
-            rcoords = ring.decode(j)
-            if any(rcoords):
-                members = [x for x in members if ws.act(x, rcoords) == 0]
-        got = _socle_cache[module.key] = Submodule(module, frozenset(members))
-    return got
+    ring = module.ring
+    ws = module.workspace()
+    members = list(module.elements())
+    for j in jacobson_radical(ring):
+        rcoords = ring.decode(j)
+        if any(rcoords):
+            members = [x for x in members if ws.act(x, rcoords) == 0]
+    return Submodule(module, frozenset(members))
 
 
 def is_small(sub: Submodule, module: FiniteModule | None = None,

@@ -1,0 +1,66 @@
+"""The one memo layer: every module-level memo of modlab is a function
+decorated with :func:`memo`.
+
+Key rule.  A call is stored under its full argument list, with the
+defaults filled in, so ``f(m)``, ``f(m, DEFAULT_LIMITS)`` and
+``f(m, limits=DEFAULT_LIMITS)`` share one entry.  An argument that has a
+``.key`` (a ring, module or submodule) stands in the key by that
+canonical key, so the memo holds no argument object alive; any other
+argument (a ``Limits``, a policy, an id) stands by itself.  A
+submodule's key is its element codes alone, so a memoized function that
+takes a submodule takes its parent module too.
+
+Limits rule.  A ``Limits`` argument is part of the key like any other,
+so a result computed under some limits is never returned for others.  A
+function that uses its limits only to refuse an oversized input checks
+them first and then calls a memoized function that takes no limits
+(``submodules``, ``end_ring``, ``primitive_blocks``).
+
+A call that raises stores nothing.  :func:`clear` empties every memo, so
+the next call of each function computes from scratch.
+"""
+
+from __future__ import annotations
+
+import functools
+import inspect
+
+_tables: list[dict] = []
+
+
+def memo(fn):
+    """Memoize ``fn`` by its arguments' keys, as the module docstring
+    describes.  ``fn`` takes positional-or-keyword parameters only."""
+    sig = inspect.signature(fn)
+    params = tuple(sig.parameters.values())
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+        raise TypeError(f"memo needs plain parameters: {fn.__qualname__}")
+    n = len(params)
+    defaults = tuple(p.default for p in params if p.default is not p.empty)
+    required = n - len(defaults)
+    table: dict = {}
+    _tables.append(table)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        elif required <= len(args) < n:
+            args += defaults[len(args) - required:]
+        key = tuple([getattr(a, "key", a) for a in args])
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        value = table[key] = fn(*args)
+        return value
+
+    return wrapper
+
+
+def clear() -> None:
+    """Empty every memo."""
+    for table in _tables:
+        table.clear()

@@ -55,6 +55,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .intlinalg import smith_normal_form, subgroup_decomposition
+from .memo import memo
 from .rings import FiniteRing, additive_order, exponent
 
 
@@ -122,9 +123,8 @@ class FiniteModule:
         self._ws = None
         self.key = ("module", ring.key, orders, self.action)
         self._hash = hash(self.key)
-        if validate and self.key not in _validated:
-            self._validate()
-            _validated.add(self.key)
+        if validate:
+            _validate_once(self)
 
     def _validate(self):
         orders = self.component_orders
@@ -308,18 +308,17 @@ class _AdditiveGroup:
         return list(map(self.add, a, b))
 
 
-_groups: dict[tuple[int, ...], _AdditiveGroup] = {}
-# Module keys whose presentation passed FiniteModule._validate, a pure
-# function of the key; an invalid presentation is never added.
-_validated: set[tuple] = set()
-
-
+@memo
 def additive_group(orders: tuple[int, ...]) -> _AdditiveGroup:
     """The shared additive group of these component orders."""
-    got = _groups.get(orders)
-    if got is None:
-        got = _groups[orders] = _AdditiveGroup(orders)
-    return got
+    return _AdditiveGroup(orders)
+
+
+@memo
+def _validate_once(module: FiniteModule) -> None:
+    """FiniteModule._validate, a pure function of the module's key; an
+    invalid presentation raises and so is checked again next time."""
+    module._validate()
 
 
 class _Workspace:
@@ -571,25 +570,15 @@ def span(module: FiniteModule, gens: Iterable) -> Submodule:
 
 # -- constructions ----------------------------------------------------------
 
-_regular_cache: dict = {}
-_quotient_cache: dict = {}
-_sub_as_module_cache: dict = {}
-_end_cache: dict = {}
-
-
+@memo
 def regular_module(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteModule:
     """The ring as a right module over itself (right multiplication)."""
-    got = _regular_cache.get(ring.key)
-    if got is not None:
-        return got
     k = len(ring.component_orders)
     action = tuple(
         tuple(ring.constants[j][b] for j in range(k)) for b in range(k)
     )
-    mod = FiniteModule(ring, ring.component_orders, action,
-                       name=f"{ring.name or 'R'}_reg", limits=limits)
-    _regular_cache[ring.key] = mod
-    return mod
+    return FiniteModule(ring, ring.component_orders, action,
+                        name=f"{ring.name or 'R'}_reg", limits=limits)
 
 
 def direct_sum_with_maps(*summands: FiniteModule, limits: Limits = DEFAULT_LIMITS):
@@ -652,17 +641,17 @@ def quotient_module(module: FiniteModule, sub: Submodule):
     """
     if sub.parent != module:
         raise NotSubmodule("quotient needs a submodule of the given module")
-    cached = _quotient_cache.get((module.key, sub.key))
-    if cached is not None:
-        return cached
+    return _quotient(module, sub)
+
+
+@memo
+def _quotient(module: FiniteModule, sub: Submodule):
     orders = module.component_orders
     t = len(orders)
     ws = module.workspace()
     if t == 0 or sub.is_full():
         q = zero_module(module.ring)
-        proj = ModuleHom(module, q, [[] for _ in range(t)], validate=False)
-        _quotient_cache[(module.key, sub.key)] = (q, proj)
-        return q, proj
+        return q, ModuleHom(module, q, [[] for _ in range(t)], validate=False)
     rel = [list(ws.coords[g]) for g in ws.generator_images(sub.generators())]
     rel.extend([orders[i] if j == i else 0 for j in range(t)] for i in range(t))
     diag, v, vinv = smith_normal_form(rel if rel else [[0] * t])
@@ -689,7 +678,6 @@ def quotient_module(module: FiniteModule, sub: Submodule):
     proj = ModuleHom(module, q, proj_matrix)
     if proj.kernel().elements != sub.elements:
         raise NotSubmodule("projection kernel mismatch; input was not action-closed")
-    _quotient_cache[(module.key, sub.key)] = (q, proj)
     return q, proj
 
 
@@ -711,10 +699,11 @@ class SubmoduleModule:
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:
     """Standalone presentation of a submodule, with inclusion and the
     element correspondence both ways."""
-    parent = sub.parent
-    cached = _sub_as_module_cache.get((parent.key, sub.key))
-    if cached is not None:
-        return cached
+    return _standalone(sub.parent, sub)
+
+
+@memo
+def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
     ws = parent.workspace()
     gen_vectors = [list(ws.coords[c]) for c in ws.generator_images(sub.generators())]
     orders, reps, coords = subgroup_decomposition(parent.component_orders, gen_vectors)
@@ -732,9 +721,7 @@ def submodule_as_module(sub: Submodule) -> SubmoduleModule:
     to_sub = {}
     for c in sub.key:
         to_sub[c] = mod.encode(coords.coords(list(ws.coords[c])))
-    out = SubmoduleModule(mod, include, to_sub)
-    _sub_as_module_cache[(parent.key, sub.key)] = out
-    return out
+    return SubmoduleModule(mod, include, to_sub)
 
 
 class ModuleHom:
@@ -878,17 +865,11 @@ def kernel_image(f: ModuleHom) -> tuple[Submodule, Submodule]:
 
 # -- hom groups --------------------------------------------------------------
 
-_hom_group_cache: dict = {}
-_signature_cache: dict = {}
-
-
+@memo
 def iso_signature(module: FiniteModule) -> tuple:
     """Cheap isomorphism invariant: the multiset over elements of
     (additive order, annihilator size, cyclic span size).  R/ann(x) is
     isomorphic to xR, so |ann(x)| = |R| / |xR|."""
-    got = _signature_cache.get(module.key)
-    if got is not None:
-        return got
     ws = module.workspace()
     ring_size = module.ring.size
     profile = []
@@ -896,11 +877,10 @@ def iso_signature(module: FiniteModule) -> tuple:
         o = additive_order(module.component_orders, ws.coords[code])
         span_size = len(ws.cyclic_span(code))
         profile.append((o, ring_size // span_size, span_size))
-    got = (tuple(sorted(module.component_orders)), tuple(sorted(profile)))
-    _signature_cache[module.key] = got
-    return got
+    return tuple(sorted(module.component_orders)), tuple(sorted(profile))
 
 
+@memo
 def hom_group(source: FiniteModule, target: FiniteModule
               ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
     """Cyclic decomposition ``(orders, reps)`` of Hom(source, target)
@@ -914,10 +894,6 @@ def hom_group(source: FiniteModule, target: FiniteModule
     solutions."""
     if source.ring != target.ring:
         raise RingMismatch("hom endpoints must share the base ring")
-    key = (source.key, target.key)
-    got = _hom_group_cache.get(key)
-    if got is not None:
-        return got
     src, tgt = source.component_orders, target.component_orders
     cells, mods = [], []
     for j, m in enumerate(src):
@@ -964,8 +940,7 @@ def hom_group(source: FiniteModule, target: FiniteModule
         for (j, l), yi, sc in zip(cells, y, scale):
             mat[j][l] = yi * sc
         reps.append(tuple(map(tuple, mat)))
-    got = _hom_group_cache[key] = (orders, reps)
-    return got
+    return orders, reps
 
 
 def hom_set(source: FiniteModule, target: FiniteModule,
@@ -1082,6 +1057,29 @@ def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:
     return find_isomorphism(m, n) is not None
 
 
+class IsoClasses:
+    """One representative per isomorphism class, with a value each, in
+    buckets keyed by ring and :func:`iso_signature`.  A lookup tests the
+    representatives of its bucket in the order they were added."""
+
+    def __init__(self):
+        self._buckets: dict[tuple, list[tuple[FiniteModule, object]]] = {}
+
+    def find(self, module: FiniteModule) -> tuple[object, ModuleHom] | None:
+        """(value, isomorphism rep -> module) for the first representative
+        isomorphic to the module, or None."""
+        for rep, value in self._buckets.get((module.ring.key, iso_signature(module)), ()):
+            iso = find_isomorphism(rep, module)
+            if iso is not None:
+                return value, iso
+        return None
+
+    def add(self, module: FiniteModule, value: object = None) -> None:
+        """Make the module the representative of a new class."""
+        self._buckets.setdefault((module.ring.key, iso_signature(module)),
+                                 []).append((module, value))
+
+
 def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
     """Multiset of prime-power components, iso-invariant of the group."""
     out = []
@@ -1113,12 +1111,10 @@ class EndRing:
     left of the module.
     """
 
-    def __init__(self, module: FiniteModule, homs: list[ModuleHom],
-                 limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, module: FiniteModule, homs: list[ModuleHom]):
         self.module = module
         self.homs = homs
         self.index = {h.matrix: i for i, h in enumerate(homs)}
-        self.limits = limits
         self._as_ring = None
         self._basis = None
         self._coords = None
@@ -1198,9 +1194,7 @@ class EndRing:
                 tuple(constants),
                 one,
                 name=f"End({self.module.name or 'M'})",
-                limits=Limits(max_ring=max(self.limits.max_end, self.limits.max_ring),
-                              max_module=self.limits.max_module,
-                              max_end=self.limits.max_end),
+                limits=Limits(max_ring=self.size),
             )
             self._as_ring = ring
         return self._as_ring
@@ -1246,14 +1240,14 @@ class EndRing:
 
 
 def end_ring(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> EndRing:
-    got = _end_cache.get(module.key)
-    if got is not None:
-        if got.size > limits.max_end:
-            raise SizeLimitExceeded(
-                f"endomorphism ring of size {got.size} over limit {limits.max_end}"
-            )
-        return got
-    homs = hom_set(module, module, max_count=limits.max_end)
-    out = EndRing(module, homs, limits)
-    _end_cache[module.key] = out
-    return out
+    """The endomorphism ring.  Its size is read off :func:`hom_group` and
+    checked against ``limits.max_end`` before the memo."""
+    size = prod(hom_group(module, module)[0])
+    if size > limits.max_end:
+        raise SizeLimitExceeded(f"endomorphism ring of size {size} over limit {limits.max_end}")
+    return _end_ring(module)
+
+
+@memo
+def _end_ring(module: FiniteModule) -> EndRing:
+    return EndRing(module, hom_set(module, module))

@@ -12,6 +12,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .cosingular import classify
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
+from .memo import memo
 from .modules import FiniteModule, end_ring
 from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
@@ -109,23 +110,30 @@ class TheoremReport:
         return out
 
 
-_profile_cache: dict = {}
-
-
 def profile_module(module: FiniteModule, desc: str | None = None,
                    limits: Limits = DEFAULT_LIMITS) -> PropertyReport:
     """Every predicate of the catalog evaluated on one module, with
-    internal-consistency flags."""
-    module_desc = desc or repr(module)
-    cached = _profile_cache.get(module.key)
-    if cached is None:
-        cached = _disk_cache_load(module)
-        if cached is not None:
-            _profile_cache[module.key] = cached
-    if cached is not None:
-        if cached.module_desc == module_desc:
-            return cached
-        return replace(cached, module_desc=module_desc)
+    internal-consistency flags, under the caller's description (by
+    default the module's repr, resolved before the memo since a module's
+    key leaves out its name)."""
+    return _described(module, desc or repr(module), limits)
+
+
+@memo
+def _described(module: FiniteModule, desc: str, limits: Limits) -> PropertyReport:
+    report = _profile(module, limits)
+    return report if report.module_desc == desc else replace(report, module_desc=desc)
+
+
+@memo
+def _profile(module: FiniteModule, limits: Limits) -> PropertyReport:
+    """The profile under the module's own description.  The disk cache
+    holds profiles under the default limits only."""
+    on_disk = limits == DEFAULT_LIMITS
+    if on_disk:
+        loaded = _disk_cache_load(module)
+        if loaded is not None:
+            return loaded
     lat = submodules(module, limits)
     prof = classify(module, limits)
     try:
@@ -171,7 +179,7 @@ def profile_module(module: FiniteModule, desc: str | None = None,
         flags.append("noncosingular but t_small differs from small")
 
     report = PropertyReport(
-        module_desc=module_desc,
+        module_desc=repr(module),
         orders=module.component_orders,
         size=module.size,
         lattice_size=len(lat.nodes),
@@ -187,8 +195,8 @@ def profile_module(module: FiniteModule, desc: str | None = None,
         submodule_counts=counts,
         flags=flags,
     )
-    _profile_cache[module.key] = report
-    _disk_cache_store(module, report)
+    if on_disk:
+        _disk_cache_store(module, report)
     return report
 
 

@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import IllFormedConstants, NoIdentity, NonAssociative, SizeLimitExceeded
+from .memo import memo
 
 
 class FiniteRing:
@@ -350,17 +351,13 @@ _BUILTIN_SPECS = {
     "T2F2": ("upper_triangular_2x2", 2),
 }
 
-_builtin_cache: dict[str, FiniteRing] = {}
-
-
 def builtin_ring_ids() -> list[str]:
     return list(_BUILTIN_SPECS)
 
 
+@memo
 def builtin_ring(ring_id: str) -> FiniteRing:
     """Look up a built-in ring id (also accepts Z<n> / F<p> shorthand)."""
-    if ring_id in _builtin_cache:
-        return _builtin_cache[ring_id]
     if ring_id in _BUILTIN_SPECS:
         ring = build_ring(_BUILTIN_SPECS[ring_id])
     elif ring_id[:1] in ("Z", "F") and ring_id[1:].isdigit():
@@ -369,7 +366,6 @@ def builtin_ring(ring_id: str) -> FiniteRing:
         raise KeyError(f"unknown ring id {ring_id!r}")
     if ring.name != ring_id:
         ring = FiniteRing(ring.component_orders, ring.constants, ring.one, name=ring_id)
-    _builtin_cache[ring_id] = ring
     return ring
 
 

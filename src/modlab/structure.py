@@ -23,8 +23,10 @@ from .lattice import (
     radical,
     submodules,
 )
+from .memo import memo
 from .modules import (
     FiniteModule,
+    IsoClasses,
     ModuleHom,
     Submodule,
     SubmoduleModule,
@@ -136,14 +138,9 @@ def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> boo
     return complement_of(sub) is not None
 
 
-_summand_cache: dict = {}
-
-
+@memo
 def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
-    """Canonical keys of all direct summand nodes (cached)."""
-    got = _summand_cache.get(module.key)
-    if got is not None:
-        return got
+    """Canonical keys of all direct summand nodes (memoized)."""
     lat = submodules(module)
     out = set()
     for i, a in enumerate(lat.nodes):
@@ -156,9 +153,7 @@ def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
             if lat.meet(i, j) == lat.zero_index and lat.join(i, j) == lat.top_index:
                 out.add(a.key)
                 break
-    got = frozenset(out)
-    _summand_cache[module.key] = got
-    return got
+    return frozenset(out)
 
 
 def summand_witness_idempotent(sub: Submodule, limits: Limits = DEFAULT_LIMITS) -> ModuleHom | None:
@@ -188,15 +183,10 @@ def supplements_of(y: Submodule, module: FiniteModule) -> list[Submodule]:
     return [x for x in lat.nodes if is_supplement(x, y, module)]
 
 
-_amply_cache: dict = {}
-
-
+@memo
 def is_amply_supplemented(module: FiniteModule) -> bool:
     """Whenever A + B = M, some supplement of B lies inside A.  True for
     every module over a finite ring, but computed from the definition."""
-    got = _amply_cache.get(module.key)
-    if got is not None:
-        return got
     lat = submodules(module)
     top = lat.top_index
     n = len(lat.nodes)
@@ -221,7 +211,6 @@ def is_amply_supplemented(module: FiniteModule) -> bool:
                 break
         if not ok:
             break
-    _amply_cache[module.key] = ok
     return ok
 
 
@@ -321,15 +310,10 @@ def _dual_matrix(matrix, src_orders, tgt_orders):
     return out
 
 
-_dual_cache: dict = {}
-
-
+@memo
 def character_dual(module: FiniteModule) -> FiniteModule:
     """Character group Hom(M, Z/exp(M)) as a right module over the
     opposite ring; same component orders, weighted-transpose action."""
-    got = _dual_cache.get(module.key)
-    if got is not None:
-        return got
     ring = module.ring
     op = opposite_ring(ring)
     orders = module.component_orders
@@ -337,10 +321,7 @@ def character_dual(module: FiniteModule) -> FiniteModule:
         tuple(tuple(r) for r in _dual_matrix(mat, orders, orders))
         for mat in module.action
     )
-    out = FiniteModule(op, orders, action, name=f"D({module.name or 'M'})")
-    _dual_cache[module.key] = out
-    _dual_cache[out.key] = module
-    return out
+    return FiniteModule(op, orders, action, name=f"D({module.name or 'M'})")
 
 
 def dual_hom(f: ModuleHom) -> ModuleHom:
@@ -353,10 +334,6 @@ def dual_hom(f: ModuleHom) -> ModuleHom:
 
 
 # -- projective covers ----------------------------------------------------------
-
-_prim_cache: dict = {}
-_cover_cache: dict = {}
-
 
 @dataclass
 class _PrimitiveBlock:
@@ -371,9 +348,11 @@ def primitive_blocks(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> list[
     idempotents of the ring, found by exhaustive search."""
     if ring.size > limits.max_ring:
         raise SizeLimitExceeded(f"ring too large for idempotent search: {ring.size}")
-    got = _prim_cache.get(ring.key)
-    if got is not None:
-        return got
+    return _primitive_blocks(ring)
+
+
+@memo
+def _primitive_blocks(ring: FiniteRing) -> list[_PrimitiveBlock]:
     idems = ring.idempotent_coords()
     reg = regular_module(ring)
 
@@ -414,10 +393,10 @@ def primitive_blocks(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> list[
         top, _ = quotient_module(block.module, radical(block.module))
         end_size = prod(hom_group(top, top)[0])
         blocks.append(_PrimitiveBlock(e, block, top, end_size))
-    _prim_cache[ring.key] = blocks
     return blocks
 
 
+@memo
 def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     """(P, p) with P projective, p surjective, and ker(p) small in P.
 
@@ -426,10 +405,6 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     the induced map on tops is bijective, which forces the kernel into
     Rad(P).
     """
-    key = (module.key, limits)
-    got = _cover_cache.get(key)
-    if got is not None:
-        return got
     ring = module.ring
     blocks = primitive_blocks(ring, limits)
     # one representative per isomorphism class of tops, so multiplicities
@@ -448,9 +423,7 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
         chosen.extend([blk] * mult)
     if not chosen:
         p = zero_module(ring)
-        hom = ModuleHom(p, module, [], validate=False)
-        _cover_cache[key] = (p, hom)
-        return p, hom
+        return p, ModuleHom(p, module, [], validate=False)
     total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen],
                                                 limits=limits)
     ws = module.workspace()
@@ -483,37 +456,23 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
         raise IdempotentSearchExceeded("projective cover candidate is not surjective")
     if not p_hom.kernel().elements <= radical(total).elements:
         raise IdempotentSearchExceeded("projective cover kernel is not small")
-    _cover_cache[key] = (total, p_hom)
     return total, p_hom
 
 
 # -- injectivity ----------------------------------------------------------------
 
-_right_ideal_mods_cache: dict = {}
-_injective_cache: dict = {}
-_hull_cache: dict = {}
-_small_module_cache: dict = {}
-_small_module_reps: dict = {}
+
+@memo
+def _right_ideal_modules(ring: FiniteRing) -> list[SubmoduleModule]:
+    return [submodule_as_module(node) for node in submodules(regular_module(ring)).nodes]
 
 
-def _right_ideal_modules(ring: FiniteRing):
-    got = _right_ideal_mods_cache.get(ring.key)
-    if got is None:
-        reg = regular_module(ring)
-        lat = submodules(reg)
-        got = [submodule_as_module(node) for node in lat.nodes]
-        _right_ideal_mods_cache[ring.key] = got
-    return got
-
-
+@memo
 def is_injective(module: FiniteModule) -> bool:
     """Right-ideal extension test: every hom from a right ideal into the
     module is left multiplication by some element.  The extendable homs
     form a subgroup (the image of m |-> (m * v_j)_j on the ideal's basis
     images v_j), so checking the generators of Hom(I, M) suffices."""
-    got = _injective_cache.get(module.key)
-    if got is not None:
-        return got
     ring = module.ring
     ws = module.workspace()
     ok = True
@@ -533,18 +492,14 @@ def is_injective(module: FiniteModule) -> bool:
                 break
         if not ok:
             break
-    _injective_cache[module.key] = ok
     return ok
 
 
+@memo
 def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     """(E, i) with E injective and i an essential embedding, built as the
     dual of the projective cover of the dual.  The embedding, its
     essentiality and the injectivity of E are checked."""
-    key = (module.key, limits)
-    got = _hull_cache.get(key)
-    if got is not None:
-        return got
     dual = character_dual(module)
     cover, p = projective_cover(dual, limits)
     embed = dual_hom(p)
@@ -557,25 +512,25 @@ def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
         raise NotSubmodule("hull embedding is not essential")
     if not is_injective(hull):
         raise NotSubmodule("computed hull fails the injectivity test")
-    _hull_cache[key] = (hull, embed)
     return hull, embed
 
 
+@memo
+def _small_classes(_limits: Limits) -> IsoClasses:
+    """An empty index for the small-module values computed under these
+    limits, one per isomorphism class; the limits only key the memo."""
+    return IsoClasses()
+
+
+@memo
 def is_small_module(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Small in its injective hull.  Cached per presentation and limits
-    and, behind a cheap invariant filter, per isomorphism class and
-    limits."""
-    key = (module.key, limits)
-    got = _small_module_cache.get(key)
-    if got is not None:
-        return got[0]
-    inv = (module.ring.key, tuple(sorted(module.component_orders)), limits)
-    for rep, value in _small_module_reps.get(inv, ()):
-        if is_isomorphic(rep, module):
-            _small_module_cache[key] = (value,)
-            return value
+    """Small in its injective hull.  Memoized per presentation and limits
+    and per isomorphism class and limits."""
+    classes = _small_classes(limits)
+    found = classes.find(module)
+    if found is not None:
+        return found[0]
     hull, embed = injective_hull(module, limits)
     value = embed.image().elements <= radical(hull).elements
-    _small_module_cache[key] = (value,)
-    _small_module_reps.setdefault(inv, []).append((module, value))
+    classes.add(module, value)
     return value

@@ -24,6 +24,7 @@ from .lattice import (
     socle,
     submodules,
 )
+from .memo import memo
 from .modules import (
     EndRing,
     FiniteModule,
@@ -57,13 +58,10 @@ def is_t_small(sub: Submodule, module: FiniteModule,
     return True
 
 
+@memo
 def t_small_keys(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> frozenset:
-    got = _t_small_keys_cache.get(module.key)
-    if got is None:
-        lat = submodules(module)
-        got = frozenset(s.key for s in lat.nodes if is_t_small(s, module, limits))
-        _t_small_keys_cache[module.key] = got
-    return got
+    lat = submodules(module)
+    return frozenset(s.key for s in lat.nodes if is_t_small(s, module, limits))
 
 
 def t_small_variants(sub: Submodule, module: FiniteModule,
@@ -84,44 +82,27 @@ def t_small_variants(sub: Submodule, module: FiniteModule,
 
 # -- pullbacks of quotient data --------------------------------------------------
 
-_z2_pullback_cache: dict = {}
-_node_z2_cache: dict = {}
-_t_small_keys_cache: dict = {}
-_t_coclosed_cache: dict = {}
-_t_coclosed_keys_cache: dict = {}
 
-
+@memo
 def zbar2_pullback(module: FiniteModule, n: Submodule,
                    limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
     """Preimage in M of the square radical of M/N."""
-    key = (module.key, n.key)
-    got = _z2_pullback_cache.get(key)
-    if got is not None:
-        return got
     q, proj = quotient_module(module, n)
     target = zbar2(q, limits).elements
-    got = frozenset(c for c, y in enumerate(proj.table()) if y in target)
-    _z2_pullback_cache[key] = got
-    return got
+    return frozenset(c for c, y in enumerate(proj.table()) if y in target)
 
 
+@memo
 def zbar2_of_node(module: FiniteModule, sub: Submodule,
                   limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
     """The square radical of a submodule viewed as a module, as a code set
     of the parent."""
-    key = (module.key, sub.key)
-    got = _node_z2_cache.get(key)
-    if got is not None:
-        return got
     if sub.is_full():
-        got = zbar2(module, limits).elements
-    elif sub.is_zero():
-        got = frozenset((0,))
-    else:
-        inner = submodule_as_module(sub)
-        got = inner.push_out(zbar2(inner.module, limits).elements)
-    _node_z2_cache[key] = got
-    return got
+        return zbar2(module, limits).elements
+    if sub.is_zero():
+        return frozenset((0,))
+    inner = submodule_as_module(sub)
+    return inner.push_out(zbar2(inner.module, limits).elements)
 
 
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule,
@@ -144,33 +125,20 @@ def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule,
 # -- relative coclosure -----------------------------------------------------------
 
 
+@memo
 def is_t_coclosed(sub: Submodule, module: FiniteModule,
                   limits: Limits = DEFAULT_LIMITS) -> bool:
     """No proper part leaves a relatively small remainder."""
-    key = (module.key, sub.key)
-    got = _t_coclosed_cache.get(key)
-    if got is not None:
-        return got
     lat = submodules(module)
     i = lat.node_index(sub)
-    value = True
-    for j in lat.subnode_indices(i):
-        if j == i:
-            continue
-        if t_small_in_quotient(sub, lat.nodes[j], module, limits):
-            value = False
-            break
-    _t_coclosed_cache[key] = value
-    return value
+    return not any(t_small_in_quotient(sub, lat.nodes[j], module, limits)
+                   for j in lat.subnode_indices(i) if j != i)
 
 
+@memo
 def t_coclosed_keys(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> frozenset:
-    got = _t_coclosed_keys_cache.get(module.key)
-    if got is None:
-        lat = submodules(module)
-        got = frozenset(s.key for s in lat.nodes if is_t_coclosed(s, module, limits))
-        _t_coclosed_keys_cache[module.key] = got
-    return got
+    lat = submodules(module)
+    return frozenset(s.key for s in lat.nodes if is_t_coclosed(s, module, limits))
 
 
 def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule,
@@ -197,18 +165,13 @@ def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule,
 
 # -- relative lifting ---------------------------------------------------------------
 
-_t_lifting_cache: dict = {}
 
-
+@memo
 def is_t_lifting(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every submodule contains a direct summand with relatively small
     remainder (definitional scan)."""
-    got = _t_lifting_cache.get(module.key)
-    if got is not None:
-        return got
     lat = submodules(module)
     summands = summand_keys(module)
-    value = True
     for i, a in enumerate(lat.nodes):
         found = False
         for j in lat.subnode_indices(i):
@@ -219,10 +182,8 @@ def is_t_lifting(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
                 found = True
                 break
         if not found:
-            value = False
-            break
-    _t_lifting_cache[module.key] = value
-    return value
+            return False
+    return True
 
 
 def t_lifting_variants(module: FiniteModule,
@@ -462,18 +423,12 @@ class _EndData:
         return self._pair_closure
 
 
-_end_data_cache: dict = {}
-
-
+@memo
 def end_data(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> _EndData:
     """The End-ring data of a module, memoized per module and limits: the
     limits choose the right-ideal route, and building the data raises
     :class:`SizeLimitExceeded` when the End ring is over ``max_end``."""
-    key = (module.key, limits)
-    got = _end_data_cache.get(key)
-    if got is None:
-        got = _end_data_cache[key] = _EndData(module, limits)
-    return got
+    return _EndData(module, limits)
 
 
 def d_set(n: Submodule, module: FiniteModule,

@@ -2,12 +2,15 @@
 
 import pytest
 
+from modlab import memo
+from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.cosingular import classify, is_cosingular, zbar, zbar2, zbar_witnesses
 from modlab.errors import SizeLimitExceeded
 from modlab.lattice import submodules
 from modlab.modules import (
     FiniteModule,
+    IsoClasses,
     direct_sum,
     hom_set,
     quotient_module,
@@ -16,6 +19,7 @@ from modlab.modules import (
     submodule_as_module,
     zero_module,
 )
+from modlab.rings import builtin_ring
 from modlab.structure import is_small_module
 from modlab.tpredicates import end_data
 
@@ -159,3 +163,22 @@ def test_radical_and_small_module_memos_are_keyed_by_limits(z2_plus_z4, z2_over_
     for m in (pair, reversed_copy(pair)):
         with pytest.raises(SizeLimitExceeded):
             is_small_module(m, tight)
+
+
+@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+def test_isomorphism_class_index_agrees_with_cold_computation(rid, monkeypatch):
+    """zbar and is_small_module answered through the isomorphism-class
+    index, on every catalog member and on an isomorphic copy of it with
+    its components reversed, equal the values computed with the index
+    switched off and every memo empty."""
+    members = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256),
+                                ring_id=rid).modules
+    modules = members + [reversed_copy(m) for m in members]
+    indexed = [(zbar(m).key, is_small_module(m)) for m in modules]
+    memo.clear()
+    monkeypatch.setattr(IsoClasses, "find", lambda self, module: None)
+    try:
+        cold = [(zbar(m).key, is_small_module(m)) for m in modules]
+    finally:
+        memo.clear()
+    assert indexed == cold

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from modlab import memo
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.cli import (
@@ -16,8 +17,17 @@ from modlab.cli import (
     run_all,
     usable_cpus,
 )
-from modlab.errors import InvalidConfig
-from modlab.modules import is_isomorphic, regular_module
+from modlab.errors import InvalidConfig, SizeLimitExceeded
+from modlab.lattice import submodules
+from modlab.modules import (
+    direct_sum_with_maps,
+    is_isomorphic,
+    iso_signature,
+    quotient_module,
+    regular_module,
+    submodule_as_module,
+    zero_module,
+)
 from modlab.reports import profile_module
 from modlab.rings import builtin_ring
 from modlab.serialize import (
@@ -27,6 +37,7 @@ from modlab.serialize import (
     ring_from_json,
     ring_to_json,
 )
+from modlab.structure import summand_keys
 from modlab.suites import SUITES, verify_theorem
 
 
@@ -53,10 +64,6 @@ def test_catalog_no_isomorphic_pairs(Z6):
 
 
 def test_catalog_closed_under_summands(F2xZ4):
-    from modlab.lattice import submodules
-    from modlab.modules import submodule_as_module
-    from modlab.structure import summand_keys
-
     cat = enumerate_modules(F2xZ4, GenerationPolicy(2, 256), ring_id="F2xZ4")
     for m in cat.modules:
         lat = submodules(m)
@@ -75,6 +82,55 @@ def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4):
     small = enumerate_modules(Z4, policy, ring_id="A", limits=Limits(max_module=8))
     assert "free module R^2 over module size limit" in small.skipped
     assert a.skipped == []
+
+
+def linear_scan_catalog(ring, policy):
+    """The catalog's members as enumerate_modules found them before its
+    isomorphism-class index: each candidate is tested against every
+    earlier member with an equal signature, in order.  No module of the
+    six-ring catalogs is over a limit, so the limit branches are left out."""
+    members, invariants = [], []
+
+    def try_add(candidate):
+        if candidate.size > policy.max_size:
+            return
+        inv = iso_signature(candidate)
+        for m, i in zip(members, invariants):
+            if i == inv and is_isomorphic(m, candidate):
+                return
+        members.append(candidate)
+        invariants.append(inv)
+
+    try_add(zero_module(ring))
+    for n in range(1, policy.max_generators + 1):
+        free = regular_module(ring) if n == 1 else \
+            direct_sum_with_maps(*[regular_module(ring)] * n)[0]
+        for node in submodules(free).nodes:
+            if free.size // node.size <= policy.max_size:
+                try_add(quotient_module(free, node)[0])
+    changed = True
+    while changed:
+        changed = False
+        for m in list(members):
+            before = len(members)
+            lat = submodules(m)
+            for key in sorted(summand_keys(m)):
+                node = lat.nodes[lat.index[key]]
+                if not (node.is_zero() or node.is_full()):
+                    try_add(submodule_as_module(node).module)
+            changed = changed or len(members) != before
+    members.sort(key=lambda m: (m.size, m.component_orders, m.action))
+    return members
+
+
+@pytest.mark.parametrize("rid", DEFAULT_RINGS)
+def test_catalog_index_keeps_the_linear_scan_members(rid):
+    ring = builtin_ring(rid)
+    policy = GenerationPolicy(2, 256)
+    catalog = enumerate_modules(ring, policy, ring_id=rid)
+    assert catalog.skipped == []
+    assert [m.key for m in catalog.modules] == \
+        [m.key for m in linear_scan_catalog(ring, policy)]
 
 
 def test_catalog_deterministic(Z8):
@@ -337,37 +393,32 @@ def test_cli_oracle_stops_at_samples(capsys, check, noun):
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch, Z4):
-    import modlab.reports as reports_mod
-
     monkeypatch.setenv("MODLAB_CACHE", str(tmp_path / "cache"))
     cat = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4")
     m = cat.modules[-1]
-    reports_mod._profile_cache.pop(m.key, None)
+    memo.clear()
     rep1 = profile_module(m)
     assert os.listdir(tmp_path / "cache")
-    reports_mod._profile_cache.pop(m.key, None)
+    memo.clear()
     rep2 = profile_module(m)
     assert rep1.predicates == rep2.predicates
 
 
 @pytest.mark.parametrize("damage", ["truncate", "drop_keys"])
 def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
-    import modlab.lattice as lattice_mod
-    import modlab.reports as reports_mod
-
+    # from cold memos, both profile runs compute the same lattices, so
+    # every file the first writes is read back by the second
     cache = tmp_path / "cache"
-    monkeypatch.setenv("MODLAB_CACHE", str(cache))
     m = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4").modules[-1]
-    reports_mod._profile_cache.pop(m.key, None)
-    lattice_mod._lattice_cache.pop(m.key, None)
+    monkeypatch.setenv("MODLAB_CACHE", str(cache))
+    memo.clear()
     expected = profile_module(m).to_json()
     files = sorted(cache.iterdir())
     assert {f.name.split("-")[0] for f in files} == {"lattice", "profile"}
     for f in files:
         text = f.read_text()
         f.write_text(text[: len(text) // 2] if damage == "truncate" else "{}")
-    reports_mod._profile_cache.pop(m.key, None)
-    lattice_mod._lattice_cache.pop(m.key, None)
+    memo.clear()
     assert profile_module(m).to_json() == expected
     # the damaged files were overwritten with whole ones, and no
     # temporary file is left behind
@@ -376,12 +427,33 @@ def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
         json.loads(f.read_text())
 
 
-def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
-    import modlab.reports as reports_mod
+def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, Z4):
+    """Under max_module=8 three Z4 catalog modules are over a limit, also
+    after a default-limits pass has profiled them; and a profile under
+    other limits never reaches the disk cache."""
+    tight = Limits(max_module=8)
+    cat = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
+    for m in cat.modules:
+        profile_module(m)
+    over = []
+    for m in cat.modules:
+        try:
+            profile_module(m, limits=tight)
+        except SizeLimitExceeded:
+            over.append(m.size)
+    assert over == [4, 8, 16]
+    monkeypatch.setenv("MODLAB_CACHE", str(tmp_path))
+    memo.clear()
+    profile_module(cat.modules[1], limits=tight)
+    assert not list(tmp_path.glob("profile-*"))
+    profile_module(cat.modules[1])
+    assert list(tmp_path.glob("profile-*"))
 
+
+def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
     monkeypatch.setenv("MODLAB_CACHE", str(tmp_path / "cache"))
     m = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4").modules[-1]
-    reports_mod._profile_cache.pop(m.key, None)
+    memo.clear()
     first = profile_module(m, desc="first")
     assert first.module_desc == "first"
     assert profile_module(m, desc="first") is first
@@ -390,6 +462,6 @@ def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
     assert second.predicates == first.predicates
     assert profile_module(m).module_desc == repr(m)
     # a report loaded from the disk cache takes the caller's description too
-    reports_mod._profile_cache.pop(m.key, None)
+    memo.clear()
     assert profile_module(m, desc="third").module_desc == "third"
     assert profile_module(m, desc="first").module_desc == "first"

@@ -1,0 +1,59 @@
+"""The memo layer: keys, limits, defaults and clear()."""
+
+import pytest
+
+from modlab import memo
+from modlab.config import DEFAULT_LIMITS, Limits
+from modlab.modules import FiniteModule
+
+calls = []
+
+
+@memo.memo
+def probe(module, limits=DEFAULT_LIMITS):
+    """A fresh object per computation, so hits show as identity."""
+    calls.append(limits)
+    return object()
+
+
+@memo.memo
+def refuse(module):
+    calls.append(module.key)
+    raise ValueError("no value")
+
+
+def test_defaults_are_filled_in_and_other_limits_recompute(z4_reg):
+    calls.clear()
+    first = probe(z4_reg)
+    assert probe(z4_reg, DEFAULT_LIMITS) is first
+    assert probe(z4_reg, limits=DEFAULT_LIMITS) is first
+    tight = Limits(max_module=8)
+    other = probe(z4_reg, tight)
+    assert other is not first
+    assert probe(z4_reg, limits=Limits(max_module=8)) is other
+    assert calls == [DEFAULT_LIMITS, tight]
+
+
+def test_arguments_stand_by_their_key(z4_reg):
+    copy = FiniteModule(z4_reg.ring, z4_reg.component_orders, z4_reg.action)
+    assert copy is not z4_reg
+    assert probe(copy) is probe(z4_reg)
+
+
+def test_clear_empties_every_memo(z4_reg):
+    first = probe(z4_reg)
+    memo.clear()
+    assert probe(z4_reg) is not first
+
+
+def test_a_call_that_raises_stores_nothing(z4_reg):
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            refuse(z4_reg)
+    assert calls == [z4_reg.key] * 2
+
+
+def test_memo_needs_plain_parameters():
+    with pytest.raises(TypeError):
+        memo.memo(lambda *modules: None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab import modules
+from modlab import memo, modules
 from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
     FiniteModule,
@@ -327,6 +327,14 @@ def test_end_ring_limit(z2_plus_z4):
         )
 
 
+def test_regular_module_memo_is_keyed_by_limits(Z4):
+    from modlab.config import Limits
+
+    regular_module(Z4)
+    with pytest.raises(SizeLimitExceeded):
+        regular_module(Z4, Limits(max_module=2))
+
+
 def test_kernel_image_examples(z4_reg):
     ident = identity_hom(z4_reg)
     k, i = kernel_image(ident)
@@ -420,7 +428,12 @@ def test_validation_runs_once_per_presentation(Z4):
     for _ in range(2):
         with pytest.raises(NotSubmodule):
             FiniteModule(Z4, *bad)
-    assert ("module", Z4.key, (4,), (((2,),),)) not in modules._validated
+    # a presentation that failed is not recorded as validated
+    with mock.patch.object(FiniteModule, "_validate", autospec=True,
+                           side_effect=FiniteModule._validate) as check:
+        with pytest.raises(NotSubmodule):
+            FiniteModule(Z4, *bad)
+    check.assert_called_once()
 
 
 def test_module_validation_rejects_bad_action(Z4, Z8):
@@ -666,11 +679,15 @@ def test_tables_match_coordinate_arithmetic(ring_id, count, two_level, data):
     n = total.size
     samples = [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
                for _ in range(20)]
-    # a limit of 0 puts every group on the two-level table; the groups
-    # built before are set aside so that every table is built afresh
-    with mock.patch.object(modules, "ADD_TABLE_MAX", 0 if two_level else 1024), \
-            mock.patch.dict(modules._groups, clear=True):
-        ws = check_tables(total, homs, samples)
+    # a limit of 0 puts every group on the two-level table; the memos are
+    # emptied on the way in and out, so that every table is built afresh
+    # and none built here outlives the patch
+    with mock.patch.object(modules, "ADD_TABLE_MAX", 0 if two_level else 1024):
+        memo.clear()
+        try:
+            ws = check_tables(total, homs, samples)
+        finally:
+            memo.clear()
     assert (ws.add_table is None) == two_level
 
 

@@ -77,3 +77,52 @@ def test_unused_parameter_scan_sees_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def module_level_containers(source: str) -> list[str]:
+    """Names a module binds at its top level to a mutable container that
+    starts out empty (``{}``, ``dict()``, ``set()``) or to anything
+    annotated ``dict``/``set`` other than a table filled where it is
+    written (a display or comprehension), such as a registry."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, annotation = node.targets, None
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, annotation = [node.target], node.annotation
+        else:
+            continue
+        value = node.value
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set"))
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        typed = isinstance(annotation, ast.Name) and annotation.id in ("dict", "set")
+        table = isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)) \
+            and not empty
+        if empty or (typed and not table):
+            out.extend(f"line {node.lineno}: {ast.unparse(t)}" for t in targets)
+    return out
+
+
+def test_module_level_container_scan_sees_memo_containers():
+    source = ("_a: dict = {}\n"
+              "_b = set()\n"
+              "_c: dict[str, int] = dict(x=1)\n"
+              "_d: set[int] = make()\n"
+              "TABLE: dict[str, int] = {'x': 1}\n"
+              "SQUARES: dict[int, int] = {i: i * i for i in range(3)}\n"
+              "NAMES = ('x',)\n"
+              "def f():\n"
+              "    local = {}\n"
+              "    return local\n")
+    assert module_level_containers(source) == [
+        "line 1: _a", "line 2: _b", "line 3: _c", "line 4: _d"]
+
+
+# every module-level memo is served by modlab.memo, which clear() empties
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "memo.py"],
+                         ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    assert module_level_containers(path.read_text()) == []

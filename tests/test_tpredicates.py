@@ -31,6 +31,7 @@ from modlab.tpredicates import (
     t_dual_baer_variants,
     t_lifting_variants,
     t_set,
+    t_small_keys,
     t_small_variants,
     t_trace,
 )
@@ -288,11 +289,11 @@ def test_endo_subset_kinds(s_plus_c):
     assert t_set(s_plus_c.zero_submodule(), s_plus_c).kind == "t_set"
 
 
-def test_dual_baer_witness_independent_of_call_order(monkeypatch):
+def test_dual_baer_witness_independent_of_call_order():
     """The End-data memo is keyed by the limits too, so a call with
     ``max_ideal_lattice=1`` (the image-join route) does not change the
     route of a later default call."""
-    from modlab import tpredicates
+    from modlab import memo
     from modlab.catalog import GenerationPolicy, enumerate_modules
     from modlab.config import DEFAULT_LIMITS, Limits
     from modlab.rings import builtin_ring
@@ -300,11 +301,25 @@ def test_dual_baer_witness_independent_of_call_order(monkeypatch):
     tight = Limits(max_ideal_lattice=1)
     catalog = enumerate_modules(builtin_ring("Z8"), GenerationPolicy(2, 256), ring_id="Z8")
     for m in catalog.modules:
-        monkeypatch.setattr(tpredicates, "_end_data_cache", {})
+        memo.clear()
         tight_first = dual_baer_witness(m, tight)
         default_second = dual_baer_witness(m, DEFAULT_LIMITS)
-        monkeypatch.setattr(tpredicates, "_end_data_cache", {})
+        memo.clear()
         default_first = dual_baer_witness(m, DEFAULT_LIMITS)
         tight_second = dual_baer_witness(m, tight)
         assert default_second == default_first, m
         assert tight_second == tight_first, m
+
+
+@pytest.mark.parametrize("predicate", [t_small_keys, is_t_lifting],
+                         ids=lambda f: f.__name__)
+def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate):
+    """Under max_module=8 the hull of the quotient Z2 + Z2 of Z2 + Z4 is
+    over the limit, so a value memoized under the default limits must not
+    answer."""
+    from modlab.config import Limits
+    from modlab.errors import SizeLimitExceeded
+
+    predicate(z2_plus_z4)
+    with pytest.raises(SizeLimitExceeded):
+        predicate(z2_plus_z4, Limits(max_module=8))
