@@ -1,10 +1,12 @@
-"""Size limits and shared tuning knobs.
+"""Size limits and shared constants.
 
-All values are per-object bounds, not global budgets.  Operations that
-enumerate (endomorphism rings, free-module lattices) raise
-:class:`~modlab.errors.SizeLimitExceeded` instead of silently truncating.
-Hom groups are solved as linear congruence systems, so their size is
-known before anything is enumerated.
+The three :class:`Limits` fields are per-object bounds, not global
+budgets: rings (``max_ring``), modules and their lattices (``max_module``)
+and endomorphism rings (``max_end``).  Operations that enumerate such an
+object raise :class:`~modlab.errors.SizeLimitExceeded` instead of
+silently truncating.  Limits bound work; they never choose between
+algorithms.  Hom groups are solved as linear congruence systems, so
+their size is known before anything is enumerated.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,6 @@ class Limits:
     max_ring: int = 4096
     max_module: int = 4096
     max_end: int = 65536
-    # Endomorphism rings up to this size get their literal right-ideal
-    # lattice; larger ones use the equivalent image-join-closure route.
-    max_ideal_lattice: int = 1024
 
 
 DEFAULT_LIMITS = Limits()

@@ -109,34 +109,25 @@ class SubmoduleLattice:
     def covers(self) -> list[list[int]]:
         """Hasse diagram: for each node, the indices it covers."""
         if self._covers is None:
-            out: list[list[int]] = []
-            for i, a in enumerate(self.nodes):
-                below = [j for j, b in enumerate(self.nodes)
-                         if b.size < a.size and b.elements < a.elements]
-                covered = [
-                    j for j in below
-                    if not any(
-                        self.nodes[k].size > self.nodes[j].size
-                        and self.nodes[j].elements < self.nodes[k].elements
-                        for k in below
-                    )
-                ]
-                out.append(sorted(covered))
-            self._covers = out
+            self._covers = [self.covered_indices(i) for i in range(len(self.nodes))]
         return self._covers
 
     def maximal_indices(self) -> list[int]:
-        top = self.nodes[self.top_index]
-        out = []
-        for i, a in enumerate(self.nodes):
-            if a.size == top.size:
-                continue
-            if not any(
-                b.size > a.size and b.size < top.size and a.elements < b.elements
-                for b in self.nodes
-            ):
-                out.append(i)
-        return out
+        """The maximal submodules: the nodes the top node covers."""
+        return self.covered_indices(self.top_index)
+
+    def covered_indices(self, i: int) -> list[int]:
+        """Indices of the nodes node i covers, ascending.  Nodes are sorted
+        by size, so going down through the proper subnodes, every node
+        holding j comes before j and is covered or lies in a covered one:
+        j is covered exactly when no covered node found so far holds it."""
+        covered: list[int] = []
+        inside: set[int] = set()
+        for j in reversed(self.subnode_indices(i)[:-1]):  # drop node i itself
+            if j not in inside:
+                covered.append(j)
+                inside.update(self.subnode_indices(j))
+        return covered[::-1]
 
     def subnode_indices(self, i: int) -> tuple[int, ...]:
         """Indices of all nodes contained in node i (including i), memoized.

@@ -31,7 +31,6 @@ from .modules import (
     Submodule,
     end_ring,
     quotient_module,
-    regular_module,
     submodule_as_module,
 )
 from .structure import (
@@ -275,7 +274,7 @@ class EndoSubset:
 
     end: EndRing
     members: frozenset[int]
-    kind: str  # right_ideal | d_set | t_set | arbitrary
+    kind: str  # d_set | t_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -308,18 +307,18 @@ def _group_by_image(images: list[frozenset[int]]
 
 class _EndData:
     """End ring of a module plus the image data every endomorphism-set
-    predicate consumes."""
+    predicate consumes: each endomorphism's image of the module and of
+    the square radical, the D- and T-sets of code sets, and the (image
+    sum, radical image sum) pairs of the right ideals, which are the one
+    route of the dual-Baer family."""
 
     def __init__(self, module: FiniteModule, limits: Limits):
         self.module = module
-        self.limits = limits
         self.end = end_ring(module, limits)
         self.z2 = zbar2(module, limits)
         self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
         self._z_groups = _group_by_image(self.z_images)
         self._full_groups = _group_by_image(self.full_images)
-        self._ideals = None
-        self._code_to_endo = None
         self._pair_closure = None
         # code set -> endo index set, one memo per image table.  Equal
         # results share one object: many submodules get the same large
@@ -340,40 +339,6 @@ class _EndData:
 
     def d_set(self, codes: frozenset[int]) -> frozenset[int]:
         return self._within(self._full_groups, self._d_sets, codes)
-
-    def code_to_endo(self) -> list[int]:
-        if self._code_to_endo is None:
-            ring = self.end.as_ring
-            self._code_to_endo = [
-                self.end.hom_index_from_ring_coords(ring.decode(c))
-                for c in range(ring.size)
-            ]
-        return self._code_to_endo
-
-    def has_small_end(self) -> bool:
-        return self.end.size <= self.limits.max_ideal_lattice
-
-    def right_ideals(self):
-        """(endo index set, generator endo indexes) per right ideal of the
-        end ring, via the submodule lattice of its regular module."""
-        if self._ideals is None:
-            ring = self.end.as_ring
-            ideal_limits = Limits(
-                max_ring=max(self.limits.max_ring, ring.size),
-                max_module=max(self.limits.max_module, ring.size),
-                max_end=self.limits.max_end,
-                max_ideal_lattice=self.limits.max_ideal_lattice,
-            )
-            reg = regular_module(ring, ideal_limits)
-            lat = submodules(reg, ideal_limits)
-            conv = self.code_to_endo()
-            out = []
-            for node in lat.nodes:
-                members = frozenset(conv[c] for c in node.elements)
-                gens = tuple(conv[c] for c in node.generators())
-                out.append((members, gens))
-            self._ideals = out
-        return self._ideals
 
     def sum_images(self, endo_indexes, of_radical: bool) -> frozenset[int]:
         """Union-span of per-endomorphism images (of the square radical,
@@ -425,9 +390,10 @@ class _EndData:
 
 @memo
 def end_data(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> _EndData:
-    """The End-ring data of a module, memoized per module and limits: the
-    limits choose the right-ideal route, and building the data raises
-    :class:`SizeLimitExceeded` when the End ring is over ``max_end``."""
+    """The End-ring data of a module, memoized per module and limits:
+    the End ring and the square radical are built under the limits, and
+    building the data raises :class:`SizeLimitExceeded` when the End ring
+    is over ``max_end``."""
     return _EndData(module, limits)
 
 
@@ -450,20 +416,18 @@ def t_set(n: Submodule, module: FiniteModule,
 
 def dual_baer_witness(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     """None when every right ideal has a summand image-sum; otherwise a
-    witness (member indexes of a failing ideal or None, failing image
-    sum).  Small endomorphism rings are scanned ideal by ideal; large
-    ones through the equivalent image-join closure."""
+    witness (member indexes of a failing right ideal, its image sum F).
+
+    The image sums of right ideals are the first components of
+    :meth:`_EndData.image_pair_closure`.  For a failing F the members are
+    D(F) = {phi : phi(M) <= F}: it is a right ideal (closed under sums
+    and under phi o g), and its image sum is F, since any right ideal
+    with image sum F lies inside it."""
     data = end_data(module, limits)
     summands = summand_keys(module)
-    if data.has_small_end():
-        for members, gens in data.right_ideals():
-            total = data.sum_images(gens, of_radical=False)
-            if tuple(sorted(total)) not in summands:
-                return members, total
-        return None
     for full, _ in data.image_pair_closure():
         if tuple(sorted(full)) not in summands:
-            return None, full
+            return data.d_set(full), full
     return None
 
 
@@ -482,16 +446,8 @@ def is_t_dual_baer(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> boo
     try:
         data = end_data(module, limits)
         summands = summand_keys(module)
-        if data.has_small_end():
-            for members, gens in data.right_ideals():
-                total = data.sum_images(gens, of_radical=True)
-                if tuple(sorted(total)) not in summands:
-                    return False
-            return True
-        for _, zsum in data.image_pair_closure():
-            if tuple(sorted(zsum)) not in summands:
-                return False
-        return True
+        return all(tuple(sorted(zsum)) in summands
+                   for _, zsum in data.image_pair_closure())
     except SizeLimitExceeded:
         return None
 
@@ -554,29 +510,17 @@ def t_dual_baer_variants(module: FiniteModule,
             raise SizeLimitExceeded("inner end ring over limit")
         return value
 
+    # each h(Zbar2(M)) is the image of a submodule, so already a node key
+    radical_images = {tuple(sorted(img)) for img in data.z_images}
+
     def sssp_and_single_images() -> bool:
-        if not has_sssp_in_zbar2(module, limits):
-            return False
-        seen = set()
-        for img in data.z_images:
-            key = tuple(sorted(img))
-            if key in seen:
-                continue
-            seen.add(key)
-            ws = module.workspace()
-            closed = tuple(sorted(ws.additive_closure(img)))
-            if closed not in summands:
-                return False
-        return True
+        return has_sssp_in_zbar2(module, limits) and radical_images <= summands
 
     def subset_sums() -> bool:
         # sums over arbitrary endomorphism subsets = pairwise-join closure
         # of the single images
         lat = submodules(module)
-        ws = module.workspace()
-        base = set()
-        for img in data.z_images:
-            base.add(lat.index[tuple(sorted(ws.additive_closure(img)))])
+        base = {lat.index[key] for key in radical_images}
         return all(lat.nodes[i].key in summands for i in lat.join_closure(base))
 
     return {

@@ -169,6 +169,38 @@ def test_subnode_indices_match_the_scan(rid):
             assert lat.subnode_indices(i) == want  # from the memo
 
 
+def covers_scan(lat):
+    """For each node, the indices it covers: the nodes strictly below it
+    with no node strictly between (cubic scan)."""
+    out = []
+    for a in lat.nodes:
+        below = [j for j, b in enumerate(lat.nodes)
+                 if b.size < a.size and b.elements < a.elements]
+        out.append(sorted(j for j in below
+                          if not any(lat.nodes[j].elements < lat.nodes[k].elements
+                                     for k in below)))
+    return out
+
+
+def maximal_scan(lat):
+    """Indices of the proper nodes inside no larger proper node
+    (quadratic scan)."""
+    top = lat.nodes[lat.top_index]
+    return [i for i, a in enumerate(lat.nodes)
+            if a.size < top.size
+            and not any(a.elements < b.elements and b.size < top.size
+                        for b in lat.nodes)]
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_covers_and_maximal_nodes_match_the_scans(rid):
+    for m in catalog_and_square(rid):
+        lat = submodules(m)
+        assert lat.covers() == covers_scan(lat), m
+        assert lat.maximal_indices() == maximal_scan(lat), m
+        assert lat.maximal_indices() == lat.covers()[lat.top_index]
+
+
 def test_lattice_memo_checks_the_size_limit_first(Z4):
     reg = regular_module(Z4)
     m = direct_sum(reg, reg)

@@ -126,3 +126,36 @@ def test_module_level_container_scan_sees_memo_containers():
                          ids=lambda p: p.name)
 def test_no_module_level_containers(path):
     assert module_level_containers(path.read_text()) == []
+
+
+def unread_fields(class_name: str, definition: str, readers: list[str]) -> list[str]:
+    """Annotated fields of a class, defined in one source, that no
+    attribute read (``x.field``) in any of the other sources names."""
+    cls = next(node for node in ast.parse(definition).body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    fields = [stmt.target.id for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f for f in fields if f not in read]
+
+
+def test_unread_field_scan_sees_unread_fields():
+    definition = ("class Knobs:\n"
+                  "    used: int = 1\n"
+                  "    stored: int = 2\n"
+                  "    unused: int = 3\n"
+                  "    def unused_method(self):\n"
+                  "        return self.unused\n")
+    readers = ["def f(k):\n"
+               "    k.stored = 4\n"
+               "    return k.used\n"]
+    assert unread_fields("Knobs", definition, readers) == ["stored", "unused"]
+
+
+def test_every_limit_is_read_outside_config():
+    """A field of Limits that no module reads is a knob that changes
+    nothing."""
+    config = next(p for p in SOURCES if p.name == "config.py")
+    readers = [p.read_text() for p in SOURCES if p != config]
+    assert unread_fields("Limits", config.read_text(), readers) == []

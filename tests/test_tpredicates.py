@@ -4,6 +4,7 @@ annihilator-style endomorphism conditions."""
 import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
+from modlab.errors import SizeLimitExceeded
 from modlab.lattice import is_small, submodules
 from modlab.modules import (
     end_ring,
@@ -12,8 +13,9 @@ from modlab.modules import (
     zero_module,
 )
 from modlab.rings import builtin_ring
-from modlab.structure import is_coclosed, is_lifting
+from modlab.structure import is_coclosed, is_lifting, summand_keys
 from modlab.tpredicates import (
+    EndoSubset,
     d_set,
     dual_baer_witness,
     end_data,
@@ -151,23 +153,6 @@ def test_t_dual_baer_variants_agree(z4_reg, s_plus_c, z2_plus_z8, z2_plus_z4):
         assert len(set(values.values())) == 1, (m, values)
 
 
-def test_ideal_lattice_route_matches_closure_route(z4_reg, s_plus_c, z2_plus_z4):
-    """The literal right-ideal enumeration and the image-closure route
-    must give the same sets of realizable image sums."""
-    for m in (z4_reg, s_plus_c, z2_plus_z4):
-        data = end_data(m)
-        assert data.has_small_end()
-        from_ideals_full = set()
-        from_ideals_z = set()
-        for members, gens in data.right_ideals():
-            from_ideals_full.add(tuple(sorted(data.sum_images(gens, of_radical=False))))
-            from_ideals_z.add(tuple(sorted(data.sum_images(gens, of_radical=True))))
-        closure_full = {tuple(sorted(f)) for f, _ in data.image_pair_closure()}
-        closure_z = {tuple(sorted(z)) for _, z in data.image_pair_closure()}
-        assert from_ideals_full == closure_full
-        assert from_ideals_z == closure_z
-
-
 def additive_pair_closure(data):
     """image_pair_closure by additive closures of unions: the pairwise-join
     closure of the single-endomorphism (image, radical image) pairs, in
@@ -191,13 +176,66 @@ def additive_pair_closure(data):
     return list(closure.values())
 
 
-@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
+def right_ideals(end):
+    """(member endo indexes, generator endo indexes) per right ideal of an
+    End ring: the submodule lattice of its regular module, read back as
+    endomorphisms.  The definitional listing the image-pair closure is
+    checked against."""
+    ring = end.as_ring
+    to_endo = [end.hom_index_from_ring_coords(ring.decode(c)) for c in range(ring.size)]
+    return [(frozenset(to_endo[c] for c in node.elements),
+             tuple(to_endo[c] for c in node.generators()))
+            for node in submodules(regular_module(ring)).nodes]
+
+
+RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
+# End rings up to this size are small enough to list their right ideals
+LISTED_END_MAX = 1024
+
+
+@pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
+                         ids=lambda v: f"gens{v}" if isinstance(v, int) else v)
+def test_closure_route_matches_the_right_ideal_listing(rid, gens):
+    """Over every catalog module whose End ring has at most LISTED_END_MAX
+    elements:
+    the (image sum, radical image sum) pairs of all right ideals are the
+    pairs of the closure, the dual-Baer verdicts are the definitional ones,
+    and a failing witness is a right ideal with the reported image sum."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(gens, 256), ring_id=rid)
+    checked = 0
+    for m in catalog.modules:
+        try:
+            data = end_data(m)
+        except SizeLimitExceeded:
+            continue
+        if data.end.size > LISTED_END_MAX:
+            continue
+        ideals = right_ideals(data.end)
+        pairs = {(data.sum_images(g, of_radical=False), data.sum_images(g, of_radical=True))
+                 for _, g in ideals}
+        assert pairs == set(data.image_pair_closure()), m
+        summands = summand_keys(m)
+        dual_baer = all(tuple(sorted(full)) in summands for full, _ in pairs)
+        t_dual_baer = all(tuple(sorted(z)) in summands for _, z in pairs)
+        assert is_dual_baer(m) is dual_baer, m
+        assert is_t_dual_baer(m) is t_dual_baer, m
+        if not dual_baer:
+            members, image_sum = dual_baer_witness(m)
+            assert EndoSubset(data.end, members, "d_set").verify_right_ideal(), m
+            assert members in {ideal for ideal, _ in ideals}, m
+            assert data.sum_images(members, of_radical=False) == image_sum, m
+            assert tuple(sorted(image_sum)) not in summands, m
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
 def test_pair_closure_by_node_index_matches_additive_closure(rid):
     catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
     large = 0
     for m in catalog.modules:
         data = end_data(m)
-        large += not data.has_small_end()
+        large += data.end.size > LISTED_END_MAX
         assert data.image_pair_closure() == additive_pair_closure(data), m
     if rid in ("Z8", "F2xZ4", "T2F2"):
         assert large
@@ -205,7 +243,7 @@ def test_pair_closure_by_node_index_matches_additive_closure(rid):
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
     data = end_data(z2_plus_z4)
-    for members, gens in data.right_ideals():
+    for members, gens in right_ideals(data.end):
         assert data.sum_images(members, of_radical=False) == data.sum_images(
             gens, of_radical=False
         )
@@ -289,28 +327,6 @@ def test_endo_subset_kinds(s_plus_c):
     assert t_set(s_plus_c.zero_submodule(), s_plus_c).kind == "t_set"
 
 
-def test_dual_baer_witness_independent_of_call_order():
-    """The End-data memo is keyed by the limits too, so a call with
-    ``max_ideal_lattice=1`` (the image-join route) does not change the
-    route of a later default call."""
-    from modlab import memo
-    from modlab.catalog import GenerationPolicy, enumerate_modules
-    from modlab.config import DEFAULT_LIMITS, Limits
-    from modlab.rings import builtin_ring
-
-    tight = Limits(max_ideal_lattice=1)
-    catalog = enumerate_modules(builtin_ring("Z8"), GenerationPolicy(2, 256), ring_id="Z8")
-    for m in catalog.modules:
-        memo.clear()
-        tight_first = dual_baer_witness(m, tight)
-        default_second = dual_baer_witness(m, DEFAULT_LIMITS)
-        memo.clear()
-        default_first = dual_baer_witness(m, DEFAULT_LIMITS)
-        tight_second = dual_baer_witness(m, tight)
-        assert default_second == default_first, m
-        assert tight_second == tight_first, m
-
-
 @pytest.mark.parametrize("predicate", [t_small_keys, is_t_lifting],
                          ids=lambda f: f.__name__)
 def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate):
@@ -318,7 +334,6 @@ def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate):
     over the limit, so a value memoized under the default limits must not
     answer."""
     from modlab.config import Limits
-    from modlab.errors import SizeLimitExceeded
 
     predicate(z2_plus_z4)
     with pytest.raises(SizeLimitExceeded):
