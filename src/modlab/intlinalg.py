@@ -204,6 +204,21 @@ class RowBasis:
         return t
 
 
+def subgroup_basis(ambient_orders: tuple[int, ...], generators: list[list[int]]) -> RowBasis:
+    """Full-rank basis of the integer lattice over the subgroup generated
+    by ``generators`` inside the group with the given component orders:
+    the generators together with the relations o_i * e_i.  An integer
+    vector lies in the lattice, that is its class lies in the subgroup,
+    exactly when :meth:`RowBasis.solve` accepts it."""
+    d = len(ambient_orders)
+    basis = RowBasis(d)
+    for g in generators:
+        basis.add([x % o for x, o in zip(g, ambient_orders)])
+    for i, o in enumerate(ambient_orders):
+        basis.add([o if j == i else 0 for j in range(d)])
+    return basis
+
+
 def subgroup_decomposition(
     ambient_orders: tuple[int, ...], generators: list[list[int]]
 ) -> tuple[tuple[int, ...], list[list[int]], "SubgroupCoords"]:
@@ -217,11 +232,7 @@ def subgroup_decomposition(
     d = len(ambient_orders)
     if d == 0:
         return (), [], SubgroupCoords((), None, [], ())
-    basis = RowBasis(d)
-    for g in generators:
-        basis.add([x % o for x, o in zip(g, ambient_orders)])
-    for i, o in enumerate(ambient_orders):
-        basis.add([o if j == i else 0 for j in range(d)])
+    basis = subgroup_basis(ambient_orders, generators)
     b = basis.matrix()
     # Express the ambient relation lattice in the coordinates of B, then
     # diagonalize: the quotient by those relations is the subgroup.

@@ -7,6 +7,11 @@ is semilocal, so ann_M(J) is an R/J-module, hence semisimple and inside
 the socle; every simple module is killed by J, so the socle is inside
 ann_M(J).  A submodule is essential exactly when it contains the socle,
 since in a finite module every nonzero submodule contains a simple one.
+Both are computed from the few additive generators h of J
+(:func:`jacobson_generators`), never from all of J: x * j is additive in
+x and in j, so M * J is the additive span of the rows of the h's action
+matrices, X * J that of the x * h, and x * J = 0 exactly when every
+x * h = 0.  The cost no longer grows with |M| |J|.
 
 The lattice is produced by closing the set of cyclic spans under pairwise
 sums, which is complete because every submodule is a finite sum of cyclic
@@ -29,8 +34,9 @@ from typing import Literal
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ParentMismatch, SizeLimitExceeded
+from .intlinalg import subgroup_decomposition
 from .memo import memo
-from .modules import FiniteModule, Submodule, regular_module
+from .modules import FiniteModule, Submodule, additive_group, regular_module
 from .serialize import cache_path, cache_read, cache_write
 
 
@@ -280,37 +286,47 @@ def jacobson_radical(ring) -> frozenset[int]:
 
 
 @memo
+def jacobson_generators(ring) -> tuple[tuple[int, ...], ...]:
+    """Additive generators of J(R) in ring coordinates: one representative
+    per cyclic factor of J inside the ring's additive group."""
+    codes = sorted(jacobson_radical(ring))
+    _, reps, _ = subgroup_decomposition(ring.component_orders,
+                                        [list(ring.decode(j)) for j in codes])
+    return tuple(map(tuple, reps))
+
+
+@memo
 def radical(module: FiniteModule) -> Submodule:
-    """Rad(M) = M * J(R), also the sum of all small submodules."""
-    return Submodule(module, radical_of_subset(module, frozenset(module.elements())))
+    """Rad(M) = M * J(R), also the sum of all small submodules: the
+    additive span of the e_s * h over M's basis vectors e_s and J's
+    additive generators h, which are the rows of h's action matrix."""
+    seeds = [module.encode(row) for h in jacobson_generators(module.ring)
+             for row in module.ring_action_matrix(h)]
+    group = additive_group(module.component_orders)
+    return Submodule(module, frozenset(group.additive_closure(seeds)))
 
 
+@memo
 def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[int]:
     """Element codes of Rad(X) = X * J(R) for an action-closed subset X,
-    computed in the ambient coordinates."""
-    ring = module.ring
-    jac = jacobson_radical(ring)
+    computed in the ambient coordinates: the additive span of the x * h
+    over x in X and J's additive generators h."""
     ws = module.workspace()
     products = set()
-    for j in jac:
-        rcoords = ring.decode(j)
-        if not any(rcoords):
-            continue
-        for x in codes:
-            products.add(ws.act(x, rcoords))
+    for h in jacobson_generators(module.ring):
+        products.update(map(ws.action_table(h).__getitem__, codes))
     return frozenset(ws.additive_closure(products))
 
 
 @memo
 def socle(module: FiniteModule) -> Submodule:
-    """Soc(M) = ann_M(J(R)): the elements that every element of J kills."""
-    ring = module.ring
+    """Soc(M) = ann_M(J(R)): the elements that every additive generator
+    of J kills."""
     ws = module.workspace()
-    members = list(module.elements())
-    for j in jacobson_radical(ring):
-        rcoords = ring.decode(j)
-        if any(rcoords):
-            members = [x for x in members if ws.act(x, rcoords) == 0]
+    members = module.elements()
+    for h in jacobson_generators(module.ring):
+        tab = ws.action_table(h)
+        members = [x for x in members if not tab[x]]
     return Submodule(module, frozenset(members))
 
 

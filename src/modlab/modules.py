@@ -307,6 +307,20 @@ class _AdditiveGroup:
             return list(map(operator.getitem, map(self.add_table.__getitem__, a), b))
         return list(map(self.add, a, b))
 
+    def additive_closure(self, seeds: Iterable[int]) -> set[int]:
+        """Subgroup generated by the seed codes."""
+        add = self.add
+        group = {0}
+        for h in seeds:
+            if h in group:
+                continue
+            base = list(group)
+            x = h
+            while x not in group:
+                group.update(self.translate(x, base))
+                x = add(x, h)
+        return group
+
 
 @memo
 def additive_group(orders: tuple[int, ...]) -> _AdditiveGroup:
@@ -333,9 +347,12 @@ class _Workspace:
         self.coords = group.coords
         self.add_table = group.add_table
         self.neg = group.neg
-        # bound methods of the group, so a workspace add is one call
+        # bound methods of the group, so a workspace add is one call;
+        # additive_closure(seeds) is a submodule when the seeds include
+        # every seed's images under the ring basis, as generator_images does
         self.add = group.add
         self.translate = group.translate
+        self.additive_closure = group.additive_closure
         self._basis_action = [image_table(module, module, mat) for mat in module.action]
         self._ring_action: dict[tuple[int, ...], list[int]] = {}
         self._cyclic: dict[int, frozenset[int]] = {}
@@ -347,14 +364,19 @@ class _Workspace:
         """Per ring basis element e_b, the code table of x -> x * e_b."""
         return self._basis_action
 
-    def act(self, code: int, rcoords: tuple[int, ...]) -> int:
-        """code * r for a ring element given in coordinates."""
+    def action_table(self, rcoords: tuple[int, ...]) -> list[int]:
+        """The code table of x -> x * r for a ring element given in
+        coordinates."""
         tab = self._ring_action.get(rcoords)
         if tab is None:
             m = self.module
             tab = image_table(m, m, m.ring_action_matrix(rcoords))
             self._ring_action[rcoords] = tab
-        return tab[code]
+        return tab
+
+    def act(self, code: int, rcoords: tuple[int, ...]) -> int:
+        """code * r for a ring element given in coordinates."""
+        return self.action_table(rcoords)[code]
 
     # -- spans ---------------------------------------------------------------
 
@@ -363,22 +385,6 @@ class _Workspace:
         basis, ascending.  Their additive span is the submodule the
         generators span: g * r = sum_b r_b (g * e_b), and g = g * 1."""
         return sorted({tab[g] for g in gens for tab in self.basis_action()})
-
-    def additive_closure(self, seeds: Iterable[int]) -> set[int]:
-        """Subgroup generated by the seed codes.  It is a submodule when the
-        seeds include every seed's images under the ring basis, as
-        :meth:`generator_images` does."""
-        add = self.add
-        group = {0}
-        for h in seeds:
-            if h in group:
-                continue
-            base = list(group)
-            x = h
-            while x not in group:
-                group.update(self.translate(x, base))
-                x = add(x, h)
-        return group
 
     def span(self, gens: Iterable[int]) -> set[int]:
         """Smallest action-closed subgroup containing the generators."""
@@ -570,9 +576,14 @@ def span(module: FiniteModule, gens: Iterable) -> Submodule:
 
 # -- constructions ----------------------------------------------------------
 
-@memo
 def regular_module(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteModule:
-    """The ring as a right module over itself (right multiplication)."""
+    """The ring as a right module over itself (right multiplication).
+    Memoized with the ring's name, since a ring's key leaves it out."""
+    return _regular_module(ring, ring.name, limits)
+
+
+@memo
+def _regular_module(ring: FiniteRing, _ring_name: str | None, limits: Limits) -> FiniteModule:
     k = len(ring.component_orders)
     action = tuple(
         tuple(ring.constants[j][b] for j in range(k)) for b in range(k)
@@ -641,11 +652,18 @@ def quotient_module(module: FiniteModule, sub: Submodule):
     """
     if sub.parent != module:
         raise NotSubmodule("quotient needs a submodule of the given module")
-    return _quotient(module, sub)
+    return _quotient(module, sub, *module_names(module))
+
+
+def module_names(module: FiniteModule) -> tuple[str | None, str | None]:
+    """The module's name and its ring's name: the part of a module that
+    its key leaves out.  A memo whose result carries names takes them as
+    extra arguments, so that each name gets its own result."""
+    return module.name, module.ring.name
 
 
 @memo
-def _quotient(module: FiniteModule, sub: Submodule):
+def _quotient(module: FiniteModule, sub: Submodule, _name, _ring_name):
     orders = module.component_orders
     t = len(orders)
     ws = module.workspace()
@@ -699,11 +717,11 @@ class SubmoduleModule:
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:
     """Standalone presentation of a submodule, with inclusion and the
     element correspondence both ways."""
-    return _standalone(sub.parent, sub)
+    return _standalone(sub.parent, sub, *module_names(sub.parent))
 
 
 @memo
-def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
+def _standalone(parent: FiniteModule, sub: Submodule, _name, _ring_name) -> SubmoduleModule:
     ws = parent.workspace()
     gen_vectors = [list(ws.coords[c]) for c in ws.generator_images(sub.generators())]
     orders, reps, coords = subgroup_decomposition(parent.component_orders, gen_vectors)
@@ -1103,8 +1121,8 @@ def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
 
 
 class EndRing:
-    """All endomorphisms of a module plus a structure-constant presentation
-    of the ring they form.
+    """All endomorphisms of a module, with ring operations on their
+    indices and an additive basis of the group they form.
 
     ``homs`` is the canonical sorted list; composition multiplies as
     "apply right factor first", matching endomorphisms written on the
@@ -1115,9 +1133,7 @@ class EndRing:
         self.module = module
         self.homs = homs
         self.index = {h.matrix: i for i, h in enumerate(homs)}
-        self._as_ring = None
         self._basis = None
-        self._coords = None
         self._idempotents = None
         ident = identity_hom(module)
         self.identity_index = self.index[ident.matrix]
@@ -1152,65 +1168,17 @@ class EndRing:
             [x for row in rep for x in row]
             for rep in hom_group(self.module, self.module)[1]
         ]
-        factor_orders, reps, coords = subgroup_decomposition(ambient, vectors)
+        _, reps, _ = subgroup_decomposition(ambient, vectors)
         basis = []
         for rep in reps:
             mat = [rep[i * t:(i + 1) * t] for i in range(t)]
             basis.append(ModuleHom(self.module, self.module, mat, validate=False))
         self._basis = basis
-        self._coords = coords
 
     def basis_homs(self) -> list[ModuleHom]:
         if self._basis is None:
             self._decompose()
         return self._basis  # type: ignore[return-value]
-
-    def hom_coords(self, hom: ModuleHom) -> tuple[int, ...]:
-        if self._coords is None:
-            self._decompose()
-        flat = [x for row in hom.matrix for x in row]
-        return self._coords.coords(flat)  # type: ignore[union-attr]
-
-    @property
-    def as_ring(self) -> FiniteRing:
-        """The endomorphisms as a structure-constant ring (composition as
-        multiplication), so the submodule machinery applies to its right
-        ideals."""
-        if self._as_ring is None:
-            basis = self.basis_homs()
-            orders = self.module.component_orders
-            constants = []
-            for fi in basis:
-                row = []
-                for fj in basis:
-                    prod_matrix = _mat_mul_mod(fj.matrix, fi.matrix, orders)
-                    row.append(self.hom_coords(
-                        ModuleHom(self.module, self.module, prod_matrix, validate=False)
-                    ))
-                constants.append(tuple(row))
-            one = self.hom_coords(self.homs[self.identity_index])
-            ring = FiniteRing(
-                tuple(self._coords.orders),  # type: ignore[union-attr]
-                tuple(constants),
-                one,
-                name=f"End({self.module.name or 'M'})",
-                limits=Limits(max_ring=self.size),
-            )
-            self._as_ring = ring
-        return self._as_ring
-
-    def hom_index_from_ring_coords(self, coords: tuple[int, ...]) -> int:
-        """Endomorphism index for an element of ``as_ring``."""
-        basis = self.basis_homs()
-        t = len(self.module.component_orders)
-        acc = [[0] * t for _ in range(t)]
-        for c, h in zip(coords, basis):
-            if c:
-                for j in range(t):
-                    row = h.matrix[j]
-                    for l in range(t):
-                        acc[j][l] += c * row[l]
-        return self.index[_reduce_matrix(acc, self.module.component_orders)]
 
     def image_sets(self, codes: frozenset[int]) -> tuple[list[frozenset[int]],
                                                          list[frozenset[int]]]:

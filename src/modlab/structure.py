@@ -17,6 +17,7 @@ from math import prod
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
+from .intlinalg import subgroup_basis
 from .lattice import (
     is_small_within,
     is_essential,
@@ -35,6 +36,7 @@ from .modules import (
     hom_group,
     identity_hom,
     is_isomorphic,
+    module_names,
     quotient_module,
     regular_module,
     span,
@@ -310,10 +312,14 @@ def _dual_matrix(matrix, src_orders, tgt_orders):
     return out
 
 
-@memo
 def character_dual(module: FiniteModule) -> FiniteModule:
     """Character group Hom(M, Z/exp(M)) as a right module over the
     opposite ring; same component orders, weighted-transpose action."""
+    return _character_dual(module, *module_names(module))
+
+
+@memo
+def _character_dual(module: FiniteModule, _name, _ring_name) -> FiniteModule:
     ring = module.ring
     op = opposite_ring(ring)
     orders = module.component_orders
@@ -469,30 +475,27 @@ def _right_ideal_modules(ring: FiniteRing) -> list[SubmoduleModule]:
 
 @memo
 def is_injective(module: FiniteModule) -> bool:
-    """Right-ideal extension test: every hom from a right ideal into the
-    module is left multiplication by some element.  The extendable homs
-    form a subgroup (the image of m |-> (m * v_j)_j on the ideal's basis
-    images v_j), so checking the generators of Hom(I, M) suffices."""
-    ring = module.ring
-    ws = module.workspace()
-    ok = True
-    for ideal in _right_ideal_modules(ring):
-        basis_vectors = [
-            tuple(x % d for x, d in zip(row, ring.component_orders))
-            for row in ideal.include.matrix
-        ]
-        extendable = set()
-        for m in module.elements():
-            key = tuple(ws.act(m, v) for v in basis_vectors)
-            extendable.add(key)
+    """Baer's test: every hom f from a right ideal I into the module is
+    left multiplication by some element m, f(v) = m * v.  The map
+    m |-> (m * v_j)_j on I's basis images v_j is additive, so the
+    extendable homs form the subgroup spanned by the (e_s * v_j)_j over
+    the module's basis vectors e_s, and it suffices that each generator of
+    Hom(I, M) lies in it.  Each is tested by a coordinate solve in that
+    subgroup (row s of v_j's action matrix is e_s * v_j), with no pass
+    over the module's elements."""
+    orders = module.component_orders
+    for ideal in _right_ideal_modules(module.ring):
+        mats = [module.ring_action_matrix(row) for row in ideal.include.matrix]
+        extendable = subgroup_basis(orders * len(mats),
+                                    [[x for mat in mats for x in mat[s]]
+                                     for s in range(len(orders))])
         for rep in hom_group(ideal.module, module)[1]:
             # row j of the matrix is the image of the j-th basis vector
-            if tuple(map(module.encode, rep)) not in extendable:
-                ok = False
-                break
-        if not ok:
-            break
-    return ok
+            try:
+                extendable.solve([x for row in rep for x in row])
+            except ValueError:
+                return False
+    return True
 
 
 @memo

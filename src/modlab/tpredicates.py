@@ -143,21 +143,17 @@ def t_coclosed_keys(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> fr
 def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule,
                                      limits: Limits = DEFAULT_LIMITS) -> bool:
     """There is an S with the square radical under C + S, and no proper
-    part of C has that property for the same S."""
+    part of C has that property for the same S.  Joins are monotone and
+    every proper part of C lies in a node C covers, so only the covered
+    nodes need the test."""
     lat = submodules(module)
     z = zbar2(module, limits).elements
     ci = lat.node_index(sub)
+    covered = lat.covers()[ci]
     for j in range(len(lat.nodes)):
         if not z <= lat.nodes[lat.join(ci, j)].elements:
             continue
-        minimal = True
-        for xi in lat.subnode_indices(ci):
-            if xi == ci:
-                continue
-            if z <= lat.nodes[lat.join(xi, j)].elements:
-                minimal = False
-                break
-        if minimal:
+        if not any(z <= lat.nodes[lat.join(xi, j)].elements for xi in covered):
             return True
     return False
 

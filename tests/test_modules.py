@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from end_presentation import as_ring, hom_coords
 from modlab import memo, modules
 from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
@@ -284,14 +285,14 @@ def test_end_ring_counts(z4_reg, z2_plus_z4, Z4):
 
 def test_end_ring_as_ring_valid(z2_plus_z4):
     ends = end_ring(z2_plus_z4)
-    ring = ends.as_ring
+    ring = as_ring(ends)
     assert ring.size == 32
     # composition agrees with the structure constants through coordinates
     for i in (0, 1, 5):
         for j in (0, 2, 7):
-            left = ends.hom_coords(ends.homs[ends.compose(i, j)])
-            fi = ends.hom_coords(ends.homs[i])
-            fj = ends.hom_coords(ends.homs[j])
+            left = hom_coords(ends, ends.homs[ends.compose(i, j)])
+            fi = hom_coords(ends, ends.homs[i])
+            fj = hom_coords(ends, ends.homs[j])
             assert left == ring.mul_coords(fi, fj)
 
 
@@ -333,6 +334,29 @@ def test_regular_module_memo_is_keyed_by_limits(Z4):
     regular_module(Z4)
     with pytest.raises(SizeLimitExceeded):
         regular_module(Z4, Limits(max_module=2))
+
+
+def test_memoized_constructions_carry_the_callers_names():
+    """Rings and modules that differ only in their names have one key;
+    each call still gets a result named after its own arguments."""
+    from modlab.lattice import radical
+    from modlab.rings import cyclic_ring, upper_triangular_ring
+    from modlab.structure import character_dual
+
+    for name in ("A", "B", "A"):
+        for ring, op_name in ((cyclic_ring(4, name=name), name),
+                              (upper_triangular_ring(2, name=name), f"{name}^op")):
+            reg = regular_module(ring)
+            assert (reg.name, reg.ring.name) == (f"{name}_reg", name)
+            sub = span(reg, sorted(radical(reg).elements)[1:2])  # one element of J
+            q, proj = quotient_module(reg, sub)
+            assert (q.name, q.ring.name) == (f"{name}_reg/(sub{sub.size})", name)
+            assert proj.source is reg
+            inner = submodule_as_module(sub)
+            assert (inner.module.name, inner.module.ring.name) == (
+                f"sub{sub.size}of{name}_reg", name)
+            dual = character_dual(reg)
+            assert (dual.name, dual.ring.name) == (f"D({name}_reg)", op_name)
 
 
 def test_kernel_image_examples(z4_reg):

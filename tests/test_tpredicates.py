@@ -3,7 +3,9 @@ annihilator-style endomorphism conditions."""
 
 import pytest
 
+from end_presentation import as_ring, hom_index_from_ring_coords
 from modlab.catalog import GenerationPolicy, enumerate_modules
+from modlab.cosingular import zbar2
 from modlab.errors import SizeLimitExceeded
 from modlab.lattice import is_small, submodules
 from modlab.modules import (
@@ -22,6 +24,7 @@ from modlab.tpredicates import (
     fully_invariant_keys,
     has_sssp_in_zbar2,
     is_dual_baer,
+    is_minimal_with_joint_complement,
     is_regular,
     is_semisimple,
     is_t_coclosed,
@@ -181,8 +184,8 @@ def right_ideals(end):
     End ring: the submodule lattice of its regular module, read back as
     endomorphisms.  The definitional listing the image-pair closure is
     checked against."""
-    ring = end.as_ring
-    to_endo = [end.hom_index_from_ring_coords(ring.decode(c)) for c in range(ring.size)]
+    ring = as_ring(end)
+    to_endo = [hom_index_from_ring_coords(end, ring.decode(c)) for c in range(ring.size)]
     return [(frozenset(to_endo[c] for c in node.elements),
              tuple(to_endo[c] for c in node.generators()))
             for node in submodules(regular_module(ring)).nodes]
@@ -239,6 +242,32 @@ def test_pair_closure_by_node_index_matches_additive_closure(rid):
         assert data.image_pair_closure() == additive_pair_closure(data), m
     if rid in ("Z8", "F2xZ4", "T2F2"):
         assert large
+
+
+def minimal_with_joint_complement_scan(sub, module):
+    """The definition read literally: some S has Zbar2(M) <= C + S and no
+    proper subnode X of C has Zbar2(M) <= X + S."""
+    lat = submodules(module)
+    z = zbar2(module).elements
+    ci = lat.node_index(sub)
+    for j in range(len(lat.nodes)):
+        if not z <= lat.nodes[lat.join(ci, j)].elements:
+            continue
+        if not any(z <= lat.nodes[lat.join(xi, j)].elements
+                   for xi in lat.subnode_indices(ci) if xi != ci):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_minimal_joint_complement_matches_the_subnode_scan(rid):
+    """Testing the covered nodes of C gives the verdict of testing every
+    proper subnode, at every node of every catalog module."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    for m in catalog.modules:
+        for node in submodules(m).nodes:
+            assert (is_minimal_with_joint_complement(node, m)
+                    == minimal_with_joint_complement_scan(node, m)), (m, node.key)
 
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
