@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 
+from . import memo
 from .catalog import GenerationPolicy, ModuleCatalog, enumerate_modules
 from .cosingular import zbar
 from .errors import InvalidConfig, ModlabError, SizeLimitExceeded
@@ -81,7 +82,13 @@ def _catalog(rid: str, config: HarnessConfig) -> ModuleCatalog:
 
 def _ring_job(rid: str, config: HarnessConfig):
     """One ring's share of ``run_all`` as plain picklable data: (module
-    count, skipped candidates, profile reports, suite reports)."""
+    count, skipped candidates, profile reports, suite reports).
+
+    The job starts from empty memos: an earlier job's entries are keyed
+    by its ring (all but a few additive groups), so they would only hold
+    memory.  Clearing at the start, not the end, keeps the deallocation
+    out of the last job."""
+    memo.clear()
     catalog = _catalog(rid, config)
     profiles = [
         profile_module(m, desc=catalog.label(i))
@@ -101,8 +108,9 @@ def _ring_results(config: HarnessConfig) -> list:
     """``_ring_job`` over every configured ring, in config order.  With
     more than one worker the rings run in separate processes, costliest
     first, so the largest ring does not start last.  Workers are spawned,
-    not forked: they start from a fresh import with their own memos, and
-    a caller that runs threads cannot leave them a half-held lock."""
+    not forked, so a caller that runs threads cannot leave them a
+    half-held lock.  Each job, in a worker or in this process, starts
+    from empty memos and leaves its own ring's behind."""
     workers = min(config.jobs, len(config.rings))
     if workers <= 1:
         return [_ring_job(rid, config) for rid in config.rings]

@@ -19,6 +19,7 @@ from .modules import (
     FiniteModule,
     IsoClasses,
     Submodule,
+    on_callers_module,
     quotient_module,
     submodule_as_module,
 )
@@ -64,6 +65,7 @@ def _zbar_classes(_limits: Limits) -> IsoClasses:
     return IsoClasses()
 
 
+@on_callers_module
 @memo
 def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """Intersection of all submodules with small quotient.  Equals the
@@ -84,6 +86,7 @@ def zbar_witnesses(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> lis
     return _zbar_full_witnesses(module, limits)
 
 
+@on_callers_module
 @memo
 def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """The radical applied to its own value, pulled back along the

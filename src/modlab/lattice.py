@@ -36,7 +36,13 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import ParentMismatch, SizeLimitExceeded
 from .intlinalg import subgroup_decomposition
 from .memo import memo
-from .modules import FiniteModule, Submodule, additive_group, regular_module
+from .modules import (
+    FiniteModule,
+    Submodule,
+    additive_group,
+    on_callers_module,
+    regular_module,
+)
 from .serialize import cache_path, cache_read, cache_write
 
 
@@ -295,6 +301,7 @@ def jacobson_generators(ring) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, reps))
 
 
+@on_callers_module
 @memo
 def radical(module: FiniteModule) -> Submodule:
     """Rad(M) = M * J(R), also the sum of all small submodules: the
@@ -318,6 +325,7 @@ def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[
     return frozenset(ws.additive_closure(products))
 
 
+@on_callers_module
 @memo
 def socle(module: FiniteModule) -> Submodule:
     """Soc(M) = ann_M(J(R)): the elements that every additive generator

@@ -16,6 +16,11 @@ function that uses its limits only to refuse an oversized input checks
 them first and then calls a memoized function that takes no limits
 (``submodules``, ``end_ring``, ``primitive_blocks``).
 
+Scope rule.  A ``modlab verify`` ring job (``cli._ring_job``) starts
+from empty memos, so a process holds the memos of one ring at a time.
+A module's or ring's key holds the ring's key, so such entries of one
+ring serve no other.
+
 A call that raises stores nothing.  :func:`clear` empties every memo, so
 the next call of each function computes from scratch.
 """

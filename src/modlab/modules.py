@@ -43,6 +43,7 @@ representatives instead of decomposing every endomorphism again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import operator
 from itertools import compress, product
 from math import gcd, prod
@@ -515,6 +516,17 @@ class Submodule:
         if self.elements != frozenset(ws.span(self.generators())):
             raise NotSubmodule("set is not action-closed")
 
+    def with_parent(self, parent: FiniteModule) -> Submodule:
+        """The same submodule over ``parent``, a module with this parent's
+        key (and perhaps other names); key and hash carry over."""
+        sub = object.__new__(Submodule)
+        sub.parent = parent
+        sub.elements = self.elements
+        sub.key = self.key
+        sub.gens = self.gens
+        sub._hash = self._hash
+        return sub
+
     def generators(self) -> tuple[int, ...]:
         if self.gens is None:
             ws = self.parent.workspace()
@@ -660,6 +672,24 @@ def module_names(module: FiniteModule) -> tuple[str | None, str | None]:
     its key leaves out.  A memo whose result carries names takes them as
     extra arguments, so that each name gets its own result."""
     return module.name, module.ring.name
+
+
+def on_callers_module(fn):
+    """Wrap a memoized ``fn(module, ...) -> Submodule`` so that the result's
+    parent is the caller's module.  Module keys leave out names, so the
+    memo holds the submodule over the first equal-key module it saw; a
+    caller whose names differ gets the same elements over its own module.
+    ``__wrapped__`` stays the unmemoized body."""
+
+    @functools.wraps(fn)
+    def wrapper(module, *args, **kwargs):
+        sub = fn(module, *args, **kwargs)
+        if sub.parent is module or module_names(sub.parent) == module_names(module):
+            return sub
+        return sub.with_parent(module)
+
+    wrapper.__wrapped__ = fn.__wrapped__
+    return wrapper
 
 
 @memo
@@ -1134,6 +1164,7 @@ class EndRing:
         self.homs = homs
         self.index = {h.matrix: i for i, h in enumerate(homs)}
         self._basis = None
+        self._full_images = None
         self._idempotents = None
         ident = identity_hom(module)
         self.identity_index = self.index[ident.matrix]
@@ -1180,16 +1211,27 @@ class EndRing:
             self._decompose()
         return self._basis  # type: ignore[return-value]
 
+    def full_images(self) -> list[frozenset[int]]:
+        """Per endomorphism, its image of the whole module, read off its
+        code table.  Equal images are one object."""
+        if self._full_images is None:
+            distinct: dict[frozenset[int], frozenset[int]] = {}
+            self._full_images = [distinct.setdefault(img, img)
+                                 for img in (frozenset(h.table()) for h in self.homs)]
+        return self._full_images
+
     def image_sets(self, codes: frozenset[int]) -> tuple[list[frozenset[int]],
                                                          list[frozenset[int]]]:
         """Per endomorphism, its whole image and the image of the given
-        code set, both read off one code table."""
-        full: list[frozenset[int]] = []
+        code set, both read off one code table.  The lists hold one object
+        per distinct image, across both of them: many endomorphisms share
+        an image, and an image of the code set is often a whole image."""
+        full = self.full_images()
+        distinct = dict(zip(full, full))
         of_codes: list[frozenset[int]] = []
         for h in self.homs:
-            tab = h.table()
-            full.append(frozenset(tab))
-            of_codes.append(frozenset(map(tab.__getitem__, codes)))
+            img = frozenset(map(h.table().__getitem__, codes))
+            of_codes.append(distinct.setdefault(img, img))
         return full, of_codes
 
     def idempotents_by_image(self) -> dict[frozenset[int], ModuleHom]:
@@ -1198,9 +1240,8 @@ class EndRing:
         table is the identity on its image."""
         if self._idempotents is None:
             out: dict[frozenset[int], ModuleHom] = {}
-            for h in self.homs:
+            for h, img in zip(self.homs, self.full_images()):
                 tab = h.table()
-                img = frozenset(tab)
                 if img not in out and all(tab[y] == y for y in img):
                     out[img] = h
             self._idempotents = out

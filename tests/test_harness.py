@@ -13,6 +13,7 @@ from modlab.cli import (
     DEFAULT_RINGS,
     HarnessConfig,
     _ring_cost,
+    _ring_job,
     main,
     run_all,
     usable_cpus,
@@ -253,6 +254,25 @@ def test_run_all_jobs_parallel_matches_serial(tmp_path):
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_ring_job_holds_one_rings_memos():
+    """A ring job starts from empty memos: after a Z4 job, an F3 job leaves
+    as many memo entries as from cleared memos, with equal results."""
+    config = HarnessConfig(rings=("Z4", "F3"), jobs=1)
+
+    def job(rid):
+        n_modules, skipped, profiles, suite_reports = _ring_job(rid, config)
+        # suite runtimes are wall-clock, so compare the reports' JSON
+        return (n_modules, skipped, [p.to_json() for p in profiles],
+                [r.to_json() for r in suite_reports])
+
+    job("Z4")
+    after_z4 = job("F3")
+    entries = sum(map(len, memo._tables))
+    memo.clear()
+    assert job("F3") == after_z4
+    assert sum(map(len, memo._tables)) == entries
 
 
 def test_ring_cost_ranks_the_default_rings():

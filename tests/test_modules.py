@@ -338,8 +338,10 @@ def test_regular_module_memo_is_keyed_by_limits(Z4):
 
 def test_memoized_constructions_carry_the_callers_names():
     """Rings and modules that differ only in their names have one key;
-    each call still gets a result named after its own arguments."""
-    from modlab.lattice import radical
+    each call still gets a result named after its own arguments, and a
+    memoized submodule lies in the caller's own module."""
+    from modlab.cosingular import zbar, zbar2
+    from modlab.lattice import radical, socle
     from modlab.rings import cyclic_ring, upper_triangular_ring
     from modlab.structure import character_dual
 
@@ -357,6 +359,8 @@ def test_memoized_constructions_carry_the_callers_names():
                 f"sub{sub.size}of{name}_reg", name)
             dual = character_dual(reg)
             assert (dual.name, dual.ring.name) == (f"D({name}_reg)", op_name)
+            for memoized in (radical, socle, zbar, zbar2):
+                assert memoized(reg).parent is reg, (memoized.__name__, name)
 
 
 def test_kernel_image_examples(z4_reg):

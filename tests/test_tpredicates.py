@@ -110,17 +110,38 @@ def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
                                    if img <= node.elements}
 
 
-def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
-    from modlab.cosingular import zbar2
+def idempotents_by_image_scan(end):
+    """EndRing.idempotents_by_image by a frozenset of each endomorphism's
+    table: the first idempotent per image, in canonical order."""
+    out = {}
+    for h in end.homs:
+        tab = h.table()
+        img = frozenset(tab)
+        if img not in out and all(tab[y] == y for y in img):
+            out[img] = h
+    return out
 
+
+def assert_images_match_each_hom(m):
+    """image_sets and idempotents_by_image against per-endomorphism scans,
+    with one object per distinct image across both image lists."""
+    end = end_ring(m)
+    radical = zbar2(m).elements
+    full, of_radical = end.image_sets(radical)
+    assert len(full) == len(of_radical) == end.size
+    for h, img, rad_img in zip(end.homs, full, of_radical):
+        assert img == frozenset(h.table())
+        assert rad_img == h.restrict_codes(radical)
+    both = full + of_radical
+    assert len({id(s) for s in both}) == len(set(both)), m
+    assert end.full_images() is full
+    assert list(end.idempotents_by_image().items()) == list(
+        idempotents_by_image_scan(end).items()), m
+
+
+def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
     for m in (s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
-        end = end_ring(m)
-        radical = zbar2(m).elements
-        full, of_radical = end.image_sets(radical)
-        assert len(full) == len(of_radical) == end.size
-        for h, img, rad_img in zip(end.homs, full, of_radical):
-            assert img == frozenset(h.table())
-            assert rad_img == h.restrict_codes(radical)
+        assert_images_match_each_hom(m)
 
 
 def test_endo_subsets_are_right_ideals(s_plus_c, z2_plus_z4):
@@ -194,6 +215,22 @@ def right_ideals(end):
 RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
 # End rings up to this size are small enough to list their right ideals
 LISTED_END_MAX = 1024
+
+
+@pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
+                         ids=lambda v: f"gens{v}" if isinstance(v, int) else v)
+def test_shared_images_match_each_hom_catalog_wide(rid, gens):
+    """Every catalog module whose End ring is within the default limits."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(gens, 256), ring_id=rid)
+    checked = 0
+    for m in catalog.modules:
+        try:
+            end_ring(m)
+        except SizeLimitExceeded:
+            continue
+        assert_images_match_each_hom(m)
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
