@@ -19,7 +19,6 @@ from .modules import (
     FiniteModule,
     IsoClasses,
     Submodule,
-    on_callers_module,
     quotient_module,
     submodule_as_module,
 )
@@ -31,7 +30,6 @@ class CosingularProfile:
     zbar: Submodule
     zbar2: Submodule
     classification: str  # cosingular | noncosingular | mixed
-    small_quotient_witnesses: list[Submodule]
 
 
 def _zbar_fast(module: FiniteModule, limits: Limits) -> Submodule:
@@ -48,16 +46,6 @@ def _zbar_fast(module: FiniteModule, limits: Limits) -> Submodule:
     return Submodule(module, current)
 
 
-def _zbar_full_witnesses(module: FiniteModule, limits: Limits) -> list[Submodule]:
-    lat = submodules(module)
-    out = []
-    for node in lat.nodes:
-        q, _ = quotient_module(module, node)
-        if is_small_module(q, limits):
-            out.append(node)
-    return out
-
-
 @memo
 def _zbar_classes(_limits: Limits) -> IsoClasses:
     """An empty index for the radicals computed under these limits, one
@@ -65,7 +53,6 @@ def _zbar_classes(_limits: Limits) -> IsoClasses:
     return IsoClasses()
 
 
-@on_callers_module
 @memo
 def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """Intersection of all submodules with small quotient.  Equals the
@@ -82,11 +69,13 @@ def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
 
 
 def zbar_witnesses(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> list[Submodule]:
-    """All submodules with small quotient (full scan, no pruning)."""
-    return _zbar_full_witnesses(module, limits)
+    """All submodules with small quotient: the definitional scan, with no
+    pruning and no isomorphism-class transport, that :func:`zbar` is
+    tested against."""
+    return [node for node in submodules(module).nodes
+            if is_small_module(quotient_module(module, node)[0], limits)]
 
 
-@on_callers_module
 @memo
 def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
     """The radical applied to its own value, pulled back along the
@@ -114,4 +103,4 @@ def classify(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Cosingula
         cls = "mixed"
     if module.size == 1:
         cls = "cosingular"
-    return CosingularProfile(z, z2, cls, zbar_witnesses(module, limits))
+    return CosingularProfile(z, z2, cls)

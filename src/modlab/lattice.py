@@ -40,7 +40,6 @@ from .modules import (
     FiniteModule,
     Submodule,
     additive_group,
-    on_callers_module,
     regular_module,
 )
 from .serialize import cache_path, cache_read, cache_write
@@ -301,7 +300,6 @@ def jacobson_generators(ring) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, reps))
 
 
-@on_callers_module
 @memo
 def radical(module: FiniteModule) -> Submodule:
     """Rad(M) = M * J(R), also the sum of all small submodules: the
@@ -325,7 +323,6 @@ def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[
     return frozenset(ws.additive_closure(products))
 
 
-@on_callers_module
 @memo
 def socle(module: FiniteModule) -> Submodule:
     """Soc(M) = ann_M(J(R)): the elements that every additive generator

@@ -43,7 +43,6 @@ representatives instead of decomposing every endomorphism again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import operator
 from itertools import compress, product
 from math import gcd, prod
@@ -92,7 +91,6 @@ class FiniteModule:
         "ring",
         "component_orders",
         "action",
-        "name",
         "size",
         "key",
         "_hash",
@@ -100,7 +98,7 @@ class FiniteModule:
         "_ws",
     )
 
-    def __init__(self, ring: FiniteRing, component_orders, action, name=None,
+    def __init__(self, ring: FiniteRing, component_orders, action,
                  limits: Limits = DEFAULT_LIMITS, validate: bool = True):
         orders = tuple(int(m) for m in component_orders)
         if any(m <= 0 for m in orders):
@@ -115,7 +113,6 @@ class FiniteModule:
         self.ring = ring
         self.component_orders = orders
         self.action = tuple(_reduce_matrix(a, orders) for a in action)
-        self.name = name
         self.size = size
         radix = [1] * t
         for i in range(1, t):
@@ -220,9 +217,7 @@ class FiniteModule:
         return self._hash
 
     def __repr__(self):
-        label = self.name or "FiniteModule"
-        ring = self.ring.name or "R"
-        return f"<{label} over {ring} orders={self.component_orders}>"
+        return f"<FiniteModule size={self.size} orders={self.component_orders}>"
 
 
 def _add_table(orders) -> list[list[int]]:
@@ -516,17 +511,6 @@ class Submodule:
         if self.elements != frozenset(ws.span(self.generators())):
             raise NotSubmodule("set is not action-closed")
 
-    def with_parent(self, parent: FiniteModule) -> Submodule:
-        """The same submodule over ``parent``, a module with this parent's
-        key (and perhaps other names); key and hash carry over."""
-        sub = object.__new__(Submodule)
-        sub.parent = parent
-        sub.elements = self.elements
-        sub.key = self.key
-        sub.gens = self.gens
-        sub._hash = self._hash
-        return sub
-
     def generators(self) -> tuple[int, ...]:
         if self.gens is None:
             ws = self.parent.workspace()
@@ -588,20 +572,14 @@ def span(module: FiniteModule, gens: Iterable) -> Submodule:
 
 # -- constructions ----------------------------------------------------------
 
-def regular_module(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteModule:
-    """The ring as a right module over itself (right multiplication).
-    Memoized with the ring's name, since a ring's key leaves it out."""
-    return _regular_module(ring, ring.name, limits)
-
-
 @memo
-def _regular_module(ring: FiniteRing, _ring_name: str | None, limits: Limits) -> FiniteModule:
+def regular_module(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteModule:
+    """The ring as a right module over itself (right multiplication)."""
     k = len(ring.component_orders)
     action = tuple(
         tuple(ring.constants[j][b] for j in range(k)) for b in range(k)
     )
-    return FiniteModule(ring, ring.component_orders, action,
-                        name=f"{ring.name or 'R'}_reg", limits=limits)
+    return FiniteModule(ring, ring.component_orders, action, limits=limits)
 
 
 def direct_sum_with_maps(*summands: FiniteModule, limits: Limits = DEFAULT_LIMITS):
@@ -627,9 +605,7 @@ def direct_sum_with_maps(*summands: FiniteModule, limits: Limits = DEFAULT_LIMIT
                     mat[off + j][off + l] = sub[j][l]
             off += tm
         action.append(tuple(tuple(r) for r in mat))
-    name = "(" + "+".join(m.name or "M" for m in summands) + ")"
-    total = FiniteModule(ring, orders, tuple(action), name=name,
-                         limits=limits, validate=False)
+    total = FiniteModule(ring, orders, tuple(action), limits=limits, validate=False)
     injections = []
     projections = []
     off = 0
@@ -652,7 +628,7 @@ def direct_sum(m: FiniteModule, n: FiniteModule, *rest: FiniteModule) -> FiniteM
 
 def zero_module(ring: FiniteRing) -> FiniteModule:
     k = len(ring.component_orders)
-    return FiniteModule(ring, (), tuple(() for _ in range(k)), name="0")
+    return FiniteModule(ring, (), tuple(() for _ in range(k)))
 
 
 def quotient_module(module: FiniteModule, sub: Submodule):
@@ -664,36 +640,11 @@ def quotient_module(module: FiniteModule, sub: Submodule):
     """
     if sub.parent != module:
         raise NotSubmodule("quotient needs a submodule of the given module")
-    return _quotient(module, sub, *module_names(module))
-
-
-def module_names(module: FiniteModule) -> tuple[str | None, str | None]:
-    """The module's name and its ring's name: the part of a module that
-    its key leaves out.  A memo whose result carries names takes them as
-    extra arguments, so that each name gets its own result."""
-    return module.name, module.ring.name
-
-
-def on_callers_module(fn):
-    """Wrap a memoized ``fn(module, ...) -> Submodule`` so that the result's
-    parent is the caller's module.  Module keys leave out names, so the
-    memo holds the submodule over the first equal-key module it saw; a
-    caller whose names differ gets the same elements over its own module.
-    ``__wrapped__`` stays the unmemoized body."""
-
-    @functools.wraps(fn)
-    def wrapper(module, *args, **kwargs):
-        sub = fn(module, *args, **kwargs)
-        if sub.parent is module or module_names(sub.parent) == module_names(module):
-            return sub
-        return sub.with_parent(module)
-
-    wrapper.__wrapped__ = fn.__wrapped__
-    return wrapper
+    return _quotient(module, sub)
 
 
 @memo
-def _quotient(module: FiniteModule, sub: Submodule, _name, _ring_name):
+def _quotient(module: FiniteModule, sub: Submodule):
     orders = module.component_orders
     t = len(orders)
     ws = module.workspace()
@@ -721,8 +672,7 @@ def _quotient(module: FiniteModule, sub: Submodule, _name, _ring_name):
                         acc[l] += x * row[l]
             rows.append([sum(acc[l] * v[l][i] for l in range(t)) for i in keep])
         action.append(rows)
-    q = FiniteModule(module.ring, new_orders, action,
-                     name=f"{module.name or 'M'}/(sub{sub.size})")
+    q = FiniteModule(module.ring, new_orders, action)
     proj = ModuleHom(module, q, proj_matrix)
     if proj.kernel().elements != sub.elements:
         raise NotSubmodule("projection kernel mismatch; input was not action-closed")
@@ -747,11 +697,11 @@ class SubmoduleModule:
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:
     """Standalone presentation of a submodule, with inclusion and the
     element correspondence both ways."""
-    return _standalone(sub.parent, sub, *module_names(sub.parent))
+    return _standalone(sub.parent, sub)
 
 
 @memo
-def _standalone(parent: FiniteModule, sub: Submodule, _name, _ring_name) -> SubmoduleModule:
+def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
     ws = parent.workspace()
     gen_vectors = [list(ws.coords[c]) for c in ws.generator_images(sub.generators())]
     orders, reps, coords = subgroup_decomposition(parent.component_orders, gen_vectors)
@@ -764,7 +714,7 @@ def _standalone(parent: FiniteModule, sub: Submodule, _name, _ring_name) -> Subm
             img = ws.basis_action()[b][parent.encode(rep)]
             rows.append(list(coords.coords(list(ws.coords[img]))))
         action.append(rows)
-    mod = FiniteModule(parent.ring, orders, action, name=f"sub{sub.size}of{parent.name or 'M'}")
+    mod = FiniteModule(parent.ring, orders, action)
     include = ModuleHom(mod, parent, [rep for rep in reps])
     to_sub = {}
     for c in sub.key:
@@ -890,7 +840,7 @@ class ModuleHom:
         return self._hash
 
     def __repr__(self):
-        return f"<ModuleHom {self.source.name or 'M'} -> {self.target.name or 'N'}>"
+        return f"<ModuleHom {self.source!r} -> {self.target!r}>"
 
 
 def identity_hom(module: FiniteModule) -> ModuleHom:
@@ -1019,13 +969,14 @@ def hom_set(source: FiniteModule, target: FiniteModule,
             block_tables = [group.add_pointwise(tab, step_table) for tab in block_tables]
             flats.extend(block)
             tables.extend(block_tables)
-    # rows have equal length, so flat order is matrix order
-    rows = range(len(source.component_orders))
+    # rows have equal length, so flat order is matrix order; the homs
+    # share one tuple per distinct row
+    cuts = [slice(j * t, (j + 1) * t) for j in range(len(source.component_orders))]
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     homs = []
     for pos in sorted(range(len(flats)), key=flats.__getitem__):
-        f = flats[pos]
-        homs.append(ModuleHom._reduced(source, target,
-                                       tuple([f[j * t:(j + 1) * t] for j in rows]), tables[pos]))
+        matrix = tuple([rows.setdefault(r, r) for r in map(flats[pos].__getitem__, cuts)])
+        homs.append(ModuleHom._reduced(source, target, matrix, tables[pos]))
     return homs
 
 

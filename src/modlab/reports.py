@@ -114,8 +114,7 @@ def profile_module(module: FiniteModule, desc: str | None = None,
                    limits: Limits = DEFAULT_LIMITS) -> PropertyReport:
     """Every predicate of the catalog evaluated on one module, with
     internal-consistency flags, under the caller's description (by
-    default the module's repr, resolved before the memo since a module's
-    key leaves out its name)."""
+    default the module's repr)."""
     return _described(module, desc or repr(module), limits)
 
 

@@ -36,7 +36,6 @@ from .modules import (
     hom_group,
     identity_hom,
     is_isomorphic,
-    module_names,
     quotient_module,
     regular_module,
     span,
@@ -76,8 +75,6 @@ class Decomposition:
                 if e.image().elements != part.elements:
                     return False
                 acc = e if acc is None else acc.add(e)
-            from .modules import identity_hom
-
             if acc is None or acc.matrix != identity_hom(module).matrix:
                 return False
             for i, e in enumerate(self.witness):
@@ -312,14 +309,10 @@ def _dual_matrix(matrix, src_orders, tgt_orders):
     return out
 
 
+@memo
 def character_dual(module: FiniteModule) -> FiniteModule:
     """Character group Hom(M, Z/exp(M)) as a right module over the
     opposite ring; same component orders, weighted-transpose action."""
-    return _character_dual(module, *module_names(module))
-
-
-@memo
-def _character_dual(module: FiniteModule, _name, _ring_name) -> FiniteModule:
     ring = module.ring
     op = opposite_ring(ring)
     orders = module.component_orders
@@ -327,7 +320,7 @@ def _character_dual(module: FiniteModule, _name, _ring_name) -> FiniteModule:
         tuple(tuple(r) for r in _dual_matrix(mat, orders, orders))
         for mat in module.action
     )
-    return FiniteModule(op, orders, action, name=f"D({module.name or 'M'})")
+    return FiniteModule(op, orders, action)
 
 
 def dual_hom(f: ModuleHom) -> ModuleHom:

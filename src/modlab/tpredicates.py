@@ -34,6 +34,8 @@ from .modules import (
     submodule_as_module,
 )
 from .structure import (
+    is_coclosed,
+    is_direct_summand,
     is_lifting,
     small_in_quotient,
     summand_keys,
@@ -214,8 +216,6 @@ def t_lifting_variants(module: FiniteModule,
 
     # (4)/(5) the square radical of each (coclosed) submodule is a summand
     def node_radicals_split(only_coclosed: bool) -> bool:
-        from .structure import is_coclosed
-
         for a in lat.nodes:
             if only_coclosed and not is_coclosed(a, module):
                 continue
@@ -452,8 +452,6 @@ def dual_baer_quotient_condition(module: FiniteModule,
                                  limits: Limits = DEFAULT_LIMITS) -> bool:
     """For every right ideal: the ideal's module-image, taken modulo the
     ideal's radical-image, splits off the corresponding quotient."""
-    from .structure import is_direct_summand
-
     data = end_data(module, limits)
     for full, zsum in data.image_pair_closure():
         w = Submodule(module, zsum)

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
-from modlab.cosingular import zbar
+from modlab.cosingular import zbar, zbar_witnesses
 from modlab.errors import SizeLimitExceeded
 from modlab.lattice import is_small, submodules
-from modlab.modules import hom_set, span
+from modlab.modules import FiniteModule, hom_set, span
 from modlab.rings import builtin_ring
 from modlab.structure import (
     is_direct_summand,
@@ -82,6 +82,23 @@ def test_zbar_reject_containment(rid):
                 assert all(h.apply(c) == 0 for c in z.elements), (
                     rid, m.component_orders, target.component_orders
                 )
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_zbar_agrees_with_witness_scan(rid):
+    """zbar's pruned scan and its isomorphism-class transport against the
+    definition: the intersection of every submodule with small quotient.
+    Each catalog member comes with a copy whose components are reversed,
+    an isomorphic presentation that zbar answers through the index."""
+    for m in _catalog(rid).modules:
+        order = range(len(m.component_orders) - 1, -1, -1)
+        copy = FiniteModule(m.ring, [m.component_orders[j] for j in order],
+                            [[[a[j][l] for l in order] for j in order] for a in m.action])
+        for module in (m, copy):
+            expected = frozenset(module.elements())
+            for node in zbar_witnesses(module):
+                expected &= node.elements
+            assert zbar(module).elements == expected, (rid, module.component_orders)
 
 
 @pytest.mark.parametrize("rid", ("Z4", "Z6", "F2xZ4"))

@@ -159,3 +159,10 @@ def test_every_limit_is_read_outside_config():
     config = next(p for p in SOURCES if p.name == "config.py")
     readers = [p.read_text() for p in SOURCES if p != config]
     assert unread_fields("Limits", config.read_text(), readers) == []
+
+
+def test_every_cosingular_profile_field_is_read():
+    """A profile field that no module reads is work done for nothing."""
+    cosingular = next(p for p in SOURCES if p.name == "cosingular.py")
+    readers = [p.read_text() for p in SOURCES if p != cosingular]
+    assert unread_fields("CosingularProfile", cosingular.read_text(), readers) == []
