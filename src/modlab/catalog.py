@@ -1,10 +1,14 @@
 """Module catalog generation: all modules with a bounded number of
-generators over a ring, up to isomorphism, closed under direct summands.
+generators over a ring, up to isomorphism.
 
 Every n-generated module is a quotient of the free module R^n, so the
-catalog enumerates quotients of free modules by their lattice nodes and
-deduplicates by isomorphism.  Summand closure keeps the catalog usable
-for hereditary statements about direct summands.
+catalog is exactly the quotients of R^n by its lattice nodes, for n up to
+the policy bound, deduplicated by isomorphism and sorted.  It is closed
+under direct summands by construction: a summand N of an n-generated
+module M is a quotient of M (along the complement), hence a quotient of
+R^n, and |N| <= |M|, so N passes the same size bound.  Only a limit that
+skips R^n or one of its quotients can leave a summand out, and the
+catalog's ``skipped`` list records each such skip.
 """
 
 from __future__ import annotations
@@ -21,11 +25,9 @@ from .modules import (
     direct_sum_with_maps,
     quotient_module,
     regular_module,
-    submodule_as_module,
     zero_module,
 )
 from .rings import FiniteRing
-from .structure import summand_keys
 
 
 @dataclass(frozen=True)
@@ -48,32 +50,17 @@ class ModuleCatalog:
         return f"{self.ring_id}[{index}]{{{orders}}}"
 
 
-def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPolicy(),
-                      ring_id: str | None = None,
-                      limits: Limits = DEFAULT_LIMITS) -> ModuleCatalog:
-    """Quotients of R^n for n up to the policy bound, deduplicated up to
-    isomorphism and closed under direct summands.  Memoized with the ring
-    id resolved, since a ring's key leaves out its name."""
-    return _enumerate(ring, policy, ring_id or ring.name or "R", limits)
-
-
 @memo
-def _enumerate(ring: FiniteRing, policy: GenerationPolicy, rid: str,
-               limits: Limits) -> ModuleCatalog:
-    catalog = ModuleCatalog(ring, rid, policy)
-    members: list[FiniteModule] = []
+def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPolicy(),
+                      ring_id: str = "R",
+                      limits: Limits = DEFAULT_LIMITS) -> ModuleCatalog:
+    """The quotients of R^n for n up to the policy bound, deduplicated up
+    to isomorphism and sorted.  A ring carries no name, so ``ring_id``
+    is the catalog's label prefix only, and part of the memo key."""
+    members = [zero_module(ring)]
     classes = IsoClasses()
+    classes.add(members[0])
     skipped: list[str] = []
-
-    def try_add(candidate: FiniteModule) -> None:
-        if candidate.size > policy.max_size:
-            skipped.append(f"size {candidate.size} over policy bound")
-            return
-        if classes.find(candidate) is None:
-            classes.add(candidate)
-            members.append(candidate)
-
-    try_add(zero_module(ring))
     for n in range(1, policy.max_generators + 1):
         if ring.size ** n > limits.max_module:
             skipped.append(f"free module R^{n} over module size limit")
@@ -95,29 +82,9 @@ def _enumerate(ring: FiniteRing, policy: GenerationPolicy, rid: str,
             except SizeLimitExceeded as exc:
                 skipped.append(f"quotient of R^{n}: {exc}")
                 continue
-            try_add(q)
-
-    # close under direct summands
-    changed = True
-    while changed:
-        changed = False
-        for m in list(members):
-            before = len(members)
-            try:
-                keys = summand_keys(m)
-            except SizeLimitExceeded as exc:
-                skipped.append(f"summand closure on {m!r}: {exc}")
-                continue
-            lat = submodules(m)
-            for key in sorted(keys):
-                node = lat.nodes[lat.index[key]]
-                if node.is_zero() or node.is_full():
-                    continue
-                try_add(submodule_as_module(node).module)
-            if len(members) != before:
-                changed = True
+            if classes.find(q) is None:
+                classes.add(q)
+                members.append(q)
 
     members.sort(key=lambda m: (m.size, m.component_orders, m.action))
-    catalog.modules = members
-    catalog.skipped = skipped
-    return catalog
+    return ModuleCatalog(ring, ring_id, policy, members, skipped)

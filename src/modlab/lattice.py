@@ -265,17 +265,7 @@ def _disk_store(module: FiniteModule, lattice: SubmoduleLattice) -> None:
 def _prune_generators(module: FiniteModule, gens: tuple[int, ...], target_size: int) -> tuple[int, ...]:
     if len(gens) <= 4:
         return gens
-    ws = module.workspace()
-    kept: list[int] = []
-    spanned = {0}
-    for g in gens:
-        if g in spanned:
-            continue
-        kept.append(g)
-        spanned = ws.span(kept)
-        if len(spanned) == target_size:
-            break
-    return tuple(kept)
+    return tuple(module.workspace().spanning_subset(gens, target_size))
 
 
 @memo

@@ -6,11 +6,11 @@ defaults filled in, so ``f(m)``, ``f(m, DEFAULT_LIMITS)`` and
 ``f(m, limits=DEFAULT_LIMITS)`` share one entry.  An argument that has a
 ``.key`` (a ring, module or submodule) stands in the key by that
 canonical key, so the memo holds no argument object alive; any other
-argument (a ``Limits``, a policy, an id) stands by itself.  A module is
-wholly identified by its key (modules carry no names), so a memo's
-result serves every equal-key caller.  A submodule's key is its element
-codes alone, so a memoized function that takes a submodule takes its
-parent module too.
+argument (a ``Limits``, a policy, an id) stands by itself.  Rings and
+modules carry no names: each is wholly identified by its key, so a
+memo's result serves every equal-key caller.  A submodule's key is its
+element codes alone, so a memoized function that takes a submodule
+takes its parent module too.
 
 Limits rule.  A ``Limits`` argument is part of the key like any other,
 so a result computed under some limits is never returned for others.  A

@@ -146,18 +146,7 @@ class FiniteModule:
         for i in range(k):
             for j in range(k):
                 left = _mat_mul_mod(self.action[i], self.action[j], orders)
-                acc = [[0] * t for _ in range(t)]
-                for l in range(k):
-                    coef = ring.constants[i][j][l]
-                    if coef:
-                        mat = self.action[l]
-                        for a in range(t):
-                            row = mat[a]
-                            arow = acc[a]
-                            for bcol in range(t):
-                                arow[bcol] += coef * row[bcol]
-                right = _reduce_matrix(acc, orders)
-                if left != right:
+                if left != self.ring_action_matrix(ring.constants[i][j]):
                     raise NotSubmodule(
                         f"action incompatible with ring product e_{i+1}*e_{j+1}"
                     )
@@ -386,6 +375,20 @@ class _Workspace:
         """Smallest action-closed subgroup containing the generators."""
         return self.additive_closure(self.generator_images(gens))
 
+    def spanning_subset(self, codes: Iterable[int], size: int) -> list[int]:
+        """Greedy generators among the codes, in their order: keep each code
+        not yet spanned, and stop once the span has ``size`` elements."""
+        gens: list[int] = []
+        spanned = {0}
+        for code in codes:
+            if code in spanned:
+                continue
+            gens.append(code)
+            spanned = self.span(gens)
+            if len(spanned) == size:
+                break
+        return gens
+
     def cyclic_span(self, code: int) -> frozenset[int]:
         got = self._cyclic.get(code)
         if got is None:
@@ -402,20 +405,10 @@ class _Workspace:
         return self._generators  # type: ignore[return-value]
 
     def _select_generators(self):
-        # Greedy: pick codes outside span(current) and keep going until the
-        # span is everything.  Ascending code order keeps this deterministic.
+        # Greedy in ascending code order, which keeps this deterministic.
         m = self.module
-        gens: list[int] = []
-        spanned = {0}
-        for code in range(1, m.size):
-            if code in spanned:
-                continue
-            gens.append(code)
-            spanned = self.span(gens)
-            if len(spanned) == m.size:
-                break
+        kept = self.spanning_subset(m.elements(), m.size)
         # drop generators made redundant by later picks
-        kept = list(gens)
         for g in list(kept):
             rest = [x for x in kept if x != g]
             if len(self.span(rest)) == m.size:
@@ -470,19 +463,8 @@ class _Workspace:
         ring = m.ring
         members = [r for r in ring.element_coords() if self.act(code, r) == 0]
         # greedy generating subset inside the regular module of the ring
-        reg = regular_module(ring)
-        ws = reg.workspace()
         member_codes = sorted(ring.encode(r) for r in members)
-        target = set(member_codes)
-        gens: list[int] = []
-        spanned = {0}
-        for c in member_codes:
-            if c in spanned:
-                continue
-            gens.append(c)
-            spanned = ws.span(gens)
-            if len(spanned) == len(target):
-                break
+        gens = regular_module(ring).workspace().spanning_subset(member_codes, len(member_codes))
         out = tuple(ring.decode(c) for c in gens)
         self._ann_gens[code] = out
         return out
@@ -514,16 +496,7 @@ class Submodule:
     def generators(self) -> tuple[int, ...]:
         if self.gens is None:
             ws = self.parent.workspace()
-            gens: list[int] = []
-            spanned = {0}
-            for code in self.key:
-                if code in spanned:
-                    continue
-                gens.append(code)
-                spanned = ws.span(gens)
-                if len(spanned) == len(self.elements):
-                    break
-            self.gens = tuple(gens)
+            self.gens = tuple(ws.spanning_subset(self.key, len(self.elements)))
         return self.gens
 
     @property

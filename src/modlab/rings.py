@@ -25,14 +25,15 @@ class FiniteRing:
     ``component_orders``: additive orders (d_1..d_k) of the basis.
     ``constants``: c[i][j] is the coordinate vector of e_i * e_j.
     ``one``: coordinate vector of the multiplicative identity.
-    Instances are immutable and hashable by content.
+    Instances are immutable and hashable by content.  A ring is its key:
+    it carries no name, so ring ids live only where they are used (the
+    built-in table, the CLI and module catalogs).
     """
 
     __slots__ = (
         "component_orders",
         "constants",
         "one",
-        "name",
         "size",
         "key",
         "_hash",
@@ -40,7 +41,7 @@ class FiniteRing:
         "_opposite",
     )
 
-    def __init__(self, component_orders, constants, one, name=None, limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, component_orders, constants, one, limits: Limits = DEFAULT_LIMITS):
         orders = tuple(int(d) for d in component_orders)
         if any(d <= 0 for d in orders):
             raise IllFormedConstants(f"component orders must be positive, got {orders}")
@@ -61,7 +62,6 @@ class FiniteRing:
         self.component_orders = orders
         self.constants = tbl
         self.one = tuple(int(x) % orders[l] for l, x in enumerate(one))
-        self.name = name
         self.size = size
         radix = [1] * k
         for i in range(1, k):
@@ -175,8 +175,7 @@ class FiniteRing:
         return self._hash
 
     def __repr__(self):
-        label = self.name or "FiniteRing"
-        return f"<{label} orders={self.component_orders} size={self.size}>"
+        return f"<FiniteRing orders={self.component_orders} size={self.size}>"
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,14 @@ class RingElement:
 # -- constructors ----------------------------------------------------------
 
 
-def cyclic_ring(n: int, name: str | None = None, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def cyclic_ring(n: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Z/n with its usual multiplication."""
     if n <= 0:
         raise IllFormedConstants("cyclic ring order must be positive")
-    return FiniteRing((n,), (((1,),),), (1,), name=name or f"Z{n}", limits=limits)
+    return FiniteRing((n,), (((1,),),), (1,), limits=limits)
 
 
-def product_ring(r1: FiniteRing, r2: FiniteRing, name: str | None = None,
-                 limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def product_ring(r1: FiniteRing, r2: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Componentwise product ring R1 x R2."""
     k1 = len(r1.component_orders)
     k2 = len(r2.component_orders)
@@ -242,18 +240,16 @@ def product_ring(r1: FiniteRing, r2: FiniteRing, name: str | None = None,
                 row.append(zero)
         constants.append(tuple(row))
     one = tuple(r1.one) + tuple(r2.one)
-    label = name or f"{r1.name or 'R1'}x{r2.name or 'R2'}"
-    return FiniteRing(orders, tuple(constants), one, name=label, limits=limits)
+    return FiniteRing(orders, tuple(constants), one, limits=limits)
 
 
-def ring_from_constants(component_orders, constants, one, name: str | None = None,
+def ring_from_constants(component_orders, constants, one,
                         limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Validated ring from raw structure-constant data."""
-    return FiniteRing(component_orders, constants, one, name=name, limits=limits)
+    return FiniteRing(component_orders, constants, one, limits=limits)
 
 
-def upper_triangular_ring(p: int, name: str | None = None,
-                          limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def upper_triangular_ring(p: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """Upper triangular 2x2 matrices over Z/p, basis (E11, E12, E22)."""
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise IllFormedConstants(f"modulus {p} must be prime for the triangular matrix ring")
@@ -264,11 +260,10 @@ def upper_triangular_ring(p: int, name: str | None = None,
         (z, z, e12),
         (z, z, e22),
     )
-    return FiniteRing((p, p, p), constants, (1, 0, 1), name=name or f"T2F{p}", limits=limits)
+    return FiniteRing((p, p, p), constants, (1, 0, 1), limits=limits)
 
 
-def polynomial_quotient_ring(p: int, n: int, name: str | None = None,
-                             limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def polynomial_quotient_ring(p: int, n: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
     """(Z/p)[x] / (x^n), basis 1, x, ..., x^(n-1)."""
     if n <= 0:
         raise IllFormedConstants("polynomial quotient degree must be positive")
@@ -280,7 +275,7 @@ def polynomial_quotient_ring(p: int, n: int, name: str | None = None,
         for i in range(n)
     )
     one = tuple(1 if l == 0 else 0 for l in range(n))
-    return FiniteRing((p,) * n, constants, one, name=name or f"Z{p}x{n}poly", limits=limits)
+    return FiniteRing((p,) * n, constants, one, limits=limits)
 
 
 def opposite_ring(r: FiniteRing) -> FiniteRing:
@@ -292,8 +287,7 @@ def opposite_ring(r: FiniteRing) -> FiniteRing:
     if constants == r.constants:
         r._opposite = r
         return r
-    name = r.name[:-3] if r.name and r.name.endswith("^op") else f"{r.name}^op"
-    op = FiniteRing(r.component_orders, constants, r.one, name=name)
+    op = FiniteRing(r.component_orders, constants, r.one)
     op._opposite = r
     r._opposite = op
     return op
@@ -316,7 +310,7 @@ def build_ring(spec, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
                                 build_ring(spec["second"], limits=limits), limits=limits)
         if kind == "structure_constants":
             return ring_from_constants(spec["orders"], spec["constants"], spec["one"],
-                                       name=spec.get("name"), limits=limits)
+                                       limits=limits)
         if kind == "upper_triangular_2x2":
             return upper_triangular_ring(spec["p"], limits=limits)
         if kind == "polynomial_quotient":
@@ -330,8 +324,7 @@ def build_ring(spec, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
                             build_ring(args[1], limits=limits), limits=limits)
     if tag == "structure_constants":
         raw = args[0]
-        return ring_from_constants(raw["orders"], raw["constants"], raw["one"],
-                                   name=raw.get("name"), limits=limits)
+        return ring_from_constants(raw["orders"], raw["constants"], raw["one"], limits=limits)
     if tag == "upper_triangular_2x2":
         return upper_triangular_ring(*args, limits=limits)
     if tag == "polynomial_quotient":
@@ -359,14 +352,10 @@ def builtin_ring_ids() -> list[str]:
 def builtin_ring(ring_id: str) -> FiniteRing:
     """Look up a built-in ring id (also accepts Z<n> / F<p> shorthand)."""
     if ring_id in _BUILTIN_SPECS:
-        ring = build_ring(_BUILTIN_SPECS[ring_id])
-    elif ring_id[:1] in ("Z", "F") and ring_id[1:].isdigit():
-        ring = cyclic_ring(int(ring_id[1:]), name=ring_id)
-    else:
-        raise KeyError(f"unknown ring id {ring_id!r}")
-    if ring.name != ring_id:
-        ring = FiniteRing(ring.component_orders, ring.constants, ring.one, name=ring_id)
-    return ring
+        return build_ring(_BUILTIN_SPECS[ring_id])
+    if ring_id[:1] in ("Z", "F") and ring_id[1:].isdigit():
+        return cyclic_ring(int(ring_id[1:]))
+    raise KeyError(f"unknown ring id {ring_id!r}")
 
 
 def additive_order(ring_or_orders, coords) -> int:

@@ -30,8 +30,8 @@ def ring_to_json(ring: FiniteRing) -> dict:
     }
 
 
-def ring_from_json(obj: dict, name: str | None = None) -> FiniteRing:
-    return ring_from_constants(obj["orders"], obj["constants"], obj["one"], name=name)
+def ring_from_json(obj: dict) -> FiniteRing:
+    return ring_from_constants(obj["orders"], obj["constants"], obj["one"])
 
 
 def module_to_json(module: FiniteModule, ring_id: str | None = None) -> dict:

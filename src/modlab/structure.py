@@ -119,14 +119,10 @@ def projection_along(sub: Submodule, comp: Submodule) -> ModuleHom:
 
 def complement_of(sub: Submodule) -> Submodule | None:
     """A lattice node B with A + B = M and A & B = 0, if one exists."""
-    parent = sub.parent
-    lat = submodules(parent)
-    i = lat.node_index(sub)
-    need = parent.size // sub.size
-    for j, b in enumerate(lat.nodes):
-        if b.size != need:
-            continue
-        if lat.meet(i, j) == lat.zero_index and lat.join(i, j) == lat.top_index:
+    need = sub.parent.size // sub.size
+    for b in submodules(sub.parent).nodes:
+        # A & B = 0 gives |A + B| = |A| |B| = |M|, so A + B = M
+        if b.size == need and len(sub.elements & b.elements) == 1:
             return b
     return None
 
@@ -140,19 +136,7 @@ def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> boo
 @memo
 def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
     """Canonical keys of all direct summand nodes (memoized)."""
-    lat = submodules(module)
-    out = set()
-    for i, a in enumerate(lat.nodes):
-        need, rem = divmod(module.size, a.size)
-        if rem:
-            continue
-        for j, b in enumerate(lat.nodes):
-            if b.size != need:
-                continue
-            if lat.meet(i, j) == lat.zero_index and lat.join(i, j) == lat.top_index:
-                out.add(a.key)
-                break
-    return frozenset(out)
+    return frozenset(a.key for a in submodules(module).nodes if complement_of(a) is not None)
 
 
 def summand_witness_idempotent(sub: Submodule, limits: Limits = DEFAULT_LIMITS) -> ModuleHom | None:

@@ -69,7 +69,7 @@ def _node_witness(sub: Submodule) -> dict:
     return {"size": sub.size, "elements": list(sub.key)}
 
 
-def _finish(suite_id, catalog, scope, instances, skipped, t0) -> TheoremReport:
+def _finish(suite_id, catalog, scope, instances, skipped) -> TheoremReport:
     disagreements = sum(
         1 for rec in instances
         if not rec.get("agree", rec.get("holds", True))
@@ -84,7 +84,6 @@ def _finish(suite_id, catalog, scope, instances, skipped, t0) -> TheoremReport:
             "disagreements": disagreements,
             "skipped": skipped,
         },
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -110,7 +109,6 @@ def _holds_record(label, holds: bool, witness=None) -> dict:
 def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Four characterizations of relative smallness agree on amply
     supplemented modules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -123,13 +121,12 @@ def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 f"{catalog.label(idx)} A={a.size}@{a.key[:4]}",
                 values, witness=_node_witness(a)))
     return _finish("P2.2", catalog, "all (module, submodule) pairs in catalog",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Containment, quotient and transitivity behavior of relatively
     coclosed submodules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -200,12 +197,11 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         instances.append(_holds_record(
             f"{label} (5) relative t-coclosure matches ambient", ok5, wit5))
     return _finish("L2.5", catalog, "t-coclosed structure statements per module",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Five characterizations of relatively coclosed submodules agree."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -233,7 +229,7 @@ def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 f"{catalog.label(idx)} C={c.size}@{c.key[:4]}", values,
                 witness=_node_witness(c)))
     return _finish("P2.6", catalog, "all (module, submodule) pairs in catalog",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
@@ -263,7 +259,6 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
 def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """The square radical is relatively coclosed and endomorphic images of
     relatively coclosed submodules stay relatively coclosed."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -284,12 +279,11 @@ def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             f"{label} (2) endo images of t-coclosed are t-coclosed",
             witness is None, witness))
     return _finish("C2.7", catalog, "per module; all endomorphisms scanned",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Sums of relatively coclosed submodules are relatively coclosed."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -304,13 +298,12 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             bad is None,
             witness=None if bad is None else _node_witness(lat.nodes[bad])))
     return _finish("C2.8", catalog, "pairwise-sum closure of the t-coclosed nodes",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Seven characterizations of relative lifting agree on amply
     supplemented modules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -318,13 +311,12 @@ def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         values = t_lifting_variants(m, limits)
         instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T2.11", catalog, "per catalog module", instances, skipped, t0)
+    return _finish("T2.11", catalog, "per catalog module", instances, skipped)
 
 
 def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Relative lifting passes to submodules and to quotients by fully
     invariant submodules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_t_lifting(m, limits):
@@ -360,12 +352,11 @@ def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             ok2, wit2))
     return _finish("P2.13", catalog,
                    "t-lifting catalog members; fully invariant quotients",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Four characterizations of the relative dual-Baer property agree."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
@@ -374,13 +365,12 @@ def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T3.2", catalog, "per catalog module", instances, skipped, t0)
+    return _finish("T3.2", catalog, "per catalog module", instances, skipped)
 
 
 def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Summand-sum property inside the square radical plus regularity
     forces the relative dual-Baer property."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not (has_sssp_in_zbar2(m, limits) and is_regular(m)):
@@ -392,12 +382,11 @@ def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         instances.append(_holds_record(catalog.label(idx), value))
     return _finish("C3.3", catalog,
                    "catalog members with sssp inside the square radical and regular",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Regular relative dual-Baer modules have semisimple square radical."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         tdb = is_t_dual_baer(m, limits)
@@ -413,13 +402,12 @@ def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             value = is_semisimple(submodule_as_module(z2).module)
         instances.append(_holds_record(catalog.label(idx), value))
     return _finish("C3.4", catalog, "regular relative dual-Baer catalog members",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Dual-Baer with split square radical is equivalent to the relative
     dual-Baer property plus the quotient splitting condition."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
@@ -439,13 +427,12 @@ def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             {"dual_baer_with_split_radical": lhs, "t_dual_baer_with_quotients": rhs}))
     return _finish("P3.5", catalog,
                    "per catalog module; subset quantification via generated right ideals",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Direct summands of relative dual-Baer modules are relative
     dual-Baer."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         tdb = is_t_dual_baer(m, limits)
@@ -468,13 +455,12 @@ def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 break
         instances.append(_holds_record(catalog.label(idx), ok, wit))
     return _finish("T3.6", catalog, "summands of relative dual-Baer members",
-                   instances, skipped, t0)
+                   instances, skipped)
 
 
 def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """The relative annihilator condition restricted below the square
     radical, and its passage to the radical itself."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -515,13 +501,12 @@ def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             instances.append(_holds_record(
                 f"{label} (2) square radical inherits the annihilator condition",
                 inherited))
-    return _finish("P3.8", catalog, "per catalog module", instances, skipped, t0)
+    return _finish("P3.8", catalog, "per catalog module", instances, skipped)
 
 
 def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Relative lifting equals relative dual-Baer plus each of the three
     annihilator-style conditions on relatively coclosed submodules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -554,13 +539,12 @@ def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             "t_dual_baer_and_trivial_t_set_forces_zero": tdb and vanish_ok,
         }
         instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T3.9", catalog, "per catalog module", instances, skipped, t0)
+    return _finish("T3.9", catalog, "per catalog module", instances, skipped)
 
 
 def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Noncosingular lifting equals relative dual-Baer plus the strong
     annihilator-style conditions on coclosed submodules."""
-    t0 = time.perf_counter()
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         if not is_amply_supplemented(m):
@@ -593,13 +577,12 @@ def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             "t_dual_baer_and_trivial_t_set_forces_zero_coclosed": tdb and vanish_ok,
         }
         instances.append(_values_record(catalog.label(idx), values))
-    return _finish("C3.10", catalog, "per catalog module", instances, skipped, t0)
+    return _finish("C3.10", catalog, "per catalog module", instances, skipped)
 
 
 def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     """Seven ring-level statements evaluated as bounded universal claims
     over the catalog."""
-    t0 = time.perf_counter()
     skipped = 0
     noncosingular = []
     injective_members = []
@@ -679,7 +662,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     return _finish(
         "T3.12", catalog,
         f"bounded universal quantification over the {len(catalog.modules)}-member catalog",
-        instances, skipped, t0)
+        instances, skipped)
 
 
 SUITES: dict[str, SuiteSpec] = {
@@ -730,4 +713,7 @@ def verify_theorem(suite_id: str, catalog: ModuleCatalog,
     spec = SUITES.get(suite_id)
     if spec is None:
         raise KeyError(f"unknown suite id {suite_id!r}")
-    return spec.runner(catalog, limits)
+    t0 = time.perf_counter()
+    report = spec.runner(catalog, limits)
+    report.runtime = time.perf_counter() - t0
+    return report

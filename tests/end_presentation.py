@@ -38,7 +38,6 @@ def as_ring(end) -> FiniteRing:
         for fi in basis)
     return FiniteRing(tuple(coords.orders), constants,
                       flat(end.homs[end.identity_index].matrix),
-                      name="End(M)",
                       limits=Limits(max_ring=end.size))
 
 

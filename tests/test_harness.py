@@ -83,13 +83,16 @@ def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4):
     small = enumerate_modules(Z4, policy, ring_id="A", limits=Limits(max_module=8))
     assert "free module R^2 over module size limit" in small.skipped
     assert a.skipped == []
+    # a ring carries no name, so a catalog without an id is labelled R
+    assert enumerate_modules(Z4, policy).label(0) == "R[0]{0}"
 
 
 def linear_scan_catalog(ring, policy):
-    """The catalog's members as enumerate_modules found them before its
-    isomorphism-class index: each candidate is tested against every
-    earlier member with an equal signature, in order.  No module of the
-    six-ring catalogs is over a limit, so the limit branches are left out."""
+    """A reference catalog: the quotients of R^n, each tested against
+    every earlier member with an equal signature, in order (no
+    isomorphism-class index), then closed under direct summands.  No
+    module of these catalogs is over a limit, so the limit branches are
+    left out."""
     members, invariants = [], []
 
     def try_add(candidate):
@@ -124,10 +127,13 @@ def linear_scan_catalog(ring, policy):
     return members
 
 
-@pytest.mark.parametrize("rid", DEFAULT_RINGS)
-def test_catalog_index_keeps_the_linear_scan_members(rid):
+@pytest.mark.parametrize("rid, gens", [pytest.param(rid, 2, id=rid) for rid in DEFAULT_RINGS]
+                         + [pytest.param(rid, 3, id=f"{rid}-gens3") for rid in ("Z4", "F3")])
+def test_catalog_index_keeps_the_linear_scan_members(rid, gens):
+    """The catalog equals the summand-closed linear scan: the quotients of
+    R^n already hold every summand of their members."""
     ring = builtin_ring(rid)
-    policy = GenerationPolicy(2, 256)
+    policy = GenerationPolicy(gens, 256)
     catalog = enumerate_modules(ring, policy, ring_id=rid)
     assert catalog.skipped == []
     assert [m.key for m in catalog.modules] == \

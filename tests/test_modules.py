@@ -337,7 +337,7 @@ def test_regular_module_memo_is_keyed_by_limits(Z4):
 
 
 def test_memoized_constructions_serve_every_name():
-    """Rings that differ only in their names have one key, and so do their
+    """Two separately built equal rings have one key, and so do their
     modules: every memoized construction returns one object for both."""
     from modlab.cosingular import zbar, zbar2
     from modlab.lattice import radical, socle, submodules
@@ -346,8 +346,10 @@ def test_memoized_constructions_serve_every_name():
 
     for make, arg in ((cyclic_ring, 4), (upper_triangular_ring, 2)):
         results = []
-        for name in ("A", "B"):
-            reg = regular_module(make(arg, name=name))
+        rings = (make(arg), make(arg))
+        assert rings[0] is not rings[1]
+        for ring in rings:
+            reg = regular_module(ring)
             sub = span(reg, sorted(radical(reg).elements)[1:2])  # one element of J
             results.append((reg, quotient_module(reg, sub), submodule_as_module(sub),
                             character_dual(reg), radical(reg), socle(reg), zbar(reg),

@@ -120,8 +120,23 @@ def test_build_ring_dispatcher():
 
 
 def test_ring_equality_by_content():
-    assert cyclic_ring(4) == cyclic_ring(4, name="other")
+    assert cyclic_ring(4) == ring_from_constants((4,), (((1,),),), (1,))
     assert cyclic_ring(4) != cyclic_ring(8)
+    assert repr(builtin_ring("F2xZ4")) == "<FiniteRing orders=(2, 4) size=8>"
+
+
+def test_memo_serves_one_object_to_equal_rings():
+    """A ring is its key, so a memo that keeps the first caller's ring
+    object returns nothing a later caller with an equal ring could tell
+    apart: the character dual over either Z/4 object is one object."""
+    from modlab.modules import regular_module
+    from modlab.structure import character_dual
+
+    a, b = cyclic_ring(4), cyclic_ring(4)
+    assert a is not b
+    dual = character_dual(regular_module(a))
+    assert character_dual(regular_module(b)) is dual
+    assert dual.ring == b and not hasattr(b, "name")
 
 
 def test_element_arithmetic():
