@@ -13,12 +13,14 @@ x and in j, so M * J is the additive span of the rows of the h's action
 matrices, X * J that of the x * h, and x * J = 0 exactly when every
 x * h = 0.  The cost no longer grows with |M| |J|.
 
-The lattice is produced by closing the set of cyclic spans under pairwise
-sums, which is complete because every submodule is a finite sum of cyclic
-ones.  Joins are found by size: |A + B| = |A| |B| / |A & B|, and A + B is
-the only submodule of that size containing A and B, so a join is looked
-up among the nodes of that size.  The closure skips a pair whose sum is
-already a known node that way and builds a sum only for a new node, as a
+Every closure over joins goes through :func:`join_closure`, which joins
+each new element with the seeds only: a finite join is a seed joined onto
+a smaller join.  The lattice is the closure of the cyclic spans, since
+every submodule is a finite sum of cyclic ones, so each node is found as
+B + xR for a smaller node B.  Joins are found by size: |A + B| =
+|A| |B| / |A & B|, and A + B is the only submodule of that size holding
+the generators of A and of B, so a join is looked up among the nodes of
+that size (:func:`_find_sum`).  A sum is built only for a new node, as a
 union of cosets of the larger summand, translating it only by elements of
 the smaller one not yet covered.
 Smallness has two implementations: the definitional scan over all
@@ -59,9 +61,9 @@ class SubmoduleLattice:
         self._meets: dict[tuple[int, int], int] = {}
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
-        self._by_size: dict[int, list[int]] = {}
+        self._by_size: dict[int, dict[frozenset[int], int]] = {}
         for i, node in enumerate(self.nodes):
-            self._by_size.setdefault(node.size, []).append(i)
+            self._by_size.setdefault(node.size, {})[node.elements] = i
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,32 +82,10 @@ class SubmoduleLattice:
             i, j = j, i
         got = self._joins.get((i, j))
         if got is None:
-            nodes = self.nodes
-            a, b = nodes[i], nodes[j]
-            if a.elements <= b.elements:
-                got = j
-            else:
-                # the one node of size |A + B| holding both generator sets
-                span = frozenset(a.generators() + b.generators())
-                got = next(k for k in self._by_size[_sum_size(a, b)]
-                           if span <= nodes[k].elements)
+            a, b = self.nodes[i], self.nodes[j]
+            got = j if a.elements <= b.elements else _find_sum(self._by_size, a, b)
             self._joins[(i, j)] = got
         return got
-
-    def join_closure(self, indices) -> set[int]:
-        """The given nodes and every join of two or more of them: pairwise
-        joins closed until nothing new appears (a finite lattice needs no
-        more)."""
-        worklist = list(indices)
-        closure = set(worklist)
-        while worklist:
-            i = worklist.pop()
-            for j in list(closure):
-                s = self.join(i, j)
-                if s not in closure:
-                    closure.add(s)
-                    worklist.append(s)
-        return closure
 
     def meet(self, i: int, j: int) -> int:
         if i > j:
@@ -151,9 +131,37 @@ class SubmoduleLattice:
         return got
 
 
+def join_closure(seeds, join) -> list:
+    """The seeds and every join of two or more of them, in the order found.
+    Each new element is joined with the seeds only: every finite join is a
+    seed joined onto a smaller join, so this is the pairwise closure with
+    fewer joins."""
+    closure = dict.fromkeys(seeds)
+    seeds = list(closure)
+    worklist = list(closure)
+    while worklist:
+        a = worklist.pop()
+        for s in seeds:
+            j = join(a, s)
+            if j not in closure:
+                closure[j] = None
+                worklist.append(j)
+    return list(closure)
+
+
 def _sum_size(a: Submodule, b: Submodule) -> int:
     """|A + B| = |A| |B| / |A & B|."""
     return a.size * b.size // len(a.elements & b.elements)
+
+
+def _find_sum(by_size: dict, a: Submodule, b: Submodule):
+    """A + B looked up in ``by_size`` (size -> {element set: value}), or
+    None when it is not there: A + B is the one node of size |A + B|
+    holding both generator sets."""
+    candidates = by_size.get(_sum_size(a, b), {})
+    span = frozenset(a.generators() + b.generators())
+    found = next(filter(span.issubset, candidates), None)
+    return None if found is None else candidates[found]
 
 
 def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
@@ -198,38 +206,30 @@ def _lattice(module: FiniteModule) -> SubmoduleLattice:
     if loaded is not None:
         return loaded
     ws = module.workspace()
-    seen: dict[tuple[int, ...], Submodule] = {}
-    zero = module.zero_submodule()
-    seen[zero.key] = zero
+    cyclics: dict[frozenset[int], Submodule] = {}
     for code in range(1, module.size):
         cyc = ws.cyclic_span(code)
-        key = tuple(sorted(cyc))
-        if key not in seen:
-            seen[key] = Submodule(module, cyc, gens=(code,))
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for node in seen.values():
-        by_size.setdefault(node.size, []).append(node.elements)
-    worklist = list(seen.values())
-    while worklist:
-        nxt = []
-        current = list(seen.values())
-        for a in worklist:
-            for b in current:
-                if a.elements <= b.elements or b.elements <= a.elements:
-                    continue
-                size = _sum_size(a, b)
-                gens = a.generators() + b.generators()
-                # a known node of that size holding both generator sets is A + B
-                if any(map(frozenset(gens).issubset, by_size.get(size, ()))):
-                    continue
-                key = _sum_key(module, a, b)
-                new = Submodule(module, frozenset(key),
-                                gens=_prune_generators(module, gens, size))
-                seen[key] = new
-                by_size.setdefault(size, []).append(new.elements)
-                nxt.append(new)
-        worklist = nxt
-    lattice = SubmoduleLattice(module, list(seen.values()))
+        if cyc not in cyclics:
+            cyclics[cyc] = Submodule(module, cyc, gens=(code,))
+    by_size: dict[int, dict[frozenset[int], Submodule]] = {}
+    for node in cyclics.values():
+        by_size.setdefault(node.size, {})[node.elements] = node
+
+    def extend(a: Submodule, c: Submodule) -> Submodule:
+        if c.elements <= a.elements:
+            return a
+        known = _find_sum(by_size, a, c)
+        if known is not None:
+            return known
+        size = _sum_size(a, c)
+        new = Submodule(module, frozenset(_sum_key(module, a, c)),
+                        gens=_prune_generators(module, a.generators() + c.generators(), size))
+        by_size.setdefault(size, {})[new.elements] = new
+        return new
+
+    nodes = join_closure(cyclics.values(), extend)
+    nodes.append(module.zero_submodule())
+    lattice = SubmoduleLattice(module, nodes)
     _disk_store(module, lattice)
     return lattice
 

@@ -73,7 +73,7 @@ def lattice_to_hasse_json(lattice) -> dict:
 
 # Bump when the meaning or layout of a cached file changes, so that files
 # written by older code are never read as current.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def content_hash(obj: FiniteRing | FiniteModule) -> str:

@@ -18,7 +18,7 @@ from .catalog import ModuleCatalog
 from .config import DEFAULT_LIMITS, Limits
 from .cosingular import zbar, zbar2
 from .errors import SizeLimitExceeded
-from .lattice import radical, socle, submodules
+from .lattice import join_closure, radical, socle, submodules
 from .modules import (
     EndRing,
     FiniteModule,
@@ -241,12 +241,12 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     once, and the first endomorphism to reach a failing image is still
     the first failing one."""
     lat = submodules(module)
+    tables = [h.table() for h in end.homs]
     for key in keys:
         c = lat.nodes[lat.index[key]]
         gens = c.generators()
         seen = set()
-        for i, h in enumerate(end.homs):
-            tab = h.table()
+        for i, tab in enumerate(tables):
             sig = tuple(map(tab.__getitem__, gens))
             if sig in seen:
                 continue
@@ -291,7 +291,7 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         lat = submodules(m)
         tcc = t_coclosed_keys(m, limits)
-        closure = lat.join_closure([lat.index[k] for k in tcc])
+        closure = join_closure([lat.index[k] for k in tcc], lat.join)
         bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
         instances.append(_holds_record(
             f"{catalog.label(idx)} sums of t-coclosed are t-coclosed",

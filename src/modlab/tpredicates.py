@@ -20,6 +20,7 @@ from .cosingular import zbar2
 from .errors import SizeLimitExceeded
 from .lattice import (
     is_small_within,
+    join_closure,
     radical,
     socle,
     submodules,
@@ -354,31 +355,26 @@ class _EndData:
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """All pairs (sum of images, sum of radical images) realized by
-        right ideals, in the order the closure finds them.
+        right ideals, in the order :func:`join_closure` finds them.
 
         Ideals are sums of their principal subideals, and a principal
         ideal's image sum equals the single generator's image (radical
         images use that the square radical is carried into itself by each
-        endomorphism), so the realized pairs are the pairwise-join
-        closure of the single-endomorphism pairs.  Both components are
-        nodes of the module's lattice, so the closure runs on pairs of
-        node indices and joins through :meth:`SubmoduleLattice.join`.
+        endomorphism), so the realized pairs are the join closure of the
+        single-endomorphism pairs under the componentwise join.  Both
+        components are nodes of the module's lattice, so the closure runs
+        on pairs of node indices and joins through
+        :meth:`SubmoduleLattice.join`.
         """
         if self._pair_closure is not None:
             return self._pair_closure
         lat = submodules(self.module)
         node = {img: lat.index[tuple(sorted(img))]
                 for img in {*self.full_images, *self.z_images}}
-        closure = dict.fromkeys(zip(map(node.__getitem__, self.full_images),
-                                    map(node.__getitem__, self.z_images)))
-        worklist = list(closure)
-        while worklist:
-            fu, zu = worklist.pop()
-            for fv, zv in list(closure):
-                pair = (lat.join(fu, fv), lat.join(zu, zv))
-                if pair not in closure:
-                    closure[pair] = None
-                    worklist.append(pair)
+        seeds = zip(map(node.__getitem__, self.full_images),
+                    map(node.__getitem__, self.z_images))
+        closure = join_closure(seeds, lambda u, v: (lat.join(u[0], v[0]),
+                                                   lat.join(u[1], v[1])))
         nodes = lat.nodes
         self._pair_closure = [(nodes[f].elements, nodes[z].elements) for f, z in closure]
         return self._pair_closure
@@ -464,12 +460,12 @@ def dual_baer_quotient_condition(module: FiniteModule,
 
 def has_sssp_in_zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Sums of direct summands contained in the square radical are
-    summands (pairwise closure suffices in a finite lattice)."""
+    summands (the join closure of those summands)."""
     lat = submodules(module)
     summands = summand_keys(module)
     z2 = zbar2(module, limits).elements
     inside = [lat.index[k] for k in summands if frozenset(lat.nodes[lat.index[k]].elements) <= z2]
-    return all(lat.nodes[i].key in summands for i in lat.join_closure(inside))
+    return all(lat.nodes[i].key in summands for i in join_closure(inside, lat.join))
 
 
 def is_regular(module: FiniteModule) -> bool:
@@ -511,11 +507,11 @@ def t_dual_baer_variants(module: FiniteModule,
         return has_sssp_in_zbar2(module, limits) and radical_images <= summands
 
     def subset_sums() -> bool:
-        # sums over arbitrary endomorphism subsets = pairwise-join closure
-        # of the single images
+        # sums over arbitrary endomorphism subsets = join closure of the
+        # single images
         lat = submodules(module)
         base = {lat.index[key] for key in radical_images}
-        return all(lat.nodes[i].key in summands for i in lat.join_closure(base))
+        return all(lat.nodes[i].key in summands for i in join_closure(base, lat.join))
 
     return {
         "definitional": bool(is_t_dual_baer(module, limits)),

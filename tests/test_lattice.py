@@ -7,19 +7,25 @@ import random
 
 import pytest
 
+from modlab import memo
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.errors import ParentMismatch, SizeLimitExceeded
 from modlab.lattice import (
+    _disk_load,
+    _prune_generators,
     _sum_key,
+    _sum_size,
     intersect_submodules,
     is_essential,
     is_small,
+    join_closure,
     radical,
     socle,
     submodules,
     sum_submodules,
 )
+from modlab.modules import Submodule
 from modlab.modules import direct_sum, regular_module, span, zero_module
 from modlab.rings import builtin_ring
 
@@ -211,17 +217,102 @@ def test_lattice_memo_checks_the_size_limit_first(Z4):
 
 @pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
 def test_join_closure_holds_the_join_of_every_subset(rid):
+    """Of single nodes under the lattice join, and of node pairs under the
+    componentwise join: the seeds first, then every join of a subset, each
+    once."""
     rng = random.Random(rid)
     catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 64), ring_id=rid)
     for m in catalog.modules:
         lat = submodules(m)
+
+        def pair_join(u, v):
+            return lat.join(u[0], v[0]), lat.join(u[1], v[1])
+
         for _ in range(6):
-            picked = rng.sample(range(len(lat)), min(len(lat), rng.randint(1, 5)))
-            want = set()
-            for r in range(1, len(picked) + 1):
-                for subset in itertools.combinations(picked, r):
-                    want.add(functools.reduce(lat.join, subset))
-            assert lat.join_closure(picked) == want
+            k = min(len(lat), rng.randint(1, 5))
+            picked = rng.sample(range(len(lat)), k)
+            pairs = list(zip(picked, rng.sample(range(len(lat)), k)))
+            for seeds, join in ((picked, lat.join), (pairs, pair_join)):
+                want = set()
+                for r in range(1, len(seeds) + 1):
+                    for subset in itertools.combinations(seeds, r):
+                        want.add(functools.reduce(join, subset))
+                got = join_closure(seeds, join)
+                assert got[:len(set(seeds))] == list(dict.fromkeys(seeds))
+                assert len(got) == len(want) and set(got) == want
+
+
+def pairwise_closure_keys(module):
+    """Node keys of the lattice by the round-based pairwise closure of the
+    cyclic spans: each round joins every new node with every known one
+    and skips a pair whose sum a known node of that size already holds.
+    The reference scan for the closure by cyclic extension."""
+    ws = module.workspace()
+    seen = {}
+    zero = module.zero_submodule()
+    seen[zero.key] = zero
+    for code in range(1, module.size):
+        cyc = ws.cyclic_span(code)
+        key = tuple(sorted(cyc))
+        if key not in seen:
+            seen[key] = Submodule(module, cyc, gens=(code,))
+    by_size = {}
+    for node in seen.values():
+        by_size.setdefault(node.size, []).append(node.elements)
+    worklist = list(seen.values())
+    while worklist:
+        nxt = []
+        current = list(seen.values())
+        for a in worklist:
+            for b in current:
+                if a.elements <= b.elements or b.elements <= a.elements:
+                    continue
+                size = _sum_size(a, b)
+                gens = a.generators() + b.generators()
+                if any(map(frozenset(gens).issubset, by_size.get(size, ()))):
+                    continue
+                key = _sum_key(module, a, b)
+                new = Submodule(module, frozenset(key),
+                                gens=_prune_generators(module, gens, size))
+                seen[key] = new
+                by_size.setdefault(size, []).append(new.elements)
+                nxt.append(new)
+        worklist = nxt
+    return set(seen)
+
+
+def catalog_square_and_cube(rid):
+    """catalog_and_square, plus R^3 for the rings small enough to close
+    it pairwise in a test."""
+    modules = catalog_and_square(rid)
+    if rid in ("Z4", "F3"):
+        reg = regular_module(builtin_ring(rid))
+        modules.append(direct_sum(reg, reg, reg))
+    return modules
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_cyclic_extension_keeps_the_pairwise_closure_nodes(rid):
+    for m in catalog_square_and_cube(rid):
+        lat = submodules(m)
+        assert {node.key for node in lat.nodes} == pairwise_closure_keys(m), m
+        for node in lat.nodes:
+            assert span(m, node.generators()).elements == node.elements, m
+
+
+@pytest.mark.parametrize("rid", ["Z8", "F2xZ4"])
+def test_lattice_read_back_from_the_disk_cache_matches_a_fresh_build(
+        tmp_path, monkeypatch, rid):
+    monkeypatch.setenv("MODLAB_CACHE", str(tmp_path))
+    memo.clear()
+    modules = catalog_and_square(rid)
+    fresh = [submodules(m) for m in modules]
+    memo.clear()
+    for m, lat in zip(modules, fresh):
+        loaded = _disk_load(m)
+        assert loaded is not None and loaded is not lat
+        assert [n.key for n in loaded.nodes] == [n.key for n in lat.nodes]
+        assert [n.generators() for n in loaded.nodes] == [n.generators() for n in lat.nodes]
 
 
 def test_parent_mismatch(z4_reg, z2_plus_z4):
