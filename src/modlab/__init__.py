@@ -4,7 +4,7 @@ predicates, and exhaustive verification suites for the equivalence
 theorems relating them."""
 
 from .catalog import GenerationPolicy, ModuleCatalog, enumerate_modules
-from .config import DEFAULT_LIMITS, Limits
+from .config import Limits
 from .cosingular import CosingularProfile, classify, zbar, zbar2
 from .errors import (
     IdempotentSearchExceeded,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .errors import SizeLimitExceeded
 from .lattice import submodules
 from .memo import memo
@@ -52,8 +52,7 @@ class ModuleCatalog:
 
 @memo
 def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPolicy(),
-                      ring_id: str = "R",
-                      limits: Limits = DEFAULT_LIMITS) -> ModuleCatalog:
+                      ring_id: str = "R") -> ModuleCatalog:
     """The quotients of R^n for n up to the policy bound, deduplicated up
     to isomorphism and sorted.  A ring carries no name, so ``ring_id``
     is the catalog's label prefix only, and part of the memo key."""
@@ -62,7 +61,7 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
     classes.add(members[0])
     skipped: list[str] = []
     for n in range(1, policy.max_generators + 1):
-        if ring.size ** n > limits.max_module:
+        if ring.size ** n > config.LIMITS.max_module:
             skipped.append(f"free module R^{n} over module size limit")
             continue
         if n == 1:
@@ -70,7 +69,7 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
         else:
             free = direct_sum_with_maps(*[regular_module(ring)] * n)[0]
         try:
-            lat = submodules(free, limits)
+            lat = submodules(free)
         except SizeLimitExceeded as exc:
             skipped.append(f"lattice of R^{n}: {exc}")
             continue

@@ -22,7 +22,7 @@ from .cosingular import zbar
 from .errors import InvalidConfig, ModlabError, SizeLimitExceeded
 from .lattice import is_small, submodules
 from .modules import FiniteModule, hom_set, regular_module, span
-from .reports import profile_module
+from .reports import disagrees, profile_module
 from .rings import FiniteRing, builtin_ring, builtin_ring_ids
 from .serialize import (
     lattice_to_hasse_json,
@@ -193,10 +193,7 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     if disagreements:
         for rep in reports:
             if rep.summary["disagreements"]:
-                bad = next(
-                    r for r in rep.instances
-                    if not r.get("agree", r.get("holds", True))
-                )
+                bad = next(filter(disagrees, rep.instances))
                 echo(
                     f"DISAGREEMENT {rep.suite} over {rep.ring_id}: "
                     f"{json.dumps(bad, sort_keys=True)}",

@@ -7,6 +7,13 @@ object raise :class:`~modlab.errors.SizeLimitExceeded` instead of
 silently truncating.  Limits bound work; they never choose between
 algorithms.  Hom groups are solved as linear congruence systems, so
 their size is known before anything is enumerated.
+
+The limits in force are one process-wide value, :data:`LIMITS`.  The
+places that refuse (ring and module construction, catalog enumeration,
+submodule lattices, End rings and the primitive-idempotent search) read
+it at call time as ``config.LIMITS``; no module binds the value itself.
+Memos are not keyed by the limits, so to change them, set
+``config.LIMITS`` and then call :func:`modlab.memo.clear`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ class Limits:
     max_end: int = 65536
 
 
-DEFAULT_LIMITS = Limits()
+LIMITS = Limits()
 
 # Additive groups (and so modules) up to this many elements get a dense
 # addition table (size**2 entries); larger ones get a two-level table of

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS, Limits
 from .lattice import submodules
 from .memo import memo
 from .modules import (
@@ -32,7 +31,7 @@ class CosingularProfile:
     classification: str  # cosingular | noncosingular | mixed
 
 
-def _zbar_fast(module: FiniteModule, limits: Limits) -> Submodule:
+def _zbar_fast(module: FiniteModule) -> Submodule:
     lat = submodules(module)
     current = frozenset(module.elements())
     # ascending size: once N contains the running intersection it cannot
@@ -41,60 +40,59 @@ def _zbar_fast(module: FiniteModule, limits: Limits) -> Submodule:
         if current <= node.elements:
             continue
         q, _ = quotient_module(module, node)
-        if is_small_module(q, limits):
+        if is_small_module(q):
             current = current & node.elements
     return Submodule(module, current)
 
 
 @memo
-def _zbar_classes(_limits: Limits) -> IsoClasses:
-    """An empty index for the radicals computed under these limits, one
-    per isomorphism class; the limits only key the memo."""
+def _zbar_classes() -> IsoClasses:
+    """The index of the computed radicals, one per isomorphism class."""
     return IsoClasses()
 
 
 @memo
-def zbar(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
+def zbar(module: FiniteModule) -> Submodule:
     """Intersection of all submodules with small quotient.  Equals the
     whole module exactly when no proper quotient is small.  Memoized per
-    presentation and limits, and per isomorphism class and limits."""
-    classes = _zbar_classes(limits)
+    presentation and per isomorphism class."""
+    classes = _zbar_classes()
     found = classes.find(module)
     if found is not None:
         rep_zbar, iso = found
         return Submodule(module, iso.restrict_codes(rep_zbar.elements))
-    sub = _zbar_fast(module, limits)
+    sub = _zbar_fast(module)
     classes.add(module, sub)
     return sub
 
 
-def zbar_witnesses(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> list[Submodule]:
+def zbar_witnesses(module: FiniteModule) -> list[Submodule]:
     """All submodules with small quotient: the definitional scan, with no
     pruning and no isomorphism-class transport, that :func:`zbar` is
     tested against."""
     return [node for node in submodules(module).nodes
-            if is_small_module(quotient_module(module, node)[0], limits)]
+            if is_small_module(quotient_module(module, node)[0])]
 
 
 @memo
-def zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> Submodule:
+def zbar2(module: FiniteModule) -> Submodule:
     """The radical applied to its own value, pulled back along the
     inclusion."""
-    z = zbar(module, limits)
+    z = zbar(module)
     if z.is_full():
         return z
     inner = submodule_as_module(z)
-    w = zbar(inner.module, limits)
+    w = zbar(inner.module)
     return Submodule(module, inner.push_out(w.elements))
 
 
-def is_cosingular(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return zbar(module, limits).is_zero()
+def is_cosingular(module: FiniteModule) -> bool:
+    return zbar(module).is_zero()
 
 
-def classify(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> CosingularProfile:
-    z = zbar(module, limits)
-    z2 = zbar2(module, limits)
+def classify(module: FiniteModule) -> CosingularProfile:
+    z = zbar(module)
+    z2 = zbar2(module)
     if z.is_full() and module.size > 1:
         cls = "noncosingular"
     elif z.is_zero():

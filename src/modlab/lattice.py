@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from typing import Literal
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .errors import ParentMismatch, SizeLimitExceeded
 from .intlinalg import subgroup_decomposition
 from .memo import memo
@@ -191,17 +191,13 @@ def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.parent, a.elements & b.elements)
 
 
-def submodules(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> SubmoduleLattice:
-    """Complete submodule lattice (memoized per module presentation, and on
-    disk when a cache directory is configured).  The size limit is checked
-    before the memo."""
-    if module.size > limits.max_module:
-        raise SizeLimitExceeded(f"module of size {module.size} over lattice limit")
-    return _lattice(module)
-
-
 @memo
-def _lattice(module: FiniteModule) -> SubmoduleLattice:
+def submodules(module: FiniteModule) -> SubmoduleLattice:
+    """Complete submodule lattice (memoized per module presentation, and on
+    disk when a cache directory is configured).  A module over
+    ``max_module`` is refused before the disk cache is read."""
+    if module.size > config.LIMITS.max_module:
+        raise SizeLimitExceeded(f"module of size {module.size} over lattice limit")
     loaded = _disk_load(module)
     if loaded is not None:
         return loaded

@@ -2,21 +2,25 @@
 decorated with :func:`memo`.
 
 Key rule.  A call is stored under its full argument list, with the
-defaults filled in, so ``f(m)``, ``f(m, DEFAULT_LIMITS)`` and
-``f(m, limits=DEFAULT_LIMITS)`` share one entry.  An argument that has a
-``.key`` (a ring, module or submodule) stands in the key by that
-canonical key, so the memo holds no argument object alive; any other
-argument (a ``Limits``, a policy, an id) stands by itself.  Rings and
+defaults filled in, so ``enumerate_modules(r)``,
+``enumerate_modules(r, GenerationPolicy())`` and
+``enumerate_modules(r, policy=GenerationPolicy())`` share one entry.  An
+argument that has a ``.key`` (a ring, module or submodule) stands in the
+key by that canonical key, so the memo holds no argument object alive;
+any other argument (a policy, an id) stands by itself.  Rings and
 modules carry no names: each is wholly identified by its key, so a
 memo's result serves every equal-key caller.  A submodule's key is its
 element codes alone, so a memoized function that takes a submodule
 takes its parent module too.
 
-Limits rule.  A ``Limits`` argument is part of the key like any other,
-so a result computed under some limits is never returned for others.  A
-function that uses its limits only to refuse an oversized input checks
-them first and then calls a memoized function that takes no limits
-(``submodules``, ``end_ring``, ``primitive_blocks``).
+Limits rule.  No key holds the limits: they are one process-wide value,
+``config.LIMITS``, read at call time by the functions that refuse an
+oversized input (ring and module construction, ``enumerate_modules``,
+``submodules``, ``end_ring``, ``primitive_blocks``).  A result stored
+under other limits would be returned as it is (a catalog enumerated
+under looser limits, say, holds modules the new ones refuse), so every
+change of ``config.LIMITS`` is followed by :func:`clear`: setting new
+limits and restoring the old ones alike.
 
 Scope rule.  A ``modlab verify`` ring job (``cli._ring_job``) starts
 from empty memos, so a process holds the memos of one ring at a time.

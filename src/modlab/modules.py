@@ -48,7 +48,8 @@ from itertools import compress, product
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .config import ADD_TABLE_MAX, DEFAULT_LIMITS, Limits
+from . import config
+from .config import ADD_TABLE_MAX
 from .errors import (
     NotSubmodule,
     RingMismatch,
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .intlinalg import smith_normal_form, subgroup_decomposition
 from .memo import memo
-from .rings import FiniteRing, additive_order, exponent
+from .rings import FiniteRing, additive_order
 
 
 def _reduce_matrix(matrix, col_orders) -> tuple[tuple[int, ...], ...]:
@@ -98,15 +99,15 @@ class FiniteModule:
         "_ws",
     )
 
-    def __init__(self, ring: FiniteRing, component_orders, action,
-                 limits: Limits = DEFAULT_LIMITS, validate: bool = True):
+    def __init__(self, ring: FiniteRing, component_orders, action, validate: bool = True):
         orders = tuple(int(m) for m in component_orders)
         if any(m <= 0 for m in orders):
             raise NotSubmodule(f"component orders must be positive, got {orders}")
         t = len(orders)
         size = prod(orders)
-        if size > limits.max_module:
-            raise SizeLimitExceeded(f"module size {size} exceeds limit {limits.max_module}")
+        max_module = config.LIMITS.max_module
+        if size > max_module:
+            raise SizeLimitExceeded(f"module size {size} exceeds limit {max_module}")
         k = len(ring.component_orders)
         if len(action) != k or any(len(a) != t or any(len(r) != t for r in a) for a in action):
             raise NotSubmodule("action must give one t x t matrix per ring basis element")
@@ -167,9 +168,6 @@ class FiniteModule:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def exponent(self) -> int:
-        return exponent(self.component_orders)
 
     def ring_action_matrix(self, rcoords) -> tuple[tuple[int, ...], ...]:
         """Matrix of x -> x * r for a ring element in coordinates."""
@@ -546,16 +544,16 @@ def span(module: FiniteModule, gens: Iterable) -> Submodule:
 # -- constructions ----------------------------------------------------------
 
 @memo
-def regular_module(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteModule:
+def regular_module(ring: FiniteRing) -> FiniteModule:
     """The ring as a right module over itself (right multiplication)."""
     k = len(ring.component_orders)
     action = tuple(
         tuple(ring.constants[j][b] for j in range(k)) for b in range(k)
     )
-    return FiniteModule(ring, ring.component_orders, action, limits=limits)
+    return FiniteModule(ring, ring.component_orders, action)
 
 
-def direct_sum_with_maps(*summands: FiniteModule, limits: Limits = DEFAULT_LIMITS):
+def direct_sum_with_maps(*summands: FiniteModule):
     """Direct sum with canonical injections and projections."""
     if not summands:
         raise ValueError("need at least one summand")
@@ -578,7 +576,7 @@ def direct_sum_with_maps(*summands: FiniteModule, limits: Limits = DEFAULT_LIMIT
                     mat[off + j][off + l] = sub[j][l]
             off += tm
         action.append(tuple(tuple(r) for r in mat))
-    total = FiniteModule(ring, orders, tuple(action), limits=limits, validate=False)
+    total = FiniteModule(ring, orders, tuple(action), validate=False)
     injections = []
     projections = []
     off = 0
@@ -1172,15 +1170,12 @@ class EndRing:
         return self._idempotents
 
 
-def end_ring(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> EndRing:
-    """The endomorphism ring.  Its size is read off :func:`hom_group` and
-    checked against ``limits.max_end`` before the memo."""
-    size = prod(hom_group(module, module)[0])
-    if size > limits.max_end:
-        raise SizeLimitExceeded(f"endomorphism ring of size {size} over limit {limits.max_end}")
-    return _end_ring(module)
-
-
 @memo
-def _end_ring(module: FiniteModule) -> EndRing:
+def end_ring(module: FiniteModule) -> EndRing:
+    """The endomorphism ring.  Its size is read off :func:`hom_group` and
+    checked against ``max_end`` before anything is enumerated."""
+    size = prod(hom_group(module, module)[0])
+    max_end = config.LIMITS.max_end
+    if size > max_end:
+        raise SizeLimitExceeded(f"endomorphism ring of size {size} over limit {max_end}")
     return EndRing(module, hom_set(module, module))

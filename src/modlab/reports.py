@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .cosingular import classify
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
@@ -84,6 +84,13 @@ class PropertyReport:
         }
 
 
+def disagrees(record: dict) -> bool:
+    """Whether a suite's instance record is a disagreement: its values
+    differ or a hypothesis failed (``agree``), or its statement fails
+    (``holds``)."""
+    return not record.get("agree", record.get("holds", True))
+
+
 @dataclass
 class TheoremReport:
     suite: str
@@ -110,62 +117,61 @@ class TheoremReport:
         return out
 
 
-def profile_module(module: FiniteModule, desc: str | None = None,
-                   limits: Limits = DEFAULT_LIMITS) -> PropertyReport:
+def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyReport:
     """Every predicate of the catalog evaluated on one module, with
     internal-consistency flags, under the caller's description (by
     default the module's repr)."""
-    return _described(module, desc or repr(module), limits)
+    return _described(module, desc or repr(module))
 
 
 @memo
-def _described(module: FiniteModule, desc: str, limits: Limits) -> PropertyReport:
-    report = _profile(module, limits)
+def _described(module: FiniteModule, desc: str) -> PropertyReport:
+    report = _profile(module)
     return report if report.module_desc == desc else replace(report, module_desc=desc)
 
 
 @memo
-def _profile(module: FiniteModule, limits: Limits) -> PropertyReport:
+def _profile(module: FiniteModule) -> PropertyReport:
     """The profile under the module's own description.  The disk cache
     holds profiles under the default limits only."""
-    on_disk = limits == DEFAULT_LIMITS
+    on_disk = config.LIMITS == config.Limits()
     if on_disk:
         loaded = _disk_cache_load(module)
         if loaded is not None:
             return loaded
-    lat = submodules(module, limits)
-    prof = classify(module, limits)
+    lat = submodules(module)
+    prof = classify(module)
     try:
-        end_size = end_ring(module, limits).size
+        end_size = end_ring(module).size
     except SizeLimitExceeded:
         end_size = None
     preds: dict[str, bool | None] = {}
     preds["amply_supplemented"] = is_amply_supplemented(module)
     preds["lifting"] = is_lifting(module)
-    preds["t_lifting"] = is_t_lifting(module, limits)
-    preds["dual_baer"] = is_dual_baer(module, limits) if end_size is not None else None
-    preds["t_dual_baer"] = is_t_dual_baer(module, limits) if end_size is not None else None
+    preds["t_lifting"] = is_t_lifting(module)
+    preds["dual_baer"] = is_dual_baer(module) if end_size is not None else None
+    preds["t_dual_baer"] = is_t_dual_baer(module) if end_size is not None else None
     if end_size is not None:
-        kc = k_module_class(module, limits)
+        kc = k_module_class(module)
     else:
         kc = {"k": None, "t_k": None, "strongly_t_k": None}
     preds.update(kc)
     preds["regular"] = is_regular(module)
     preds["semisimple"] = is_semisimple(module)
     preds["injective"] = is_injective(module)
-    preds["small"] = is_small_module(module, limits)
+    preds["small"] = is_small_module(module)
     preds["noncosingular"] = prof.zbar.is_full()
     preds["cosingular"] = prof.zbar.is_zero()
-    preds["sssp_in_zbar2"] = has_sssp_in_zbar2(module, limits)
+    preds["sssp_in_zbar2"] = has_sssp_in_zbar2(module)
 
     small_keys = frozenset(s.key for s in lat.nodes if is_small(s))
-    tsmall = t_small_keys(module, limits)
+    tsmall = t_small_keys(module)
     counts = {
         "submodules": len(lat.nodes),
         "small": len(small_keys),
         "t_small": len(tsmall),
         "coclosed": len(coclosed_keys(module)),
-        "t_coclosed": len(t_coclosed_keys(module, limits)),
+        "t_coclosed": len(t_coclosed_keys(module)),
         "summands": len(summand_keys(module)),
     }
 

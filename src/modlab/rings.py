@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterator
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .errors import IllFormedConstants, NoIdentity, NonAssociative, SizeLimitExceeded
 from .memo import memo
 
@@ -41,14 +41,15 @@ class FiniteRing:
         "_opposite",
     )
 
-    def __init__(self, component_orders, constants, one, limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, component_orders, constants, one):
         orders = tuple(int(d) for d in component_orders)
         if any(d <= 0 for d in orders):
             raise IllFormedConstants(f"component orders must be positive, got {orders}")
         k = len(orders)
         size = prod(orders)
-        if size > limits.max_ring:
-            raise SizeLimitExceeded(f"ring size {size} exceeds limit {limits.max_ring}")
+        max_ring = config.LIMITS.max_ring
+        if size > max_ring:
+            raise SizeLimitExceeded(f"ring size {size} exceeds limit {max_ring}")
         if len(constants) != k or any(
             len(ci) != k or any(len(cij) != k for cij in ci) for ci in constants
         ):
@@ -207,14 +208,14 @@ class RingElement:
 # -- constructors ----------------------------------------------------------
 
 
-def cyclic_ring(n: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def cyclic_ring(n: int) -> FiniteRing:
     """Z/n with its usual multiplication."""
     if n <= 0:
         raise IllFormedConstants("cyclic ring order must be positive")
-    return FiniteRing((n,), (((1,),),), (1,), limits=limits)
+    return FiniteRing((n,), (((1,),),), (1,))
 
 
-def product_ring(r1: FiniteRing, r2: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def product_ring(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Componentwise product ring R1 x R2."""
     k1 = len(r1.component_orders)
     k2 = len(r2.component_orders)
@@ -240,16 +241,15 @@ def product_ring(r1: FiniteRing, r2: FiniteRing, limits: Limits = DEFAULT_LIMITS
                 row.append(zero)
         constants.append(tuple(row))
     one = tuple(r1.one) + tuple(r2.one)
-    return FiniteRing(orders, tuple(constants), one, limits=limits)
+    return FiniteRing(orders, tuple(constants), one)
 
 
-def ring_from_constants(component_orders, constants, one,
-                        limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def ring_from_constants(component_orders, constants, one) -> FiniteRing:
     """Validated ring from raw structure-constant data."""
-    return FiniteRing(component_orders, constants, one, limits=limits)
+    return FiniteRing(component_orders, constants, one)
 
 
-def upper_triangular_ring(p: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def upper_triangular_ring(p: int) -> FiniteRing:
     """Upper triangular 2x2 matrices over Z/p, basis (E11, E12, E22)."""
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise IllFormedConstants(f"modulus {p} must be prime for the triangular matrix ring")
@@ -260,10 +260,10 @@ def upper_triangular_ring(p: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing
         (z, z, e12),
         (z, z, e22),
     )
-    return FiniteRing((p, p, p), constants, (1, 0, 1), limits=limits)
+    return FiniteRing((p, p, p), constants, (1, 0, 1))
 
 
-def polynomial_quotient_ring(p: int, n: int, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
+def polynomial_quotient_ring(p: int, n: int) -> FiniteRing:
     """(Z/p)[x] / (x^n), basis 1, x, ..., x^(n-1)."""
     if n <= 0:
         raise IllFormedConstants("polynomial quotient degree must be positive")
@@ -275,7 +275,7 @@ def polynomial_quotient_ring(p: int, n: int, limits: Limits = DEFAULT_LIMITS) ->
         for i in range(n)
     )
     one = tuple(1 if l == 0 else 0 for l in range(n))
-    return FiniteRing((p,) * n, constants, one, limits=limits)
+    return FiniteRing((p,) * n, constants, one)
 
 
 def opposite_ring(r: FiniteRing) -> FiniteRing:
@@ -293,42 +293,26 @@ def opposite_ring(r: FiniteRing) -> FiniteRing:
     return op
 
 
-def build_ring(spec, limits: Limits = DEFAULT_LIMITS) -> FiniteRing:
-    """Build a ring from a tagged description.
+def build_ring(spec) -> FiniteRing:
+    """Build a ring from a tagged tuple.
 
-    Accepted forms (tuple or dict with a ``kind`` key):
+    Accepted forms:
       ("cyclic", n); ("product", spec1, spec2);
       ("structure_constants", {"orders":..., "constants":..., "one":...});
       ("upper_triangular_2x2", p); ("polynomial_quotient", p, n).
     """
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "cyclic":
-            return cyclic_ring(spec["n"], limits=limits)
-        if kind == "product":
-            return product_ring(build_ring(spec["first"], limits=limits),
-                                build_ring(spec["second"], limits=limits), limits=limits)
-        if kind == "structure_constants":
-            return ring_from_constants(spec["orders"], spec["constants"], spec["one"],
-                                       limits=limits)
-        if kind == "upper_triangular_2x2":
-            return upper_triangular_ring(spec["p"], limits=limits)
-        if kind == "polynomial_quotient":
-            return polynomial_quotient_ring(spec["p"], spec["n"], limits=limits)
-        raise IllFormedConstants(f"unknown ring spec kind {kind!r}")
     tag, *args = spec
     if tag == "cyclic":
-        return cyclic_ring(*args, limits=limits)
+        return cyclic_ring(*args)
     if tag == "product":
-        return product_ring(build_ring(args[0], limits=limits),
-                            build_ring(args[1], limits=limits), limits=limits)
+        return product_ring(build_ring(args[0]), build_ring(args[1]))
     if tag == "structure_constants":
         raw = args[0]
-        return ring_from_constants(raw["orders"], raw["constants"], raw["one"], limits=limits)
+        return ring_from_constants(raw["orders"], raw["constants"], raw["one"])
     if tag == "upper_triangular_2x2":
-        return upper_triangular_ring(*args, limits=limits)
+        return upper_triangular_ring(*args)
     if tag == "polynomial_quotient":
-        return polynomial_quotient_ring(*args, limits=limits)
+        return polynomial_quotient_ring(*args)
     raise IllFormedConstants(f"unknown ring spec tag {tag!r}")
 
 
@@ -368,10 +352,3 @@ def additive_order(ring_or_orders, coords) -> int:
             out = out * o // gcd(out, o)
     return out
 
-
-def exponent(orders) -> int:
-    """lcm of the component orders (1 for the zero group)."""
-    out = 1
-    for d in orders:
-        out = out * d // gcd(out, d)
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
 from .intlinalg import subgroup_basis
 from .lattice import (
@@ -139,11 +139,11 @@ def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
     return frozenset(a.key for a in submodules(module).nodes if complement_of(a) is not None)
 
 
-def summand_witness_idempotent(sub: Submodule, limits: Limits = DEFAULT_LIMITS) -> ModuleHom | None:
+def summand_witness_idempotent(sub: Submodule) -> ModuleHom | None:
     """Idempotent endomorphism with image equal to the submodule, if any:
     the first in canonical order.  Independent cross-check for the
     complement scan."""
-    return end_ring(sub.parent, limits).idempotents_by_image().get(sub.elements)
+    return end_ring(sub.parent).idempotents_by_image().get(sub.elements)
 
 
 # -- supplements -------------------------------------------------------------
@@ -326,16 +326,12 @@ class _PrimitiveBlock:
     end_size: int                   # |End(top)|, a prime power
 
 
-def primitive_blocks(ring: FiniteRing, limits: Limits = DEFAULT_LIMITS) -> list[_PrimitiveBlock]:
+@memo
+def primitive_blocks(ring: FiniteRing) -> list[_PrimitiveBlock]:
     """One block per member of a complete orthogonal set of primitive
     idempotents of the ring, found by exhaustive search."""
-    if ring.size > limits.max_ring:
+    if ring.size > config.LIMITS.max_ring:
         raise SizeLimitExceeded(f"ring too large for idempotent search: {ring.size}")
-    return _primitive_blocks(ring)
-
-
-@memo
-def _primitive_blocks(ring: FiniteRing) -> list[_PrimitiveBlock]:
     idems = ring.idempotent_coords()
     reg = regular_module(ring)
 
@@ -380,7 +376,7 @@ def _primitive_blocks(ring: FiniteRing) -> list[_PrimitiveBlock]:
 
 
 @memo
-def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
+def projective_cover(module: FiniteModule):
     """(P, p) with P projective, p surjective, and ker(p) small in P.
 
     P is assembled from primitive-idempotent blocks matching the
@@ -389,7 +385,7 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     Rad(P).
     """
     ring = module.ring
-    blocks = primitive_blocks(ring, limits)
+    blocks = primitive_blocks(ring)
     # one representative per isomorphism class of tops, so multiplicities
     # are not double counted when distinct idempotents share a top
     classes: list[_PrimitiveBlock] = []
@@ -407,8 +403,7 @@ def projective_cover(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     if not chosen:
         p = zero_module(ring)
         return p, ModuleHom(p, module, [], validate=False)
-    total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen],
-                                                limits=limits)
+    total, injections, _ = direct_sum_with_maps(*[blk.block.module for blk in chosen])
     ws = module.workspace()
     rad = radical(module).elements
     images: list[int] = []
@@ -476,12 +471,12 @@ def is_injective(module: FiniteModule) -> bool:
 
 
 @memo
-def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
+def injective_hull(module: FiniteModule):
     """(E, i) with E injective and i an essential embedding, built as the
     dual of the projective cover of the dual.  The embedding, its
     essentiality and the injectivity of E are checked."""
     dual = character_dual(module)
-    cover, p = projective_cover(dual, limits)
+    cover, p = projective_cover(dual)
     embed = dual_hom(p)
     hull = embed.target
     if embed.source.key != module.key:
@@ -496,21 +491,21 @@ def injective_hull(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
 
 
 @memo
-def _small_classes(_limits: Limits) -> IsoClasses:
-    """An empty index for the small-module values computed under these
-    limits, one per isomorphism class; the limits only key the memo."""
+def _small_classes() -> IsoClasses:
+    """The index of the computed small-module values, one per isomorphism
+    class."""
     return IsoClasses()
 
 
 @memo
-def is_small_module(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Small in its injective hull.  Memoized per presentation and limits
-    and per isomorphism class and limits."""
-    classes = _small_classes(limits)
+def is_small_module(module: FiniteModule) -> bool:
+    """Small in its injective hull.  Memoized per presentation and per
+    isomorphism class."""
+    classes = _small_classes()
     found = classes.find(module)
     if found is not None:
         return found[0]
-    hull, embed = injective_hull(module, limits)
+    hull, embed = injective_hull(module)
     value = embed.image().elements <= radical(hull).elements
     classes.add(module, value)
     return value

@@ -11,11 +11,8 @@ assumed; instances failing a hypothesis are recorded as skipped.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
 
 from .catalog import ModuleCatalog
-from .config import DEFAULT_LIMITS, Limits
 from .cosingular import zbar, zbar2
 from .errors import SizeLimitExceeded
 from .lattice import join_closure, radical, socle, submodules
@@ -26,7 +23,7 @@ from .modules import (
     quotient_module,
     submodule_as_module,
 )
-from .reports import TheoremReport
+from .reports import TheoremReport, disagrees
 from .structure import (
     coclosed_keys,
     is_amply_supplemented,
@@ -57,23 +54,12 @@ from .tpredicates import (
 )
 
 
-@dataclass
-class SuiteSpec:
-    suite_id: str
-    kind: str  # equivalence | structural | ring_level
-    description: str
-    runner: Callable
-
-
 def _node_witness(sub: Submodule) -> dict:
     return {"size": sub.size, "elements": list(sub.key)}
 
 
 def _finish(suite_id, catalog, scope, instances, skipped) -> TheoremReport:
-    disagreements = sum(
-        1 for rec in instances
-        if not rec.get("agree", rec.get("holds", True))
-    )
+    disagreements = sum(map(disagrees, instances))
     return TheoremReport(
         suite=suite_id,
         ring_id=catalog.ring_id,
@@ -106,7 +92,7 @@ def _holds_record(label, holds: bool, witness=None) -> dict:
 # -- suite implementations ---------------------------------------------------
 
 
-def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_p22(catalog: ModuleCatalog) -> TheoremReport:
     """Four characterizations of relative smallness agree on amply
     supplemented modules."""
     instances, skipped = [], 0
@@ -116,7 +102,7 @@ def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         lat = submodules(m)
         for a in lat.nodes:
-            values = t_small_variants(a, m, limits)
+            values = t_small_variants(a, m)
             instances.append(_values_record(
                 f"{catalog.label(idx)} A={a.size}@{a.key[:4]}",
                 values, witness=_node_witness(a)))
@@ -124,7 +110,7 @@ def run_p22(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_l25(catalog: ModuleCatalog) -> TheoremReport:
     """Containment, quotient and transitivity behavior of relatively
     coclosed submodules."""
     instances, skipped = [], 0
@@ -134,8 +120,8 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         label = catalog.label(idx)
         lat = submodules(m)
-        z2 = zbar2(m, limits)
-        tcc = t_coclosed_keys(m, limits)
+        z2 = zbar2(m)
+        tcc = t_coclosed_keys(m)
 
         bad = next((k for k in tcc
                     if not frozenset(lat.nodes[lat.index[k]].elements) <= z2.elements),
@@ -145,7 +131,7 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             witness=None if bad is None else {"elements": list(bad)}))
 
         whole_tcc = m.full_submodule().key in tcc
-        noncosing = zbar(m, limits).is_full()
+        noncosing = zbar(m).is_full()
         instances.append(_holds_record(
             f"{label} (2) whole module t-coclosed iff noncosingular",
             whole_tcc == noncosing))
@@ -162,7 +148,7 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 a = lat.nodes[ai]
                 q, proj = quotient_module(m, a)
                 image = Submodule(q, proj.restrict_codes(c.elements))
-                if not is_t_coclosed(image, q, limits):
+                if not is_t_coclosed(image, q):
                     ok3 = False
                     wit3 = {"C": _node_witness(c), "A": _node_witness(a)}
                     break
@@ -180,14 +166,14 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 if a.key in tcc:
                     q, proj = quotient_module(m, a)
                     image = Submodule(q, proj.restrict_codes(c.elements))
-                    if is_t_coclosed(image, q, limits) and c.key not in tcc:
+                    if is_t_coclosed(image, q) and c.key not in tcc:
                         ok4 = False
                         wit4 = {"C": _node_witness(c), "A": _node_witness(a)}
                 # (5): A tcc in M iff A tcc in C, for amply supplemented C
                 inner = submodule_as_module(c)
                 if is_amply_supplemented(inner.module):
                     a_in = Submodule(inner.module, inner.pull_in(a.elements))
-                    if (a.key in tcc) != is_t_coclosed(a_in, inner.module, limits):
+                    if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
                         ok5 = False
                         wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
             if not (ok4 and ok5):
@@ -200,7 +186,7 @@ def run_l25(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_p26(catalog: ModuleCatalog) -> TheoremReport:
     """Five characterizations of relatively coclosed submodules agree."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
@@ -208,7 +194,7 @@ def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         lat = submodules(m)
-        z2 = zbar2(m, limits)
+        z2 = zbar2(m)
         inner = submodule_as_module(z2) if not z2.is_zero() else None
         for c in lat.nodes:
             in_rad = c.elements <= z2.elements
@@ -217,10 +203,10 @@ def run_p26(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 coclosed_in_rad = is_coclosed(c_in, inner.module)
             else:
                 coclosed_in_rad = in_rad and c.is_zero()
-            noncosing = zbar2_of_node(m, c, limits) == c.elements
+            noncosing = zbar2_of_node(m, c) == c.elements
             values = {
-                "minimal_joint_complement": is_minimal_with_joint_complement(c, m, limits),
-                "t_coclosed": is_t_coclosed(c, m, limits),
+                "minimal_joint_complement": is_minimal_with_joint_complement(c, m),
+                "t_coclosed": is_t_coclosed(c, m),
                 "coclosed_inside_radical": in_rad and coclosed_in_rad,
                 "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
                 "noncosingular_part": noncosing,
@@ -256,7 +242,7 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     return None
 
 
-def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_c27(catalog: ModuleCatalog) -> TheoremReport:
     """The square radical is relatively coclosed and endomorphic images of
     relatively coclosed submodules stay relatively coclosed."""
     instances, skipped = [], 0
@@ -265,16 +251,16 @@ def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         label = catalog.label(idx)
-        z2 = zbar2(m, limits)
+        z2 = zbar2(m)
         instances.append(_holds_record(
             f"{label} (1) square radical is t-coclosed",
-            is_t_coclosed(z2, m, limits), witness=_node_witness(z2)))
+            is_t_coclosed(z2, m), witness=_node_witness(z2)))
         try:
-            data = end_data(m, limits)
+            data = end_data(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
-        witness = endo_image_witness(m, data.end, t_coclosed_keys(m, limits))
+        witness = endo_image_witness(m, data.end, t_coclosed_keys(m))
         instances.append(_holds_record(
             f"{label} (2) endo images of t-coclosed are t-coclosed",
             witness is None, witness))
@@ -282,7 +268,7 @@ def run_c27(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_c28(catalog: ModuleCatalog) -> TheoremReport:
     """Sums of relatively coclosed submodules are relatively coclosed."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
@@ -290,7 +276,7 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         lat = submodules(m)
-        tcc = t_coclosed_keys(m, limits)
+        tcc = t_coclosed_keys(m)
         closure = join_closure([lat.index[k] for k in tcc], lat.join)
         bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
         instances.append(_holds_record(
@@ -301,7 +287,7 @@ def run_c28(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_t211(catalog: ModuleCatalog) -> TheoremReport:
     """Seven characterizations of relative lifting agree on amply
     supplemented modules."""
     instances, skipped = [], 0
@@ -309,17 +295,17 @@ def run_t211(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         if not is_amply_supplemented(m):
             skipped += 1
             continue
-        values = t_lifting_variants(m, limits)
+        values = t_lifting_variants(m)
         instances.append(_values_record(catalog.label(idx), values))
     return _finish("T2.11", catalog, "per catalog module", instances, skipped)
 
 
-def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_p213(catalog: ModuleCatalog) -> TheoremReport:
     """Relative lifting passes to submodules and to quotients by fully
     invariant submodules."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
-        if not is_t_lifting(m, limits):
+        if not is_t_lifting(m):
             skipped += 1
             continue
         label = catalog.label(idx)
@@ -327,24 +313,24 @@ def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         ok1, wit1 = True, None
         for node in lat.nodes:
             inner = submodule_as_module(node)
-            if not is_t_lifting(inner.module, limits):
+            if not is_t_lifting(inner.module):
                 ok1, wit1 = False, _node_witness(node)
                 break
         instances.append(_holds_record(
             f"{label} (1) submodules inherit t-lifting", ok1, wit1))
 
         try:
-            invariant = set(fully_invariant_keys(m, limits))
+            invariant = set(fully_invariant_keys(m))
         except SizeLimitExceeded:
             invariant = set()
             skipped += 1
-        for sub in (radical(m), socle(m), zbar(m, limits), zbar2(m, limits)):
+        for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
             invariant.add(sub.key)
         ok2, wit2 = True, None
         for key in sorted(invariant):
             node = lat.nodes[lat.index[key]]
             q, _ = quotient_module(m, node)
-            if not is_t_lifting(q, limits):
+            if not is_t_lifting(q):
                 ok2, wit2 = False, _node_witness(node)
                 break
         instances.append(_holds_record(
@@ -355,12 +341,12 @@ def run_p213(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_t32(catalog: ModuleCatalog) -> TheoremReport:
     """Four characterizations of the relative dual-Baer property agree."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
-            values = t_dual_baer_variants(m, limits)
+            values = t_dual_baer_variants(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
@@ -368,14 +354,14 @@ def run_t32(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     return _finish("T3.2", catalog, "per catalog module", instances, skipped)
 
 
-def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_c33(catalog: ModuleCatalog) -> TheoremReport:
     """Summand-sum property inside the square radical plus regularity
     forces the relative dual-Baer property."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
-        if not (has_sssp_in_zbar2(m, limits) and is_regular(m)):
+        if not (has_sssp_in_zbar2(m) and is_regular(m)):
             continue
-        value = is_t_dual_baer(m, limits)
+        value = is_t_dual_baer(m)
         if value is None:
             skipped += 1
             continue
@@ -385,17 +371,17 @@ def run_c33(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_c34(catalog: ModuleCatalog) -> TheoremReport:
     """Regular relative dual-Baer modules have semisimple square radical."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
-        tdb = is_t_dual_baer(m, limits)
+        tdb = is_t_dual_baer(m)
         if tdb is None:
             skipped += 1
             continue
         if not (is_regular(m) and tdb):
             continue
-        z2 = zbar2(m, limits)
+        z2 = zbar2(m)
         if z2.is_zero():
             value = True
         else:
@@ -405,20 +391,20 @@ def run_c34(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_p35(catalog: ModuleCatalog) -> TheoremReport:
     """Dual-Baer with split square radical is equivalent to the relative
     dual-Baer property plus the quotient splitting condition."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
         try:
-            db = is_dual_baer(m, limits)
-            tdb = is_t_dual_baer(m, limits)
+            db = is_dual_baer(m)
+            tdb = is_t_dual_baer(m)
             if db is None or tdb is None:
                 skipped += 1
                 continue
             summands = summand_keys(m)
-            lhs = db and zbar2(m, limits).key in summands
-            rhs = tdb and dual_baer_quotient_condition(m, limits)
+            lhs = db and zbar2(m).key in summands
+            rhs = tdb and dual_baer_quotient_condition(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
@@ -430,12 +416,12 @@ def run_p35(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_t36(catalog: ModuleCatalog) -> TheoremReport:
     """Direct summands of relative dual-Baer modules are relative
     dual-Baer."""
     instances, skipped = [], 0
     for idx, m in enumerate(catalog.modules):
-        tdb = is_t_dual_baer(m, limits)
+        tdb = is_t_dual_baer(m)
         if tdb is None:
             skipped += 1
             continue
@@ -446,7 +432,7 @@ def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         for key in sorted(summand_keys(m)):
             node = lat.nodes[lat.index[key]]
             inner = submodule_as_module(node)
-            value = is_t_dual_baer(inner.module, limits)
+            value = is_t_dual_baer(inner.module)
             if value is None:
                 skipped += 1
                 continue
@@ -458,7 +444,7 @@ def run_t36(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                    instances, skipped)
 
 
-def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_p38(catalog: ModuleCatalog) -> TheoremReport:
     """The relative annihilator condition restricted below the square
     radical, and its passage to the radical itself."""
     instances, skipped = [], 0
@@ -468,8 +454,8 @@ def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             continue
         label = catalog.label(idx)
         try:
-            data = end_data(m, limits)
-            kc = k_module_class(m, limits)
+            data = end_data(m)
+            kc = k_module_class(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
@@ -493,7 +479,7 @@ def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
                 inherited = True
             else:
                 inner = submodule_as_module(z2)
-                inner_kc = k_module_class(inner.module, limits)
+                inner_kc = k_module_class(inner.module)
                 if inner_kc["k"] is None:
                     skipped += 1
                     continue
@@ -504,7 +490,7 @@ def run_p38(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     return _finish("P3.8", catalog, "per catalog module", instances, skipped)
 
 
-def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_t39(catalog: ModuleCatalog) -> TheoremReport:
     """Relative lifting equals relative dual-Baer plus each of the three
     annihilator-style conditions on relatively coclosed submodules."""
     instances, skipped = [], 0
@@ -513,9 +499,9 @@ def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         try:
-            data = end_data(m, limits)
-            kc = k_module_class(m, limits)
-            tdb = is_t_dual_baer(m, limits)
+            data = end_data(m)
+            kc = k_module_class(m)
+            tdb = is_t_dual_baer(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
@@ -526,14 +512,14 @@ def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         t0set = data.t_set(frozenset((0,)))
         trace_ok = True
         vanish_ok = True
-        for key in t_coclosed_keys(m, limits):
+        for key in t_coclosed_keys(m):
             c = lat.nodes[lat.index[key]]
-            if t_trace(m, c, limits) != c.elements:
+            if t_trace(m, c) != c.elements:
                 trace_ok = False
             if data.t_set(c.elements) == t0set and not c.is_zero():
                 vanish_ok = False
         values = {
-            "t_lifting": is_t_lifting(m, limits),
+            "t_lifting": is_t_lifting(m),
             "t_dual_baer_and_t_k": tdb and bool(kc["t_k"]),
             "t_dual_baer_and_trace_recovers": tdb and trace_ok,
             "t_dual_baer_and_trivial_t_set_forces_zero": tdb and vanish_ok,
@@ -542,7 +528,7 @@ def run_t39(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     return _finish("T3.9", catalog, "per catalog module", instances, skipped)
 
 
-def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_c310(catalog: ModuleCatalog) -> TheoremReport:
     """Noncosingular lifting equals relative dual-Baer plus the strong
     annihilator-style conditions on coclosed submodules."""
     instances, skipped = [], 0
@@ -551,9 +537,9 @@ def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
             skipped += 1
             continue
         try:
-            data = end_data(m, limits)
-            kc = k_module_class(m, limits)
-            tdb = is_t_dual_baer(m, limits)
+            data = end_data(m)
+            kc = k_module_class(m)
+            tdb = is_t_dual_baer(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
@@ -566,12 +552,12 @@ def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         vanish_ok = True
         for key in coclosed_keys(m):
             c = lat.nodes[lat.index[key]]
-            if t_trace(m, c, limits) != c.elements:
+            if t_trace(m, c) != c.elements:
                 trace_ok = False
             if data.t_set(c.elements) == t0set and not c.is_zero():
                 vanish_ok = False
         values = {
-            "noncosingular_lifting": zbar(m, limits).is_full() and is_lifting(m),
+            "noncosingular_lifting": zbar(m).is_full() and is_lifting(m),
             "t_dual_baer_and_strongly_t_k": tdb and bool(kc["strongly_t_k"]),
             "t_dual_baer_and_trace_recovers_coclosed": tdb and trace_ok,
             "t_dual_baer_and_trivial_t_set_forces_zero_coclosed": tdb and vanish_ok,
@@ -580,7 +566,7 @@ def run_c310(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     return _finish("C3.10", catalog, "per catalog module", instances, skipped)
 
 
-def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
+def run_t312(catalog: ModuleCatalog) -> TheoremReport:
     """Seven ring-level statements evaluated as bounded universal claims
     over the catalog."""
     skipped = 0
@@ -589,7 +575,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
     per_module = []
     for idx, m in enumerate(catalog.modules):
         try:
-            nc = zbar(m, limits).is_full()
+            nc = zbar(m).is_full()
             inj = is_injective(m)
         except SizeLimitExceeded:
             skipped += 1
@@ -605,7 +591,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
 
     def radicals_split_and_injective():
         for idx, m, _, _ in per_module:
-            z2 = zbar2(m, limits)
+            z2 = zbar2(m)
             if z2.key not in summand_keys(m):
                 return False
             if z2.is_zero():
@@ -618,7 +604,7 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         nonlocal skipped
         out = True
         for idx, m, _, _ in per_module:
-            v = is_t_dual_baer(m, limits)
+            v = is_t_dual_baer(m)
             if v is None:
                 skipped += 1
                 continue
@@ -626,19 +612,19 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         return out
 
     def all_t_lifting():
-        return all(is_t_lifting(m, limits) for _, m, _, _ in per_module)
+        return all(is_t_lifting(m) for _, m, _, _ in per_module)
 
     def injective_t_lifting():
-        return all(is_t_lifting(m, limits) for _, m in injective_members)
+        return all(is_t_lifting(m) for _, m in injective_members)
 
     def radicals_split():
-        return all(zbar2(m, limits).key in summand_keys(m) for _, m, _, _ in per_module)
+        return all(zbar2(m).key in summand_keys(m) for _, m, _, _ in per_module)
 
     def noncosingular_dual_baer():
         nonlocal skipped
         out = True
         for _, m in noncosingular:
-            v = is_dual_baer(m, limits)
+            v = is_dual_baer(m)
             if v is None:
                 skipped += 1
                 continue
@@ -665,55 +651,32 @@ def run_t312(catalog: ModuleCatalog, limits: Limits) -> TheoremReport:
         instances, skipped)
 
 
-SUITES: dict[str, SuiteSpec] = {
-    spec.suite_id: spec
-    for spec in [
-        SuiteSpec("P2.2", "equivalence",
-                  "relative smallness characterizations", run_p22),
-        SuiteSpec("L2.5", "structural",
-                  "relative coclosure structure lemmas", run_l25),
-        SuiteSpec("P2.6", "equivalence",
-                  "relative coclosure characterizations", run_p26),
-        SuiteSpec("C2.7", "structural",
-                  "images of relatively coclosed submodules", run_c27),
-        SuiteSpec("C2.8", "structural",
-                  "sums of relatively coclosed submodules", run_c28),
-        SuiteSpec("T2.11", "equivalence",
-                  "relative lifting characterizations", run_t211),
-        SuiteSpec("P2.13", "structural",
-                  "inheritance of relative lifting", run_p213),
-        SuiteSpec("T3.2", "equivalence",
-                  "relative dual-Baer characterizations", run_t32),
-        SuiteSpec("C3.3", "structural",
-                  "summand-sum property and regularity imply relative dual-Baer",
-                  run_c33),
-        SuiteSpec("C3.4", "structural",
-                  "regular relative dual-Baer forces semisimple square radical",
-                  run_c34),
-        SuiteSpec("P3.5", "equivalence",
-                  "dual-Baer versus relative dual-Baer with quotient splitting",
-                  run_p35),
-        SuiteSpec("T3.6", "structural",
-                  "summands inherit relative dual-Baer", run_t36),
-        SuiteSpec("P3.8", "structural",
-                  "restricted annihilator conditions", run_p38),
-        SuiteSpec("T3.9", "equivalence",
-                  "relative lifting equals relative dual-Baer plus annihilator condition",
-                  run_t39),
-        SuiteSpec("C3.10", "equivalence",
-                  "noncosingular lifting characterizations", run_c310),
-        SuiteSpec("T3.12", "ring_level",
-                  "ring-level equivalences over the bounded catalog", run_t312),
-    ]
+# in report order: ``--suite all`` and the bundle's files follow it
+SUITES = {
+    "P2.2": run_p22,
+    "L2.5": run_l25,
+    "P2.6": run_p26,
+    "C2.7": run_c27,
+    "C2.8": run_c28,
+    "T2.11": run_t211,
+    "P2.13": run_p213,
+    "T3.2": run_t32,
+    "C3.3": run_c33,
+    "C3.4": run_c34,
+    "P3.5": run_p35,
+    "T3.6": run_t36,
+    "P3.8": run_p38,
+    "T3.9": run_t39,
+    "C3.10": run_c310,
+    "T3.12": run_t312,
 }
 
 
-def verify_theorem(suite_id: str, catalog: ModuleCatalog,
-                   limits: Limits = DEFAULT_LIMITS) -> TheoremReport:
-    spec = SUITES.get(suite_id)
-    if spec is None:
+def verify_theorem(suite_id: str, catalog: ModuleCatalog) -> TheoremReport:
+    runner = SUITES.get(suite_id)
+    if runner is None:
         raise KeyError(f"unknown suite id {suite_id!r}")
     t0 = time.perf_counter()
-    report = spec.runner(catalog, limits)
+    report = runner(catalog)
     report.runtime = time.perf_counter() - t0
     return report

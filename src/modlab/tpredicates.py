@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS, Limits
 from .cosingular import zbar2
 from .errors import SizeLimitExceeded
 from .lattice import (
@@ -45,12 +44,11 @@ from .structure import (
 # -- relative smallness --------------------------------------------------------
 
 
-def is_t_small(sub: Submodule, module: FiniteModule,
-               limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_t_small(sub: Submodule, module: FiniteModule) -> bool:
     """Whenever the square radical lies under A + B it already lies under
     B (definitional scan over the lattice)."""
     lat = submodules(module)
-    z = zbar2(module, limits).elements
+    z = zbar2(module).elements
     ai = lat.node_index(sub)
     for j, b in enumerate(lat.nodes):
         if z <= b.elements:
@@ -61,24 +59,23 @@ def is_t_small(sub: Submodule, module: FiniteModule,
 
 
 @memo
-def t_small_keys(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> frozenset:
+def t_small_keys(module: FiniteModule) -> frozenset:
     lat = submodules(module)
-    return frozenset(s.key for s in lat.nodes if is_t_small(s, module, limits))
+    return frozenset(s.key for s in lat.nodes if is_t_small(s, module))
 
 
-def t_small_variants(sub: Submodule, module: FiniteModule,
-                     limits: Limits = DEFAULT_LIMITS) -> dict[str, bool]:
+def t_small_variants(sub: Submodule, module: FiniteModule) -> dict[str, bool]:
     """Four characterizations that agree on amply supplemented modules:
     the definitional scan, smallness of the trace inside the square
     radical, smallness of the trace in the module, and vanishing of the
     square radical of the submodule itself."""
-    z2 = zbar2(module, limits)
+    z2 = zbar2(module)
     trace = sub.elements & z2.elements
     return {
-        "definitional": is_t_small(sub, module, limits),
+        "definitional": is_t_small(sub, module),
         "trace_small_in_radical": is_small_within(module, trace, z2.elements),
         "trace_small_in_module": trace <= radical(module).elements,
-        "square_radical_vanishes": zbar2_of_node(module, sub, limits) == frozenset((0,)),
+        "square_radical_vanishes": zbar2_of_node(module, sub) == frozenset((0,)),
     }
 
 
@@ -86,33 +83,30 @@ def t_small_variants(sub: Submodule, module: FiniteModule,
 
 
 @memo
-def zbar2_pullback(module: FiniteModule, n: Submodule,
-                   limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
+def zbar2_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
     """Preimage in M of the square radical of M/N."""
     q, proj = quotient_module(module, n)
-    target = zbar2(q, limits).elements
+    target = zbar2(q).elements
     return frozenset(c for c, y in enumerate(proj.table()) if y in target)
 
 
 @memo
-def zbar2_of_node(module: FiniteModule, sub: Submodule,
-                  limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
+def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
     """The square radical of a submodule viewed as a module, as a code set
     of the parent."""
     if sub.is_full():
-        return zbar2(module, limits).elements
+        return zbar2(module).elements
     if sub.is_zero():
         return frozenset((0,))
     inner = submodule_as_module(sub)
-    return inner.push_out(zbar2(inner.module, limits).elements)
+    return inner.push_out(zbar2(inner.module).elements)
 
 
-def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule,
-                        limits: Limits = DEFAULT_LIMITS) -> bool:
+def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N is relatively small in M/N, evaluated inside the ambient
     lattice via the pullback of the quotient's square radical."""
     lat = submodules(module)
-    z = zbar2_pullback(module, n, limits)
+    z = zbar2_pullback(module, n)
     ai = lat.node_index(a)
     for j, b in enumerate(lat.nodes):
         if not n.elements <= b.elements:
@@ -128,29 +122,27 @@ def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule,
 
 
 @memo
-def is_t_coclosed(sub: Submodule, module: FiniteModule,
-                  limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_t_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part leaves a relatively small remainder."""
     lat = submodules(module)
     i = lat.node_index(sub)
-    return not any(t_small_in_quotient(sub, lat.nodes[j], module, limits)
+    return not any(t_small_in_quotient(sub, lat.nodes[j], module)
                    for j in lat.subnode_indices(i) if j != i)
 
 
 @memo
-def t_coclosed_keys(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> frozenset:
+def t_coclosed_keys(module: FiniteModule) -> frozenset:
     lat = submodules(module)
-    return frozenset(s.key for s in lat.nodes if is_t_coclosed(s, module, limits))
+    return frozenset(s.key for s in lat.nodes if is_t_coclosed(s, module))
 
 
-def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule,
-                                     limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule) -> bool:
     """There is an S with the square radical under C + S, and no proper
     part of C has that property for the same S.  Joins are monotone and
     every proper part of C lies in a node C covers, so only the covered
     nodes need the test."""
     lat = submodules(module)
-    z = zbar2(module, limits).elements
+    z = zbar2(module).elements
     ci = lat.node_index(sub)
     covered = lat.covers()[ci]
     for j in range(len(lat.nodes)):
@@ -165,7 +157,7 @@ def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule,
 
 
 @memo
-def is_t_lifting(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_t_lifting(module: FiniteModule) -> bool:
     """Every submodule contains a direct summand with relatively small
     remainder (definitional scan)."""
     lat = submodules(module)
@@ -176,7 +168,7 @@ def is_t_lifting(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
             n = lat.nodes[j]
             if n.key not in summands:
                 continue
-            if t_small_in_quotient(a, n, module, limits):
+            if t_small_in_quotient(a, n, module):
                 found = True
                 break
         if not found:
@@ -184,14 +176,13 @@ def is_t_lifting(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
     return True
 
 
-def t_lifting_variants(module: FiniteModule,
-                       limits: Limits = DEFAULT_LIMITS) -> dict[str, bool]:
+def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
     """Seven equivalent forms for amply supplemented modules, evaluated
     independently."""
     lat = submodules(module)
     summands = summand_keys(module)
-    z2 = zbar2(module, limits)
-    tsmall = t_small_keys(module, limits)
+    z2 = zbar2(module)
+    tsmall = t_small_keys(module)
 
     # (2) every submodule splits as (summand of M) + (relatively small part)
     def split_form() -> bool:
@@ -220,7 +211,7 @@ def t_lifting_variants(module: FiniteModule,
         for a in lat.nodes:
             if only_coclosed and not is_coclosed(a, module):
                 continue
-            codes = zbar2_of_node(module, a, limits)
+            codes = zbar2_of_node(module, a)
             if tuple(sorted(codes)) not in summands:
                 return False
         return True
@@ -250,10 +241,10 @@ def t_lifting_variants(module: FiniteModule,
         return True
 
     return {
-        "definitional": is_t_lifting(module, limits),
+        "definitional": is_t_lifting(module),
         "split_into_summand_and_t_small": split_form(),
         "t_coclosed_are_summands": all(
-            k in summands for k in t_coclosed_keys(module, limits)
+            k in summands for k in t_coclosed_keys(module)
         ),
         "node_radicals_are_summands": node_radicals_split(False),
         "coclosed_node_radicals_are_summands": node_radicals_split(True),
@@ -309,10 +300,10 @@ class _EndData:
     sum, radical image sum) pairs of the right ideals, which are the one
     route of the dual-Baer family."""
 
-    def __init__(self, module: FiniteModule, limits: Limits):
+    def __init__(self, module: FiniteModule):
         self.module = module
-        self.end = end_ring(module, limits)
-        self.z2 = zbar2(module, limits)
+        self.end = end_ring(module)
+        self.z2 = zbar2(module)
         self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
         self._z_groups = _group_by_image(self.z_images)
         self._full_groups = _group_by_image(self.full_images)
@@ -381,32 +372,29 @@ class _EndData:
 
 
 @memo
-def end_data(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> _EndData:
-    """The End-ring data of a module, memoized per module and limits:
-    the End ring and the square radical are built under the limits, and
-    building the data raises :class:`SizeLimitExceeded` when the End ring
-    is over ``max_end``."""
-    return _EndData(module, limits)
+def end_data(module: FiniteModule) -> _EndData:
+    """The End-ring data of a module, memoized per module.  Building the
+    data raises :class:`SizeLimitExceeded` when the End ring is over
+    ``max_end``."""
+    return _EndData(module)
 
 
-def d_set(n: Submodule, module: FiniteModule,
-          limits: Limits = DEFAULT_LIMITS) -> EndoSubset:
+def d_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms whose image lies in the submodule."""
-    data = end_data(module, limits)
+    data = end_data(module)
     return EndoSubset(data.end, data.d_set(n.elements), "d_set")
 
 
-def t_set(n: Submodule, module: FiniteModule,
-          limits: Limits = DEFAULT_LIMITS) -> EndoSubset:
+def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms carrying the square radical into the submodule."""
-    data = end_data(module, limits)
+    data = end_data(module)
     return EndoSubset(data.end, data.t_set(n.elements), "t_set")
 
 
 # -- the dual-Baer family ----------------------------------------------------------
 
 
-def dual_baer_witness(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
+def dual_baer_witness(module: FiniteModule):
     """None when every right ideal has a summand image-sum; otherwise a
     witness (member indexes of a failing right ideal, its image sum F).
 
@@ -415,7 +403,7 @@ def dual_baer_witness(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     D(F) = {phi : phi(M) <= F}: it is a right ideal (closed under sums
     and under phi o g), and its image sum is F, since any right ideal
     with image sum F lies inside it."""
-    data = end_data(module, limits)
+    data = end_data(module)
     summands = summand_keys(module)
     for full, _ in data.image_pair_closure():
         if tuple(sorted(full)) not in summands:
@@ -423,20 +411,20 @@ def dual_baer_witness(module: FiniteModule, limits: Limits = DEFAULT_LIMITS):
     return None
 
 
-def is_dual_baer(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+def is_dual_baer(module: FiniteModule) -> bool | None:
     """Sum of the images of every right ideal splits off.  None when the
     endomorphism ring is over the configured limit."""
     try:
-        return dual_baer_witness(module, limits) is None
+        return dual_baer_witness(module) is None
     except SizeLimitExceeded:
         return None
 
 
-def is_t_dual_baer(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+def is_t_dual_baer(module: FiniteModule) -> bool | None:
     """For every right ideal, the ideal's image of the square radical
     splits off."""
     try:
-        data = end_data(module, limits)
+        data = end_data(module)
         summands = summand_keys(module)
         return all(tuple(sorted(zsum)) in summands
                    for _, zsum in data.image_pair_closure())
@@ -444,11 +432,10 @@ def is_t_dual_baer(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> boo
         return None
 
 
-def dual_baer_quotient_condition(module: FiniteModule,
-                                 limits: Limits = DEFAULT_LIMITS) -> bool:
+def dual_baer_quotient_condition(module: FiniteModule) -> bool:
     """For every right ideal: the ideal's module-image, taken modulo the
     ideal's radical-image, splits off the corresponding quotient."""
-    data = end_data(module, limits)
+    data = end_data(module)
     for full, zsum in data.image_pair_closure():
         w = Submodule(module, zsum)
         q, proj = quotient_module(module, w)
@@ -458,12 +445,12 @@ def dual_baer_quotient_condition(module: FiniteModule,
     return True
 
 
-def has_sssp_in_zbar2(module: FiniteModule, limits: Limits = DEFAULT_LIMITS) -> bool:
+def has_sssp_in_zbar2(module: FiniteModule) -> bool:
     """Sums of direct summands contained in the square radical are
     summands (the join closure of those summands)."""
     lat = submodules(module)
     summands = summand_keys(module)
-    z2 = zbar2(module, limits).elements
+    z2 = zbar2(module).elements
     inside = [lat.index[k] for k in summands if frozenset(lat.nodes[lat.index[k]].elements) <= z2]
     return all(lat.nodes[i].key in summands for i in join_closure(inside, lat.join))
 
@@ -482,10 +469,9 @@ def is_semisimple(module: FiniteModule) -> bool:
     return socle(module).is_full()
 
 
-def t_dual_baer_variants(module: FiniteModule,
-                         limits: Limits = DEFAULT_LIMITS) -> dict[str, bool]:
+def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
     """Four equivalent forms, evaluated independently."""
-    data = end_data(module, limits)
+    data = end_data(module)
     summands = summand_keys(module)
     z2 = data.z2
 
@@ -495,7 +481,7 @@ def t_dual_baer_variants(module: FiniteModule,
         if z2.is_zero():
             return True
         inner = submodule_as_module(z2)
-        value = is_dual_baer(inner.module, limits)
+        value = is_dual_baer(inner.module)
         if value is None:
             raise SizeLimitExceeded("inner end ring over limit")
         return value
@@ -504,7 +490,7 @@ def t_dual_baer_variants(module: FiniteModule,
     radical_images = {tuple(sorted(img)) for img in data.z_images}
 
     def sssp_and_single_images() -> bool:
-        return has_sssp_in_zbar2(module, limits) and radical_images <= summands
+        return has_sssp_in_zbar2(module) and radical_images <= summands
 
     def subset_sums() -> bool:
         # sums over arbitrary endomorphism subsets = join closure of the
@@ -514,7 +500,7 @@ def t_dual_baer_variants(module: FiniteModule,
         return all(lat.nodes[i].key in summands for i in join_closure(base, lat.join))
 
     return {
-        "definitional": bool(is_t_dual_baer(module, limits)),
+        "definitional": bool(is_t_dual_baer(module)),
         "radical_summand_dual_baer": radical_summand_dual_baer(),
         "sssp_and_single_images": sssp_and_single_images(),
         "subset_sums_split": subset_sums(),
@@ -524,13 +510,12 @@ def t_dual_baer_variants(module: FiniteModule,
 # -- K-style conditions ---------------------------------------------------------------
 
 
-def k_module_class(module: FiniteModule,
-                   limits: Limits = DEFAULT_LIMITS) -> dict[str, bool | None]:
+def k_module_class(module: FiniteModule) -> dict[str, bool | None]:
     """Flags for the three annihilator-style conditions on submodules:
     only-zero image set forces smallness; radical image set equal to the
     zero one forces relative smallness, respectively plain smallness."""
     try:
-        data = end_data(module, limits)
+        data = end_data(module)
     except SizeLimitExceeded:
         return {"k": None, "t_k": None, "strongly_t_k": None}
     lat = submodules(module)
@@ -540,7 +525,7 @@ def k_module_class(module: FiniteModule,
     t_k = True
     strongly = True
     rad = radical(module).elements
-    tsmall = t_small_keys(module, limits)
+    tsmall = t_small_keys(module)
     for node in lat.nodes:
         dset = data.d_set(node.elements)
         if dset == zero_d and not node.elements <= rad:
@@ -554,20 +539,18 @@ def k_module_class(module: FiniteModule,
     return {"k": k, "t_k": t_k, "strongly_t_k": strongly}
 
 
-def t_trace(module: FiniteModule, c: Submodule,
-            limits: Limits = DEFAULT_LIMITS) -> frozenset[int]:
+def t_trace(module: FiniteModule, c: Submodule) -> frozenset[int]:
     """Sum of the radical images over every endomorphism carrying the
     square radical into the given submodule."""
-    data = end_data(module, limits)
+    data = end_data(module)
     members = data.t_set(c.elements)
     return data.sum_images(members, of_radical=True)
 
 
-def fully_invariant_keys(module: FiniteModule,
-                         limits: Limits = DEFAULT_LIMITS) -> frozenset:
+def fully_invariant_keys(module: FiniteModule) -> frozenset:
     """Nodes stable under every endomorphism.  Stability under the
     additive basis of the end ring suffices."""
-    data = end_data(module, limits)
+    data = end_data(module)
     lat = submodules(module)
     basis = data.end.basis_homs()
     out = []

@@ -1,7 +1,25 @@
 import pytest
 
+from modlab import config, memo
 from modlab.modules import direct_sum, regular_module, span, submodule_as_module
 from modlab.rings import builtin_ring
+
+
+@pytest.fixture
+def limits():
+    """``limits(Limits(...))`` puts other limits in force for the rest of
+    the test: it sets ``config.LIMITS`` and empties the memos, so no
+    result computed under the limits before is returned.  After the test
+    the earlier limits come back, again with empty memos."""
+    before = config.LIMITS
+
+    def use(new: config.Limits) -> None:
+        config.LIMITS = new
+        memo.clear()
+
+    yield use
+    config.LIMITS = before
+    memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@ definitional listing of its right ideals (the submodule lattice of its
 regular module) is an oracle for the image-pair closure of
 ``tpredicates``."""
 
-from modlab.config import Limits
 from modlab.intlinalg import subgroup_decomposition
 from modlab.modules import ModuleHom, _mat_mul_mod, _reduce_matrix, hom_group
 from modlab.rings import FiniteRing
@@ -37,8 +36,7 @@ def as_ring(end) -> FiniteRing:
         tuple(flat(_mat_mul_mod(fj.matrix, fi.matrix, orders)) for fj in basis)
         for fi in basis)
     return FiniteRing(tuple(coords.orders), constants,
-                      flat(end.homs[end.identity_index].matrix),
-                      limits=Limits(max_ring=end.size))
+                      flat(end.homs[end.identity_index].matrix))
 
 
 def hom_index_from_ring_coords(end, coords: tuple[int, ...]) -> int:

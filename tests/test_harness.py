@@ -74,17 +74,18 @@ def test_catalog_closed_under_summands(F2xZ4):
             assert any(is_isomorphic(part, other) for other in cat.modules)
 
 
-def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4):
+def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4, limits):
     policy = GenerationPolicy(2, 256)
     a = enumerate_modules(Z4, policy, ring_id="A")
     b = enumerate_modules(Z4, policy, ring_id="B")
     assert (a.label(1), b.label(1)) == ("A[1]{2}", "B[1]{2}")
     assert enumerate_modules(Z4, policy, ring_id="A") is a
-    small = enumerate_modules(Z4, policy, ring_id="A", limits=Limits(max_module=8))
-    assert "free module R^2 over module size limit" in small.skipped
-    assert a.skipped == []
     # a ring carries no name, so a catalog without an id is labelled R
     assert enumerate_modules(Z4, policy).label(0) == "R[0]{0}"
+    limits(Limits(max_module=8))
+    small = enumerate_modules(Z4, policy, ring_id="A")
+    assert "free module R^2 over module size limit" in small.skipped
+    assert a.skipped == []
 
 
 def linear_scan_catalog(ring, policy):
@@ -453,25 +454,27 @@ def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
         json.loads(f.read_text())
 
 
-def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, Z4):
+def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, Z4,
+                                                         limits):
     """Under max_module=8 three Z4 catalog modules are over a limit, also
     after a default-limits pass has profiled them; and a profile under
     other limits never reaches the disk cache."""
-    tight = Limits(max_module=8)
     cat = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
     for m in cat.modules:
         profile_module(m)
+    limits(Limits(max_module=8))
     over = []
     for m in cat.modules:
         try:
-            profile_module(m, limits=tight)
+            profile_module(m)
         except SizeLimitExceeded:
             over.append(m.size)
     assert over == [4, 8, 16]
     monkeypatch.setenv("MODLAB_CACHE", str(tmp_path))
     memo.clear()
-    profile_module(cat.modules[1], limits=tight)
+    profile_module(cat.modules[1])
     assert not list(tmp_path.glob("profile-*"))
+    limits(Limits())
     profile_module(cat.modules[1])
     assert list(tmp_path.glob("profile-*"))
 

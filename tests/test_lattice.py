@@ -207,12 +207,13 @@ def test_covers_and_maximal_nodes_match_the_scans(rid):
         assert lat.maximal_indices() == lat.covers()[lat.top_index]
 
 
-def test_lattice_memo_checks_the_size_limit_first(Z4):
+def test_lattice_memo_checks_the_size_limit_first(Z4, limits):
     reg = regular_module(Z4)
     m = direct_sum(reg, reg)
     assert len(submodules(m)) == 15
+    limits(Limits(max_module=4))
     with pytest.raises(SizeLimitExceeded):
-        submodules(m, Limits(max_module=4))
+        submodules(m)
 
 
 @pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])

@@ -1,18 +1,18 @@
-"""The memo layer: keys, limits, defaults and clear()."""
+"""The memo layer: keys, defaults and clear()."""
 
 import pytest
 
 from modlab import memo
-from modlab.config import DEFAULT_LIMITS, Limits
+from modlab.catalog import GenerationPolicy
 from modlab.modules import FiniteModule
 
 calls = []
 
 
 @memo.memo
-def probe(module, limits=DEFAULT_LIMITS):
+def probe(module, policy=GenerationPolicy()):
     """A fresh object per computation, so hits show as identity."""
-    calls.append(limits)
+    calls.append(policy)
     return object()
 
 
@@ -22,16 +22,16 @@ def refuse(module):
     raise ValueError("no value")
 
 
-def test_defaults_are_filled_in_and_other_limits_recompute(z4_reg):
+def test_defaults_are_filled_in_and_other_values_recompute(z4_reg):
     calls.clear()
     first = probe(z4_reg)
-    assert probe(z4_reg, DEFAULT_LIMITS) is first
-    assert probe(z4_reg, limits=DEFAULT_LIMITS) is first
-    tight = Limits(max_module=8)
-    other = probe(z4_reg, tight)
+    assert probe(z4_reg, GenerationPolicy()) is first
+    assert probe(z4_reg, policy=GenerationPolicy()) is first
+    small = GenerationPolicy(max_size=8)
+    other = probe(z4_reg, small)
     assert other is not first
-    assert probe(z4_reg, limits=Limits(max_module=8)) is other
-    assert calls == [DEFAULT_LIMITS, tight]
+    assert probe(z4_reg, policy=GenerationPolicy(max_size=8)) is other
+    assert calls == [GenerationPolicy(), small]
 
 
 def test_arguments_stand_by_their_key(z4_reg):

@@ -318,22 +318,21 @@ def test_hom_set_matrices_are_reduced_homs(rid):
                 assert checked.matrix == h.matrix and checked == h
 
 
-def test_end_ring_limit(z2_plus_z4):
+def test_end_ring_limit(z2_plus_z4, limits):
     from modlab.config import Limits
 
+    limits(Limits(max_end=8))
     with pytest.raises(SizeLimitExceeded):
-        end_ring(
-            z2_plus_z4,
-            Limits(max_end=8),
-        )
+        end_ring(z2_plus_z4)
 
 
-def test_regular_module_memo_is_keyed_by_limits(Z4):
+def test_regular_module_memo_is_keyed_by_limits(Z4, limits):
     from modlab.config import Limits
 
     regular_module(Z4)
+    limits(Limits(max_module=2))
     with pytest.raises(SizeLimitExceeded):
-        regular_module(Z4, Limits(max_module=2))
+        regular_module(Z4)
 
 
 def test_memoized_constructions_serve_every_name():

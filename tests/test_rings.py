@@ -60,9 +60,12 @@ def test_ill_formed_constants_rejected():
         ring_from_constants((2, 4), constants, (1, 0))
 
 
-def test_size_limit():
+def test_size_limit(limits):
     with pytest.raises(SizeLimitExceeded):
-        cyclic_ring(5000, limits=Limits(max_ring=4096))
+        cyclic_ring(5000)
+    limits(Limits(max_ring=8))
+    with pytest.raises(SizeLimitExceeded):
+        cyclic_ring(9)
 
 
 def test_all_builtins_valid():
@@ -114,7 +117,6 @@ def test_build_ring_dispatcher():
     assert build_ring(("product", ("cyclic", 2), ("cyclic", 3))).size == 6
     assert build_ring(("upper_triangular_2x2", 3)).size == 27
     assert build_ring(("polynomial_quotient", 3, 2)).size == 9
-    assert build_ring({"kind": "cyclic", "n": 9}).size == 9
     with pytest.raises(IllFormedConstants):
         build_ring(("nonsense", 1))
 

@@ -79,6 +79,40 @@ def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
 
 
+def limits_bindings(source: str) -> list[str]:
+    """Functions that take a ``limits`` parameter, and imports that bind
+    ``LIMITS`` from the config module: the limits are the one value
+    ``config.LIMITS``, and a name bound from it by an import would keep
+    the old value when the limits change."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(a.arg == "limits" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                out.append(f"line {node.lineno}: {node.name}(limits)")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("config"):
+            out.extend(f"line {node.lineno}: import {alias.name}" for alias in node.names
+                       if alias.name in ("LIMITS", "*"))
+    return out
+
+
+def test_limits_binding_scan_sees_parameters_and_imports():
+    source = ("from . import config\n"
+              "from .config import ADD_TABLE_MAX, LIMITS\n"
+              "from modlab.config import *\n"
+              "def f(module, limits=None):\n"
+              "    def g(*, limits):\n"
+              "        return config.LIMITS\n"
+              "    return g\n")
+    assert limits_bindings(source) == ["line 2: import LIMITS", "line 3: import *",
+                                       "line 4: f(limits)", "line 5: g(limits)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_limits_are_read_from_config_at_call_time(path):
+    assert limits_bindings(path.read_text()) == []
+
+
 def module_level_containers(source: str) -> list[str]:
     """Names a module binds at its top level to a mutable container that
     starts out empty (``{}``, ``dict()``, ``set()``) or to anything

@@ -175,7 +175,7 @@ def test_injective_hull_postconditions(z2_plus_z8):
         assert is_injective(e)
 
 
-def test_hull_memo_is_keyed_by_limits(Z4):
+def test_hull_memo_is_keyed_by_limits(Z4, limits):
     """A hull memoized under the default limits is not returned for
     tighter ones: the hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements."""
     from modlab.catalog import GenerationPolicy, enumerate_modules
@@ -183,12 +183,12 @@ def test_hull_memo_is_keyed_by_limits(Z4):
     from modlab.errors import SizeLimitExceeded
 
     catalog = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
-    tight = Limits(max_module=8)
+    hulls = [injective_hull(m)[0] for m in catalog.modules]
+    limits(Limits(max_module=8))
     over = []
-    for m in catalog.modules:
-        hull, _ = injective_hull(m)
+    for m, hull in zip(catalog.modules, hulls):
         try:
-            injective_hull(m, tight)
+            injective_hull(m)
         except SizeLimitExceeded:
             over.append(m.component_orders)
         else:

@@ -1,10 +1,7 @@
 """Suite mechanics: record shapes, hypothesis skipping, disagreement
 accounting, and spot checks of suite verdicts."""
 
-import json
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -80,9 +77,9 @@ def test_t312_statement_names(f2xz4_catalog):
     assert "bounded" in rep.scope
 
 
-def test_suites_skip_when_end_ring_over_limit(z8_catalog):
-    tight = Limits(max_end=16)
-    rep = verify_theorem("T3.2", z8_catalog, limits=tight)
+def test_suites_skip_when_end_ring_over_limit(z8_catalog, limits):
+    limits(Limits(max_end=16))
+    rep = verify_theorem("T3.2", z8_catalog)
     assert rep.summary["skipped"] > 0
     assert rep.summary["disagreements"] == 0
 
@@ -121,57 +118,46 @@ def test_c27_image_dedupe_matches_per_endomorphism_scan(rid):
     assert failures
 
 
-def t312_summary_in_fresh_interpreter(limits: str) -> dict:
-    """T3.12 over the Z4 catalog with the given ``Limits(...)`` source, in a
-    fresh interpreter, so no memo from another test already holds the
-    radicals."""
-    code = (
-        "import json\n"
-        "from modlab.catalog import GenerationPolicy, enumerate_modules\n"
-        "from modlab.config import Limits\n"
-        "from modlab.rings import builtin_ring\n"
-        "from modlab.suites import verify_theorem\n"
-        "cat = enumerate_modules(builtin_ring('Z4'), GenerationPolicy(2, 256), ring_id='Z4')\n"
-        f"rep = verify_theorem('T3.12', cat, {limits})\n"
-        "print(json.dumps(rep.summary))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+@pytest.fixture
+def z4_catalog():
+    """The Z4 catalog, enumerated under the default limits."""
+    return enumerate_modules(builtin_ring("Z4"), GenerationPolicy(2, 256), ring_id="Z4")
 
 
-def test_t312_skips_modules_over_limits():
+def test_t312_skips_modules_over_limits(z4_catalog, limits):
     """Projective covers over ``max_module`` make zbar raise; T3.12 counts
     those modules as skipped instead of failing."""
+    limits(Limits(max_module=8))
     # the injective hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements
-    assert t312_summary_in_fresh_interpreter("Limits(max_module=8)") == {
+    assert verify_theorem("T3.12", z4_catalog).summary == {
         "instances": 1, "disagreements": 0, "skipped": 3}
 
 
-def test_t312_skips_modules_over_limits_after_a_default_run():
-    """The same count in this process after a default-limits T3.12 run has
+def test_t312_skips_modules_over_limits_after_a_default_run(z4_catalog, limits):
+    """The same count after a default-limits T3.12 run in this process has
     filled the radical, small-module and hull memos."""
-    cat = enumerate_modules(builtin_ring("Z4"), GenerationPolicy(2, 256), ring_id="Z4")
-    assert verify_theorem("T3.12", cat).summary["skipped"] == 0
-    assert verify_theorem("T3.12", cat, Limits(max_module=8)).summary == {
+    assert verify_theorem("T3.12", z4_catalog).summary["skipped"] == 0
+    limits(Limits(max_module=8))
+    assert verify_theorem("T3.12", z4_catalog).summary == {
         "instances": 1, "disagreements": 0, "skipped": 3}
 
 
-def test_t312_skips_modules_over_the_ring_limit():
+def test_t312_skips_modules_over_the_ring_limit(z4_catalog, limits):
     """Over a ring above ``max_ring`` the primitive idempotent search raises
     a limit error, so every nonzero module is skipped."""
-    assert t312_summary_in_fresh_interpreter("Limits(max_ring=2)") == {
+    limits(Limits(max_ring=2))
+    assert verify_theorem("T3.12", z4_catalog).summary == {
         "instances": 1, "disagreements": 0, "skipped": 5}
 
 
-def test_primitive_blocks_checks_the_ring_limit_before_its_memo(Z4):
+def test_primitive_blocks_checks_the_ring_limit_before_its_memo(Z4, limits):
     from modlab.errors import SizeLimitExceeded
     from modlab.structure import primitive_blocks
 
     assert primitive_blocks(Z4)
+    limits(Limits(max_ring=2))
     with pytest.raises(SizeLimitExceeded):
-        primitive_blocks(Z4, Limits(max_ring=2))
+        primitive_blocks(Z4)
 
 
 def test_suite_reports_are_json_stable(z8_catalog):

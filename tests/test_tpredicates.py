@@ -359,13 +359,13 @@ def test_fully_invariant_keys(s_plus_c, z2_plus_z4):
     assert len(fully_invariant_keys(s_plus_c)) == len(submodules(s_plus_c).nodes)
 
 
-def test_unevaluated_on_end_limit(z2_plus_z4):
+def test_unevaluated_on_end_limit(z2_plus_z4, limits):
     from modlab.config import Limits
 
-    tight = Limits(max_end=8)
-    assert is_dual_baer(z2_plus_z4, tight) is None
-    assert is_t_dual_baer(z2_plus_z4, tight) is None
-    assert k_module_class(z2_plus_z4, tight) == {
+    limits(Limits(max_end=8))
+    assert is_dual_baer(z2_plus_z4) is None
+    assert is_t_dual_baer(z2_plus_z4) is None
+    assert k_module_class(z2_plus_z4) == {
         "k": None,
         "t_k": None,
         "strongly_t_k": None,
@@ -395,12 +395,13 @@ def test_endo_subset_kinds(s_plus_c):
 
 @pytest.mark.parametrize("predicate", [t_small_keys, is_t_lifting],
                          ids=lambda f: f.__name__)
-def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate):
+def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate, limits):
     """Under max_module=8 the hull of the quotient Z2 + Z2 of Z2 + Z4 is
     over the limit, so a value memoized under the default limits must not
     answer."""
     from modlab.config import Limits
 
     predicate(z2_plus_z4)
+    limits(Limits(max_module=8))
     with pytest.raises(SizeLimitExceeded):
-        predicate(z2_plus_z4, Limits(max_module=8))
+        predicate(z2_plus_z4)
