@@ -48,8 +48,8 @@ from .serialize import cache_path, cache_read, cache_write
 
 
 class SubmoduleLattice:
-    """All submodules of a module in canonical order, with memoized joins
-    and meets keyed by node index."""
+    """All submodules of a module in canonical order, with joins and meets
+    memoized in one row per node index."""
 
     def __init__(self, parent: FiniteModule, nodes: list[Submodule]):
         self.parent = parent
@@ -57,8 +57,10 @@ class SubmoduleLattice:
         self.index = {s.key: i for i, s in enumerate(self.nodes)}
         self.zero_index = self.index[parent.zero_submodule().key]
         self.top_index = self.index[tuple(sorted(parent.elements()))]
-        self._joins: dict[tuple[int, int], int] = {}
-        self._meets: dict[tuple[int, int], int] = {}
+        # row i holds the joins (meets) of node i with nodes j >= i at
+        # position j - i, None until looked up; a row is made on first use
+        self._joins: list[list[int | None] | None] = [None] * len(self.nodes)
+        self._meets: list[list[int | None] | None] = [None] * len(self.nodes)
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
         self._by_size: dict[int, dict[frozenset[int], int]] = {}
@@ -80,22 +82,26 @@ class SubmoduleLattice:
     def join(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
-        got = self._joins.get((i, j))
+        row = self._joins[i] or self._new_row(self._joins, i)
+        got = row[j - i]
         if got is None:
             a, b = self.nodes[i], self.nodes[j]
-            got = j if a.elements <= b.elements else _find_sum(self._by_size, a, b)
-            self._joins[(i, j)] = got
+            got = row[j - i] = j if a.elements <= b.elements else _find_sum(self._by_size, a, b)
         return got
 
     def meet(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
-        got = self._meets.get((i, j))
+        row = self._meets[i] or self._new_row(self._meets, i)
+        got = row[j - i]
         if got is None:
             inter = self.nodes[i].elements & self.nodes[j].elements
-            got = self.index[tuple(sorted(inter))]
-            self._meets[(i, j)] = got
+            got = row[j - i] = self.index[tuple(sorted(inter))]
         return got
+
+    def _new_row(self, rows: list, i: int) -> list:
+        row = rows[i] = [None] * (len(self.nodes) - i)
+        return row
 
     def covers(self) -> list[list[int]]:
         """Hasse diagram: for each node, the indices it covers."""

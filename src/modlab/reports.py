@@ -100,10 +100,6 @@ class TheoremReport:
     summary: dict
     runtime: float = 0.0
 
-    @property
-    def disagreements(self) -> int:
-        return self.summary.get("disagreements", 0)
-
     def to_json(self, include_runtime: bool = False) -> dict:
         out = {
             "suite": self.suite,

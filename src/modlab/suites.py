@@ -10,6 +10,7 @@ assumed; instances failing a hypothesis are recorded as skipped.
 
 from __future__ import annotations
 
+import operator
 import time
 
 from .catalog import ModuleCatalog
@@ -225,18 +226,18 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     h(C) is spanned by the images of C's generators, so endomorphisms
     that agree on them share the image: each distinct image is tested
     once, and the first endomorphism to reach a failing image is still
-    the first failing one."""
+    the first failing one.  The signatures are read off the tables by one
+    ``itemgetter``; its leading item tab[0] = 0 keeps it defined on the
+    zero node, which has no generators."""
     lat = submodules(module)
     tables = [h.table() for h in end.homs]
     for key in keys:
         c = lat.nodes[lat.index[key]]
-        gens = c.generators()
-        seen = set()
-        for i, tab in enumerate(tables):
-            sig = tuple(map(tab.__getitem__, gens))
-            if sig in seen:
-                continue
-            seen.add(sig)
+        signature = operator.itemgetter(0, *c.generators())
+        # signature -> first endomorphism index: later (smaller) ones win
+        first = dict(zip(map(signature, reversed(tables)), reversed(range(len(tables)))))
+        for i in sorted(first.values()):
+            tab = tables[i]
             if tuple(sorted(set(map(tab.__getitem__, c.elements)))) not in keys:
                 return {"C": _node_witness(c), "endo": i}
     return None

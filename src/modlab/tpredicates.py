@@ -9,11 +9,22 @@ predicate keeps its definitional form as the primary implementation; the
 equivalent characterizations that hold for amply supplemented modules are
 exposed as *variants* so the verification suites can compare them
 independently instead of trusting the equivalences.
+
+Sets of endomorphisms are int bitmasks inside :class:`_EndData`: bit i
+stands for the i-th endomorphism of the End ring's canonical list.  The
+endomorphisms are grouped by image, one mask per distinct image, so a D-
+or T-set is the OR of the masks of the images inside a code set, and an
+image sum counts each image whose mask meets the member mask once.  The
+masks are compared as ints; a frozenset of indexes is built only at the
+public boundary (:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, compress, count
+from operator import or_
 
 from .cosingular import zbar2
 from .errors import SizeLimitExceeded
@@ -283,14 +294,26 @@ class EndoSubset:
         return True
 
 
-def _group_by_image(images: list[frozenset[int]]
-                    ) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """(image, indexes of the endomorphisms with that image) per distinct
+def _group_by_image(images: list[frozenset[int]]) -> list[tuple[frozenset[int], int]]:
+    """(image, mask of the endomorphisms with that image) per distinct
     image, so a query tests each image once."""
     groups: dict[frozenset[int], list[int]] = {}
     for i, img in enumerate(images):
         groups.setdefault(img, []).append(i)
-    return [(img, frozenset(members)) for img, members in groups.items()]
+    return [(img, _mask(members)) for img, members in groups.items()]
+
+
+def _mask(indexes) -> int:
+    """The bitmask with the given bits set."""
+    bits = bytearray(max(indexes, default=-1) // 8 + 1)
+    for i in indexes:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _indexes(mask: int) -> frozenset[int]:
+    """The set bits of a mask."""
+    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
 
 
 class _EndData:
@@ -308,41 +331,36 @@ class _EndData:
         self._z_groups = _group_by_image(self.z_images)
         self._full_groups = _group_by_image(self.full_images)
         self._pair_closure = None
-        # code set -> endo index set, one memo per image table.  Equal
-        # results share one object: many submodules get the same large
-        # set (every endomorphism, when the square radical is zero).
-        self._t_sets: dict[frozenset[int], frozenset[int]] = {}
-        self._d_sets: dict[frozenset[int], frozenset[int]] = {}
-        self._endo_sets: dict[frozenset[int], frozenset[int]] = {}
+        # code set -> endo mask, one memo per image table.  Equal results
+        # share one object: many submodules get the same large mask
+        # (every endomorphism, when the square radical is zero).
+        self._t_sets: dict[frozenset[int], int] = {}
+        self._d_sets: dict[frozenset[int], int] = {}
+        self._endo_sets: dict[int, int] = {}
 
-    def _within(self, groups, memo: dict, codes: frozenset[int]) -> frozenset[int]:
+    def _within(self, groups, memo: dict, codes: frozenset[int]) -> int:
         got = memo.get(codes)
         if got is None:
-            got = frozenset().union(*(members for img, members in groups if img <= codes))
+            got = reduce(or_, (mask for img, mask in groups if img <= codes), 0)
             got = memo[codes] = self._endo_sets.setdefault(got, got)
         return got
 
-    def t_set(self, codes: frozenset[int]) -> frozenset[int]:
+    def t_set(self, codes: frozenset[int]) -> int:
+        """Mask of the endomorphisms carrying the square radical into the
+        code set."""
         return self._within(self._z_groups, self._t_sets, codes)
 
-    def d_set(self, codes: frozenset[int]) -> frozenset[int]:
+    def d_set(self, codes: frozenset[int]) -> int:
+        """Mask of the endomorphisms with image inside the code set."""
         return self._within(self._full_groups, self._d_sets, codes)
 
-    def sum_images(self, endo_indexes, of_radical: bool) -> frozenset[int]:
-        """Union-span of per-endomorphism images (of the square radical,
-        or of the whole module)."""
+    def sum_images(self, members: int, of_radical: bool) -> frozenset[int]:
+        """Additive span of the images (of the square radical, or of the
+        whole module) of the endomorphisms in the member mask."""
+        groups = self._z_groups if of_radical else self._full_groups
         ws = self.module.workspace()
-        table = self.z_images if of_radical else self.full_images
-        acc: set[int] = {0}
-        seeds: set[int] = set()
-        for i in endo_indexes:
-            img = table[i]
-            if not img <= acc:
-                seeds |= img
-                acc |= img
-        if not seeds:
-            return frozenset((0,))
-        return frozenset(ws.additive_closure(acc))
+        return frozenset(ws.additive_closure(
+            chain.from_iterable(img for img, mask in groups if mask & members)))
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """All pairs (sum of images, sum of radical images) realized by
@@ -382,13 +400,13 @@ def end_data(module: FiniteModule) -> _EndData:
 def d_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms whose image lies in the submodule."""
     data = end_data(module)
-    return EndoSubset(data.end, data.d_set(n.elements), "d_set")
+    return EndoSubset(data.end, _indexes(data.d_set(n.elements)), "d_set")
 
 
 def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms carrying the square radical into the submodule."""
     data = end_data(module)
-    return EndoSubset(data.end, data.t_set(n.elements), "t_set")
+    return EndoSubset(data.end, _indexes(data.t_set(n.elements)), "t_set")
 
 
 # -- the dual-Baer family ----------------------------------------------------------
@@ -407,7 +425,7 @@ def dual_baer_witness(module: FiniteModule):
     summands = summand_keys(module)
     for full, _ in data.image_pair_closure():
         if tuple(sorted(full)) not in summands:
-            return data.d_set(full), full
+            return _indexes(data.d_set(full)), full
     return None
 
 
@@ -519,7 +537,7 @@ def k_module_class(module: FiniteModule) -> dict[str, bool | None]:
     except SizeLimitExceeded:
         return {"k": None, "t_k": None, "strongly_t_k": None}
     lat = submodules(module)
-    zero_d = frozenset((data.end.zero_index,))
+    zero_d = 1 << data.end.zero_index
     t0 = data.t_set(frozenset((0,)))
     k = True
     t_k = True

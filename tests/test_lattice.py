@@ -125,6 +125,16 @@ def test_joins_match_the_span_of_both_generator_sets(rid):
                 assert sum_submodules(a, b).elements == want
 
 
+@pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
+def test_meets_match_the_intersection_of_both_element_sets(rid):
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 32), ring_id=rid)
+    for m in catalog.modules:
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            for j, b in enumerate(lat.nodes):
+                assert lat.nodes[lat.meet(i, j)].elements == a.elements & b.elements
+
+
 RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
 
 

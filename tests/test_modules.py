@@ -30,6 +30,7 @@ from modlab.modules import (
     regular_module,
     span,
     submodule_as_module,
+    table_type,
     zero_hom,
     zero_module,
 )
@@ -659,7 +660,7 @@ def check_tables(module, homs, samples):
         assert ws.add(c, ws.neg[c]) == 0
     for mat, tab in zip(m.action, ws.basis_action()):
         h = ModuleHom(m, m, mat, validate=False)
-        assert tab == [h.apply(c) for c in m.elements()]
+        assert tab == table_type(m.size)([h.apply(c) for c in m.elements()])
     for r in itertools.islice(m.ring.element_coords(), 5):
         h = ModuleHom(m, m, m.ring_action_matrix(r), validate=False)
         assert [ws.act(c, r) for c in m.elements()] == [h.apply(c) for c in m.elements()]
@@ -667,7 +668,7 @@ def check_tables(module, homs, samples):
         f = ModuleHom(m if f.source == module else f.source,
                       m if f.target == module else f.target, f.matrix, validate=False)
         applied = [f.apply(c) for c in f.source.elements()]
-        assert image_table(f.source, f.target, f.matrix) == applied
+        assert image_table(f.source, f.target, f.matrix) == table_type(f.target.size)(applied)
         assert f.image().elements == frozenset(applied)
         assert f.kernel().elements == frozenset(
             c for c, y in zip(f.source.elements(), applied) if y == 0)

@@ -1,6 +1,8 @@
 """Relative smallness, coclosure, lifting, the dual-Baer family, and the
 annihilator-style endomorphism conditions."""
 
+from array import array
+
 import pytest
 
 from end_presentation import as_ring, hom_index_from_ring_coords
@@ -12,6 +14,7 @@ from modlab.modules import (
     end_ring,
     regular_module,
     span,
+    table_type,
     zero_module,
 )
 from modlab.rings import builtin_ring
@@ -98,6 +101,11 @@ def test_d_set_t_set_examples(s_plus_c):
     assert tc.members == t0.members
 
 
+def mask(indexes):
+    """The endomorphism mask with exactly these indexes' bits set."""
+    return sum(1 << i for i in set(indexes))
+
+
 def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
     for m in (s_plus_c, z2_plus_z8):
         data = end_data(m)
@@ -106,8 +114,8 @@ def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
                 codes = frozenset(node.elements)  # equal, not the same object
                 for got, images in ((data.t_set(codes), data.z_images),
                                     (data.d_set(codes), data.full_images)):
-                    assert got == {i for i, img in enumerate(images)
-                                   if img <= node.elements}
+                    assert got == mask(i for i, img in enumerate(images)
+                                       if img <= node.elements)
 
 
 def idempotents_by_image_scan(end):
@@ -233,6 +241,45 @@ def test_shared_images_match_each_hom_catalog_wide(rid, gens):
     assert checked
 
 
+def set_bits(mask):
+    """The indexes of a mask's set bits, read one bit at a time."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_end_ring_tables_and_masks_match_single_element_scans(rid):
+    """Over every catalog module whose End ring is within the default
+    limits: each End-ring table is packed (bytes up to 256 elements, an
+    array above) and holds the single-element images, and every _EndData
+    mask (per image, per node D- and T-set) has exactly the indexes of
+    the image scan as its set bits."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    checked = 0
+    for m in catalog.modules:
+        try:
+            data = end_data(m)
+        except SizeLimitExceeded:
+            continue
+        pack = table_type(m.size)
+        packed_type = bytes if m.size <= 256 else array
+        for h in data.end.homs:
+            assert type(h.table()) is packed_type
+            assert h.table() == pack([h.apply(c) for c in range(m.size)]), (m, h.matrix)
+        for groups, images in ((data._full_groups, data.full_images),
+                               (data._z_groups, data.z_images)):
+            assert len(groups) == len(set(images))
+            for image, group_mask in groups:
+                assert set_bits(group_mask) == {i for i, img in enumerate(images)
+                                                if img == image}
+        for node in submodules(m).nodes:
+            for got, images in ((data.d_set(node.elements), data.full_images),
+                                (data.t_set(node.elements), data.z_images)):
+                assert set_bits(got) == {i for i, img in enumerate(images)
+                                         if img <= node.elements}
+        checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
                          ids=lambda v: f"gens{v}" if isinstance(v, int) else v)
 def test_closure_route_matches_the_right_ideal_listing(rid, gens):
@@ -251,7 +298,8 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
         if data.end.size > LISTED_END_MAX:
             continue
         ideals = right_ideals(data.end)
-        pairs = {(data.sum_images(g, of_radical=False), data.sum_images(g, of_radical=True))
+        pairs = {(data.sum_images(mask(g), of_radical=False),
+                  data.sum_images(mask(g), of_radical=True))
                  for _, g in ideals}
         assert pairs == set(data.image_pair_closure()), m
         summands = summand_keys(m)
@@ -263,7 +311,7 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
             members, image_sum = dual_baer_witness(m)
             assert EndoSubset(data.end, members, "d_set").verify_right_ideal(), m
             assert members in {ideal for ideal, _ in ideals}, m
-            assert data.sum_images(members, of_radical=False) == image_sum, m
+            assert data.sum_images(mask(members), of_radical=False) == image_sum, m
             assert tuple(sorted(image_sum)) not in summands, m
         checked += 1
     assert checked
@@ -310,11 +358,11 @@ def test_minimal_joint_complement_matches_the_subnode_scan(rid):
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
     data = end_data(z2_plus_z4)
     for members, gens in right_ideals(data.end):
-        assert data.sum_images(members, of_radical=False) == data.sum_images(
-            gens, of_radical=False
+        assert data.sum_images(mask(members), of_radical=False) == data.sum_images(
+            mask(gens), of_radical=False
         )
-        assert data.sum_images(members, of_radical=True) == data.sum_images(
-            gens, of_radical=True
+        assert data.sum_images(mask(members), of_radical=True) == data.sum_images(
+            mask(gens), of_radical=True
         )
 
 
