@@ -355,7 +355,7 @@ def _module_from_file(path: str, ring: FiniteRing) -> FiniteModule:
         with open(path) as fh:
             obj = json.load(fh)
         module = module_from_json(obj, ring=None if "ring" in obj else ring)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InvalidConfig(f"module file {path}: {type(exc).__name__}: {exc}") from None
     if module.ring != ring:
         raise InvalidConfig(f"module file {path} is over a different ring than --ring")

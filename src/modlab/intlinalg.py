@@ -1,7 +1,11 @@
-"""Exact integer matrix utilities: Smith normal form with column transforms,
-triangular lattice bases, and exact solves.
+"""Exact integer matrix utilities: the one matrix product (optionally
+reduced by column orders) and identity builder of the package, Smith
+normal form with column transforms, triangular lattice bases, and exact
+solves.
 
-Matrices are lists of row lists of Python ints.  Everything here is exact;
+Matrices are sequences of row sequences of Python ints; working results
+are lists of row lists, and reduced products tuples of row tuples.
+Everything here is exact;
 the sizes involved (coordinate counts of desk-scale modules) stay tiny, so
 no effort is made to control entry growth beyond what the algorithms give
 for free.
@@ -9,28 +13,39 @@ for free.
 
 from __future__ import annotations
 
+from operator import mod
+
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    """The n x n identity, fresh lists; row i is the unit vector e_i."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Plain integer matrix product (len(a[0]) must equal len(b))."""
-    if not a:
-        return []
-    inner = len(b)
-    cols = len(b[0]) if b else 0
+def mat_mul(a, b, col_orders: tuple[int, ...] | None = None):
+    """Integer matrix product ``a @ b`` (len(a[0]) must equal len(b)), as
+    a list of row lists.  With ``col_orders``, column l of the product is
+    reduced mod col_orders[l] as it is written, and the result is a tuple
+    of row tuples, the hashable form of a reduced matrix."""
+    cols = len(col_orders) if col_orders is not None else (len(b[0]) if b else 0)
     out = []
     for row in a:
         acc = [0] * cols
-        for k in range(inner):
-            x = row[k]
+        for x, brow in zip(row, b):
             if x:
-                brow = b[k]
                 for j in range(cols):
                     acc[j] += x * brow[j]
-        out.append(acc)
-    return out
+        out.append(acc if col_orders is None else tuple(map(mod, acc, col_orders)))
+    return out if col_orders is None else tuple(out)
+
+
+def combine(coefs, matrices, col_orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """sum_b coefs[b] * matrices[b] for square matrices of len(col_orders)
+    rows, reduced as :func:`mat_mul` reduces: the coefficient row times
+    the matrices stacked as flat rows."""
+    t = len(col_orders)
+    stacked = [[x for row in m for x in row] for m in matrices]
+    flat = mat_mul((coefs,), stacked, col_orders * t)[0]
+    return tuple(flat[j * t:(j + 1) * t] for j in range(t))
 
 
 def smith_normal_form(
@@ -210,63 +225,51 @@ def subgroup_basis(ambient_orders: tuple[int, ...], generators: list[list[int]])
     the generators together with the relations o_i * e_i.  An integer
     vector lies in the lattice, that is its class lies in the subgroup,
     exactly when :meth:`RowBasis.solve` accepts it."""
-    d = len(ambient_orders)
-    basis = RowBasis(d)
+    basis = RowBasis(len(ambient_orders))
     for g in generators:
         basis.add([x % o for x, o in zip(g, ambient_orders)])
-    for i, o in enumerate(ambient_orders):
-        basis.add([o if j == i else 0 for j in range(d)])
+    for relation in relation_matrix(ambient_orders):
+        basis.add(relation)
     return basis
+
+
+def relation_matrix(orders: tuple[int, ...]) -> list[list[int]]:
+    """The relations o_i * e_i of Z/o_1 x ... x Z/o_d, one row each."""
+    return [[o * x for x in unit] for o, unit in zip(orders, identity_matrix(len(orders)))]
 
 
 def subgroup_decomposition(
     ambient_orders: tuple[int, ...], generators: list[list[int]]
-) -> tuple[tuple[int, ...], list[list[int]], "SubgroupCoords"]:
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], "SubgroupCoords"]:
     """Cyclic decomposition of the subgroup generated by ``generators``
     inside the group with the given component orders.
 
     Returns ``(orders, basis, coords)``: cyclic factor orders (each > 1,
-    divisor chain), one ambient representative vector per factor, and a
-    coordinate solver mapping subgroup elements to factor coordinates.
+    divisor chain), one reduced ambient representative vector per factor,
+    and a coordinate solver mapping subgroup elements to factor
+    coordinates.
     """
-    d = len(ambient_orders)
-    if d == 0:
-        return (), [], SubgroupCoords((), None, [], ())
     basis = subgroup_basis(ambient_orders, generators)
-    b = basis.matrix()
     # Express the ambient relation lattice in the coordinates of B, then
     # diagonalize: the quotient by those relations is the subgroup.
-    c = [basis.solve([o if j == i else 0 for j in range(d)]) for i, o in enumerate(ambient_orders)]
+    c = [basis.solve(relation) for relation in relation_matrix(ambient_orders)]
     diag, v, vinv = smith_normal_form(c)
     keep = [i for i, s in enumerate(diag) if s != 1]
     orders = tuple(diag[i] for i in keep)
-    rep_rows = mat_mul(vinv, b)
-    reps = [
-        [x % o for x, o in zip(rep_rows[i], ambient_orders)]
-        for i in keep
-    ]
-    coords = SubgroupCoords(orders, basis, v, tuple(keep))
+    reps = list(mat_mul([vinv[i] for i in keep], basis.matrix(), ambient_orders))
+    coords = SubgroupCoords(orders, basis, [[row[i] for i in keep] for row in v])
     return orders, reps, coords
 
 
 class SubgroupCoords:
-    """Maps ambient vectors of a subgroup to its cyclic-factor coordinates."""
+    """Maps ambient vectors of a subgroup to its cyclic-factor coordinates:
+    the lattice coordinates over the basis, times the kept columns of the
+    Smith column transform, reduced mod the factor orders."""
 
-    def __init__(self, orders, basis: RowBasis | None, v, keep: tuple[int, ...]):
+    def __init__(self, orders: tuple[int, ...], basis: RowBasis, v_keep: list[list[int]]):
         self.orders = orders
         self._basis = basis
-        self._v = v
-        self._keep = keep
+        self._v_keep = v_keep
 
     def coords(self, vector: list[int]) -> tuple[int, ...]:
-        if self._basis is None:
-            return ()
-        t = self._basis.solve(list(vector))
-        v = self._v
-        out = []
-        for pos, i in enumerate(self._keep):
-            acc = 0
-            for k in range(len(t)):
-                acc += t[k] * v[k][i]
-            out.append(acc % self.orders[pos])
-        return tuple(out)
+        return mat_mul((self._basis.solve(vector),), self._v_keep, self.orders)[0]

@@ -7,6 +7,15 @@ matrix A_b: the image of x is x @ A_b with column l reduced mod m_l.
 Homomorphism matrices follow the same row convention, so composition
 "f then g" is the product F @ G.
 
+Coordinate arithmetic has one implementation of each operation.  The
+mixed-radix ``encode``/``decode``, equality and hashing of rings and
+modules live in their shared base :class:`~modlab.rings.MixedRadix`.
+Every matrix product, from a hom check to a quotient's action matrices
+and a ring product through the structure constants, is
+:func:`~modlab.intlinalg.mat_mul`, which reduces column l mod its order
+as it writes the row when given the column orders; identity and unit
+vectors come from :func:`~modlab.intlinalg.identity_matrix`.
+
 Element arithmetic is table-driven.  Modules with the same component
 orders share one additive group: its addition table (dense, or
 two-level above ``ADD_TABLE_MAX`` elements) is built by composing
@@ -14,9 +23,9 @@ translations, and its negation table like any other map.  Each module's
 workspace adds one action table per ring basis element.  The
 whole-module table of any linear map comes from :func:`image_table`,
 which uses additivity: the images of a block of codes, translated by
-the image of one generator multiple, give the next block.  ``encode``, ``decode`` and
-``ModuleHom.apply`` work on single elements and serve as the reference
-the tables are tested against.
+the image of one generator multiple, give the next block.  ``encode``,
+``decode`` and ``ModuleHom.apply`` work on single elements, never read a
+code table, and serve as the reference the tables are tested against.
 
 Spans are seeded from generator images: G spans the additive span of the
 g * e_b (g * r = sum_b r_b (g * e_b), g = g * 1), which seeds the
@@ -37,7 +46,9 @@ code table along its enumeration: the table of f + rep is the pointwise
 sum of the two tables, so only the representatives' tables come from
 matrices, and ``ModuleHom.table()`` of a listed hom is never rebuilt.
 :class:`EndRing` takes its additive basis from the :func:`hom_group`
-representatives instead of decomposing every endomorphism again.
+representatives as they are, and finds an endomorphism's index by
+bisection on its matrix-sorted list, so it keeps no second
+decomposition and no index dict.
 
 Code tables are stored packed, in the one type :func:`table_type` gives
 for their target's size: ``bytes`` up to 256 elements, an unsigned
@@ -51,6 +62,7 @@ and iterate as lists do, and equal tables of one target compare equal.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 import operator
@@ -65,73 +77,45 @@ from .errors import (
     RingMismatch,
     SizeLimitExceeded,
 )
-from .intlinalg import smith_normal_form, subgroup_decomposition
+from .intlinalg import (
+    combine,
+    identity_matrix,
+    mat_mul,
+    relation_matrix,
+    smith_normal_form,
+    subgroup_decomposition,
+)
 from .memo import memo
-from .rings import FiniteRing, additive_order
+from .rings import FiniteRing, MixedRadix, additive_order
 
 
 def _reduce_matrix(matrix, col_orders) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple(map(operator.mod, map(int, row), col_orders)) for row in matrix])
 
 
-def _mat_mul_mod(a, b, col_orders):
-    rows = len(a)
-    inner = len(b)
-    t = len(col_orders)
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        acc = [0] * t
-        for k in range(inner):
-            x = arow[k]
-            if x:
-                brow = b[k]
-                for j in range(t):
-                    acc[j] += x * brow[j]
-        out.append(tuple(v % o for v, o in zip(acc, col_orders)))
-    return tuple(out)
-
-
-class FiniteModule:
+class FiniteModule(MixedRadix):
     """Finite right module: additive orders plus one action matrix per
     ring basis element.  Validation checks well-definedness, action
     compatibility with the ring multiplication, and that 1 acts as the
     identity."""
 
-    __slots__ = (
-        "ring",
-        "component_orders",
-        "action",
-        "size",
-        "key",
-        "_hash",
-        "_radix",
-        "_ws",
-    )
+    __slots__ = ("ring", "action", "_ws")
 
     def __init__(self, ring: FiniteRing, component_orders, action, validate: bool = True):
         orders = tuple(int(m) for m in component_orders)
         if any(m <= 0 for m in orders):
             raise NotSubmodule(f"component orders must be positive, got {orders}")
         t = len(orders)
-        size = prod(orders)
         max_module = config.LIMITS.max_module
-        if size > max_module:
-            raise SizeLimitExceeded(f"module size {size} exceeds limit {max_module}")
+        if prod(orders) > max_module:
+            raise SizeLimitExceeded(f"module size {prod(orders)} exceeds limit {max_module}")
         k = len(ring.component_orders)
         if len(action) != k or any(len(a) != t or any(len(r) != t for r in a) for a in action):
             raise NotSubmodule("action must give one t x t matrix per ring basis element")
         self.ring = ring
-        self.component_orders = orders
         self.action = tuple(_reduce_matrix(a, orders) for a in action)
-        self.size = size
-        radix = [1] * t
-        for i in range(1, t):
-            radix[i] = radix[i - 1] * orders[i - 1]
-        self._radix = tuple(radix)
+        super().__init__(orders, ("module", ring.key, orders, self.action))
         self._ws = None
-        self.key = ("module", ring.key, orders, self.action)
-        self._hash = hash(self.key)
         if validate:
             _validate_once(self)
 
@@ -156,42 +140,22 @@ class FiniteModule:
                         )
         for i in range(k):
             for j in range(k):
-                left = _mat_mul_mod(self.action[i], self.action[j], orders)
+                left = mat_mul(self.action[i], self.action[j], orders)
                 if left != self.ring_action_matrix(ring.constants[i][j]):
                     raise NotSubmodule(
                         f"action incompatible with ring product e_{i+1}*e_{j+1}"
                     )
-        ident = self.ring_action_matrix(ring.one)
-        expect = tuple(
-            tuple(1 % orders[l] if j == l else 0 for l in range(t)) for j in range(t)
-        )
-        if ident != expect:
+        if self.ring_action_matrix(ring.one) != _reduce_matrix(identity_matrix(t), orders):
             raise NotSubmodule("ring identity does not act as the identity map")
 
     # -- codes and coordinates -------------------------------------------
-
-    def encode(self, coords) -> int:
-        return sum((int(x) % m) * r for x, m, r in zip(coords, self.component_orders, self._radix))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        return tuple((code // r) % m for r, m in zip(self._radix, self.component_orders))
 
     def elements(self) -> range:
         return range(self.size)
 
     def ring_action_matrix(self, rcoords) -> tuple[tuple[int, ...], ...]:
         """Matrix of x -> x * r for a ring element in coordinates."""
-        t = len(self.component_orders)
-        acc = [[0] * t for _ in range(t)]
-        for b, coef in enumerate(rcoords):
-            if coef:
-                mat = self.action[b]
-                for j in range(t):
-                    row = mat[j]
-                    arow = acc[j]
-                    for l in range(t):
-                        arow[l] += coef * row[l]
-        return _reduce_matrix(acc, self.component_orders)
+        return combine(rcoords, self.action, self.component_orders)
 
     def workspace(self) -> "_Workspace":
         if self._ws is None:
@@ -206,12 +170,6 @@ class FiniteModule:
 
     def submodule(self, codes: Iterable[int], gens: Sequence[int] | None = None) -> "Submodule":
         return Submodule(self, frozenset(codes), gens=tuple(gens) if gens is not None else None)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteModule) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"<FiniteModule size={self.size} orders={self.component_orders}>"
@@ -601,17 +559,13 @@ def direct_sum_with_maps(*summands: FiniteModule):
     total = FiniteModule(ring, orders, tuple(action), validate=False)
     injections = []
     projections = []
+    unit = identity_matrix(t)
     off = 0
     for m in summands:
-        tm = len(m.component_orders)
-        inj = [[0] * t for _ in range(tm)]
-        proj = [[0] * tm for _ in range(t)]
-        for j in range(tm):
-            inj[j][off + j] = 1
-            proj[off + j][j] = 1
-        injections.append(ModuleHom(m, total, inj, validate=False))
-        projections.append(ModuleHom(total, m, proj, validate=False))
-        off += tm
+        part = slice(off, off + len(m.component_orders))
+        injections.append(ModuleHom(m, total, unit[part], validate=False))
+        projections.append(ModuleHom(total, m, [row[part] for row in unit], validate=False))
+        off = part.stop
     return total, injections, projections
 
 
@@ -644,27 +598,14 @@ def _quotient(module: FiniteModule, sub: Submodule):
     if t == 0 or sub.is_full():
         q = zero_module(module.ring)
         return q, ModuleHom(module, q, [[] for _ in range(t)], validate=False)
-    rel = [list(ws.coords[g]) for g in ws.generator_images(sub.generators())]
-    rel.extend([orders[i] if j == i else 0 for j in range(t)] for i in range(t))
-    diag, v, vinv = smith_normal_form(rel if rel else [[0] * t])
+    rel = [ws.coords[g] for g in ws.generator_images(sub.generators())]
+    diag, v, vinv = smith_normal_form(rel + relation_matrix(orders))
     keep = [i for i, s in enumerate(diag[:t]) if s != 1]
     new_orders = tuple(diag[i] for i in keep)
     proj_matrix = [[v[j][i] for i in keep] for j in range(t)]
     # images of the new basis under the old action, written in new coords
     preimage = [vinv[i] for i in keep]
-    action = []
-    for b in range(len(module.ring.component_orders)):
-        amat = module.action[b]
-        rows = []
-        for pre in preimage:
-            acc = [0] * t
-            for j, x in enumerate(pre):
-                if x:
-                    row = amat[j]
-                    for l in range(t):
-                        acc[l] += x * row[l]
-            rows.append([sum(acc[l] * v[l][i] for l in range(t)) for i in keep])
-        action.append(rows)
+    action = [mat_mul(mat_mul(preimage, amat), proj_matrix) for amat in module.action]
     q = FiniteModule(module.ring, new_orders, action)
     proj = ModuleHom(module, q, proj_matrix)
     if proj.kernel().elements != sub.elements:
@@ -696,22 +637,15 @@ def submodule_as_module(sub: Submodule) -> SubmoduleModule:
 @memo
 def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
     ws = parent.workspace()
-    gen_vectors = [list(ws.coords[c]) for c in ws.generator_images(sub.generators())]
+    gen_vectors = [ws.coords[c] for c in ws.generator_images(sub.generators())]
     orders, reps, coords = subgroup_decomposition(parent.component_orders, gen_vectors)
-    t = len(orders)
     # action matrices: image of each basis representative under e_b
-    action = []
-    for b in range(len(parent.ring.component_orders)):
-        rows = []
-        for rep in reps:
-            img = ws.basis_action()[b][parent.encode(rep)]
-            rows.append(list(coords.coords(list(ws.coords[img]))))
-        action.append(rows)
+    rep_codes = [parent.encode(rep) for rep in reps]
+    action = [[coords.coords(ws.coords[tab[c]]) for c in rep_codes]
+              for tab in ws.basis_action()]
     mod = FiniteModule(parent.ring, orders, action)
-    include = ModuleHom(mod, parent, [rep for rep in reps])
-    to_sub = {}
-    for c in sub.key:
-        to_sub[c] = mod.encode(coords.coords(list(ws.coords[c])))
+    include = ModuleHom(mod, parent, reps)
+    to_sub = {c: mod.encode(coords.coords(ws.coords[c])) for c in sub.key}
     return SubmoduleModule(mod, include, to_sub)
 
 
@@ -742,10 +676,10 @@ class ModuleHom:
 
     @classmethod
     def _reduced(cls, source: FiniteModule, target: FiniteModule, matrix,
-                 table: bytes | array) -> "ModuleHom":
+                 table: bytes | array | None = None) -> "ModuleHom":
         """A hom from a matrix of tuples already reduced into the target's
-        column orders and known to be a hom, with its code table: no
-        reduction and no check."""
+        column orders and known to be a hom, with its code table if known:
+        no reduction and no check."""
         h = cls.__new__(cls)
         h.source = source
         h.target = target
@@ -765,29 +699,24 @@ class ModuleHom:
             for l, nl in enumerate(tgt_orders):
                 if (mj * f[j][l]) % nl:
                     raise NotSubmodule(f"hom not well defined at entry ({j+1},{l+1})")
-        for b in range(len(self.source.ring.component_orders)):
-            left = _mat_mul_mod(self.source.action[b], f, tgt_orders)
-            right = _mat_mul_mod(f, self.target.action[b], tgt_orders)
-            if left != right:
+        for b, (a_src, a_tgt) in enumerate(zip(self.source.action, self.target.action)):
+            if mat_mul(a_src, f, tgt_orders) != mat_mul(f, a_tgt, tgt_orders):
                 raise NotSubmodule(f"map does not commute with the action of e_{b+1}")
 
     def apply(self, code: int) -> int:
-        coords = self.source.decode(code)
-        t = len(self.target.component_orders)
-        acc = [0] * t
-        for j, x in enumerate(coords):
-            if x:
-                row = self.matrix[j]
-                for l in range(t):
-                    acc[l] += x * row[l]
-        return self.target.encode(acc)
+        """The image of one code, by coordinates: the reference the code
+        tables are tested against."""
+        tgt = self.target
+        return tgt.encode(mat_mul((self.source.decode(code),), self.matrix,
+                                  tgt.component_orders)[0])
 
     def then(self, other: "ModuleHom") -> "ModuleHom":
         """Composite: apply self first, then other."""
         if other.source != self.target:
             raise RingMismatch("composition endpoints do not match")
-        prod_matrix = _mat_mul_mod(self.matrix, other.matrix, other.target.component_orders)
-        return ModuleHom(self.source, other.target, prod_matrix, validate=False)
+        return ModuleHom._reduced(self.source, other.target,
+                                  mat_mul(self.matrix, other.matrix,
+                                          other.target.component_orders))
 
     def add(self, other: "ModuleHom") -> "ModuleHom":
         assert self.source == other.source and self.target == other.target
@@ -837,9 +766,7 @@ class ModuleHom:
 
 
 def identity_hom(module: FiniteModule) -> ModuleHom:
-    t = len(module.component_orders)
-    return ModuleHom(module, module,
-                     [[1 if i == j else 0 for j in range(t)] for i in range(t)],
+    return ModuleHom(module, module, identity_matrix(len(module.component_orders)),
                      validate=False)
 
 
@@ -918,12 +845,11 @@ def hom_group(source: FiniteModule, target: FiniteModule
         # of the integer kernel of [C | diag(moduli)].  That matrix has
         # full row rank, so its kernel is spanned by the columns of the
         # Smith column transform past the diagonal.
-        system = [row + [n if e == r else 0 for e in range(r_count)]
-                  for r, (row, n) in enumerate(zip(equations, moduli))]
+        system = [row + rel for row, rel in zip(equations, relation_matrix(moduli))]
         _, v, _ = smith_normal_form(system)
         gens = [[v[r][i] for r in range(v_count)] for i in range(r_count, r_count + v_count)]
     else:
-        gens = [[int(r == i) for r in range(v_count)] for i in range(v_count)]
+        gens = identity_matrix(v_count)
     orders, y_reps, _ = subgroup_decomposition(tuple(mods), gens)
     reps = []
     for y in y_reps:
@@ -982,9 +908,7 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
     if m.ring != n.ring:
         raise RingMismatch("isomorphism needs a common base ring")
     if m == n:
-        t = len(m.component_orders)
-        return ModuleHom(m, n, [[int(i == j) for j in range(t)] for i in range(t)],
-                         validate=False)
+        return ModuleHom(m, n, identity_matrix(len(m.component_orders)), validate=False)
     if m.size != n.size:
         return None
     if _abelian_invariants(m.component_orders) != _abelian_invariants(n.component_orders):
@@ -998,9 +922,7 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
     if k == 0:
         return ModuleHom(m, n, [], validate=False)
     words = mws.generator_words()
-    coord_rows = [words[m.encode(tuple(
-        1 if i == j else 0 for i in range(len(m.component_orders))
-    ))] for j in range(len(m.component_orders))]
+    coord_rows = [words[m.encode(unit)] for unit in identity_matrix(len(m.component_orders))]
     cand_sets = []
     for g in gens:
         ann = mws.annihilator_generators(g)
@@ -1094,67 +1016,50 @@ def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
 
 # -- endomorphism rings ------------------------------------------------------
 
+_MATRIX = operator.attrgetter("matrix")
+
 
 class EndRing:
     """All endomorphisms of a module, with ring operations on their
     indices and an additive basis of the group they form.
 
-    ``homs`` is the canonical sorted list; composition multiplies as
-    "apply right factor first", matching endomorphisms written on the
-    left of the module.
+    ``homs`` is the canonical list, sorted by matrix with no repeats, so
+    an endomorphism's index is found by bisection on its matrix.
+    Composition multiplies as "apply right factor first", matching
+    endomorphisms written on the left of the module.
     """
 
     def __init__(self, module: FiniteModule, homs: list[ModuleHom]):
         self.module = module
         self.homs = homs
-        self.index = {h.matrix: i for i, h in enumerate(homs)}
-        self._basis = None
         self._full_images = None
         self._idempotents = None
-        ident = identity_hom(module)
-        self.identity_index = self.index[ident.matrix]
-        self.zero_index = self.index[zero_hom(module, module).matrix]
+        self.identity_index = self.index_of(identity_hom(module))
+        self.zero_index = self.index_of(zero_hom(module, module))
 
     @property
     def size(self) -> int:
         return len(self.homs)
 
+    def index_of(self, h: ModuleHom) -> int:
+        """Index of an endomorphism of the module."""
+        i = bisect_left(self.homs, h.matrix, key=_MATRIX)
+        if i == len(self.homs) or self.homs[i].matrix != h.matrix:
+            raise KeyError(h.matrix)
+        return i
+
     def compose(self, i: int, j: int) -> int:
         """Index of homs[i] after homs[j] (ring product i * j)."""
-        m = _mat_mul_mod(self.homs[j].matrix, self.homs[i].matrix,
-                         self.module.component_orders)
-        return self.index[m]
+        return self.index_of(self.homs[j].then(self.homs[i]))
 
     def add(self, i: int, j: int) -> int:
-        m = _reduce_matrix(
-            [
-                [x + y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.homs[i].matrix, self.homs[j].matrix)
-            ],
-            self.module.component_orders,
-        )
-        return self.index[m]
-
-    def _decompose(self):
-        # the hom_group representatives generate End(M) additively
-        orders = self.module.component_orders
-        t = len(orders)
-        ambient = tuple(orders[l] for _ in range(t) for l in range(t))
-        vectors = [
-            [x for row in rep for x in row]
-            for rep in hom_group(self.module, self.module)[1]
-        ]
-        _, reps, _ = subgroup_decomposition(ambient, vectors)
-        basis = []
-        for rep in reps:
-            mat = [rep[i * t:(i + 1) * t] for i in range(t)]
-            basis.append(ModuleHom(self.module, self.module, mat, validate=False))
-        self._basis = basis
+        return self.index_of(self.homs[i].add(self.homs[j]))
 
     def basis_homs(self) -> list[ModuleHom]:
-        if self._basis is None:
-            self._decompose()
-        return self._basis  # type: ignore[return-value]
+        """The :func:`hom_group` representatives, which generate the
+        endomorphisms additively."""
+        m = self.module
+        return [ModuleHom._reduced(m, m, rep) for rep in hom_group(m, m)[1]]
 
     def full_images(self) -> list[frozenset[int]]:
         """Per endomorphism, its image of the whole module, read off its

@@ -16,10 +16,40 @@ from typing import Iterator
 
 from . import config
 from .errors import IllFormedConstants, NoIdentity, NonAssociative, SizeLimitExceeded
+from .intlinalg import combine, identity_matrix, mat_mul
 from .memo import memo
 
 
-class FiniteRing:
+class MixedRadix:
+    """The group Z/d_1 x ... x Z/d_k with its elements as mixed-radix
+    codes, little-endian in basis order, equal and hashed by ``key``.
+    The one codec of rings and modules: their keys are tagged "ring" and
+    "module", so key equality alone separates the two."""
+
+    __slots__ = ("component_orders", "size", "key", "_hash", "_radix")
+
+    def __init__(self, orders: tuple[int, ...], key: tuple):
+        self.component_orders = orders
+        self.size = prod(orders)
+        self._radix = tuple(prod(orders[:i]) for i in range(len(orders)))
+        self.key = key
+        self._hash = hash(key)
+
+    def encode(self, coords) -> int:
+        """The code of a coordinate vector, each coordinate reduced first."""
+        return sum((int(x) % d) * r for x, d, r in zip(coords, self.component_orders, self._radix))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        return tuple((code // r) % d for r, d in zip(self._radix, self.component_orders))
+
+    def __eq__(self, other):
+        return isinstance(other, MixedRadix) and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+
+class FiniteRing(MixedRadix):
     """Finite associative ring with identity, in structure-constant form.
 
     ``component_orders``: additive orders (d_1..d_k) of the basis.
@@ -30,26 +60,16 @@ class FiniteRing:
     built-in table, the CLI and module catalogs).
     """
 
-    __slots__ = (
-        "component_orders",
-        "constants",
-        "one",
-        "size",
-        "key",
-        "_hash",
-        "_radix",
-        "_opposite",
-    )
+    __slots__ = ("constants", "one", "_opposite")
 
     def __init__(self, component_orders, constants, one):
         orders = tuple(int(d) for d in component_orders)
         if any(d <= 0 for d in orders):
             raise IllFormedConstants(f"component orders must be positive, got {orders}")
         k = len(orders)
-        size = prod(orders)
         max_ring = config.LIMITS.max_ring
-        if size > max_ring:
-            raise SizeLimitExceeded(f"ring size {size} exceeds limit {max_ring}")
+        if prod(orders) > max_ring:
+            raise SizeLimitExceeded(f"ring size {prod(orders)} exceeds limit {max_ring}")
         if len(constants) != k or any(
             len(ci) != k or any(len(cij) != k for cij in ci) for ci in constants
         ):
@@ -60,18 +80,11 @@ class FiniteRing:
             tuple(tuple(int(x) % orders[l] for l, x in enumerate(cij)) for cij in ci)
             for ci in constants
         )
-        self.component_orders = orders
         self.constants = tbl
         self.one = tuple(int(x) % orders[l] for l, x in enumerate(one))
-        self.size = size
-        radix = [1] * k
-        for i in range(1, k):
-            radix[i] = radix[i - 1] * orders[i - 1]
-        self._radix = tuple(radix)
+        super().__init__(orders, ("ring", orders, tbl, self.one))
         self._opposite = None
         self._validate()
-        self.key = ("ring", orders, tbl, self.one)
-        self._hash = hash(self.key)
 
     # -- validation ------------------------------------------------------
 
@@ -79,6 +92,7 @@ class FiniteRing:
         orders = self.component_orders
         k = len(orders)
         c = self.constants
+        units = [tuple(e) for e in identity_matrix(k)]
         # changing a factor by its order must not change the product
         for i in range(k):
             for j in range(k):
@@ -91,21 +105,17 @@ class FiniteRing:
         for i in range(k):
             for j in range(k):
                 for m in range(k):
-                    left = self.mul_coords(c[i][j], self.basis_coords(m))
-                    right = self.mul_coords(self.basis_coords(i), c[j][m])
+                    left = self.mul_coords(c[i][j], units[m])
+                    right = self.mul_coords(units[i], c[j][m])
                     if left != right:
                         raise NonAssociative(
                             f"(e_{i+1}e_{j+1})e_{m+1} != e_{i+1}(e_{j+1}e_{m+1})"
                         )
-        for j in range(k):
-            ej = self.basis_coords(j)
+        for j, ej in enumerate(units):
             if self.mul_coords(self.one, ej) != ej or self.mul_coords(ej, self.one) != ej:
                 raise NoIdentity(f"declared identity is not a unit on e_{j+1}")
 
     # -- coordinate arithmetic -------------------------------------------
-
-    def basis_coords(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(len(self.component_orders)))
 
     def zero_coords(self) -> tuple[int, ...]:
         return (0,) * len(self.component_orders)
@@ -117,29 +127,10 @@ class FiniteRing:
         return tuple((-x) % d for x, d in zip(a, self.component_orders))
 
     def mul_coords(self, a, b) -> tuple[int, ...]:
-        k = len(self.component_orders)
-        acc = [0] * k
-        c = self.constants
-        for i in range(k):
-            ai = a[i]
-            if not ai:
-                continue
-            ci = c[i]
-            for j in range(k):
-                bj = b[j]
-                if not bj:
-                    continue
-                cij = ci[j]
-                f = ai * bj
-                for l in range(k):
-                    acc[l] += f * cij[l]
-        return tuple(x % d for x, d in zip(acc, self.component_orders))
-
-    def encode(self, coords) -> int:
-        return sum(x * r for x, r in zip(coords, self._radix))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        return tuple((code // r) % d for r, d in zip(self._radix, self.component_orders))
+        # constants[i] is the matrix of e_i * -, so a times them is the
+        # matrix of a * -, whose row j is a * e_j
+        orders = self.component_orders
+        return mat_mul((b,), combine(a, self.constants, orders), orders)[0]
 
     def element_coords(self) -> Iterator[tuple[int, ...]]:
         for code in range(self.size):
@@ -168,12 +159,6 @@ class FiniteRing:
     def idempotent_coords(self) -> list[tuple[int, ...]]:
         """All coordinates e with e*e == e, in code order."""
         return [a for a in self.element_coords() if self.mul_coords(a, a) == a]
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteRing) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"<FiniteRing orders={self.component_orders} size={self.size}>"
@@ -267,15 +252,9 @@ def polynomial_quotient_ring(p: int, n: int) -> FiniteRing:
     """(Z/p)[x] / (x^n), basis 1, x, ..., x^(n-1)."""
     if n <= 0:
         raise IllFormedConstants("polynomial quotient degree must be positive")
-    constants = tuple(
-        tuple(
-            tuple(1 if l == i + j else 0 for l in range(n)) if i + j < n else (0,) * n
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    one = tuple(1 if l == 0 else 0 for l in range(n))
-    return FiniteRing((p,) * n, constants, one)
+    x_power = identity_matrix(n)
+    constants = [[x_power[i + j] if i + j < n else [0] * n for j in range(n)] for i in range(n)]
+    return FiniteRing((p,) * n, constants, x_power[0])
 
 
 def opposite_ring(r: FiniteRing) -> FiniteRing:
@@ -342,9 +321,9 @@ def builtin_ring(ring_id: str) -> FiniteRing:
     raise KeyError(f"unknown ring id {ring_id!r}")
 
 
-def additive_order(ring_or_orders, coords) -> int:
-    """Additive order of a coordinate vector."""
-    orders = getattr(ring_or_orders, "component_orders", ring_or_orders)
+def additive_order(orders, coords) -> int:
+    """Additive order of a coordinate vector in the group with these
+    component orders."""
     out = 1
     for x, d in zip(coords, orders):
         if x:

@@ -30,8 +30,24 @@ def ring_to_json(ring: FiniteRing) -> dict:
     }
 
 
+def _integers(value, depth: int, field: str):
+    """``value``, checked to be lists nested ``depth`` deep around JSON
+    integers.  A float, a boolean, or a number too large for a float such
+    as 1e400 raises ValueError instead of being truncated to an int."""
+    if depth:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{field} must be lists nested {depth} deep, got {value!r}")
+        for item in value:
+            _integers(item, depth - 1, field)
+    elif type(value) is not int:
+        raise ValueError(f"{field} entries must be integers, got {value!r}")
+    return value
+
+
 def ring_from_json(obj: dict) -> FiniteRing:
-    return ring_from_constants(obj["orders"], obj["constants"], obj["one"])
+    return ring_from_constants(_integers(obj["orders"], 1, "orders"),
+                               _integers(obj["constants"], 3, "constants"),
+                               _integers(obj["one"], 1, "one"))
 
 
 def module_to_json(module: FiniteModule, ring_id: str | None = None) -> dict:
@@ -53,7 +69,8 @@ def module_from_json(obj: dict, ring: FiniteRing | None = None) -> FiniteModule:
                 raise InvalidConfig(str(exc)) from None
         else:
             ring = ring_from_json(ref)
-    return FiniteModule(ring, obj["orders"], obj["action"])
+    return FiniteModule(ring, _integers(obj["orders"], 1, "orders"),
+                        _integers(obj["action"], 3, "action"))
 
 
 def submodule_to_json(sub: Submodule) -> dict:

@@ -17,7 +17,7 @@ from math import prod
 
 from . import config
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
-from .intlinalg import subgroup_basis
+from .intlinalg import identity_matrix, subgroup_basis
 from .lattice import (
     is_small_within,
     is_essential,
@@ -106,12 +106,8 @@ def projection_along(sub: Submodule, comp: Submodule) -> ModuleHom:
     for a in sub.elements:
         for b in comp.elements:
             split[ws.add(a, b)] = a
-    t = len(module.component_orders)
-    rows = []
-    for j in range(t):
-        unit = module.encode(tuple(1 if i == j else 0 for i in range(t)))
-        rows.append(list(ws.coords[split[unit]]))
-    return ModuleHom(module, module, rows)
+    units = identity_matrix(len(module.component_orders))
+    return ModuleHom(module, module, [ws.coords[split[module.encode(e)]] for e in units])
 
 
 # -- direct summands ---------------------------------------------------------

@@ -345,6 +345,20 @@ def test_cli_profile_bad_index(capsys):
     '{"ring": "Z8", "orders": [8]}',
     '{"orders": [8], "action": 3}',
     "[1, 2]",
+    # numbers that are not JSON integers, which int() would truncate to a
+    # valid module or overflow on
+    '{"orders": [4.7], "action": [[[1.9]]]}',
+    '{"orders": [4], "action": [[[1.0]]]}',
+    '{"orders": [true], "action": [[[1]]]}',
+    '{"orders": [4], "action": [[[false]]]}',
+    '{"orders": [1e400], "action": [[[1]]]}',
+    '{"orders": [8], "action": [[[1e400]]]}',
+    '{"ring": {"orders": [1e400], "constants": [[[1]]], "one": [1]},'
+    ' "orders": [8], "action": [[[1]]]}',
+    '{"ring": {"orders": [8], "constants": [[[1.0]]], "one": [1]},'
+    ' "orders": [8], "action": [[[1]]]}',
+    '{"ring": {"orders": [8], "constants": [[[1]]], "one": [true]},'
+    ' "orders": [8], "action": [[[1]]]}',
 ])
 def test_cli_profile_bad_module_file(tmp_path, capsys, text):
     path = tmp_path / "module.json"
@@ -352,6 +366,17 @@ def test_cli_profile_bad_module_file(tmp_path, capsys, text):
     assert main(["profile", "--ring", "Z8", "--module", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_profile_module_directory(tmp_path, capsys):
+    """A directory exists but is not a module file: exit 2, not an
+    IsADirectoryError traceback."""
+    assert main(["profile", "--ring", "Z4", "--module", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -16,6 +16,7 @@ from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
     FiniteModule,
     ModuleHom,
+    additive_group,
     direct_sum,
     direct_sum_with_maps,
     end_ring,
@@ -295,6 +296,52 @@ def test_end_ring_as_ring_valid(z2_plus_z4):
             fi = hom_coords(ends, ends.homs[i])
             fj = hom_coords(ends, ends.homs[j])
             assert left == ring.mul_coords(fi, fj)
+
+
+# End rings up to this size have all their (i, j) pairs checked
+LOOKUP_END_MAX = 64
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_end_ring_lookups_match_a_linear_scan(rid):
+    """For every End ring of at most LOOKUP_END_MAX elements in the
+    two-generator catalog, each index the bisection returns is the
+    linear-scan position of the matrix that then, add, identity_hom and
+    zero_hom give, and the composite is "apply the right factor first"."""
+    checked = 0
+    for m in catalog_modules(rid):
+        try:
+            end = end_ring(m)
+        except SizeLimitExceeded:
+            continue
+        if end.size > LOOKUP_END_MAX:
+            continue
+        position = [h.matrix for h in end.homs].index
+        assert end.identity_index == position(identity_hom(m).matrix)
+        assert end.zero_index == position(zero_hom(m, m).matrix)
+        for i, f in enumerate(end.homs):
+            for j, g in enumerate(end.homs):
+                k = end.compose(i, j)
+                assert k == position(g.then(f).matrix), (m, i, j)
+                assert list(end.homs[k].table()) == [f.table()[y] for y in g.table()]
+                assert end.add(i, j) == position(f.add(g).matrix), (m, i, j)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_ring_codec_matches_its_regular_module_and_group(rid):
+    """A ring and its regular module share one mixed-radix codec, and both
+    agree with the additive group's decode table on every code."""
+    ring = builtin_ring(rid)
+    reg = regular_module(ring)
+    coords = additive_group(ring.component_orders).coords
+    for code in range(ring.size):
+        c = ring.decode(code)
+        assert c == reg.decode(code) == coords[code]
+        assert ring.encode(c) == reg.encode(c) == code
+        # encode reduces each coordinate first
+        assert ring.encode([x + d for x, d in zip(c, ring.component_orders)]) == code
 
 
 @pytest.mark.parametrize("rid", RING_IDS)

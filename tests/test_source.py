@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -200,3 +202,24 @@ def test_every_cosingular_profile_field_is_read():
     cosingular = next(p for p in SOURCES if p.name == "cosingular.py")
     readers = [p.read_text() for p in SOURCES if p != cosingular]
     assert unread_fields("CosingularProfile", cosingular.read_text(), readers) == []
+
+
+def tracer_layers() -> dict:
+    """``LAYERS`` of ``perfbench/tracing.py``, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def test_every_traced_entry_point_exists():
+    """The tracer wraps layer entry points by name and only warns about a
+    missing one, so a deleted or renamed entry point would go untraced."""
+    missing = [f"modlab.{module_name}.{fn_name}"
+               for module_name, fn_names in tracer_layers().values()
+               for fn_name in fn_names
+               if not callable(getattr(importlib.import_module(f"modlab.{module_name}"),
+                                       fn_name, None))]
+    assert missing == []
+    assert callable(modlab.modules.FiniteModule.workspace)

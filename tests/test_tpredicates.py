@@ -241,6 +241,27 @@ def test_shared_images_match_each_hom_catalog_wide(rid, gens):
     assert checked
 
 
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_fully_invariant_keys_match_a_scan_over_every_endomorphism(rid):
+    """Over every catalog module whose End ring is within the default
+    limits: the nodes stable under the additive basis are exactly the
+    nodes that every endomorphism's table maps into themselves."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    checked = 0
+    for m in catalog.modules:
+        try:
+            end = end_ring(m)
+        except SizeLimitExceeded:
+            continue
+        tables = [h.table() for h in end.homs]
+        stable = frozenset(
+            node.key for node in submodules(m).nodes
+            if all(tab[x] in node.elements for tab in tables for x in node.elements))
+        assert fully_invariant_keys(m) == stable, m
+        checked += 1
+    assert checked
+
+
 def set_bits(mask):
     """The indexes of a mask's set bits, read one bit at a time."""
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
