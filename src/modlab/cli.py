@@ -55,6 +55,9 @@ class HarnessConfig:
     jobs: int = field(default_factory=usable_cpus)
 
     def validate(self) -> None:
+        for noun, ids in (("ring", self.rings), ("suite", self.suites)):
+            if not ids or len(set(ids)) < len(ids):
+                raise InvalidConfig(f"empty or repeated {noun} list {','.join(ids)!r}")
         for rid in self.rings:
             _builtin_ring(rid)
         for sid in self.suites:
@@ -131,6 +134,11 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     Returns (exit status, summary object) and writes the report bundle
     when an output directory is configured."""
     config.validate()
+    if config.out_dir:  # before the run, so a bad path wastes none of it
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise InvalidConfig(f"output directory: {exc}") from None
     reports = []
     profile_flags = 0
     ring_results = _ring_results(config)
@@ -185,7 +193,6 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     }
     bundle["summary.json"] = stable_dumps(summary)
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         for name, text in sorted(bundle.items()):
             with open(os.path.join(config.out_dir, name), "w") as fh:
                 fh.write(text)
@@ -343,9 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rings_arg(value: str) -> tuple[str, ...]:
+def _ids_arg(value: str, every) -> tuple[str, ...]:
     if value == "all":
-        return DEFAULT_RINGS
+        return tuple(every)
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
@@ -417,12 +424,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            suites = tuple(SUITES) if args.suite == "all" else tuple(
-                s.strip() for s in args.suite.split(",") if s.strip()
-            )
             config = HarnessConfig(
-                rings=_rings_arg(args.ring),
-                suites=suites,
+                rings=_ids_arg(args.ring, DEFAULT_RINGS),
+                suites=_ids_arg(args.suite, SUITES),
                 max_generators=args.gens,
                 max_size=args.max_size,
                 out_dir=args.out,
@@ -437,7 +441,7 @@ def main(argv=None) -> int:
             return status
 
         if args.command == "oracle":
-            config = HarnessConfig(rings=_rings_arg(args.ring))
+            config = HarnessConfig(rings=_ids_arg(args.ring, DEFAULT_RINGS))
             config.validate()
             if args.samples < 0:
                 raise InvalidConfig("--samples must not be negative")

@@ -17,12 +17,11 @@ Every closure over joins goes through :func:`join_closure`, which joins
 each new element with the seeds only: a finite join is a seed joined onto
 a smaller join.  The lattice is the closure of the cyclic spans, since
 every submodule is a finite sum of cyclic ones, so each node is found as
-B + xR for a smaller node B.  Joins are found by size: |A + B| =
-|A| |B| / |A & B|, and A + B is the only submodule of that size holding
-the generators of A and of B, so a join is looked up among the nodes of
-that size (:func:`_find_sum`).  A sum is built only for a new node, as a
-union of cosets of the larger summand, translating it only by elements of
-the smaller one not yet covered.
+B + xR for a smaller node B.  The builder and the lattice find every
+join A + B through a :class:`SumIndex` of element bitmasks per node size.
+A sum is built only for a new node, as a union of cosets of the larger
+summand, translating it only by elements of the smaller one not yet
+covered.
 Smallness has two implementations: the definitional scan over all
 proper submodules, and the radical fast path A <= Rad(M), which agree
 over finite rings (every finite ring is perfect); the agreement itself is
@@ -63,9 +62,7 @@ class SubmoduleLattice:
         self._meets: list[list[int | None] | None] = [None] * len(self.nodes)
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
-        self._by_size: dict[int, dict[frozenset[int], int]] = {}
-        for i, node in enumerate(self.nodes):
-            self._by_size.setdefault(node.size, {})[node.elements] = i
+        self._sums = SumIndex((node, i) for i, node in enumerate(self.nodes))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -86,7 +83,7 @@ class SubmoduleLattice:
         got = row[j - i]
         if got is None:
             a, b = self.nodes[i], self.nodes[j]
-            got = row[j - i] = j if a.elements <= b.elements else _find_sum(self._by_size, a, b)
+            got = row[j - i] = j if a.elements <= b.elements else self._sums.find(a, b)
         return got
 
     def meet(self, i: int, j: int) -> int:
@@ -155,19 +152,33 @@ def join_closure(seeds, join) -> list:
     return list(closure)
 
 
-def _sum_size(a: Submodule, b: Submodule) -> int:
-    """|A + B| = |A| |B| / |A & B|."""
-    return a.size * b.size // len(a.elements & b.elements)
+class SumIndex:
+    """Values of submodules, looked up as A + B.  Per size it keeps the
+    values in order added and, per element code, an int whose bit k says
+    that the k-th node of that size holds the code.  A + B is the one node
+    of size |A| |B| / |A & B| holding the generators of A and of B, so its
+    bit is the one left in the AND of their masks and code 0's."""
 
+    def __init__(self, pairs=()):
+        self._sizes: dict[int, tuple[list, dict[int, int]]] = {}
+        for node, value in pairs:
+            self.add(node, value)
 
-def _find_sum(by_size: dict, a: Submodule, b: Submodule):
-    """A + B looked up in ``by_size`` (size -> {element set: value}), or
-    None when it is not there: A + B is the one node of size |A + B|
-    holding both generator sets."""
-    candidates = by_size.get(_sum_size(a, b), {})
-    span = frozenset(a.generators() + b.generators())
-    found = next(filter(span.issubset, candidates), None)
-    return None if found is None else candidates[found]
+    def add(self, node: Submodule, value) -> None:
+        values, masks = self._sizes.setdefault(node.size, ([], {}))
+        bit = 1 << len(values)
+        values.append(value)
+        for code in node.elements:
+            masks[code] = masks.get(code, 0) | bit
+
+    def find(self, a: Submodule, b: Submodule):
+        """The value added for A + B, or None when A + B is not indexed."""
+        size = a.size * b.size // len(a.elements & b.elements)
+        values, masks = self._sizes.get(size, ((), {}))
+        hit = masks.get(0, 0)
+        for code in a.generators() + b.generators():
+            hit &= masks.get(code, 0)
+        return values[hit.bit_length() - 1] if hit else None
 
 
 def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
@@ -213,21 +224,18 @@ def submodules(module: FiniteModule) -> SubmoduleLattice:
         cyc = ws.cyclic_span(code)
         if cyc not in cyclics:
             cyclics[cyc] = Submodule(module, cyc, gens=(code,))
-    by_size: dict[int, dict[frozenset[int], Submodule]] = {}
-    for node in cyclics.values():
-        by_size.setdefault(node.size, {})[node.elements] = node
+    sums = SumIndex((node, node) for node in cyclics.values())
 
     def extend(a: Submodule, c: Submodule) -> Submodule:
         if c.elements <= a.elements:
             return a
-        known = _find_sum(by_size, a, c)
-        if known is not None:
-            return known
-        size = _sum_size(a, c)
-        new = Submodule(module, frozenset(_sum_key(module, a, c)),
-                        gens=_prune_generators(module, a.generators() + c.generators(), size))
-        by_size.setdefault(size, {})[new.elements] = new
-        return new
+        known = sums.find(a, c)
+        if known is None:
+            key = _sum_key(module, a, c)
+            known = Submodule(module, frozenset(key), gens=_prune_generators(
+                module, a.generators() + c.generators(), len(key)))
+            sums.add(known, known)
+        return known
 
     nodes = join_closure(cyclics.values(), extend)
     nodes.append(module.zero_submodule())

@@ -165,32 +165,23 @@ def supplements_of(y: Submodule, module: FiniteModule) -> list[Submodule]:
 @memo
 def is_amply_supplemented(module: FiniteModule) -> bool:
     """Whenever A + B = M, some supplement of B lies inside A.  True for
-    every module over a finite ring, but computed from the definition."""
+    every module over a finite ring, but computed from the definition.
+    The supplements of B are the minimal X with X + B = M (Wisbauer,
+    Foundations of Module and Ring Theory, 41.1), so only the minimal X
+    of the up-set U = {X : X + B = M}, those covering no node of U, are
+    tested: every A in U holds one, and one that is no supplement fails
+    for A = X."""
     lat = submodules(module)
     top = lat.top_index
-    n = len(lat.nodes)
-    ok = True
-    for i in range(n):
-        sub_i = lat.subnode_indices(i)
-        for j in range(n):
-            if lat.join(i, j) != top:
-                continue
-            a = lat.nodes[i]
-            b = lat.nodes[j]
-            found = False
-            for xi in sub_i:
-                if lat.join(xi, j) != top:
-                    continue
-                x = lat.nodes[xi]
-                if is_small_within(module, x.elements & b.elements, x.elements):
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if not ok:
-            break
-    return ok
+    covers = lat.covers()
+    for j, b in enumerate(lat.nodes):
+        up = {i for i in range(len(lat)) if lat.join(i, j) == top}
+        for i in up:
+            x = lat.nodes[i]
+            if up.isdisjoint(covers[i]) and not is_small_within(
+                    module, x.elements & b.elements, x.elements):
+                return False
+    return True
 
 
 # -- small quotients and coclosed submodules -----------------------------------

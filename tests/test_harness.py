@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from modlab import memo
+from modlab import cli, memo
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.cli import (
@@ -406,12 +406,36 @@ def test_cli_verify_bad_ring(capsys):
      "--samples must not be negative"),
     (["oracle", "--check", "zbar", "--ring", "Z4", "--samples", "-5"],
      "--samples must not be negative"),
+    (["verify", "--ring", ","], "empty or repeated ring list ''"),
+    (["verify", "--suite", ","], "empty or repeated suite list ''"),
+    (["oracle", "--check", "small", "--ring", ","], "empty or repeated ring list ''"),
+    (["verify", "--ring", "Z4,Z4"], "empty or repeated ring list 'Z4,Z4'"),
+    (["verify", "--ring", "Z4", "--suite", "P2.2, P2.2"],
+     "empty or repeated suite list 'P2.2,P2.2'"),
 ], ids=["ring-show", "verify-ring", "profile-module", "oracle-small",
-        "oracle-summand", "oracle-zbar"])
+        "oracle-summand", "oracle-zbar", "verify-no-ring", "verify-no-suite",
+        "oracle-no-ring", "verify-ring-twice", "verify-suite-twice"])
 def test_cli_bad_input_exits_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"invalid configuration: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_verify_out_that_is_a_file_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the rings ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_ring_results", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["verify", "--ring", "Z4", "--suite", "P2.2", "--out", str(taken)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration: output directory: ")
+    assert str(taken) in captured.err
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -12,10 +12,10 @@ from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
 from modlab.errors import ParentMismatch, SizeLimitExceeded
 from modlab.lattice import (
+    SumIndex,
     _disk_load,
     _prune_generators,
     _sum_key,
-    _sum_size,
     intersect_submodules,
     is_essential,
     is_small,
@@ -278,7 +278,7 @@ def pairwise_closure_keys(module):
             for b in current:
                 if a.elements <= b.elements or b.elements <= a.elements:
                     continue
-                size = _sum_size(a, b)
+                size = a.size * b.size // len(a.elements & b.elements)
                 gens = a.generators() + b.generators()
                 if any(map(frozenset(gens).issubset, by_size.get(size, ()))):
                     continue
@@ -309,6 +309,58 @@ def test_cyclic_extension_keeps_the_pairwise_closure_nodes(rid):
         assert {node.key for node in lat.nodes} == pairwise_closure_keys(m), m
         for node in lat.nodes:
             assert span(m, node.generators()).elements == node.elements, m
+
+
+def scan_built_nodes(module):
+    """{node key: generators} of the lattice built as ``submodules`` builds
+    it, but with each sum looked up by scanning the nodes of size |A + B|
+    for the one holding both generator sets.  The reference for the
+    :class:`SumIndex` lookup."""
+    ws = module.workspace()
+    cyclics = {}
+    for code in range(1, module.size):
+        cyc = ws.cyclic_span(code)
+        if cyc not in cyclics:
+            cyclics[cyc] = Submodule(module, cyc, gens=(code,))
+    by_size = {}
+    for node in cyclics.values():
+        by_size.setdefault(node.size, {})[node.elements] = node
+
+    def extend(a, c):
+        if c.elements <= a.elements:
+            return a
+        size = a.size * c.size // len(a.elements & c.elements)
+        gens = a.generators() + c.generators()
+        candidates = by_size.setdefault(size, {})
+        found = next(filter(frozenset(gens).issubset, candidates), None)
+        if found is not None:
+            return candidates[found]
+        new = Submodule(module, frozenset(_sum_key(module, a, c)),
+                        gens=_prune_generators(module, gens, size))
+        candidates[new.elements] = new
+        return new
+
+    nodes = join_closure(cyclics.values(), extend) + [module.zero_submodule()]
+    return {node.key: node.generators() for node in nodes}
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_sum_index_builds_the_nodes_and_generators_of_the_scan(rid):
+    for m in catalog_square_and_cube(rid):
+        got = {node.key: node.generators() for node in submodules(m).nodes}
+        assert got == scan_built_nodes(m), m
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_sum_index_finds_a_sum_only_when_it_is_indexed(rid):
+    for m in catalog_and_square(rid):
+        lat = submodules(m)
+        kept = set(range(0, len(lat), 2))
+        index = SumIndex((lat.nodes[k], k) for k in kept)
+        for i, a in enumerate(lat.nodes):
+            for j, b in enumerate(lat.nodes):
+                joined = lat.join(i, j)
+                assert index.find(a, b) == (joined if joined in kept else None)
 
 
 @pytest.mark.parametrize("rid", ["Z8", "F2xZ4"])

@@ -1,8 +1,10 @@
 """Summands, supplements, coclosure, lifting, duality, covers, hulls and
 injectivity."""
 
+import pytest
 
-from modlab.lattice import is_essential, is_small, radical, submodules
+from modlab.catalog import GenerationPolicy, enumerate_modules
+from modlab.lattice import is_essential, is_small, is_small_within, radical, submodules
 from modlab.modules import (
     direct_sum,
     hom_set,
@@ -10,8 +12,10 @@ from modlab.modules import (
     quotient_module,
     regular_module,
     span,
+    submodule_as_module,
     zero_module,
 )
+from modlab.rings import builtin_ring
 from modlab.structure import (
     character_dual,
     complement_of,
@@ -75,6 +79,59 @@ def test_amply_supplemented(z2_plus_z8, F2xZ4, Z4):
     assert is_amply_supplemented(z2_plus_z8)
     assert is_amply_supplemented(zero_module(Z4))
     assert is_amply_supplemented(regular_module(F2xZ4))
+
+
+RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
+
+
+def ample_sweep(module):
+    """Ample supplementation by the definition: for every pair with
+    A + B = M, scan A's subnodes for a supplement of B.  The reference for
+    the test on minimal supplements only."""
+    lat = submodules(module)
+    top = lat.top_index
+    for i in range(len(lat)):
+        for j, b in enumerate(lat.nodes):
+            if lat.join(i, j) != top:
+                continue
+            if not any(lat.join(xi, j) == top and is_small_within(
+                           module, lat.nodes[xi].elements & b.elements,
+                           lat.nodes[xi].elements)
+                       for xi in lat.subnode_indices(i)):
+                return False
+    return True
+
+
+def catalog_modules(rid):
+    ring = builtin_ring(rid)
+    return enumerate_modules(ring, GenerationPolicy(2, 256), ring_id=rid).modules
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_minimal_supplements_agree_with_the_pair_sweep(rid):
+    """Over every two-generator catalog module and each of its nodes taken
+    as a standalone module."""
+    for m in catalog_modules(rid):
+        for module in [m] + [submodule_as_module(node).module
+                             for node in submodules(m).nodes]:
+            assert is_amply_supplemented(module) == ample_sweep(module), module
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_minimal_members_of_the_up_set_are_the_supplements(rid):
+    """For every B: the members of U = {X : X + B = M} covering no member
+    of U are the ones with no proper subnode in U, each supplements B, and
+    every member of U holds one."""
+    for m in catalog_modules(rid):
+        lat = submodules(m)
+        covers = lat.covers()
+        for j, b in enumerate(lat.nodes):
+            up = {i for i in range(len(lat)) if lat.join(i, j) == lat.top_index}
+            minimal = {i for i in up if up.isdisjoint(covers[i])}
+            assert minimal == {i for i in up
+                               if up.isdisjoint(lat.subnode_indices(i)[:-1])}
+            assert all(is_supplement(lat.nodes[i], b, m) for i in minimal)
+            assert all(minimal.intersection(lat.subnode_indices(a)) for a in up)
 
 
 def test_coclosed_examples(z4_reg, s_plus_c):
