@@ -25,6 +25,7 @@ from .modules import FiniteModule, hom_set, regular_module, span
 from .reports import disagrees, profile_module
 from .rings import FiniteRing, builtin_ring, builtin_ring_ids
 from .serialize import (
+    cache_dir,
     lattice_to_hasse_json,
     module_from_json,
     ring_to_json,
@@ -134,11 +135,13 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     Returns (exit status, summary object) and writes the report bundle
     when an output directory is configured."""
     config.validate()
-    if config.out_dir:  # before the run, so a bad path wastes none of it
+    # before the run, so a bad path wastes none of it
+    if config.out_dir:
         try:
             os.makedirs(config.out_dir, exist_ok=True)
         except OSError as exc:
             raise InvalidConfig(f"output directory: {exc}") from None
+    cache_dir()
     reports = []
     profile_flags = 0
     ring_results = _ring_results(config)

@@ -113,13 +113,26 @@ def content_hash(obj: FiniteRing | FiniteModule) -> str:
 T = TypeVar("T")
 
 
-def cache_path(kind: str, module: FiniteModule) -> str | None:
-    """The cache file of one kind of result for a module, or None when no
-    cache directory is configured."""
+def cache_dir() -> str | None:
+    """The configured cache directory, made if missing, or None when no
+    cache directory is configured.  A path that cannot be made a
+    directory (a regular file, say) is an invalid configuration."""
     root = os.environ.get(CACHE_ENV_VAR)
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfig(f"{CACHE_ENV_VAR}: {exc}") from None
+    return root
+
+
+def cache_path(kind: str, module: FiniteModule) -> str | None:
+    """The cache file of one kind of result for a module, or None when no
+    cache directory is configured."""
+    root = cache_dir()
+    if root is None:
+        return None
     return os.path.join(root, f"{kind}-{content_hash(module)}.json")
 
 

@@ -21,6 +21,7 @@ from .modules import (
     EndRing,
     FiniteModule,
     Submodule,
+    end_ring,
     quotient_module,
     submodule_as_module,
 )
@@ -35,7 +36,6 @@ from .structure import (
 )
 from .tpredicates import (
     dual_baer_quotient_condition,
-    end_data,
     fully_invariant_keys,
     has_sssp_in_zbar2,
     is_dual_baer,
@@ -49,6 +49,7 @@ from .tpredicates import (
     t_coclosed_keys,
     t_dual_baer_variants,
     t_lifting_variants,
+    t_set_is_trivial,
     t_small_variants,
     t_trace,
     zbar2_of_node,
@@ -257,11 +258,11 @@ def run_c27(catalog: ModuleCatalog) -> TheoremReport:
             f"{label} (1) square radical is t-coclosed",
             is_t_coclosed(z2, m), witness=_node_witness(z2)))
         try:
-            data = end_data(m)
+            end = end_ring(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
-        witness = endo_image_witness(m, data.end, t_coclosed_keys(m))
+        witness = endo_image_witness(m, end, t_coclosed_keys(m))
         instances.append(_holds_record(
             f"{label} (2) endo images of t-coclosed are t-coclosed",
             witness is None, witness))
@@ -455,20 +456,21 @@ def run_p38(catalog: ModuleCatalog) -> TheoremReport:
             continue
         label = catalog.label(idx)
         try:
-            data = end_data(m)
             kc = k_module_class(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
+        if kc["t_k"] is None:
+            skipped += 1
+            continue
         lat = submodules(m)
-        z2 = data.z2
-        t0set = data.t_set(frozenset((0,)))
+        z2 = zbar2(m)
         rad = radical(m).elements
         restricted = True
         for node in lat.nodes:
             if not node.elements <= z2.elements:
                 continue
-            if data.t_set(node.elements) == t0set and not node.elements <= rad:
+            if t_set_is_trivial(node, m) and not node.elements <= rad:
                 restricted = False
                 break
         instances.append(_values_record(
@@ -491,6 +493,15 @@ def run_p38(catalog: ModuleCatalog) -> TheoremReport:
     return _finish("P3.8", catalog, "per catalog module", instances, skipped)
 
 
+def _trace_and_vanishing(m: FiniteModule, keys) -> tuple[bool, bool]:
+    """Over the nodes C of ``keys``: whether the trace recovers every C,
+    and whether every C with T(C) = T(0) is zero."""
+    lat = submodules(m)
+    nodes = [lat.nodes[lat.index[key]] for key in keys]
+    return (all(t_trace(m, c) == c.elements for c in nodes),
+            all(c.is_zero() or not t_set_is_trivial(c, m) for c in nodes))
+
+
 def run_t39(catalog: ModuleCatalog) -> TheoremReport:
     """Relative lifting equals relative dual-Baer plus each of the three
     annihilator-style conditions on relatively coclosed submodules."""
@@ -500,7 +511,6 @@ def run_t39(catalog: ModuleCatalog) -> TheoremReport:
             skipped += 1
             continue
         try:
-            data = end_data(m)
             kc = k_module_class(m)
             tdb = is_t_dual_baer(m)
         except SizeLimitExceeded:
@@ -509,16 +519,7 @@ def run_t39(catalog: ModuleCatalog) -> TheoremReport:
         if tdb is None or kc["t_k"] is None:
             skipped += 1
             continue
-        lat = submodules(m)
-        t0set = data.t_set(frozenset((0,)))
-        trace_ok = True
-        vanish_ok = True
-        for key in t_coclosed_keys(m):
-            c = lat.nodes[lat.index[key]]
-            if t_trace(m, c) != c.elements:
-                trace_ok = False
-            if data.t_set(c.elements) == t0set and not c.is_zero():
-                vanish_ok = False
+        trace_ok, vanish_ok = _trace_and_vanishing(m, t_coclosed_keys(m))
         values = {
             "t_lifting": is_t_lifting(m),
             "t_dual_baer_and_t_k": tdb and bool(kc["t_k"]),
@@ -538,7 +539,6 @@ def run_c310(catalog: ModuleCatalog) -> TheoremReport:
             skipped += 1
             continue
         try:
-            data = end_data(m)
             kc = k_module_class(m)
             tdb = is_t_dual_baer(m)
         except SizeLimitExceeded:
@@ -547,16 +547,7 @@ def run_c310(catalog: ModuleCatalog) -> TheoremReport:
         if tdb is None or kc["strongly_t_k"] is None:
             skipped += 1
             continue
-        lat = submodules(m)
-        t0set = data.t_set(frozenset((0,)))
-        trace_ok = True
-        vanish_ok = True
-        for key in coclosed_keys(m):
-            c = lat.nodes[lat.index[key]]
-            if t_trace(m, c) != c.elements:
-                trace_ok = False
-            if data.t_set(c.elements) == t0set and not c.is_zero():
-                vanish_ok = False
+        trace_ok, vanish_ok = _trace_and_vanishing(m, coclosed_keys(m))
         values = {
             "noncosingular_lifting": zbar(m).is_full() and is_lifting(m),
             "t_dual_baer_and_strongly_t_k": tdb and bool(kc["strongly_t_k"]),

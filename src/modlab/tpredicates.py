@@ -10,21 +10,28 @@ equivalent characterizations that hold for amply supplemented modules are
 exposed as *variants* so the verification suites can compare them
 independently instead of trusting the equivalences.
 
-Sets of endomorphisms are int bitmasks inside :class:`_EndData`: bit i
-stands for the i-th endomorphism of the End ring's canonical list.  The
-endomorphisms are grouped by image, one mask per distinct image, so a D-
-or T-set is the OR of the masks of the images inside a code set, and an
-image sum counts each image whose mask meets the member mask once.  The
-masks are compared as ints; a frozenset of indexes is built only at the
-public boundary (:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`).
+The endomorphism-set predicates read only the distinct images f(M) and
+f(Z) of the endomorphisms f, where Z is the square radical, kept in
+:class:`_EndData` as the distinct (f(M), f(Z)) pairs.  With D(N) the maps
+with image inside N and T(N) the maps carrying Z into N:
+
+- D(N) = {0} exactly when no nonzero image f(M) lies in N, since only the
+  zero map has image {0};
+- T(N) = T(0) exactly when no nonzero radical image f(Z) lies in N, since
+  T(0) lies in T(N);
+- the radical image sum over T(C) (:func:`t_trace`) is the additive span
+  of the radical images that lie in C;
+- the (image sum, radical image sum) pairs of the right ideals are the
+  join closure of the distinct pairs (:meth:`_EndData.image_pair_closure`).
+
+Index sets of endomorphisms are built only at the public boundary
+(:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, compress, count
-from operator import or_
+from itertools import chain
 
 from .cosingular import zbar2
 from .errors import SizeLimitExceeded
@@ -294,73 +301,25 @@ class EndoSubset:
         return True
 
 
-def _group_by_image(images: list[frozenset[int]]) -> list[tuple[frozenset[int], int]]:
-    """(image, mask of the endomorphisms with that image) per distinct
-    image, so a query tests each image once."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, img in enumerate(images):
-        groups.setdefault(img, []).append(i)
-    return [(img, _mask(members)) for img, members in groups.items()]
-
-
-def _mask(indexes) -> int:
-    """The bitmask with the given bits set."""
-    bits = bytearray(max(indexes, default=-1) // 8 + 1)
-    for i in indexes:
-        bits[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _indexes(mask: int) -> frozenset[int]:
-    """The set bits of a mask."""
-    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+def _members(images: list[frozenset[int]], codes: frozenset[int]) -> frozenset[int]:
+    """Indexes of the endomorphisms whose image, in a per-endomorphism
+    image list, lies in the code set."""
+    return frozenset(i for i, img in enumerate(images) if img <= codes)
 
 
 class _EndData:
     """End ring of a module plus the image data every endomorphism-set
-    predicate consumes: each endomorphism's image of the module and of
-    the square radical, the D- and T-sets of code sets, and the (image
-    sum, radical image sum) pairs of the right ideals, which are the one
-    route of the dual-Baer family."""
+    predicate reads: each endomorphism's image of the module and of the
+    square radical, and the distinct (image, radical image) pairs in the
+    order of their first endomorphism."""
 
     def __init__(self, module: FiniteModule):
         self.module = module
         self.end = end_ring(module)
         self.z2 = zbar2(module)
         self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
-        self._z_groups = _group_by_image(self.z_images)
-        self._full_groups = _group_by_image(self.full_images)
+        self.pairs = list(dict.fromkeys(zip(self.full_images, self.z_images)))
         self._pair_closure = None
-        # code set -> endo mask, one memo per image table.  Equal results
-        # share one object: many submodules get the same large mask
-        # (every endomorphism, when the square radical is zero).
-        self._t_sets: dict[frozenset[int], int] = {}
-        self._d_sets: dict[frozenset[int], int] = {}
-        self._endo_sets: dict[int, int] = {}
-
-    def _within(self, groups, memo: dict, codes: frozenset[int]) -> int:
-        got = memo.get(codes)
-        if got is None:
-            got = reduce(or_, (mask for img, mask in groups if img <= codes), 0)
-            got = memo[codes] = self._endo_sets.setdefault(got, got)
-        return got
-
-    def t_set(self, codes: frozenset[int]) -> int:
-        """Mask of the endomorphisms carrying the square radical into the
-        code set."""
-        return self._within(self._z_groups, self._t_sets, codes)
-
-    def d_set(self, codes: frozenset[int]) -> int:
-        """Mask of the endomorphisms with image inside the code set."""
-        return self._within(self._full_groups, self._d_sets, codes)
-
-    def sum_images(self, members: int, of_radical: bool) -> frozenset[int]:
-        """Additive span of the images (of the square radical, or of the
-        whole module) of the endomorphisms in the member mask."""
-        groups = self._z_groups if of_radical else self._full_groups
-        ws = self.module.workspace()
-        return frozenset(ws.additive_closure(
-            chain.from_iterable(img for img, mask in groups if mask & members)))
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """All pairs (sum of images, sum of radical images) realized by
@@ -370,18 +329,16 @@ class _EndData:
         ideal's image sum equals the single generator's image (radical
         images use that the square radical is carried into itself by each
         endomorphism), so the realized pairs are the join closure of the
-        single-endomorphism pairs under the componentwise join.  Both
-        components are nodes of the module's lattice, so the closure runs
-        on pairs of node indices and joins through
+        distinct single-endomorphism pairs under the componentwise join.
+        Both components are nodes of the module's lattice, so the closure
+        runs on pairs of node indices and joins through
         :meth:`SubmoduleLattice.join`.
         """
         if self._pair_closure is not None:
             return self._pair_closure
         lat = submodules(self.module)
-        node = {img: lat.index[tuple(sorted(img))]
-                for img in {*self.full_images, *self.z_images}}
-        seeds = zip(map(node.__getitem__, self.full_images),
-                    map(node.__getitem__, self.z_images))
+        seeds = [(lat.index[tuple(sorted(full))], lat.index[tuple(sorted(z))])
+                 for full, z in self.pairs]
         closure = join_closure(seeds, lambda u, v: (lat.join(u[0], v[0]),
                                                    lat.join(u[1], v[1])))
         nodes = lat.nodes
@@ -400,13 +357,25 @@ def end_data(module: FiniteModule) -> _EndData:
 def d_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms whose image lies in the submodule."""
     data = end_data(module)
-    return EndoSubset(data.end, _indexes(data.d_set(n.elements)), "d_set")
+    return EndoSubset(data.end, _members(data.full_images, n.elements), "d_set")
 
 
 def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms carrying the square radical into the submodule."""
     data = end_data(module)
-    return EndoSubset(data.end, _indexes(data.t_set(n.elements)), "t_set")
+    return EndoSubset(data.end, _members(data.z_images, n.elements), "t_set")
+
+
+def d_set_is_zero(n: Submodule, module: FiniteModule) -> bool:
+    """D(N) = {0}: no nonzero image of the module lies in the submodule."""
+    return not any(len(full) > 1 and full <= n.elements
+                   for full, _ in end_data(module).pairs)
+
+
+def t_set_is_trivial(n: Submodule, module: FiniteModule) -> bool:
+    """T(N) = T(0): no nonzero image of the square radical lies in the
+    submodule."""
+    return not any(len(z) > 1 and z <= n.elements for _, z in end_data(module).pairs)
 
 
 # -- the dual-Baer family ----------------------------------------------------------
@@ -425,7 +394,7 @@ def dual_baer_witness(module: FiniteModule):
     summands = summand_keys(module)
     for full, _ in data.image_pair_closure():
         if tuple(sorted(full)) not in summands:
-            return _indexes(data.d_set(full)), full
+            return _members(data.full_images, full), full
     return None
 
 
@@ -533,23 +502,19 @@ def k_module_class(module: FiniteModule) -> dict[str, bool | None]:
     only-zero image set forces smallness; radical image set equal to the
     zero one forces relative smallness, respectively plain smallness."""
     try:
-        data = end_data(module)
+        end_data(module)
     except SizeLimitExceeded:
         return {"k": None, "t_k": None, "strongly_t_k": None}
     lat = submodules(module)
-    zero_d = 1 << data.end.zero_index
-    t0 = data.t_set(frozenset((0,)))
     k = True
     t_k = True
     strongly = True
     rad = radical(module).elements
     tsmall = t_small_keys(module)
     for node in lat.nodes:
-        dset = data.d_set(node.elements)
-        if dset == zero_d and not node.elements <= rad:
+        if d_set_is_zero(node, module) and not node.elements <= rad:
             k = False
-        tset = data.t_set(node.elements)
-        if tset == t0:
+        if t_set_is_trivial(node, module):
             if node.key not in tsmall:
                 t_k = False
             if not node.elements <= rad:
@@ -559,10 +524,11 @@ def k_module_class(module: FiniteModule) -> dict[str, bool | None]:
 
 def t_trace(module: FiniteModule, c: Submodule) -> frozenset[int]:
     """Sum of the radical images over every endomorphism carrying the
-    square radical into the given submodule."""
-    data = end_data(module)
-    members = data.t_set(c.elements)
-    return data.sum_images(members, of_radical=True)
+    square radical into the given submodule: the span of the radical
+    images that lie in it."""
+    ws = module.workspace()
+    return frozenset(ws.additive_closure(chain.from_iterable(
+        z for _, z in end_data(module).pairs if z <= c.elements)))
 
 
 def fully_invariant_keys(module: FiniteModule) -> frozenset:

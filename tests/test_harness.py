@@ -439,6 +439,29 @@ def test_cli_verify_out_that_is_a_file_exits_2_before_the_run(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--ring", "Z4", "--module", "1"],
+    ["verify", "--ring", "Z4,Z8", "--suite", "P2.2", "--jobs", "2"],
+], ids=["profile", "verify"])
+def test_cli_cache_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """MODLAB_CACHE naming a regular file is one line and exit 2, and
+    verify says so before any ring runs."""
+    def no_run(config):
+        raise AssertionError("the rings ran before MODLAB_CACHE was checked")
+
+    monkeypatch.setattr(cli, "_ring_results", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setenv("MODLAB_CACHE", str(taken))
+    memo.clear()  # a memoized profile would never reach the cache
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration: MODLAB_CACHE: ")
+    assert str(taken) in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_verify_single_suite(tmp_path, capsys):
     code = main([
         "verify", "--suite", "P2.2", "--ring", "Z4",

@@ -223,3 +223,30 @@ def test_every_traced_entry_point_exists():
                                        fn_name, None))]
     assert missing == []
     assert callable(modlab.modules.FiniteModule.workspace)
+
+
+def end_data_reads(source: str) -> list[str]:
+    """Imports and attribute reads of ``end_data`` or ``_EndData``: the
+    End-ring image data is a format private to ``tpredicates``."""
+    names = ("end_data", "_EndData")
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend(f"line {node.lineno}: import {alias.name}" for alias in node.names
+                       if alias.name.rsplit(".", 1)[-1] in names)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            out.append(f"line {node.lineno}: .{node.attr}")
+    return out
+
+
+def test_end_data_read_scan_sees_imports_and_attributes():
+    source = ("from .tpredicates import end_data, t_trace\n"
+              "from . import tpredicates\n"
+              "def f(m):\n"
+              "    return tpredicates._EndData(m), t_trace\n")
+    assert end_data_reads(source) == ["line 1: import end_data", "line 4: ._EndData"]
+
+
+def test_suites_do_not_read_the_end_data():
+    suites = next(p for p in SOURCES if p.name == "suites.py")
+    assert end_data_reads(suites.read_text()) == []

@@ -22,6 +22,7 @@ from modlab.structure import is_coclosed, is_lifting, summand_keys
 from modlab.tpredicates import (
     EndoSubset,
     d_set,
+    d_set_is_zero,
     dual_baer_witness,
     end_data,
     fully_invariant_keys,
@@ -39,6 +40,7 @@ from modlab.tpredicates import (
     t_dual_baer_variants,
     t_lifting_variants,
     t_set,
+    t_set_is_trivial,
     t_small_keys,
     t_small_variants,
     t_trace,
@@ -106,16 +108,45 @@ def mask(indexes):
     return sum(1 << i for i in set(indexes))
 
 
+def set_bits(mask):
+    """The indexes of a mask's set bits, read one bit at a time."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def table_images(end, codes):
+    """Per endomorphism, its image of the code set, read off its code
+    table: the whole image for every code, the radical image for the
+    square radical's."""
+    return [frozenset(map(h.table().__getitem__, codes)) for h in end.homs]
+
+
+def within(images, target):
+    """Mask of the endomorphisms whose image lies in the target code set:
+    D(N) from the whole images, T(N) from the radical images.  The
+    index-set route the image predicates are checked against."""
+    return mask(i for i, img in enumerate(images) if img <= target)
+
+
+def span_of_images(module, images, indexes):
+    """Additive span of the images of the endomorphisms at the given
+    indexes: the image sum of an index set."""
+    return frozenset(module.workspace().additive_closure(
+        c for img in {images[i] for i in indexes} for c in img))
+
+
 def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
     for m in (s_plus_c, z2_plus_z8):
-        data = end_data(m)
-        for _ in range(2):  # the second pass reads the memo
+        end = end_ring(m)
+        whole = table_images(end, range(m.size))
+        radical = table_images(end, zbar2(m).elements)
+        for _ in range(2):  # the second pass reads the memoized End data
             for node in submodules(m).nodes:
-                codes = frozenset(node.elements)  # equal, not the same object
-                for got, images in ((data.t_set(codes), data.z_images),
-                                    (data.d_set(codes), data.full_images)):
-                    assert got == mask(i for i, img in enumerate(images)
-                                       if img <= node.elements)
+                d_mask = within(whole, node.elements)
+                t_mask = within(radical, node.elements)
+                assert d_set(node, m).members == set_bits(d_mask)
+                assert t_set(node, m).members == set_bits(t_mask)
+                assert d_set_is_zero(node, m) == (d_mask == 1 << end.zero_index)
+                assert t_set_is_trivial(node, m) == (t_mask == within(radical, {0}))
 
 
 def idempotents_by_image_scan(end):
@@ -262,41 +293,37 @@ def test_fully_invariant_keys_match_a_scan_over_every_endomorphism(rid):
     assert checked
 
 
-def set_bits(mask):
-    """The indexes of a mask's set bits, read one bit at a time."""
-    return {i for i in range(mask.bit_length()) if mask >> i & 1}
-
-
 @pytest.mark.parametrize("rid", RING_IDS)
 def test_end_ring_tables_and_masks_match_single_element_scans(rid):
     """Over every catalog module whose End ring is within the default
     limits: each End-ring table is packed (bytes up to 256 elements, an
-    array above) and holds the single-element images, and every _EndData
-    mask (per image, per node D- and T-set) has exactly the indexes of
-    the image scan as its set bits."""
+    array above) and holds the single-element images, and at every node
+    N the image predicates agree with the D- and T-set masks scanned off
+    those tables: D(N) = {0}, T(N) = T(0), and the trace as the span of
+    the radical images over T(N)."""
     catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
     checked = 0
     for m in catalog.modules:
         try:
-            data = end_data(m)
+            end = end_ring(m)
         except SizeLimitExceeded:
             continue
         pack = table_type(m.size)
         packed_type = bytes if m.size <= 256 else array
-        for h in data.end.homs:
+        for h in end.homs:
             assert type(h.table()) is packed_type
             assert h.table() == pack([h.apply(c) for c in range(m.size)]), (m, h.matrix)
-        for groups, images in ((data._full_groups, data.full_images),
-                               (data._z_groups, data.z_images)):
-            assert len(groups) == len(set(images))
-            for image, group_mask in groups:
-                assert set_bits(group_mask) == {i for i, img in enumerate(images)
-                                                if img == image}
+        whole = table_images(end, range(m.size))
+        radical = table_images(end, zbar2(m).elements)
+        zero_d = 1 << end.zero_index
+        t0 = within(radical, {0})
         for node in submodules(m).nodes:
-            for got, images in ((data.d_set(node.elements), data.full_images),
-                                (data.t_set(node.elements), data.z_images)):
-                assert set_bits(got) == {i for i, img in enumerate(images)
-                                         if img <= node.elements}
+            t_mask = within(radical, node.elements)
+            assert d_set_is_zero(node, m) == (
+                within(whole, node.elements) == zero_d), (m, node.key)
+            assert t_set_is_trivial(node, m) == (t_mask == t0), (m, node.key)
+            assert t_trace(m, node) == span_of_images(
+                m, radical, set_bits(t_mask)), (m, node.key)
         checked += 1
     assert checked
 
@@ -319,8 +346,9 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
         if data.end.size > LISTED_END_MAX:
             continue
         ideals = right_ideals(data.end)
-        pairs = {(data.sum_images(mask(g), of_radical=False),
-                  data.sum_images(mask(g), of_radical=True))
+        whole = table_images(data.end, range(m.size))
+        radical = table_images(data.end, data.z2.elements)
+        pairs = {(span_of_images(m, whole, g), span_of_images(m, radical, g))
                  for _, g in ideals}
         assert pairs == set(data.image_pair_closure()), m
         summands = summand_keys(m)
@@ -332,7 +360,7 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
             members, image_sum = dual_baer_witness(m)
             assert EndoSubset(data.end, members, "d_set").verify_right_ideal(), m
             assert members in {ideal for ideal, _ in ideals}, m
-            assert data.sum_images(mask(members), of_radical=False) == image_sum, m
+            assert span_of_images(m, whole, members) == image_sum, m
             assert tuple(sorted(image_sum)) not in summands, m
         checked += 1
     assert checked
@@ -377,14 +405,12 @@ def test_minimal_joint_complement_matches_the_subnode_scan(rid):
 
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
-    data = end_data(z2_plus_z4)
-    for members, gens in right_ideals(data.end):
-        assert data.sum_images(mask(members), of_radical=False) == data.sum_images(
-            mask(gens), of_radical=False
-        )
-        assert data.sum_images(mask(members), of_radical=True) == data.sum_images(
-            mask(gens), of_radical=True
-        )
+    end = end_ring(z2_plus_z4)
+    for codes in (range(z2_plus_z4.size), zbar2(z2_plus_z4).elements):
+        images = table_images(end, codes)
+        for members, gens in right_ideals(end):
+            assert (span_of_images(z2_plus_z4, images, members)
+                    == span_of_images(z2_plus_z4, images, gens))
 
 
 def test_sssp_regular_semisimple(z4_reg, s_plus_c, F3):
