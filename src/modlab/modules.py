@@ -38,22 +38,23 @@ every candidate is well defined, and solves the remaining congruences
 A_b F = F B_b (mod n_l) by Smith reduction.  It returns the cyclic
 decomposition of Hom(M, N) inside the matrix group: factor orders and
 one representative matrix per factor.  Counts need only the orders,
-subgroup tests only the representatives, and :func:`hom_set` enumerates
-the group (refusing before it starts when the group is too large).
+subgroup tests only the representatives, and :func:`hom_tables`
+enumerates the group (refusing before it starts when the group is too
+large).
 
-Endomorphism data is built by additivity too.  :func:`hom_set` carries a
-code table along its enumeration: the table of f + rep is the pointwise
-sum of the two tables, so only the representatives' tables come from
-matrices, and ``ModuleHom.table()`` of a listed hom is never rebuilt.
-:class:`EndRing` takes its additive basis from the :func:`hom_group`
-representatives as they are, and finds an endomorphism's index by
-bisection on its matrix-sorted list, so it keeps no second
-decomposition and no index dict.
+Homs are enumerated as code tables.  :func:`hom_tables` lists Hom(M, N)
+by additivity, the table of f + rep being the pointwise sum of the two,
+so only the representatives' tables come from matrices; it sorts the
+tables by the matrix read off each (row j holds the coordinates of
+f(e_j)).  :class:`EndRing` keeps End(M) as that list alone, finds an
+index by bisection on the same matrices, and builds a ``ModuleHom``
+only when asked, as :func:`hom_set` does for every table.  End(M)'s
+additive basis is the :func:`hom_group` representatives as they are.
 
 Code tables are stored packed, in the one type :func:`table_type` gives
 for their target's size: ``bytes`` up to 256 elements, an unsigned
 16-bit ``array`` above.  Each table is packed as it is produced, by
-:func:`image_table` and inside :func:`hom_set`'s enumeration loop, so no
+:func:`image_table` and inside :func:`hom_tables`' enumeration loop, so no
 list of codes outlives the step that builds it.  The 8,192 tables of
 End(Z2 + Z4 + Z4) take 0.53 MB packed, 2.56 MB as lists.  Tables index
 and iterate as lists do, and equal tables of one target compare equal.
@@ -860,44 +861,54 @@ def hom_group(source: FiniteModule, target: FiniteModule
     return orders, reps
 
 
-def hom_set(source: FiniteModule, target: FiniteModule,
-            max_count: int | None = None) -> list[ModuleHom]:
-    """Complete hom list in a canonical (matrix-sorted) order, enumerated
-    from :func:`hom_group`, each hom with its code table already set: the
-    table of f + rep is the pointwise sum of their tables, packed as it
-    is summed.  Raises
-    :class:`SizeLimitExceeded` without enumerating when there are more
-    than ``max_count`` homs."""
+class _HomMatrix:
+    """The matrix of a hom source -> target read off its code table: row j
+    is the coordinate vector of f(e_j), the target code tab[e_j].  The
+    rows are the additive group's shared coordinate tuples."""
+
+    __slots__ = ("units", "coords")
+
+    def __init__(self, source: FiniteModule, target: FiniteModule):
+        # encode reduces, so e_j of a component of order 1 is code 0
+        self.units = [source.encode(e) for e in identity_matrix(len(source.component_orders))]
+        self.coords = additive_group(target.component_orders).coords
+
+    def __call__(self, tab: bytes | array) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.coords.__getitem__, map(tab.__getitem__, self.units)))
+
+
+def hom_tables(source: FiniteModule, target: FiniteModule,
+               max_count: int | None = None) -> list[bytes | array]:
+    """The code table of every hom source -> target, in the canonical
+    (matrix-sorted) order, enumerated from :func:`hom_group` by
+    additivity: the table of f + rep is the pointwise sum of their
+    tables, packed as it is summed.  Raises :class:`SizeLimitExceeded`
+    without enumerating when there are more than ``max_count`` homs."""
     orders, reps = hom_group(source, target)
     if max_count is not None and prod(orders) > max_count:
         raise SizeLimitExceeded(
             f"hom set larger than {max_count} between {source!r} and {target!r}"
         )
-    t = len(target.component_orders)
-    col_orders = target.component_orders * len(source.component_orders)
     group = additive_group(target.component_orders)
-    flats = [(0,) * len(col_orders)]
     tables = [group.pack([0] * source.size)]
     for o, rep in zip(orders, reps):
-        step = [x for row in rep for x in row]
-        step_table = image_table(source, target, rep)
-        block, block_tables = flats, tables
-        flats, tables = list(block), list(block_tables)
+        step = image_table(source, target, rep)
+        block = tables
+        tables = list(block)
         for _ in range(1, o):
-            block = [tuple((x + y) % n for x, y, n in zip(f, step, col_orders))
-                     for f in block]
-            block_tables = [group.add_pointwise(tab, step_table) for tab in block_tables]
-            flats.extend(block)
-            tables.extend(block_tables)
-    # rows have equal length, so flat order is matrix order; the homs
-    # share one tuple per distinct row
-    cuts = [slice(j * t, (j + 1) * t) for j in range(len(source.component_orders))]
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    homs = []
-    for pos in sorted(range(len(flats)), key=flats.__getitem__):
-        matrix = tuple([rows.setdefault(r, r) for r in map(flats[pos].__getitem__, cuts)])
-        homs.append(ModuleHom._reduced(source, target, matrix, tables[pos]))
-    return homs
+            block = [group.add_pointwise(tab, step) for tab in block]
+            tables.extend(block)
+    tables.sort(key=_HomMatrix(source, target))
+    return tables
+
+
+def hom_set(source: FiniteModule, target: FiniteModule,
+            max_count: int | None = None) -> list[ModuleHom]:
+    """Every hom source -> target, with its code table set, in the order
+    of :func:`hom_tables`, which refuses more than ``max_count``."""
+    matrix = _HomMatrix(source, target)
+    return [ModuleHom._reduced(source, target, matrix(tab), tab)
+            for tab in hom_tables(source, target, max_count)]
 
 
 def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
@@ -1016,44 +1027,64 @@ def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
 
 # -- endomorphism rings ------------------------------------------------------
 
-_MATRIX = operator.attrgetter("matrix")
-
-
 class EndRing:
-    """All endomorphisms of a module, with ring operations on their
-    indices and an additive basis of the group they form.
+    """All endomorphisms of a module as code tables, with ring operations
+    on their indices and an additive basis of the group they form.
 
-    ``homs`` is the canonical list, sorted by matrix with no repeats, so
-    an endomorphism's index is found by bisection on its matrix.
-    Composition multiplies as "apply right factor first", matching
+    ``tables`` is the canonical list of :func:`hom_tables`, sorted by
+    matrix with no repeats, so an endomorphism's index is found by
+    bisection on the matrices :class:`_HomMatrix` reads off the tables.
+    ``hom(i)`` builds the i-th endomorphism as a ``ModuleHom`` on each
+    call.  Composition multiplies as "apply right factor first", matching
     endomorphisms written on the left of the module.
     """
 
-    def __init__(self, module: FiniteModule, homs: list[ModuleHom]):
+    def __init__(self, module: FiniteModule, tables: list[bytes | array]):
         self.module = module
-        self.homs = homs
+        self.tables = tables
+        self._matrix = _HomMatrix(module, module)
         self._full_images = None
         self._idempotents = None
-        self.identity_index = self.index_of(identity_hom(module))
-        self.zero_index = self.index_of(zero_hom(module, module))
+        units = self._matrix.units
+        self.identity_index = self._find(units)
+        self.zero_index = self._find([0] * len(units))
 
     @property
     def size(self) -> int:
-        return len(self.homs)
+        return len(self.tables)
+
+    def hom(self, i: int) -> ModuleHom:
+        """The i-th endomorphism, built from its table."""
+        m, tab = self.module, self.tables[i]
+        return ModuleHom._reduced(m, m, self._matrix(tab), tab)
+
+    @property
+    def homs(self) -> list[ModuleHom]:
+        """Every endomorphism, built anew on each read."""
+        return [self.hom(i) for i in range(self.size)]
+
+    def _find(self, images: Iterable[int]) -> int:
+        """Index of the endomorphism sending e_j to the j-th code."""
+        matrix = tuple(map(self._matrix.coords.__getitem__, images))
+        i = bisect_left(self.tables, matrix, key=self._matrix)
+        if i == len(self.tables) or self._matrix(self.tables[i]) != matrix:
+            raise KeyError(matrix)
+        return i
 
     def index_of(self, h: ModuleHom) -> int:
         """Index of an endomorphism of the module."""
-        i = bisect_left(self.homs, h.matrix, key=_MATRIX)
-        if i == len(self.homs) or self.homs[i].matrix != h.matrix:
-            raise KeyError(h.matrix)
-        return i
+        return self._find(map(self.module.encode, h.matrix))
 
     def compose(self, i: int, j: int) -> int:
-        """Index of homs[i] after homs[j] (ring product i * j)."""
-        return self.index_of(self.homs[j].then(self.homs[i]))
+        """Index of hom(i) after hom(j) (ring product i * j)."""
+        f, g = self.tables[i], self.tables[j]
+        return self._find(f[g[u]] for u in self._matrix.units)
 
     def add(self, i: int, j: int) -> int:
-        return self.index_of(self.homs[i].add(self.homs[j]))
+        f, g = self.tables[i], self.tables[j]
+        units = self._matrix.units
+        return self._find(map(self.module.workspace().add,
+                              map(f.__getitem__, units), map(g.__getitem__, units)))
 
     def basis_homs(self) -> list[ModuleHom]:
         """The :func:`hom_group` representatives, which generate the
@@ -1067,7 +1098,7 @@ class EndRing:
         if self._full_images is None:
             distinct: dict[frozenset[int], frozenset[int]] = {}
             self._full_images = [distinct.setdefault(img, img)
-                                 for img in (frozenset(h.table()) for h in self.homs)]
+                                 for img in map(frozenset, self.tables)]
         return self._full_images
 
     def image_sets(self, codes: frozenset[int]) -> tuple[list[frozenset[int]],
@@ -1079,8 +1110,8 @@ class EndRing:
         full = self.full_images()
         distinct = dict(zip(full, full))
         of_codes: list[frozenset[int]] = []
-        for h in self.homs:
-            img = frozenset(map(h.table().__getitem__, codes))
+        for tab in self.tables:
+            img = frozenset(map(tab.__getitem__, codes))
             of_codes.append(distinct.setdefault(img, img))
         return full, of_codes
 
@@ -1090,20 +1121,26 @@ class EndRing:
         table is the identity on its image."""
         if self._idempotents is None:
             out: dict[frozenset[int], ModuleHom] = {}
-            for h, img in zip(self.homs, self.full_images()):
-                tab = h.table()
+            for i, (tab, img) in enumerate(zip(self.tables, self.full_images())):
                 if img not in out and all(tab[y] == y for y in img):
-                    out[img] = h
+                    out[img] = self.hom(i)
             self._idempotents = out
         return self._idempotents
 
 
-@memo
-def end_ring(module: FiniteModule) -> EndRing:
-    """The endomorphism ring.  Its size is read off :func:`hom_group` and
-    checked against ``max_end`` before anything is enumerated."""
+def end_ring_size(module: FiniteModule) -> int:
+    """The number of endomorphisms, the product of :func:`hom_group`'s
+    orders.  Raises :class:`SizeLimitExceeded` above ``max_end``."""
     size = prod(hom_group(module, module)[0])
     max_end = config.LIMITS.max_end
     if size > max_end:
         raise SizeLimitExceeded(f"endomorphism ring of size {size} over limit {max_end}")
-    return EndRing(module, hom_set(module, module))
+    return size
+
+
+@memo
+def end_ring(module: FiniteModule) -> EndRing:
+    """The endomorphism ring, checked against ``max_end`` by
+    :func:`end_ring_size` before anything is enumerated."""
+    end_ring_size(module)
+    return EndRing(module, hom_tables(module, module))

@@ -13,7 +13,7 @@ from .cosingular import classify
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
 from .memo import memo
-from .modules import FiniteModule, end_ring
+from .modules import FiniteModule, end_ring_size
 from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
     coclosed_keys,
@@ -138,7 +138,7 @@ def _profile(module: FiniteModule) -> PropertyReport:
     lat = submodules(module)
     prof = classify(module)
     try:
-        end_size = end_ring(module).size
+        end_size = end_ring_size(module)
     except SizeLimitExceeded:
         end_size = None
     preds: dict[str, bool | None] = {}

@@ -231,7 +231,7 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     ``itemgetter``; its leading item tab[0] = 0 keeps it defined on the
     zero node, which has no generators."""
     lat = submodules(module)
-    tables = [h.table() for h in end.homs]
+    tables = end.tables
     for key in keys:
         c = lat.nodes[lat.index[key]]
         signature = operator.itemgetter(0, *c.generators())

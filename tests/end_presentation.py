@@ -42,7 +42,7 @@ def as_ring(end) -> FiniteRing:
         tuple(flat(mat_mul(fj, fi, orders)) for fj in basis)
         for fi in basis)
     return FiniteRing(factor_orders, constants,
-                      flat(end.homs[end.identity_index].matrix))
+                      flat(end.hom(end.identity_index).matrix))
 
 
 def hom_index_from_ring_coords(end, coords: tuple[int, ...]) -> int:

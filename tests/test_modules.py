@@ -1,8 +1,10 @@
 """Core module arithmetic, with brute-force oracles computed
 independently of the code paths they check."""
 
+import gc
 import itertools
 import random
+import types
 from math import prod
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from end_presentation import as_ring, hom_coords
-from modlab import memo, modules
+from modlab import config, memo, modules
 from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
     FiniteModule,
@@ -81,6 +83,36 @@ def brute_hom_list(source, target):
         except NotSubmodule:
             continue
     return sorted(found)
+
+
+def matrix_sorted_homs(source, target):
+    """Hom(source, target) by enumerating matrices: every sum of multiples
+    of the hom_group representatives as a flat tuple of reduced entries,
+    sorted (rows have equal length, so flat order is matrix order), each
+    built by the checked constructor."""
+    orders, reps = hom_group(source, target)
+    col_orders = target.component_orders * len(source.component_orders)
+    flats = [(0,) * len(col_orders)]
+    for o, rep in zip(orders, reps):
+        step = [x for row in rep for x in row]
+        block = flats
+        flats = list(block)
+        for _ in range(1, o):
+            block = [tuple((x + y) % n for x, y, n in zip(f, step, col_orders))
+                     for f in block]
+            flats.extend(block)
+    t = len(target.component_orders)
+    cuts = [slice(j * t, (j + 1) * t) for j in range(len(source.component_orders))]
+    return [ModuleHom(source, target, [f[cut] for cut in cuts]) for f in sorted(flats)]
+
+
+def assert_homs_match_the_oracle(homs, source, target):
+    """The homs are the oracle's, in its order, each with the table of its
+    own matrix."""
+    want = matrix_sorted_homs(source, target)
+    assert [h.matrix for h in homs] == [w.matrix for w in want], (source, target)
+    for h, w in zip(homs, want):
+        assert h == w and h.table() == w.table(), (source, target, h.matrix)
 
 
 RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
@@ -292,9 +324,9 @@ def test_end_ring_as_ring_valid(z2_plus_z4):
     # composition agrees with the structure constants through coordinates
     for i in (0, 1, 5):
         for j in (0, 2, 7):
-            left = hom_coords(ends, ends.homs[ends.compose(i, j)])
-            fi = hom_coords(ends, ends.homs[i])
-            fj = hom_coords(ends, ends.homs[j])
+            left = hom_coords(ends, ends.hom(ends.compose(i, j)))
+            fi = hom_coords(ends, ends.hom(i))
+            fj = hom_coords(ends, ends.hom(j))
             assert left == ring.mul_coords(fi, fj)
 
 
@@ -316,14 +348,15 @@ def test_end_ring_lookups_match_a_linear_scan(rid):
             continue
         if end.size > LOOKUP_END_MAX:
             continue
-        position = [h.matrix for h in end.homs].index
+        homs = end.homs
+        position = [h.matrix for h in homs].index
         assert end.identity_index == position(identity_hom(m).matrix)
         assert end.zero_index == position(zero_hom(m, m).matrix)
-        for i, f in enumerate(end.homs):
-            for j, g in enumerate(end.homs):
+        for i, f in enumerate(homs):
+            for j, g in enumerate(homs):
                 k = end.compose(i, j)
                 assert k == position(g.then(f).matrix), (m, i, j)
-                assert list(end.homs[k].table()) == [f.table()[y] for y in g.table()]
+                assert list(homs[k].table()) == [f.table()[y] for y in g.table()]
                 assert end.add(i, j) == position(f.add(g).matrix), (m, i, j)
         checked += 1
     assert checked
@@ -355,15 +388,73 @@ def test_end_tables_built_by_additivity_match_image_table(rid):
 
 @pytest.mark.parametrize("rid", RING_IDS)
 def test_hom_set_matrices_are_reduced_homs(rid):
-    """hom_set builds its homs unchecked from reduced matrices; each must
-    be its own reduction and pass the checked constructor unchanged."""
+    """hom_set and the End ring build their homs unchecked from tables
+    sorted by the matrix read off each table.  Over every pair of
+    two-generator catalog members (the size-1 module among them) within
+    max_end, they must be matrix_sorted_homs' checked homs, so reduced
+    homs, in its order and with equal tables."""
     mods = catalog_modules(rid)
+    assert min(m.size for m in mods) == 1
+    max_end = config.LIMITS.max_end
     for src in mods:
         for tgt in mods:
-            for h in hom_set(src, tgt):
-                assert h.matrix == modules._reduce_matrix(h.matrix, tgt.component_orders)
-                checked = ModuleHom(src, tgt, h.matrix)
-                assert checked.matrix == h.matrix and checked == h
+            assert_homs_match_the_oracle(hom_set(src, tgt, max_count=max_end), src, tgt)
+        end = end_ring(src)
+        assert_homs_match_the_oracle([end.hom(i) for i in range(end.size)], src, src)
+
+
+def test_end_ring_homs_match_the_oracle_at_three_generators():
+    """Every End ring within max_end of Z4's three-generator catalog lists
+    matrix_sorted_homs' endomorphisms, in its order and with equal
+    tables."""
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+
+    checked = 0
+    for m in enumerate_modules(builtin_ring("Z4"), GenerationPolicy(3, 256),
+                               ring_id="Z4").modules:
+        try:
+            end = end_ring(m)
+        except SizeLimitExceeded:
+            continue
+        assert_homs_match_the_oracle([end.hom(i) for i in range(end.size)], m, m)
+        checked += 1
+    assert checked == 9
+
+
+def live_homs() -> list[ModuleHom]:
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is ModuleHom]
+
+
+def reachable(root) -> list:
+    """Every object reachable from root by gc.get_referents, not entering
+    types, functions or modules (a function's globals reach the memos)."""
+    skip = (type, types.FunctionType, types.BuiltinFunctionType, types.ModuleType)
+    seen, stack, out = {id(root)}, [root], []
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                stack.append(ref)
+                out.append(ref)
+    return out
+
+
+def test_end_ring_holds_no_hom_per_endomorphism(z2_over_z4, z4_reg):
+    """End(Z2 + Z4 + Z4) has 8,192 endomorphisms, kept as code tables:
+    the only ModuleHom objects reachable from the End ring are its cached
+    idempotents, and building it leaves no more new ModuleHom objects
+    alive than those."""
+    m = direct_sum(z2_over_z4, z4_reg, z4_reg)
+    memo.clear()
+    before = len(live_homs())
+    end = end_ring(m)
+    idempotents = end.idempotents_by_image()
+    assert end.size == 8192 and idempotents
+    grown = len(live_homs()) - before
+    assert grown <= len(idempotents)
+    held = [o for o in reachable(end) if type(o) is ModuleHom]
+    assert {id(h) for h in held} == {id(h) for h in idempotents.values()}
 
 
 def test_end_ring_limit(z2_plus_z4, limits):

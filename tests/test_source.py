@@ -250,3 +250,26 @@ def test_end_data_read_scan_sees_imports_and_attributes():
 def test_suites_do_not_read_the_end_data():
     suites = next(p for p in SOURCES if p.name == "suites.py")
     assert end_data_reads(suites.read_text()) == []
+
+
+def end_homs_reads(source: str) -> list[str]:
+    """Reads of a ``.homs`` attribute.  An End ring builds that list of
+    ``ModuleHom`` objects anew on each read; production code reads its
+    tables, indexes and ``hom(i)`` instead."""
+    return [f"line {node.lineno}: .homs" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "homs"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_end_homs_read_scan_sees_attribute_reads():
+    source = ("def f(end, other):\n"
+              "    other.homs = []\n"
+              "    tables = [h.table() for h in end.homs]\n"
+              "    return end_ring(m).homs[0], tables\n")
+    assert end_homs_reads(source) == ["line 3: .homs", "line 4: .homs"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "modules.py"],
+                         ids=lambda p: p.name)
+def test_production_does_not_list_end_homs(path):
+    assert end_homs_reads(path.read_text()) == []

@@ -89,9 +89,10 @@ def per_endomorphism_image_witness(module, end, keys):
     every endomorphism, built and tested one by one."""
     lat = submodules(module)
     ws = module.workspace()
+    homs = end.homs
     for key in keys:
         c = lat.nodes[lat.index[key]]
-        for i, h in enumerate(end.homs):
+        for i, h in enumerate(homs):
             img = ws.additive_closure(h.restrict_codes(c.elements))
             if tuple(sorted(img)) not in keys:
                 return {"C": {"size": c.size, "elements": list(c.key)}, "endo": i}
