@@ -20,7 +20,7 @@ from . import memo
 from .catalog import GenerationPolicy, ModuleCatalog, enumerate_modules
 from .cosingular import zbar
 from .errors import InvalidConfig, ModlabError, SizeLimitExceeded
-from .lattice import is_small, submodules
+from .lattice import is_small, is_small_over, submodules
 from .modules import FiniteModule, hom_set, regular_module, span
 from .reports import disagrees, profile_module
 from .rings import FiniteRing, builtin_ring, builtin_ring_ids
@@ -69,11 +69,14 @@ class HarnessConfig:
 
 
 def _builtin_ring(rid: str) -> FiniteRing:
-    """``builtin_ring``, with an unknown id as an invalid configuration."""
+    """``builtin_ring``, with an unknown id, or one that builds no ring, as
+    an invalid configuration."""
     try:
         return builtin_ring(rid)
     except KeyError as exc:
         raise InvalidConfig(exc.args[0]) from None
+    except (ModlabError, ValueError) as exc:  # ValueError: too many digits for int()
+        raise InvalidConfig(f"ring id {rid!r} builds no ring: {exc}") from None
 
 
 def _catalog(rid: str, config: HarnessConfig) -> ModuleCatalog:
@@ -218,6 +221,11 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
 def oracle_small(config: HarnessConfig, samples: int, seed: int, echo=print) -> int:
     """Radical fast path versus the definitional smallness scan on every
     catalog pair plus randomly generated submodules."""
+    def agrees(node) -> bool:
+        m = node.parent
+        return is_small(node) == is_small_over(m, node, m.zero_submodule(),
+                                               frozenset(m.elements()))
+
     rng = random.Random(seed)
     mismatches = 0
     checked = 0
@@ -229,7 +237,7 @@ def oracle_small(config: HarnessConfig, samples: int, seed: int, echo=print) -> 
             lat = submodules(m)
             for node in lat.nodes:
                 checked += 1
-                if is_small(node) != is_small(node, method="scan"):
+                if not agrees(node):
                     mismatches += 1
                     echo(f"MISMATCH small: {m!r} node={sorted(node.elements)}")
     while checked < samples:
@@ -238,7 +246,7 @@ def oracle_small(config: HarnessConfig, samples: int, seed: int, echo=print) -> 
         gens = [rng.randrange(m.size) for _ in range(k)]
         node = span(m, gens)
         checked += 1
-        if is_small(node) != is_small(node, method="scan"):
+        if not agrees(node):
             mismatches += 1
             echo(f"MISMATCH small: {m!r} gens={gens}")
     echo(f"oracle small: {checked} pairs, {mismatches} mismatches", file=sys.stderr)

@@ -22,16 +22,17 @@ join A + B through a :class:`SumIndex` of element bitmasks per node size.
 A sum is built only for a new node, as a union of cosets of the larger
 summand, translating it only by elements of the smaller one not yet
 covered.
-Smallness has two implementations: the definitional scan over all
-proper submodules, and the radical fast path A <= Rad(M), which agree
-over finite rings (every finite ring is perfect); the agreement itself is
-part of the oracle suite rather than assumed silently.
+Smallness is decided by the radical, A << M exactly when A <= Rad(M)
+(the radical of a module over a finite ring is small).  One definitional
+scan, :func:`is_small_over`, decides smallness relative to any node Z in
+any quotient M/N; the plain notion is N = 0 and Z = M, and the t-notions
+take the square cosingularity radical for Z.  The oracles check the
+radical route against the scan instead of assuming the agreement.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Literal
 
 from . import config
 from .errors import ParentMismatch, SizeLimitExceeded
@@ -335,26 +336,25 @@ def socle(module: FiniteModule) -> Submodule:
     return Submodule(module, frozenset(members))
 
 
-def is_small(sub: Submodule, module: FiniteModule | None = None,
-             method: Literal["radical", "scan"] = "radical") -> bool:
-    """A << M: no proper submodule B has A + B = M.
-
-    ``radical`` uses A <= Rad(M) (valid over finite rings since the
-    radical of every module is small); ``scan`` is the definitional
-    check over the full lattice.
-    """
+def is_small(sub: Submodule, module: FiniteModule | None = None) -> bool:
+    """A << M: no proper submodule B has A + B = M, decided as
+    A <= Rad(M)."""
     parent = sub.parent
     if module is not None and module != parent:
         raise ParentMismatch("submodule does not live in the given module")
-    if method == "radical":
-        return sub.elements <= radical(parent).elements
-    lat = submodules(parent)
-    i = lat.node_index(sub)
-    top = lat.top_index
-    for j, node in enumerate(lat.nodes):
-        if j == top:
-            continue
-        if lat.join(i, j) == top:
+    return sub.elements <= radical(parent).elements
+
+
+def is_small_over(module: FiniteModule, a: Submodule, n: Submodule,
+                  z: frozenset[int]) -> bool:
+    """A/N is small relative to Z/N in M/N, for nodes N <= A and N <= Z:
+    every node B >= N with Z <= A + B already has Z <= B (the
+    definitional scan over the lattice)."""
+    lat = submodules(module)
+    ai = lat.node_index(a)
+    for j, b in enumerate(lat.nodes):
+        if (n.elements <= b.elements and not z <= b.elements
+                and z <= lat.nodes[lat.join(ai, j)].elements):
             return False
     return True
 

@@ -145,13 +145,9 @@ def _profile(module: FiniteModule) -> PropertyReport:
     preds["amply_supplemented"] = is_amply_supplemented(module)
     preds["lifting"] = is_lifting(module)
     preds["t_lifting"] = is_t_lifting(module)
-    preds["dual_baer"] = is_dual_baer(module) if end_size is not None else None
-    preds["t_dual_baer"] = is_t_dual_baer(module) if end_size is not None else None
-    if end_size is not None:
-        kc = k_module_class(module)
-    else:
-        kc = {"k": None, "t_k": None, "strongly_t_k": None}
-    preds.update(kc)
+    preds["dual_baer"] = is_dual_baer(module)
+    preds["t_dual_baer"] = is_t_dual_baer(module)
+    preds.update(k_module_class(module))
     preds["regular"] = is_regular(module)
     preds["semisimple"] = is_semisimple(module)
     preds["injective"] = is_injective(module)

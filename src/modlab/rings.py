@@ -11,7 +11,7 @@ is an actual ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Iterator
 
 from . import config
@@ -313,11 +313,17 @@ def builtin_ring_ids() -> list[str]:
 
 @memo
 def builtin_ring(ring_id: str) -> FiniteRing:
-    """Look up a built-in ring id (also accepts Z<n> / F<p> shorthand)."""
+    """Look up a built-in ring id (also accepts Z<n> / F<p> shorthand, with
+    n and the prime p in plain decimal without leading zeros, so each ring
+    has one id)."""
     if ring_id in _BUILTIN_SPECS:
         return build_ring(_BUILTIN_SPECS[ring_id])
-    if ring_id[:1] in ("Z", "F") and ring_id[1:].isdigit():
-        return cyclic_ring(int(ring_id[1:]))
+    head, digits = ring_id[:1], ring_id[1:]
+    if (head in ("Z", "F") and digits.isascii() and digits.isdigit()
+            and (digits == "0" or digits[0] != "0")):
+        ring = cyclic_ring(int(digits))
+        if head == "Z" or all(ring.size % d for d in range(2, isqrt(ring.size) + 1)):
+            return ring
     raise KeyError(f"unknown ring id {ring_id!r}")
 
 

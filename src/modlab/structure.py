@@ -187,41 +187,30 @@ def is_amply_supplemented(module: FiniteModule) -> bool:
 # -- small quotients and coclosed submodules -----------------------------------
 
 
-def small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule,
-                      method: str = "radical") -> bool:
-    """A/N << M/N for N <= A, evaluated inside the ambient lattice.
-
-    Radical route: A <= N + Rad(M), using Rad(M/N) = (Rad(M) + N)/N.
-    Scan route: no proper L >= N has A + L = M.
-    """
+def small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
+    """A/N << M/N for N <= A, evaluated inside the ambient lattice as
+    A <= N + Rad(M), using Rad(M/N) = (Rad(M) + N)/N."""
     if not n.elements <= a.elements:
         raise NotSubmodule("need N <= A for a quotient comparison")
     lat = submodules(module)
-    if method == "radical":
-        i = lat.node_index(n)
-        r = lat.node_index(radical(module))
-        return a.elements <= lat.nodes[lat.join(i, r)].elements
-    i = lat.node_index(a)
-    top = lat.top_index
-    for j, l in enumerate(lat.nodes):
-        if j == top or not n.elements <= l.elements:
-            continue
-        if lat.join(i, j) == top:
-            return False
-    return True
+    i = lat.node_index(n)
+    r = lat.node_index(radical(module))
+    return a.elements <= lat.nodes[lat.join(i, r)].elements
 
 
-def is_coclosed(sub: Submodule, module: FiniteModule, method: str = "radical") -> bool:
-    """No proper part of the submodule leaves a small remainder: C' < C
-    with C/C' << M/C' forces C = C'."""
+def is_coclosed_under(small, sub: Submodule, module: FiniteModule) -> bool:
+    """No proper N < C has small(C, N, module), for a smallness notion
+    small(A, N, M) of A/N in M/N."""
     lat = submodules(module)
     i = lat.node_index(sub)
-    for j in lat.subnode_indices(i):
-        if j == i:
-            continue
-        if small_in_quotient(sub, lat.nodes[j], module, method):
-            return False
-    return True
+    return not any(small(sub, lat.nodes[j], module)
+                   for j in lat.subnode_indices(i) if j != i)
+
+
+def is_coclosed(sub: Submodule, module: FiniteModule) -> bool:
+    """No proper part of the submodule leaves a small remainder: C' < C
+    with C/C' << M/C' forces C = C'."""
+    return is_coclosed_under(small_in_quotient, sub, module)
 
 
 def coclosed_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
@@ -232,35 +221,19 @@ def coclosed_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
 # -- lifting -------------------------------------------------------------------
 
 
-def is_lifting(module: FiniteModule, method: str = "definitional") -> bool:
-    """Every submodule contains a direct summand with small remainder.
-
-    ``definitional`` scans all pairs; ``coclosed`` uses the criterion
-    "amply supplemented and every coclosed submodule is a summand".
-    """
+def is_lifting_under(small, module: FiniteModule) -> bool:
+    """Every submodule A holds a direct summand N with small(A, N, module),
+    for a smallness notion small(A, N, M) of A/N in M/N."""
     lat = submodules(module)
-    if method == "coclosed":
-        if not is_amply_supplemented(module):
-            return False
-        summands = summand_keys(module)
-        return all(
-            s.key in summands
-            for s in lat.nodes
-            if is_coclosed(s, module)
-        )
     summands = summand_keys(module)
-    for i, a in enumerate(lat.nodes):
-        found = False
-        for j in lat.subnode_indices(i):
-            n = lat.nodes[j]
-            if n.key not in summands:
-                continue
-            if small_in_quotient(a, n, module):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(any(lat.nodes[j].key in summands and small(a, lat.nodes[j], module)
+                   for j in lat.subnode_indices(i))
+               for i, a in enumerate(lat.nodes))
+
+
+def is_lifting(module: FiniteModule) -> bool:
+    """Every submodule contains a direct summand with small remainder."""
+    return is_lifting_under(small_in_quotient, module)
 
 
 # -- character duality ---------------------------------------------------------

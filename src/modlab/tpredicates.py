@@ -4,11 +4,18 @@ and the conditions built from two endomorphism sets per submodule (the
 maps with image inside it, and the maps carrying the square radical into
 it).
 
-Everything is decided by scans over explicit finite lattices.  Each
-predicate keeps its definitional form as the primary implementation; the
-equivalent characterizations that hold for amply supplemented modules are
-exposed as *variants* so the verification suites can compare them
-independently instead of trusting the equivalences.
+Each t-notion is the plain notion with the square radical Z = Zbar2(M) in
+place of M: A is relatively small when Z <= A + B forces Z <= B, and
+relative coclosure and lifting are coclosure and lifting with relatively
+small remainders.  So relative smallness is the one smallness scan,
+:func:`lattice.is_small_over`, at Z = Zbar2(M) (the plain notion is its
+case Z = M), and relative coclosure and lifting are the plain notions'
+loops, :func:`structure.is_coclosed_under` and
+:func:`structure.is_lifting_under`, run with relative smallness.
+The equivalent characterizations that hold for amply supplemented modules
+are exposed as *variants*, kept as separate code, so the verification
+suites can compare them independently instead of trusting the
+equivalences.
 
 The endomorphism-set predicates read only the distinct images f(M) and
 f(Z) of the endomorphisms f, where Z is the square radical, kept in
@@ -36,6 +43,7 @@ from itertools import chain
 from .cosingular import zbar2
 from .errors import SizeLimitExceeded
 from .lattice import (
+    is_small_over,
     is_small_within,
     join_closure,
     radical,
@@ -53,8 +61,10 @@ from .modules import (
 )
 from .structure import (
     is_coclosed,
+    is_coclosed_under,
     is_direct_summand,
     is_lifting,
+    is_lifting_under,
     small_in_quotient,
     summand_keys,
 )
@@ -64,16 +74,8 @@ from .structure import (
 
 def is_t_small(sub: Submodule, module: FiniteModule) -> bool:
     """Whenever the square radical lies under A + B it already lies under
-    B (definitional scan over the lattice)."""
-    lat = submodules(module)
-    z = zbar2(module).elements
-    ai = lat.node_index(sub)
-    for j, b in enumerate(lat.nodes):
-        if z <= b.elements:
-            continue
-        if z <= lat.nodes[lat.join(ai, j)].elements:
-            return False
-    return True
+    B."""
+    return is_small_over(module, sub, module.zero_submodule(), zbar2(module).elements)
 
 
 @memo
@@ -123,17 +125,7 @@ def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N is relatively small in M/N, evaluated inside the ambient
     lattice via the pullback of the quotient's square radical."""
-    lat = submodules(module)
-    z = zbar2_pullback(module, n)
-    ai = lat.node_index(a)
-    for j, b in enumerate(lat.nodes):
-        if not n.elements <= b.elements:
-            continue
-        if z <= b.elements:
-            continue
-        if z <= lat.nodes[lat.join(ai, j)].elements:
-            return False
-    return True
+    return is_small_over(module, a, n, zbar2_pullback(module, n))
 
 
 # -- relative coclosure -----------------------------------------------------------
@@ -142,10 +134,7 @@ def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> boo
 @memo
 def is_t_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part leaves a relatively small remainder."""
-    lat = submodules(module)
-    i = lat.node_index(sub)
-    return not any(t_small_in_quotient(sub, lat.nodes[j], module)
-                   for j in lat.subnode_indices(i) if j != i)
+    return is_coclosed_under(t_small_in_quotient, sub, module)
 
 
 @memo
@@ -177,21 +166,8 @@ def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule) -> bo
 @memo
 def is_t_lifting(module: FiniteModule) -> bool:
     """Every submodule contains a direct summand with relatively small
-    remainder (definitional scan)."""
-    lat = submodules(module)
-    summands = summand_keys(module)
-    for i, a in enumerate(lat.nodes):
-        found = False
-        for j in lat.subnode_indices(i):
-            n = lat.nodes[j]
-            if n.key not in summands:
-                continue
-            if t_small_in_quotient(a, n, module):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    remainder."""
+    return is_lifting_under(t_small_in_quotient, module)
 
 
 def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:

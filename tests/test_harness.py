@@ -412,13 +412,36 @@ def test_cli_verify_bad_ring(capsys):
     (["verify", "--ring", "Z4,Z4"], "empty or repeated ring list 'Z4,Z4'"),
     (["verify", "--ring", "Z4", "--suite", "P2.2, P2.2"],
      "empty or repeated suite list 'P2.2,P2.2'"),
+    (["ring", "show", "Z0"], "ring id 'Z0' builds no ring: cyclic ring order must be positive"),
+    (["ring", "show", "Z1"],
+     "ring id 'Z1' builds no ring: declared identity is not a unit on e_1"),
+    (["ring", "show", "Z99999"],
+     "ring id 'Z99999' builds no ring: ring size 99999 exceeds limit 4096"),
+    (["enumerate", "--ring", "Z1"],
+     "ring id 'Z1' builds no ring: declared identity is not a unit on e_1"),
+    (["verify", "--ring", "Z0"], "ring id 'Z0' builds no ring: cyclic ring order must be positive"),
+    (["oracle", "--check", "small", "--ring", "Z0"],
+     "ring id 'Z0' builds no ring: cyclic ring order must be positive"),
+    (["ring", "show", "F4"], "unknown ring id 'F4'"),
+    (["verify", "--ring", "Z4,Z04"], "unknown ring id 'Z04'"),
 ], ids=["ring-show", "verify-ring", "profile-module", "oracle-small",
         "oracle-summand", "oracle-zbar", "verify-no-ring", "verify-no-suite",
-        "oracle-no-ring", "verify-ring-twice", "verify-suite-twice"])
+        "oracle-no-ring", "verify-ring-twice", "verify-suite-twice",
+        "ring-show-z0", "ring-show-z1", "ring-show-over-limit", "enumerate-z1",
+        "verify-z0", "oracle-z0", "ring-show-f4", "verify-leading-zero"])
 def test_cli_bad_input_exits_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"invalid configuration: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_ring_id_with_more_digits_than_int_reads_exits_2(capsys):
+    rid = "Z" + "1" * 5000
+    assert main(["ring", "show", rid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"invalid configuration: ring id {rid!r} builds no ring: ")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -28,6 +28,7 @@ from modlab.lattice import (
 from modlab.modules import Submodule
 from modlab.modules import direct_sum, regular_module, span, zero_module
 from modlab.rings import builtin_ring
+from scan_oracles import small_scan
 
 
 def subgroup_filter_oracle(module):
@@ -386,10 +387,10 @@ def test_parent_mismatch(z4_reg, z2_plus_z4):
 def test_is_small_examples(z4_reg, s_plus_c):
     assert is_small(z4_reg.zero_submodule())
     assert is_small(span(z4_reg, [2]))
-    assert is_small(span(z4_reg, [2]), method="scan")
+    assert small_scan(span(z4_reg, [2]))
     summand = span(s_plus_c, [(0, 1)])
     assert not is_small(summand)
-    assert not is_small(summand, method="scan")
+    assert not small_scan(summand)
 
 
 def test_is_small_full_module_only_for_zero(z4_reg, Z4):
@@ -470,7 +471,7 @@ def test_radical_is_sum_of_small_submodules(z2_plus_z8):
     lat = submodules(z2_plus_z8)
     small_union = set()
     for node in lat.nodes:
-        if is_small(node, method="scan"):
+        if small_scan(node):
             small_union |= node.elements
     ws = z2_plus_z8.workspace()
     assert radical(z2_plus_z8).elements == frozenset(ws.span(list(small_union)))

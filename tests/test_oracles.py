@@ -19,6 +19,7 @@ from modlab.structure import (
     is_small_module,
     summand_witness_idempotent,
 )
+from scan_oracles import lifting_by_coclosed, small_in_quotient_scan, small_scan
 
 RING_IDS = ("Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2")
 
@@ -32,7 +33,7 @@ def test_nakayama_agrees_with_scan_on_all_catalog_pairs(rid):
     for m in _catalog(rid).modules:
         for node in submodules(m).nodes:
             fast = is_small(node)
-            slow = is_small(node, method="scan")
+            slow = small_scan(node)
             assert fast == slow, (rid, m.component_orders, sorted(node.elements))
 
 
@@ -43,7 +44,7 @@ def test_nakayama_agrees_on_random_spans():
         m = pool[rng.randrange(len(pool))]
         gens = [rng.randrange(m.size) for _ in range(rng.randrange(0, 3))]
         node = span(m, gens)
-        assert is_small(node) == is_small(node, method="scan")
+        assert is_small(node) == small_scan(node)
 
 
 @settings(max_examples=120, deadline=None)
@@ -56,7 +57,7 @@ def test_nakayama_agrees_property(rid, data):
     m = data.draw(st.sampled_from(catalog))
     gens = data.draw(st.lists(st.integers(0, m.size - 1), max_size=3))
     node = span(m, gens)
-    assert is_small(node) == is_small(node, method="scan")
+    assert is_small(node) == small_scan(node)
 
 
 @pytest.mark.parametrize("rid", RING_IDS)
@@ -112,8 +113,8 @@ def test_small_in_quotient_scan_agrees(rid):
         for i, a in enumerate(lat.nodes):
             for j in lat.subnode_indices(i):
                 n = lat.nodes[j]
-                assert small_in_quotient(a, n, m) == small_in_quotient(
-                    a, n, m, method="scan"
+                assert small_in_quotient(a, n, m) == small_in_quotient_scan(
+                    a, n, m
                 ), (rid, m.component_orders, a.key, n.key)
 
 
@@ -179,7 +180,7 @@ def test_lifting_criteria_agree_catalog_wide(rid):
     from modlab.structure import is_lifting
 
     for m in _catalog(rid).modules:
-        assert is_lifting(m) == is_lifting(m, method="coclosed")
+        assert is_lifting(m) == lifting_by_coclosed(m)
 
 
 @pytest.mark.parametrize("rid", RING_IDS)

@@ -121,6 +121,16 @@ def test_build_ring_dispatcher():
         build_ring(("nonsense", 1))
 
 
+def test_shorthand_ids_name_one_ring_each():
+    """Z<n> is Z/n and F<p> is Z/p for a prime p only, both in plain
+    decimal, so no ring answers to two ids."""
+    assert builtin_ring("Z12") == cyclic_ring(12)
+    assert builtin_ring("F5") == cyclic_ring(5)
+    for rid in ("F4", "F9", "Z04", "F07", "Z+4", "Z 4", "Z\u0664", "Z", "F"):
+        with pytest.raises(KeyError):
+            builtin_ring(rid)
+
+
 def test_ring_equality_by_content():
     assert cyclic_ring(4) == ring_from_constants((4,), (((1,),),), (1,))
     assert cyclic_ring(4) != cyclic_ring(8)

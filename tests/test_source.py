@@ -88,14 +88,21 @@ def limits_bindings(source: str) -> list[str]:
     the old value when the limits change."""
     out = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            if any(a.arg == "limits" for a in args.posonlyargs + args.args + args.kwonlyargs):
-                out.append(f"line {node.lineno}: {node.name}(limits)")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("config"):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("config"):
             out.extend(f"line {node.lineno}: import {alias.name}" for alias in node.names
                        if alias.name in ("LIMITS", "*"))
-    return out
+    return out + parameters_named(source, "limits")
+
+
+def parameters_named(source: str, name: str) -> list[str]:
+    """Functions that take a parameter of the given name, in source order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(a.arg == name for a in args.posonlyargs + args.args + args.kwonlyargs):
+                out.append((node.lineno, f"line {node.lineno}: {node.name}({name})"))
+    return [line for _, line in sorted(out)]
 
 
 def test_limits_binding_scan_sees_parameters_and_imports():
@@ -113,6 +120,27 @@ def test_limits_binding_scan_sees_parameters_and_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_limits_are_read_from_config_at_call_time(path):
     assert limits_bindings(path.read_text()) == []
+
+
+def test_method_parameter_scan_sees_every_kind():
+    source = ("def f(a, method='scan'):\n"
+              "    def g(*, method):\n"
+              "        return method\n"
+              "    return g\n"
+              "class C:\n"
+              "    async def h(self, method, /):\n"
+              "        return method\n"
+              "def methods(kind):\n"
+              "    return kind\n")
+    assert parameters_named(source, "method") == [
+        "line 1: f(method)", "line 2: g(method)", "line 6: h(method)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_method_switch(path):
+    """A predicate has one production route; a second route is an oracle
+    with its own name, not a string switch."""
+    assert parameters_named(path.read_text(), "method") == []
 
 
 def module_level_containers(source: str) -> list[str]:

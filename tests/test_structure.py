@@ -23,6 +23,7 @@ from modlab.structure import (
     injective_hull,
     is_amply_supplemented,
     is_coclosed,
+    is_coclosed_under,
     is_direct_summand,
     is_injective,
     is_lifting,
@@ -32,6 +33,7 @@ from modlab.structure import (
     summand_witness_idempotent,
     supplements_of,
 )
+from scan_oracles import lifting_by_coclosed, small_in_quotient_scan
 
 
 def test_summands_basic(z4_reg, s_plus_c):
@@ -145,8 +147,8 @@ def test_coclosed_examples(z4_reg, s_plus_c):
 def test_coclosed_scan_agrees_with_radical_route(z2_plus_z8):
     lat = submodules(z2_plus_z8)
     for node in lat.nodes:
-        assert is_coclosed(node, z2_plus_z8) == is_coclosed(
-            node, z2_plus_z8, method="scan"
+        assert is_coclosed(node, z2_plus_z8) == is_coclosed_under(
+            small_in_quotient_scan, node, z2_plus_z8
         )
 
 
@@ -158,7 +160,7 @@ def test_lifting_flagship_examples(z2_plus_z4, z2_plus_z8, F3):
 
 def test_lifting_methods_agree(z2_plus_z4, z2_plus_z8, s_plus_c, z4_reg):
     for m in (z2_plus_z4, z2_plus_z8, s_plus_c, z4_reg):
-        assert is_lifting(m) == is_lifting(m, method="coclosed")
+        assert is_lifting(m) == lifting_by_coclosed(m)
 
 
 def test_character_dual_sizes(z4_reg, z2_plus_z8, s_block):

@@ -41,9 +41,11 @@ from modlab.tpredicates import (
     t_lifting_variants,
     t_set,
     t_set_is_trivial,
+    t_small_in_quotient,
     t_small_keys,
     t_small_variants,
     t_trace,
+    zbar2_pullback,
 )
 
 
@@ -402,6 +404,88 @@ def test_minimal_joint_complement_matches_the_subnode_scan(rid):
         for node in submodules(m).nodes:
             assert (is_minimal_with_joint_complement(node, m)
                     == minimal_with_joint_complement_scan(node, m)), (m, node.key)
+
+
+def t_small_loop(sub, module):
+    """Relative smallness read literally: no node B misses the square
+    radical while A + B holds it."""
+    lat = submodules(module)
+    z = zbar2(module).elements
+    ai = lat.node_index(sub)
+    for j, b in enumerate(lat.nodes):
+        if z <= b.elements:
+            continue
+        if z <= lat.nodes[lat.join(ai, j)].elements:
+            return False
+    return True
+
+
+def t_small_in_quotient_loop(a, n, module):
+    """Relative smallness of A/N in M/N read literally: no node B >= N
+    misses the pullback of the quotient's square radical while A + B
+    holds it."""
+    lat = submodules(module)
+    z = zbar2_pullback(module, n)
+    ai = lat.node_index(a)
+    for j, b in enumerate(lat.nodes):
+        if not n.elements <= b.elements:
+            continue
+        if z <= b.elements:
+            continue
+        if z <= lat.nodes[lat.join(ai, j)].elements:
+            return False
+    return True
+
+
+def t_coclosed_loop(sub, module):
+    """No proper subnode N of C leaves C/N relatively small in M/N."""
+    lat = submodules(module)
+    i = lat.node_index(sub)
+    return not any(t_small_in_quotient_loop(sub, lat.nodes[j], module)
+                   for j in lat.subnode_indices(i) if j != i)
+
+
+def t_lifting_loop(module):
+    """Every node A holds a summand N with A/N relatively small in M/N."""
+    lat = submodules(module)
+    summands = summand_keys(module)
+    for i, a in enumerate(lat.nodes):
+        found = False
+        for j in lat.subnode_indices(i):
+            n = lat.nodes[j]
+            if n.key not in summands:
+                continue
+            if t_small_in_quotient_loop(a, n, module):
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_shared_scan_matches_the_t_small_loops(rid):
+    """The one smallness scan at Z = Zbar2(M), and at Z the pullback of
+    Zbar2(M/N), against the relative loops on every node and every pair
+    N <= A of every two-generator catalog module."""
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    for m in catalog.modules:
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            assert is_t_small(a, m) == t_small_loop(a, m), (m, a.key)
+            for j in lat.subnode_indices(i):
+                n = lat.nodes[j]
+                assert (t_small_in_quotient(a, n, m)
+                        == t_small_in_quotient_loop(a, n, m)), (m, a.key, n.key)
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_shared_loops_match_the_t_coclosed_and_t_lifting_loops(rid):
+    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+    for m in catalog.modules:
+        for node in submodules(m).nodes:
+            assert is_t_coclosed(node, m) == t_coclosed_loop(node, m), (m, node.key)
+        assert is_t_lifting(m) == t_lifting_loop(m), m
 
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
