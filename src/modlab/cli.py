@@ -199,10 +199,13 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     }
     bundle["summary.json"] = stable_dumps(summary)
     if config.out_dir:
-        for name, text in sorted(bundle.items()):
-            with open(os.path.join(config.out_dir, name), "w") as fh:
-                fh.write(text)
-                fh.write("\n")
+        try:
+            for name, text in sorted(bundle.items()):
+                with open(os.path.join(config.out_dir, name), "w") as fh:
+                    fh.write(text)
+                    fh.write("\n")
+        except OSError as exc:
+            raise InvalidConfig(f"output directory: {exc}") from None
     if disagreements:
         for rep in reports:
             if rep.summary["disagreements"]:

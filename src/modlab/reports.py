@@ -126,6 +126,15 @@ def _described(module: FiniteModule, desc: str) -> PropertyReport:
     return report if report.module_desc == desc else replace(report, module_desc=desc)
 
 
+def _unless_refused(evaluate, module: FiniteModule):
+    """``evaluate(module)``, or None (null in the report) when a limit
+    refuses it: the End-ring entries of a profile over ``max_end``."""
+    try:
+        return evaluate(module)
+    except SizeLimitExceeded:
+        return None
+
+
 @memo
 def _profile(module: FiniteModule) -> PropertyReport:
     """The profile under the module's own description.  The disk cache
@@ -137,17 +146,15 @@ def _profile(module: FiniteModule) -> PropertyReport:
             return loaded
     lat = submodules(module)
     prof = classify(module)
-    try:
-        end_size = end_ring_size(module)
-    except SizeLimitExceeded:
-        end_size = None
+    end_size = _unless_refused(end_ring_size, module)
     preds: dict[str, bool | None] = {}
     preds["amply_supplemented"] = is_amply_supplemented(module)
     preds["lifting"] = is_lifting(module)
     preds["t_lifting"] = is_t_lifting(module)
-    preds["dual_baer"] = is_dual_baer(module)
-    preds["t_dual_baer"] = is_t_dual_baer(module)
-    preds.update(k_module_class(module))
+    preds["dual_baer"] = _unless_refused(is_dual_baer, module)
+    preds["t_dual_baer"] = _unless_refused(is_t_dual_baer, module)
+    preds.update(_unless_refused(k_module_class, module)
+                 or dict.fromkeys(("k", "t_k", "strongly_t_k")))
     preds["regular"] = is_regular(module)
     preds["semisimple"] = is_semisimple(module)
     preds["injective"] = is_injective(module)

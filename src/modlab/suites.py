@@ -6,12 +6,29 @@ Suites quantifying over "every module" run over the bounded catalog and
 say so in their scope string; an all-true vector is evidence at that
 bound, not a proof.  Hypotheses (amply supplemented) are computed, never
 assumed; instances failing a hypothesis are recorded as skipped.
+
+Every suite but the ring-level T3.12 is a per-module function
+``each(module, label)`` that yields the module's instance records.
+:func:`_per_module` makes it a suite, with its id, scope string and an
+optional hypothesis, run by the one suite loop over the catalog.  That
+loop counts a skip
+
+- for a module that fails the hypothesis (``each`` is not called);
+- for a module whose ``each`` raises :class:`SizeLimitExceeded`; the
+  records ``each`` yielded before the raise stay;
+- for each :data:`REFUSED` that ``each`` yields: one evaluation a limit
+  refused, after which ``each`` goes on.
+
+So a suite states only its statements, and the limits are handled in
+one place.  Each suite's statements and characterizations stay separate
+code: that independence is the verification method.
 """
 
 from __future__ import annotations
 
 import operator
 import time
+from typing import Callable, Iterator
 
 from .catalog import ModuleCatalog
 from .cosingular import zbar, zbar2
@@ -55,6 +72,9 @@ from .tpredicates import (
     zbar2_of_node,
 )
 
+# yielded by a per-module function for one evaluation a limit refused
+REFUSED = object()
+
 
 def _node_witness(sub: Submodule) -> dict:
     return {"size": sub.size, "elements": list(sub.key)}
@@ -75,10 +95,35 @@ def _finish(suite_id, catalog, scope, instances, skipped) -> TheoremReport:
     )
 
 
-def _values_record(label, values: dict, witness=None, hypothesis=True) -> dict:
+def _per_module(suite_id: str, scope: str,
+                each: Callable[[FiniteModule, str], Iterator],
+                hypothesis: Callable[[FiniteModule], bool] | None = None,
+                ) -> Callable[[ModuleCatalog], TheoremReport]:
+    """The suite that runs ``each(module, label)`` over the catalog: the
+    one suite loop the module docstring describes."""
+    def run(catalog: ModuleCatalog) -> TheoremReport:
+        instances, skipped = [], 0
+        for idx, m in enumerate(catalog.modules):
+            if hypothesis is not None and not hypothesis(m):
+                skipped += 1
+                continue
+            try:
+                for record in each(m, catalog.label(idx)):
+                    if record is REFUSED:
+                        skipped += 1
+                    else:
+                        instances.append(record)
+            except SizeLimitExceeded:
+                skipped += 1
+        return _finish(suite_id, catalog, scope, instances, skipped)
+
+    return run
+
+
+def _values_record(label, values: dict, witness=None) -> dict:
     vals = {k: bool(v) for k, v in values.items()}
     agree = len(set(vals.values())) <= 1
-    rec = {"instance": label, "values": vals, "agree": agree and hypothesis}
+    rec = {"instance": label, "values": vals, "agree": agree}
     if not agree and witness is not None:
         rec["witness"] = witness
     return rec
@@ -94,130 +139,104 @@ def _holds_record(label, holds: bool, witness=None) -> dict:
 # -- suite implementations ---------------------------------------------------
 
 
-def run_p22(catalog: ModuleCatalog) -> TheoremReport:
+def p22(m: FiniteModule, label: str) -> Iterator:
     """Four characterizations of relative smallness agree on amply
     supplemented modules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        lat = submodules(m)
-        for a in lat.nodes:
-            values = t_small_variants(a, m)
-            instances.append(_values_record(
-                f"{catalog.label(idx)} A={a.size}@{a.key[:4]}",
-                values, witness=_node_witness(a)))
-    return _finish("P2.2", catalog, "all (module, submodule) pairs in catalog",
-                   instances, skipped)
+    for a in submodules(m).nodes:
+        yield _values_record(f"{label} A={a.size}@{a.key[:4]}",
+                             t_small_variants(a, m), witness=_node_witness(a))
 
 
-def run_l25(catalog: ModuleCatalog) -> TheoremReport:
+def l25(m: FiniteModule, label: str) -> Iterator:
     """Containment, quotient and transitivity behavior of relatively
     coclosed submodules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        label = catalog.label(idx)
-        lat = submodules(m)
-        z2 = zbar2(m)
-        tcc = t_coclosed_keys(m)
+    lat = submodules(m)
+    z2 = zbar2(m)
+    tcc = t_coclosed_keys(m)
 
-        bad = next((k for k in tcc
-                    if not frozenset(lat.nodes[lat.index[k]].elements) <= z2.elements),
-                   None)
-        instances.append(_holds_record(
-            f"{label} (1) t-coclosed below square radical", bad is None,
-            witness=None if bad is None else {"elements": list(bad)}))
+    bad = next((k for k in tcc
+                if not frozenset(lat.nodes[lat.index[k]].elements) <= z2.elements),
+               None)
+    yield _holds_record(
+        f"{label} (1) t-coclosed below square radical", bad is None,
+        witness=None if bad is None else {"elements": list(bad)})
 
-        whole_tcc = m.full_submodule().key in tcc
-        noncosing = zbar(m).is_full()
-        instances.append(_holds_record(
-            f"{label} (2) whole module t-coclosed iff noncosingular",
-            whole_tcc == noncosing))
+    whole_tcc = m.full_submodule().key in tcc
+    noncosing = zbar(m).is_full()
+    yield _holds_record(
+        f"{label} (2) whole module t-coclosed iff noncosingular",
+        whole_tcc == noncosing)
 
-        ok3 = True
-        wit3 = None
-        ok4 = True
-        wit4 = None
-        ok5 = True
-        wit5 = None
-        for ck in tcc:
-            c = lat.nodes[lat.index[ck]]
-            for ai in lat.subnode_indices(lat.index[ck]):
-                a = lat.nodes[ai]
+    ok3 = True
+    wit3 = None
+    ok4 = True
+    wit4 = None
+    ok5 = True
+    wit5 = None
+    for ck in tcc:
+        c = lat.nodes[lat.index[ck]]
+        for ai in lat.subnode_indices(lat.index[ck]):
+            a = lat.nodes[ai]
+            q, proj = quotient_module(m, a)
+            image = Submodule(q, proj.restrict_codes(c.elements))
+            if not is_t_coclosed(image, q):
+                ok3 = False
+                wit3 = {"C": _node_witness(c), "A": _node_witness(a)}
+                break
+        if not ok3:
+            break
+    yield _holds_record(
+        f"{label} (3) quotients of t-coclosed are t-coclosed", ok3, wit3)
+
+    for ci, c in enumerate(lat.nodes):
+        for ai in lat.subnode_indices(ci):
+            a = lat.nodes[ai]
+            if ai == ci:
+                continue
+            # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
+            if a.key in tcc:
                 q, proj = quotient_module(m, a)
                 image = Submodule(q, proj.restrict_codes(c.elements))
-                if not is_t_coclosed(image, q):
-                    ok3 = False
-                    wit3 = {"C": _node_witness(c), "A": _node_witness(a)}
-                    break
-            if not ok3:
-                break
-        instances.append(_holds_record(
-            f"{label} (3) quotients of t-coclosed are t-coclosed", ok3, wit3))
-
-        for ci, c in enumerate(lat.nodes):
-            for ai in lat.subnode_indices(ci):
-                a = lat.nodes[ai]
-                if ai == ci:
-                    continue
-                # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
-                if a.key in tcc:
-                    q, proj = quotient_module(m, a)
-                    image = Submodule(q, proj.restrict_codes(c.elements))
-                    if is_t_coclosed(image, q) and c.key not in tcc:
-                        ok4 = False
-                        wit4 = {"C": _node_witness(c), "A": _node_witness(a)}
-                # (5): A tcc in M iff A tcc in C, for amply supplemented C
-                inner = submodule_as_module(c)
-                if is_amply_supplemented(inner.module):
-                    a_in = Submodule(inner.module, inner.pull_in(a.elements))
-                    if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
-                        ok5 = False
-                        wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
-            if not (ok4 and ok5):
-                break
-        instances.append(_holds_record(
-            f"{label} (4) two-step t-coclosure collapses", ok4, wit4))
-        instances.append(_holds_record(
-            f"{label} (5) relative t-coclosure matches ambient", ok5, wit5))
-    return _finish("L2.5", catalog, "t-coclosed structure statements per module",
-                   instances, skipped)
+                if is_t_coclosed(image, q) and c.key not in tcc:
+                    ok4 = False
+                    wit4 = {"C": _node_witness(c), "A": _node_witness(a)}
+            # (5): A tcc in M iff A tcc in C, for amply supplemented C
+            inner = submodule_as_module(c)
+            if is_amply_supplemented(inner.module):
+                a_in = Submodule(inner.module, inner.pull_in(a.elements))
+                if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
+                    ok5 = False
+                    wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
+        if not (ok4 and ok5):
+            break
+    yield _holds_record(
+        f"{label} (4) two-step t-coclosure collapses", ok4, wit4)
+    yield _holds_record(
+        f"{label} (5) relative t-coclosure matches ambient", ok5, wit5)
 
 
-def run_p26(catalog: ModuleCatalog) -> TheoremReport:
+def p26(m: FiniteModule, label: str) -> Iterator:
     """Five characterizations of relatively coclosed submodules agree."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        lat = submodules(m)
-        z2 = zbar2(m)
-        inner = submodule_as_module(z2) if not z2.is_zero() else None
-        for c in lat.nodes:
-            in_rad = c.elements <= z2.elements
-            if inner is not None and in_rad:
-                c_in = Submodule(inner.module, inner.pull_in(c.elements))
-                coclosed_in_rad = is_coclosed(c_in, inner.module)
-            else:
-                coclosed_in_rad = in_rad and c.is_zero()
-            noncosing = zbar2_of_node(m, c) == c.elements
-            values = {
-                "minimal_joint_complement": is_minimal_with_joint_complement(c, m),
-                "t_coclosed": is_t_coclosed(c, m),
-                "coclosed_inside_radical": in_rad and coclosed_in_rad,
-                "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
-                "noncosingular_part": noncosing,
-            }
-            instances.append(_values_record(
-                f"{catalog.label(idx)} C={c.size}@{c.key[:4]}", values,
-                witness=_node_witness(c)))
-    return _finish("P2.6", catalog, "all (module, submodule) pairs in catalog",
-                   instances, skipped)
+    lat = submodules(m)
+    z2 = zbar2(m)
+    inner = submodule_as_module(z2) if not z2.is_zero() else None
+    for c in lat.nodes:
+        in_rad = c.elements <= z2.elements
+        if inner is not None and in_rad:
+            c_in = Submodule(inner.module, inner.pull_in(c.elements))
+            coclosed_in_rad = is_coclosed(c_in, inner.module)
+        else:
+            coclosed_in_rad = in_rad and c.is_zero()
+        noncosing = zbar2_of_node(m, c) == c.elements
+        values = {
+            "minimal_joint_complement": is_minimal_with_joint_complement(c, m),
+            "t_coclosed": is_t_coclosed(c, m),
+            "coclosed_inside_radical": in_rad and coclosed_in_rad,
+            "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
+            "noncosingular_part": noncosing,
+        }
+        yield _values_record(f"{label} C={c.size}@{c.key[:4]}", values,
+                             witness=_node_witness(c))
 
 
 def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
@@ -244,253 +263,144 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     return None
 
 
-def run_c27(catalog: ModuleCatalog) -> TheoremReport:
+def c27(m: FiniteModule, label: str) -> Iterator:
     """The square radical is relatively coclosed and endomorphic images of
     relatively coclosed submodules stay relatively coclosed."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        label = catalog.label(idx)
-        z2 = zbar2(m)
-        instances.append(_holds_record(
-            f"{label} (1) square radical is t-coclosed",
-            is_t_coclosed(z2, m), witness=_node_witness(z2)))
-        try:
-            end = end_ring(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        witness = endo_image_witness(m, end, t_coclosed_keys(m))
-        instances.append(_holds_record(
-            f"{label} (2) endo images of t-coclosed are t-coclosed",
-            witness is None, witness))
-    return _finish("C2.7", catalog, "per module; all endomorphisms scanned",
-                   instances, skipped)
+    z2 = zbar2(m)
+    yield _holds_record(
+        f"{label} (1) square radical is t-coclosed",
+        is_t_coclosed(z2, m), witness=_node_witness(z2))
+    witness = endo_image_witness(m, end_ring(m), t_coclosed_keys(m))
+    yield _holds_record(
+        f"{label} (2) endo images of t-coclosed are t-coclosed",
+        witness is None, witness)
 
 
-def run_c28(catalog: ModuleCatalog) -> TheoremReport:
+def c28(m: FiniteModule, label: str) -> Iterator:
     """Sums of relatively coclosed submodules are relatively coclosed."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        lat = submodules(m)
-        tcc = t_coclosed_keys(m)
-        closure = join_closure([lat.index[k] for k in tcc], lat.join)
-        bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
-        instances.append(_holds_record(
-            f"{catalog.label(idx)} sums of t-coclosed are t-coclosed",
-            bad is None,
-            witness=None if bad is None else _node_witness(lat.nodes[bad])))
-    return _finish("C2.8", catalog, "pairwise-sum closure of the t-coclosed nodes",
-                   instances, skipped)
+    lat = submodules(m)
+    tcc = t_coclosed_keys(m)
+    closure = join_closure([lat.index[k] for k in tcc], lat.join)
+    bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
+    yield _holds_record(
+        f"{label} sums of t-coclosed are t-coclosed", bad is None,
+        witness=None if bad is None else _node_witness(lat.nodes[bad]))
 
 
-def run_t211(catalog: ModuleCatalog) -> TheoremReport:
+def t211(m: FiniteModule, label: str) -> Iterator:
     """Seven characterizations of relative lifting agree on amply
     supplemented modules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        values = t_lifting_variants(m)
-        instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T2.11", catalog, "per catalog module", instances, skipped)
+    yield _values_record(label, t_lifting_variants(m))
 
 
-def run_p213(catalog: ModuleCatalog) -> TheoremReport:
+def p213(m: FiniteModule, label: str) -> Iterator:
     """Relative lifting passes to submodules and to quotients by fully
     invariant submodules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_t_lifting(m):
-            skipped += 1
-            continue
-        label = catalog.label(idx)
-        lat = submodules(m)
-        ok1, wit1 = True, None
-        for node in lat.nodes:
-            inner = submodule_as_module(node)
-            if not is_t_lifting(inner.module):
-                ok1, wit1 = False, _node_witness(node)
-                break
-        instances.append(_holds_record(
-            f"{label} (1) submodules inherit t-lifting", ok1, wit1))
+    lat = submodules(m)
+    ok1, wit1 = True, None
+    for node in lat.nodes:
+        inner = submodule_as_module(node)
+        if not is_t_lifting(inner.module):
+            ok1, wit1 = False, _node_witness(node)
+            break
+    yield _holds_record(f"{label} (1) submodules inherit t-lifting", ok1, wit1)
 
-        try:
-            invariant = set(fully_invariant_keys(m))
-        except SizeLimitExceeded:
-            invariant = set()
-            skipped += 1
-        for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
-            invariant.add(sub.key)
-        ok2, wit2 = True, None
-        for key in sorted(invariant):
-            node = lat.nodes[lat.index[key]]
-            q, _ = quotient_module(m, node)
-            if not is_t_lifting(q):
-                ok2, wit2 = False, _node_witness(node)
-                break
-        instances.append(_holds_record(
-            f"{label} (2) quotients by fully invariant submodules inherit t-lifting",
-            ok2, wit2))
-    return _finish("P2.13", catalog,
-                   "t-lifting catalog members; fully invariant quotients",
-                   instances, skipped)
+    try:
+        invariant = set(fully_invariant_keys(m))
+    except SizeLimitExceeded:
+        invariant = set()
+        yield REFUSED
+    for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
+        invariant.add(sub.key)
+    ok2, wit2 = True, None
+    for key in sorted(invariant):
+        node = lat.nodes[lat.index[key]]
+        q, _ = quotient_module(m, node)
+        if not is_t_lifting(q):
+            ok2, wit2 = False, _node_witness(node)
+            break
+    yield _holds_record(
+        f"{label} (2) quotients by fully invariant submodules inherit t-lifting",
+        ok2, wit2)
 
 
-def run_t32(catalog: ModuleCatalog) -> TheoremReport:
+def t32(m: FiniteModule, label: str) -> Iterator:
     """Four characterizations of the relative dual-Baer property agree."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        try:
-            values = t_dual_baer_variants(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T3.2", catalog, "per catalog module", instances, skipped)
+    yield _values_record(label, t_dual_baer_variants(m))
 
 
-def run_c33(catalog: ModuleCatalog) -> TheoremReport:
+def c33(m: FiniteModule, label: str) -> Iterator:
     """Summand-sum property inside the square radical plus regularity
     forces the relative dual-Baer property."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not (has_sssp_in_zbar2(m) and is_regular(m)):
-            continue
-        value = is_t_dual_baer(m)
-        if value is None:
-            skipped += 1
-            continue
-        instances.append(_holds_record(catalog.label(idx), value))
-    return _finish("C3.3", catalog,
-                   "catalog members with sssp inside the square radical and regular",
-                   instances, skipped)
+    if has_sssp_in_zbar2(m) and is_regular(m):
+        yield _holds_record(label, is_t_dual_baer(m))
 
 
-def run_c34(catalog: ModuleCatalog) -> TheoremReport:
+def c34(m: FiniteModule, label: str) -> Iterator:
     """Regular relative dual-Baer modules have semisimple square radical."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        tdb = is_t_dual_baer(m)
-        if tdb is None:
-            skipped += 1
-            continue
-        if not (is_regular(m) and tdb):
-            continue
+    tdb = is_t_dual_baer(m)
+    if is_regular(m) and tdb:
         z2 = zbar2(m)
-        if z2.is_zero():
-            value = True
-        else:
-            value = is_semisimple(submodule_as_module(z2).module)
-        instances.append(_holds_record(catalog.label(idx), value))
-    return _finish("C3.4", catalog, "regular relative dual-Baer catalog members",
-                   instances, skipped)
+        yield _holds_record(
+            label, z2.is_zero() or is_semisimple(submodule_as_module(z2).module))
 
 
-def run_p35(catalog: ModuleCatalog) -> TheoremReport:
+def p35(m: FiniteModule, label: str) -> Iterator:
     """Dual-Baer with split square radical is equivalent to the relative
     dual-Baer property plus the quotient splitting condition."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        try:
-            db = is_dual_baer(m)
-            tdb = is_t_dual_baer(m)
-            if db is None or tdb is None:
-                skipped += 1
-                continue
-            summands = summand_keys(m)
-            lhs = db and zbar2(m).key in summands
-            rhs = tdb and dual_baer_quotient_condition(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        instances.append(_values_record(
-            catalog.label(idx),
-            {"dual_baer_with_split_radical": lhs, "t_dual_baer_with_quotients": rhs}))
-    return _finish("P3.5", catalog,
-                   "per catalog module; subset quantification via generated right ideals",
-                   instances, skipped)
+    db = is_dual_baer(m)
+    tdb = is_t_dual_baer(m)
+    summands = summand_keys(m)
+    lhs = db and zbar2(m).key in summands
+    rhs = tdb and dual_baer_quotient_condition(m)
+    yield _values_record(
+        label, {"dual_baer_with_split_radical": lhs, "t_dual_baer_with_quotients": rhs})
 
 
-def run_t36(catalog: ModuleCatalog) -> TheoremReport:
+def t36(m: FiniteModule, label: str) -> Iterator:
     """Direct summands of relative dual-Baer modules are relative
     dual-Baer."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        tdb = is_t_dual_baer(m)
-        if tdb is None:
-            skipped += 1
-            continue
-        if not tdb:
-            continue
-        lat = submodules(m)
-        ok, wit = True, None
-        for key in sorted(summand_keys(m)):
-            node = lat.nodes[lat.index[key]]
-            inner = submodule_as_module(node)
+    if not is_t_dual_baer(m):
+        return
+    lat = submodules(m)
+    ok, wit = True, None
+    for key in sorted(summand_keys(m)):
+        node = lat.nodes[lat.index[key]]
+        inner = submodule_as_module(node)
+        try:
             value = is_t_dual_baer(inner.module)
-            if value is None:
-                skipped += 1
-                continue
-            if not value:
-                ok, wit = False, _node_witness(node)
-                break
-        instances.append(_holds_record(catalog.label(idx), ok, wit))
-    return _finish("T3.6", catalog, "summands of relative dual-Baer members",
-                   instances, skipped)
+        except SizeLimitExceeded:
+            yield REFUSED
+            continue
+        if not value:
+            ok, wit = False, _node_witness(node)
+            break
+    yield _holds_record(label, ok, wit)
 
 
-def run_p38(catalog: ModuleCatalog) -> TheoremReport:
+def p38(m: FiniteModule, label: str) -> Iterator:
     """The relative annihilator condition restricted below the square
     radical, and its passage to the radical itself."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
+    t_k = k_module_class(m)["t_k"]
+    lat = submodules(m)
+    z2 = zbar2(m)
+    rad = radical(m).elements
+    restricted = True
+    for node in lat.nodes:
+        if not node.elements <= z2.elements:
             continue
-        label = catalog.label(idx)
-        try:
-            kc = k_module_class(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        if kc["t_k"] is None:
-            skipped += 1
-            continue
-        lat = submodules(m)
-        z2 = zbar2(m)
-        rad = radical(m).elements
-        restricted = True
-        for node in lat.nodes:
-            if not node.elements <= z2.elements:
-                continue
-            if t_set_is_trivial(node, m) and not node.elements <= rad:
-                restricted = False
-                break
-        instances.append(_values_record(
-            f"{label} (1) restricted condition matches",
-            {"t_k": bool(kc["t_k"]), "restricted_small_condition": restricted}))
+        if t_set_is_trivial(node, m) and not node.elements <= rad:
+            restricted = False
+            break
+    yield _values_record(
+        f"{label} (1) restricted condition matches",
+        {"t_k": t_k, "restricted_small_condition": restricted})
 
-        if kc["t_k"]:
-            if z2.is_zero():
-                inherited = True
-            else:
-                inner = submodule_as_module(z2)
-                inner_kc = k_module_class(inner.module)
-                if inner_kc["k"] is None:
-                    skipped += 1
-                    continue
-                inherited = bool(inner_kc["k"])
-            instances.append(_holds_record(
-                f"{label} (2) square radical inherits the annihilator condition",
-                inherited))
-    return _finish("P3.8", catalog, "per catalog module", instances, skipped)
+    if t_k:
+        inherited = z2.is_zero() or k_module_class(submodule_as_module(z2).module)["k"]
+        yield _holds_record(
+            f"{label} (2) square radical inherits the annihilator condition",
+            inherited)
 
 
 def _trace_and_vanishing(m: FiniteModule, keys) -> tuple[bool, bool]:
@@ -502,60 +412,32 @@ def _trace_and_vanishing(m: FiniteModule, keys) -> tuple[bool, bool]:
             all(c.is_zero() or not t_set_is_trivial(c, m) for c in nodes))
 
 
-def run_t39(catalog: ModuleCatalog) -> TheoremReport:
+def t39(m: FiniteModule, label: str) -> Iterator:
     """Relative lifting equals relative dual-Baer plus each of the three
     annihilator-style conditions on relatively coclosed submodules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        try:
-            kc = k_module_class(m)
-            tdb = is_t_dual_baer(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        if tdb is None or kc["t_k"] is None:
-            skipped += 1
-            continue
-        trace_ok, vanish_ok = _trace_and_vanishing(m, t_coclosed_keys(m))
-        values = {
-            "t_lifting": is_t_lifting(m),
-            "t_dual_baer_and_t_k": tdb and bool(kc["t_k"]),
-            "t_dual_baer_and_trace_recovers": tdb and trace_ok,
-            "t_dual_baer_and_trivial_t_set_forces_zero": tdb and vanish_ok,
-        }
-        instances.append(_values_record(catalog.label(idx), values))
-    return _finish("T3.9", catalog, "per catalog module", instances, skipped)
+    t_k = k_module_class(m)["t_k"]
+    tdb = is_t_dual_baer(m)
+    trace_ok, vanish_ok = _trace_and_vanishing(m, t_coclosed_keys(m))
+    yield _values_record(label, {
+        "t_lifting": is_t_lifting(m),
+        "t_dual_baer_and_t_k": tdb and t_k,
+        "t_dual_baer_and_trace_recovers": tdb and trace_ok,
+        "t_dual_baer_and_trivial_t_set_forces_zero": tdb and vanish_ok,
+    })
 
 
-def run_c310(catalog: ModuleCatalog) -> TheoremReport:
+def c310(m: FiniteModule, label: str) -> Iterator:
     """Noncosingular lifting equals relative dual-Baer plus the strong
     annihilator-style conditions on coclosed submodules."""
-    instances, skipped = [], 0
-    for idx, m in enumerate(catalog.modules):
-        if not is_amply_supplemented(m):
-            skipped += 1
-            continue
-        try:
-            kc = k_module_class(m)
-            tdb = is_t_dual_baer(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        if tdb is None or kc["strongly_t_k"] is None:
-            skipped += 1
-            continue
-        trace_ok, vanish_ok = _trace_and_vanishing(m, coclosed_keys(m))
-        values = {
-            "noncosingular_lifting": zbar(m).is_full() and is_lifting(m),
-            "t_dual_baer_and_strongly_t_k": tdb and bool(kc["strongly_t_k"]),
-            "t_dual_baer_and_trace_recovers_coclosed": tdb and trace_ok,
-            "t_dual_baer_and_trivial_t_set_forces_zero_coclosed": tdb and vanish_ok,
-        }
-        instances.append(_values_record(catalog.label(idx), values))
-    return _finish("C3.10", catalog, "per catalog module", instances, skipped)
+    strongly_t_k = k_module_class(m)["strongly_t_k"]
+    tdb = is_t_dual_baer(m)
+    trace_ok, vanish_ok = _trace_and_vanishing(m, coclosed_keys(m))
+    yield _values_record(label, {
+        "noncosingular_lifting": zbar(m).is_full() and is_lifting(m),
+        "t_dual_baer_and_strongly_t_k": tdb and strongly_t_k,
+        "t_dual_baer_and_trace_recovers_coclosed": tdb and trace_ok,
+        "t_dual_baer_and_trivial_t_set_forces_zero_coclosed": tdb and vanish_ok,
+    })
 
 
 def run_t312(catalog: ModuleCatalog) -> TheoremReport:
@@ -565,24 +447,34 @@ def run_t312(catalog: ModuleCatalog) -> TheoremReport:
     noncosingular = []
     injective_members = []
     per_module = []
-    for idx, m in enumerate(catalog.modules):
+    for m in catalog.modules:
         try:
             nc = zbar(m).is_full()
             inj = is_injective(m)
         except SizeLimitExceeded:
             skipped += 1
             continue
-        per_module.append((idx, m, nc, inj))
+        per_module.append((m, nc, inj))
         if nc:
-            noncosingular.append((idx, m))
+            noncosingular.append(m)
         if inj:
-            injective_members.append((idx, m))
+            injective_members.append(m)
+    modules = [m for m, _, _ in per_module]
 
-    def all_noncosingular_injective():
-        return all(inj for _, _, nc, inj in per_module if nc)
+    def all_evaluated(predicate, members) -> bool:
+        """Whether ``predicate`` holds on every member that no limit
+        refuses; each refused member counts one skip."""
+        nonlocal skipped
+        out = True
+        for m in members:
+            try:
+                out = predicate(m) and out
+            except SizeLimitExceeded:
+                skipped += 1
+        return out
 
     def radicals_split_and_injective():
-        for idx, m, _, _ in per_module:
+        for m in modules:
             z2 = zbar2(m)
             if z2.key not in summand_keys(m):
                 return False
@@ -592,49 +484,17 @@ def run_t312(catalog: ModuleCatalog) -> TheoremReport:
                 return False
         return True
 
-    def all_t_dual_baer():
-        nonlocal skipped
-        out = True
-        for idx, m, _, _ in per_module:
-            v = is_t_dual_baer(m)
-            if v is None:
-                skipped += 1
-                continue
-            out = out and v
-        return out
-
-    def all_t_lifting():
-        return all(is_t_lifting(m) for _, m, _, _ in per_module)
-
-    def injective_t_lifting():
-        return all(is_t_lifting(m) for _, m in injective_members)
-
-    def radicals_split():
-        return all(zbar2(m).key in summand_keys(m) for _, m, _, _ in per_module)
-
-    def noncosingular_dual_baer():
-        nonlocal skipped
-        out = True
-        for _, m in noncosingular:
-            v = is_dual_baer(m)
-            if v is None:
-                skipped += 1
-                continue
-            out = out and v
-        return out
-
-    def noncosingular_lifting():
-        return all(is_lifting(m) for _, m in noncosingular)
-
-    splits = radicals_split()
+    splits = all(zbar2(m).key in summand_keys(m) for m in modules)
     values = {
-        "noncosingular_are_injective": all_noncosingular_injective(),
+        "noncosingular_are_injective": all(inj for _, nc, inj in per_module if nc),
         "square_radicals_split_and_are_injective": radicals_split_and_injective(),
-        "all_modules_t_dual_baer": all_t_dual_baer(),
-        "all_modules_t_lifting": all_t_lifting(),
-        "injective_modules_t_lifting": injective_t_lifting(),
-        "noncosingular_dual_baer_and_radicals_split": noncosingular_dual_baer() and splits,
-        "noncosingular_lifting_and_radicals_split": noncosingular_lifting() and splits,
+        "all_modules_t_dual_baer": all_evaluated(is_t_dual_baer, modules),
+        "all_modules_t_lifting": all(map(is_t_lifting, modules)),
+        "injective_modules_t_lifting": all(map(is_t_lifting, injective_members)),
+        "noncosingular_dual_baer_and_radicals_split":
+            all_evaluated(is_dual_baer, noncosingular) and splits,
+        "noncosingular_lifting_and_radicals_split":
+            all(map(is_lifting, noncosingular)) and splits,
     }
     instances = [_values_record(f"{catalog.ring_id} catalog", values)]
     return _finish(
@@ -645,21 +505,30 @@ def run_t312(catalog: ModuleCatalog) -> TheoremReport:
 
 # in report order: ``--suite all`` and the bundle's files follow it
 SUITES = {
-    "P2.2": run_p22,
-    "L2.5": run_l25,
-    "P2.6": run_p26,
-    "C2.7": run_c27,
-    "C2.8": run_c28,
-    "T2.11": run_t211,
-    "P2.13": run_p213,
-    "T3.2": run_t32,
-    "C3.3": run_c33,
-    "C3.4": run_c34,
-    "P3.5": run_p35,
-    "T3.6": run_t36,
-    "P3.8": run_p38,
-    "T3.9": run_t39,
-    "C3.10": run_c310,
+    "P2.2": _per_module("P2.2", "all (module, submodule) pairs in catalog",
+                        p22, is_amply_supplemented),
+    "L2.5": _per_module("L2.5", "t-coclosed structure statements per module",
+                        l25, is_amply_supplemented),
+    "P2.6": _per_module("P2.6", "all (module, submodule) pairs in catalog",
+                        p26, is_amply_supplemented),
+    "C2.7": _per_module("C2.7", "per module; all endomorphisms scanned",
+                        c27, is_amply_supplemented),
+    "C2.8": _per_module("C2.8", "pairwise-sum closure of the t-coclosed nodes",
+                        c28, is_amply_supplemented),
+    "T2.11": _per_module("T2.11", "per catalog module", t211, is_amply_supplemented),
+    "P2.13": _per_module("P2.13", "t-lifting catalog members; fully invariant quotients",
+                         p213, is_t_lifting),
+    "T3.2": _per_module("T3.2", "per catalog module", t32),
+    "C3.3": _per_module(
+        "C3.3", "catalog members with sssp inside the square radical and regular", c33),
+    "C3.4": _per_module("C3.4", "regular relative dual-Baer catalog members", c34),
+    "P3.5": _per_module(
+        "P3.5", "per catalog module; subset quantification via generated right ideals",
+        p35),
+    "T3.6": _per_module("T3.6", "summands of relative dual-Baer members", t36),
+    "P3.8": _per_module("P3.8", "per catalog module", p38, is_amply_supplemented),
+    "T3.9": _per_module("T3.9", "per catalog module", t39, is_amply_supplemented),
+    "C3.10": _per_module("C3.10", "per catalog module", c310, is_amply_supplemented),
     "T3.12": run_t312,
 }
 

@@ -33,6 +33,11 @@ with image inside N and T(N) the maps carrying Z into N:
 
 Index sets of endomorphisms are built only at the public boundary
 (:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`).
+
+Over ``max_end`` every endomorphism-set predicate raises
+:class:`~modlab.errors.SizeLimitExceeded` instead of answering.  The
+caller decides what a refusal means: a profile records null
+(:func:`reports.profile_module`), a suite counts a skip.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .cosingular import zbar2
-from .errors import SizeLimitExceeded
 from .lattice import (
     is_small_over,
     is_small_within,
@@ -374,25 +378,17 @@ def dual_baer_witness(module: FiniteModule):
     return None
 
 
-def is_dual_baer(module: FiniteModule) -> bool | None:
-    """Sum of the images of every right ideal splits off.  None when the
-    endomorphism ring is over the configured limit."""
-    try:
-        return dual_baer_witness(module) is None
-    except SizeLimitExceeded:
-        return None
+def is_dual_baer(module: FiniteModule) -> bool:
+    """Sum of the images of every right ideal splits off."""
+    return dual_baer_witness(module) is None
 
 
-def is_t_dual_baer(module: FiniteModule) -> bool | None:
+def is_t_dual_baer(module: FiniteModule) -> bool:
     """For every right ideal, the ideal's image of the square radical
     splits off."""
-    try:
-        data = end_data(module)
-        summands = summand_keys(module)
-        return all(tuple(sorted(zsum)) in summands
-                   for _, zsum in data.image_pair_closure())
-    except SizeLimitExceeded:
-        return None
+    data = end_data(module)
+    summands = summand_keys(module)
+    return all(tuple(sorted(zsum)) in summands for _, zsum in data.image_pair_closure())
 
 
 def dual_baer_quotient_condition(module: FiniteModule) -> bool:
@@ -443,11 +439,7 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
             return False
         if z2.is_zero():
             return True
-        inner = submodule_as_module(z2)
-        value = is_dual_baer(inner.module)
-        if value is None:
-            raise SizeLimitExceeded("inner end ring over limit")
-        return value
+        return is_dual_baer(submodule_as_module(z2).module)
 
     # each h(Zbar2(M)) is the image of a submodule, so already a node key
     radical_images = {tuple(sorted(img)) for img in data.z_images}
@@ -463,7 +455,7 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
         return all(lat.nodes[i].key in summands for i in join_closure(base, lat.join))
 
     return {
-        "definitional": bool(is_t_dual_baer(module)),
+        "definitional": is_t_dual_baer(module),
         "radical_summand_dual_baer": radical_summand_dual_baer(),
         "sssp_and_single_images": sssp_and_single_images(),
         "subset_sums_split": subset_sums(),
@@ -473,14 +465,11 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
 # -- K-style conditions ---------------------------------------------------------------
 
 
-def k_module_class(module: FiniteModule) -> dict[str, bool | None]:
+def k_module_class(module: FiniteModule) -> dict[str, bool]:
     """Flags for the three annihilator-style conditions on submodules:
     only-zero image set forces smallness; radical image set equal to the
     zero one forces relative smallness, respectively plain smallness."""
-    try:
-        end_data(module)
-    except SizeLimitExceeded:
-        return {"k": None, "t_k": None, "strongly_t_k": None}
+    end_data(module)  # a refusal comes before the lattice work
     lat = submodules(module)
     k = True
     t_k = True

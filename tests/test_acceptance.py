@@ -255,16 +255,32 @@ def test_criterion_8_determinism(full_bundle, tmp_path_factory):
     assert diffs == []
 
 
-def test_bundle_bytes_match_the_benchmark_digests(full_bundle):
-    """Every report file of the default bundle has the sha256 that the
-    benchmark's expected digests record, so a byte change fails here too."""
-    out, _ = full_bundle
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "expected", "bundle.json")
-    with open(path) as fh:
-        expected = json.load(fh)["files"]
+def _digests(out) -> dict[str, str]:
     got = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             got[name] = hashlib.sha256(fh.read()).hexdigest()
-    assert got == expected
+    return got
+
+
+def _expected_digests(workload: str) -> dict[str, str]:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "expected", f"{workload}.json")
+    with open(path) as fh:
+        return json.load(fh)["files"]
+
+
+def test_bundle_bytes_match_the_benchmark_digests(full_bundle):
+    """Every report file of the default bundle has the sha256 that the
+    benchmark's expected digests record, so a byte change fails here too."""
+    out, _ = full_bundle
+    assert _digests(out) == _expected_digests("bundle")
+
+
+def test_three_generator_bundle_bytes_match_the_benchmark_digests(tmp_path):
+    """The same for the three-generator Z4 bundle, the one bundle whose
+    End-ring suites skip a module over ``max_end`` (Z4^3, 262,144
+    endomorphisms)."""
+    proc = _run_cli(["verify", "--ring", "Z4", "--gens", "3", "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert _digests(tmp_path) == _expected_digests("z4-gens3")

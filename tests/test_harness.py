@@ -462,6 +462,20 @@ def test_cli_verify_out_that_is_a_file_exits_2_before_the_run(
     assert captured.out == ""
 
 
+def test_cli_verify_report_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """A report file the bundle cannot write (here a directory in its
+    place) ends the run with one configuration line, not a traceback."""
+    (tmp_path / "summary.json").mkdir()
+    argv = ["verify", "--ring", "Z4", "--suite", "P2.2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("invalid configuration: output directory: ")
+    assert "summary.json" in last
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["profile", "--ring", "Z4", "--module", "1"],
     ["verify", "--ring", "Z4,Z8", "--suite", "P2.2", "--jobs", "2"],

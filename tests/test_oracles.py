@@ -190,11 +190,7 @@ def test_noncosingular_dual_baer_coincidence(rid):
     for m in _catalog(rid).modules:
         if not zbar(m).is_full():
             continue
-        db = is_dual_baer(m)
-        tdb = is_t_dual_baer(m)
-        if db is None or tdb is None:
-            continue
-        assert db == tdb
+        assert is_dual_baer(m) == is_t_dual_baer(m)
 
 
 def test_hom_count_multiplicative_over_catalog_triples():

@@ -301,3 +301,86 @@ def test_end_homs_read_scan_sees_attribute_reads():
                          ids=lambda p: p.name)
 def test_production_does_not_list_end_homs(path):
     assert end_homs_reads(path.read_text()) == []
+
+
+def handlers_of(source: str, exception: str) -> list[str]:
+    """``except`` clauses that catch the named exception, alone or in a
+    tuple, by plain or dotted name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", None)) == exception for t in caught):
+                out.append(f"line {node.lineno}: except {ast.unparse(node.type)}")
+    return out
+
+
+def test_handler_scan_sees_plain_dotted_and_tuple_handlers():
+    source = ("try:\n    f()\nexcept SizeLimitExceeded:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, errors.SizeLimitExceeded):\n    pass\n"
+              "try:\n    f()\nexcept KeyError:\n    pass\n"
+              "try:\n    f()\nexcept:\n    pass\n")
+    assert handlers_of(source, "SizeLimitExceeded") == [
+        "line 3: except SizeLimitExceeded",
+        "line 7: except (KeyError, errors.SizeLimitExceeded)"]
+
+
+def test_end_ring_predicates_do_not_catch_the_limit():
+    """Over ``max_end`` a predicate of ``tpredicates`` raises; what a
+    refusal means is its caller's decision (a profile's null, a suite's
+    skip), never a value the predicate returns."""
+    tpredicates = next(p for p in SOURCES if p.name == "tpredicates.py")
+    assert handlers_of(tpredicates.read_text(), "SizeLimitExceeded") == []
+
+
+def none_tests_of_predicates(source: str, module: str) -> list[str]:
+    """Comparisons with None of a predicate result: a call of a function
+    imported from ``module``, a name assigned from such a call, or an
+    item of either."""
+    tree = ast.parse(source)
+    predicates = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == module
+                  for alias in node.names}
+
+    def is_call(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in predicates)
+
+    results = {t.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_call(node.value)
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_result(node) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return is_call(node) or (isinstance(node, ast.Name) and node.id in results)
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                    and any(map(is_result, operands))):
+                out.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _, text in sorted(out)]
+
+
+def test_none_test_scan_sees_results_names_and_items():
+    source = ("from .tpredicates import is_t_dual_baer, k_module_class\n"
+              "from .other import find\n"
+              "def f(m, hypothesis=None):\n"
+              "    tdb = is_t_dual_baer(m)\n"
+              "    kc = k_module_class(m)\n"
+              "    hit = find(m)\n"
+              "    if tdb is None or kc['t_k'] is None:\n"
+              "        return hit is None\n"
+              "    return is_t_dual_baer(m) == None, hypothesis is not None\n")
+    assert none_tests_of_predicates(source, "tpredicates") == [
+        "line 7: tdb is None", "line 7: kc['t_k'] is None",
+        "line 9: is_t_dual_baer(m) == None"]
+
+
+def test_suites_do_not_test_predicate_results_for_none():
+    """A refused evaluation reaches a suite as a raise, never as None."""
+    suites = next(p for p in SOURCES if p.name == "suites.py")
+    assert none_tests_of_predicates(suites.read_text(), "tpredicates") == []

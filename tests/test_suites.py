@@ -77,6 +77,32 @@ def test_t312_statement_names(f2xz4_catalog):
     assert "bounded" in rep.scope
 
 
+def test_suite_loop_counts_each_kind_of_skip(z8_catalog):
+    """A failed hypothesis, a raise and each ``REFUSED`` yield count one
+    skip; a raise keeps the records yielded before it."""
+    from modlab.errors import SizeLimitExceeded
+    from modlab.suites import REFUSED, _per_module
+
+    def each(m, label):
+        yield {"instance": f"{label} first", "holds": True}
+        if m.size == 2:
+            yield REFUSED
+            yield REFUSED
+        if m.size == 4:
+            raise SizeLimitExceeded("planted")
+        yield {"instance": f"{label} second", "holds": m.size != 16}
+
+    rep = _per_module("X", "planted", each, lambda m: m.size != 8)(z8_catalog)
+    sizes = [m.size for m in z8_catalog.modules]
+    assert (sizes.count(2), sizes.count(4), sizes.count(8)) == (1, 2, 2)
+    assert rep.summary == {
+        "instances": 8 + 6,  # a first record per module run, a second unless raised
+        "disagreements": 2,  # the second records of size 16
+        "skipped": 2 + 2 + 2,  # hypothesis, raises, refusals
+    }
+    assert rep.suite == "X" and rep.scope == "planted"
+
+
 def test_suites_skip_when_end_ring_over_limit(z8_catalog, limits):
     limits(Limits(max_end=16))
     rep = verify_theorem("T3.2", z8_catalog)

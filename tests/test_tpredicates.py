@@ -539,16 +539,21 @@ def test_fully_invariant_keys(s_plus_c, z2_plus_z4):
 
 
 def test_unevaluated_on_end_limit(z2_plus_z4, limits):
+    """Over ``max_end`` the End-ring predicates raise; the profile is the
+    one place that records the refusal, as null."""
     from modlab.config import Limits
+    from modlab.reports import profile_module
 
     limits(Limits(max_end=8))
-    assert is_dual_baer(z2_plus_z4) is None
-    assert is_t_dual_baer(z2_plus_z4) is None
-    assert k_module_class(z2_plus_z4) == {
-        "k": None,
-        "t_k": None,
-        "strongly_t_k": None,
-    }
+    for predicate in (is_dual_baer, is_t_dual_baer, k_module_class):
+        with pytest.raises(SizeLimitExceeded):
+            predicate(z2_plus_z4)
+    rep = profile_module(z2_plus_z4)
+    assert rep.end_size is None
+    refused = ("dual_baer", "t_dual_baer", "k", "t_k", "strongly_t_k")
+    assert [rep.to_json()["predicates"][k] for k in refused] == [None] * 5
+    # the predicates a limit does not refuse are still evaluated
+    assert rep.predicates["amply_supplemented"] is True
 
 
 def test_lifting_implies_t_lifting_on_examples(z2_plus_z4, s_plus_c, z4_reg):
