@@ -299,9 +299,9 @@ def _zbar_homs(config: HarnessConfig):
 
 
 def oracle_zbar(config: HarnessConfig, samples: int, echo=print) -> int:
-    """Quotient formula against the kernel-intersection bound: the radical
-    must sit inside the kernel of every map into a small module.  Checks
-    the first ``samples`` homs when ``samples`` is positive."""
+    """The closed form M * S against the kernel-intersection bound: the
+    radical must sit inside the kernel of every map into a small module.
+    Checks the first ``samples`` homs when ``samples`` is positive."""
     mismatches = 0
     checked = 0
     for m, z, target, h in _zbar_homs(config):

@@ -12,6 +12,9 @@ The limits in force are one process-wide value, :data:`LIMITS`.  The
 places that refuse (ring and module construction, catalog enumeration,
 submodule lattices, End rings and the primitive-idempotent search) read
 it at call time as ``config.LIMITS``; no module binds the value itself.
+The radicals Rad, Soc, Zbar and Zbar2 and the small-module test build no
+module of their own: they refuse only through the lattice of the ring's
+regular module, which gives J(R) and S = Soc(_R R).
 Memos are not keyed by the limits, so to change them, set
 ``config.LIMITS`` and then call :func:`modlab.memo.clear`.
 """

@@ -1,27 +1,46 @@
 """The cosingularity radical and its square: the intersection of all
-submodules with small quotient, iterated once.
+submodules with small quotient, iterated once (Talebi and Vanaja, "The
+torsion theory cogenerated by M-small modules", Comm. Algebra 30, 2002).
 
 The reject-style definition over the class of all small modules reduces
 to the finite intersection of {N <= M : M/N is a small module}, because
-any map into a small module factors through such a quotient; the
-containment of the radical in every kernel of such a map is regression
-tested rather than assumed.
+any map into a small module factors through such a quotient.
+
+Closed form.  Write J = J(R) and S = Soc(_R R) = {s : J * s = 0}, the
+socle of R as a left module; S is a two-sided ideal.  A finite module N
+is small (in its injective hull) exactly when N * S = 0:
+
+- :func:`structure.injective_hull` builds E(N) as D(P), where D is the
+  character duality and p: P -> D(N) the projective cover, and N sits in
+  D(P) as the image of D(p), which is the annihilator of ker(p).
+- N is small in E(N) exactly when N <= Rad E(N).  D turns Rad D(P) into
+  the annihilator of Soc(P), so this holds exactly when Soc(P) <= ker(p),
+  that is, when p kills Soc(P).
+- P is a sum of cyclic projectives R * e_i with p(e_i) = x_i, and
+  Soc(R * e_i) = S * e_i, so p(Soc P) is the span of the S * x_i.  The
+  x_i generate D(N) and S is a two-sided ideal, so that span is
+  S * D(N).
+- A ring element acts on D(N) by the transpose of its action on N, so it
+  kills D(N) exactly when it kills N.  Hence N is small exactly when
+  N * S = 0.
+
+So M/K is small exactly when M * S <= K, and M * S is itself a
+submodule: Zbar(M) = M * S, and Zbar2(M) = Zbar(M * S) = M * S^2.  Both
+are spans, computed like Rad(M) = M * J from the few additive generators
+of S (:func:`lattice.times_left_socle`); no quotient, submodule module or
+hull is built.  Two corollaries serve the t-notions: the preimage of
+Zbar2(M/N) in M is N + M * S^2, and Zbar2 of a submodule C is C * S^2.
+The hull route, smallness read as N <= Rad E(N), is the oracle the tests
+check the closed form against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import submodules
+from .lattice import times_left_socle
 from .memo import memo
-from .modules import (
-    FiniteModule,
-    IsoClasses,
-    Submodule,
-    quotient_module,
-    submodule_as_module,
-)
-from .structure import is_small_module
+from .modules import FiniteModule, Submodule
 
 
 @dataclass
@@ -31,63 +50,17 @@ class CosingularProfile:
     classification: str  # cosingular | noncosingular | mixed
 
 
-def _zbar_fast(module: FiniteModule) -> Submodule:
-    lat = submodules(module)
-    current = frozenset(module.elements())
-    # ascending size: once N contains the running intersection it cannot
-    # shrink it, so skip the quotient computation entirely
-    for node in lat.nodes:
-        if current <= node.elements:
-            continue
-        q, _ = quotient_module(module, node)
-        if is_small_module(q):
-            current = current & node.elements
-    return Submodule(module, current)
-
-
-@memo
-def _zbar_classes() -> IsoClasses:
-    """The index of the computed radicals, one per isomorphism class."""
-    return IsoClasses()
-
-
 @memo
 def zbar(module: FiniteModule) -> Submodule:
-    """Intersection of all submodules with small quotient.  Equals the
-    whole module exactly when no proper quotient is small.  Memoized per
-    presentation and per isomorphism class."""
-    classes = _zbar_classes()
-    found = classes.find(module)
-    if found is not None:
-        rep_zbar, iso = found
-        return Submodule(module, iso.restrict_codes(rep_zbar.elements))
-    sub = _zbar_fast(module)
-    classes.add(module, sub)
-    return sub
-
-
-def zbar_witnesses(module: FiniteModule) -> list[Submodule]:
-    """All submodules with small quotient: the definitional scan, with no
-    pruning and no isomorphism-class transport, that :func:`zbar` is
-    tested against."""
-    return [node for node in submodules(module).nodes
-            if is_small_module(quotient_module(module, node)[0])]
+    """Intersection of all submodules with small quotient: M * S.  Equals
+    the whole module exactly when no proper quotient is small."""
+    return Submodule(module, times_left_socle(module, module.elements()))
 
 
 @memo
 def zbar2(module: FiniteModule) -> Submodule:
-    """The radical applied to its own value, pulled back along the
-    inclusion."""
-    z = zbar(module)
-    if z.is_full():
-        return z
-    inner = submodule_as_module(z)
-    w = zbar(inner.module)
-    return Submodule(module, inner.push_out(w.elements))
-
-
-def is_cosingular(module: FiniteModule) -> bool:
-    return zbar(module).is_zero()
+    """The radical applied to its own value: (M * S) * S."""
+    return Submodule(module, times_left_socle(module, zbar(module).elements))
 
 
 def classify(module: FiniteModule) -> CosingularProfile:

@@ -11,7 +11,9 @@ Both are computed from the few additive generators h of J
 (:func:`jacobson_generators`), never from all of J: x * j is additive in
 x and in j, so M * J is the additive span of the rows of the h's action
 matrices, X * J that of the x * h, and x * J = 0 exactly when every
-x * h = 0.  The cost no longer grows with |M| |J|.
+x * h = 0.  The cost no longer grows with |M| |J|.  X * S, for the left
+socle S = Soc(_R R) of the ring, comes from S's additive generators the
+same way (:func:`times_left_socle`); M * S is the cosingularity radical.
 
 Every closure over joins goes through :func:`join_closure`, which joins
 each new element with the seeds only: a finite join is a seed joined onto
@@ -302,6 +304,19 @@ def jacobson_generators(ring) -> tuple[tuple[int, ...], ...]:
 
 
 @memo
+def left_socle_generators(ring) -> tuple[tuple[int, ...], ...]:
+    """Additive generators of S = Soc(_R R) = {s : J * s = 0}, the socle of
+    R as a left module, in ring coordinates: the ring elements that every
+    additive generator of J kills from the left.  S is a two-sided ideal."""
+    zero = ring.zero_coords()
+    jgens = jacobson_generators(ring)
+    members = [list(s) for s in ring.element_coords()
+               if all(ring.mul_coords(h, s) == zero for h in jgens)]
+    _, reps, _ = subgroup_decomposition(ring.component_orders, members)
+    return tuple(map(tuple, reps))
+
+
+@memo
 def radical(module: FiniteModule) -> Submodule:
     """Rad(M) = M * J(R), also the sum of all small submodules: the
     additive span of the e_s * h over M's basis vectors e_s and J's
@@ -317,9 +332,21 @@ def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[
     """Element codes of Rad(X) = X * J(R) for an action-closed subset X,
     computed in the ambient coordinates: the additive span of the x * h
     over x in X and J's additive generators h."""
+    return _times(module, codes, jacobson_generators(module.ring))
+
+
+def times_left_socle(module: FiniteModule, codes) -> frozenset[int]:
+    """Element codes of X * S, S = Soc(_R R), for an action-closed subset
+    X: the additive span of the x * s over x in X and S's additive
+    generators s.  M * S is the cosingularity radical of M (see
+    :mod:`modlab.cosingular`)."""
+    return _times(module, codes, left_socle_generators(module.ring))
+
+
+def _times(module: FiniteModule, codes, gens) -> frozenset[int]:
     ws = module.workspace()
     products = set()
-    for h in jacobson_generators(module.ring):
+    for h in gens:
         products.update(map(ws.action_table(h).__getitem__, codes))
     return frozenset(ws.additive_closure(products))
 

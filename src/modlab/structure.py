@@ -7,7 +7,8 @@ nose in this presentation, swaps projective covers with injective hulls,
 and turns small kernels into essential images.  Injective hulls are
 computed as the dual of the projective cover of the dual, then
 post-verified (essential embedding, injectivity by the right-ideal
-extension test).
+extension test).  The small-module predicate builds no hull: a module is
+small exactly when S = Soc(_R R) kills it (:mod:`modlab.cosingular`).
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .lattice import (
     is_essential,
     radical,
     submodules,
+    times_left_socle,
 )
 from .memo import memo
 from .modules import (
     FiniteModule,
-    IsoClasses,
     ModuleHom,
     Submodule,
     SubmoduleModule,
@@ -450,22 +451,7 @@ def injective_hull(module: FiniteModule):
     return hull, embed
 
 
-@memo
-def _small_classes() -> IsoClasses:
-    """The index of the computed small-module values, one per isomorphism
-    class."""
-    return IsoClasses()
-
-
-@memo
 def is_small_module(module: FiniteModule) -> bool:
-    """Small in its injective hull.  Memoized per presentation and per
-    isomorphism class."""
-    classes = _small_classes()
-    found = classes.find(module)
-    if found is not None:
-        return found[0]
-    hull, embed = injective_hull(module)
-    value = embed.image().elements <= radical(hull).elements
-    classes.add(module, value)
-    return value
+    """Small in its injective hull, decided as M * S = 0 with
+    S = Soc(_R R) (the proof is in :mod:`modlab.cosingular`)."""
+    return len(times_left_socle(module, module.elements())) == 1

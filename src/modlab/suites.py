@@ -14,6 +14,8 @@ optional hypothesis, run by the one suite loop over the catalog.  That
 loop counts a skip
 
 - for a module that fails the hypothesis (``each`` is not called);
+- for a module whose hypothesis raises :class:`SizeLimitExceeded`
+  (``each`` is not called either);
 - for a module whose ``each`` raises :class:`SizeLimitExceeded`; the
   records ``each`` yielded before the raise stay;
 - for each :data:`REFUSED` that ``each`` yields: one evaluation a limit
@@ -104,10 +106,10 @@ def _per_module(suite_id: str, scope: str,
     def run(catalog: ModuleCatalog) -> TheoremReport:
         instances, skipped = [], 0
         for idx, m in enumerate(catalog.modules):
-            if hypothesis is not None and not hypothesis(m):
-                skipped += 1
-                continue
             try:
+                if hypothesis is not None and not hypothesis(m):
+                    skipped += 1
+                    continue
                 for record in each(m, catalog.label(idx)):
                     if record is REFUSED:
                         skipped += 1
@@ -449,6 +451,8 @@ def run_t312(catalog: ModuleCatalog) -> TheoremReport:
     per_module = []
     for m in catalog.modules:
         try:
+            # the statements below read the lattice of every module kept
+            submodules(m)
             nc = zbar(m).is_full()
             inj = is_injective(m)
         except SizeLimitExceeded:

@@ -53,6 +53,7 @@ from .lattice import (
     radical,
     socle,
     submodules,
+    times_left_socle,
 )
 from .memo import memo
 from .modules import (
@@ -108,22 +109,17 @@ def t_small_variants(sub: Submodule, module: FiniteModule) -> dict[str, bool]:
 
 @memo
 def zbar2_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
-    """Preimage in M of the square radical of M/N."""
-    q, proj = quotient_module(module, n)
-    target = zbar2(q).elements
-    return frozenset(c for c, y in enumerate(proj.table()) if y in target)
+    """Preimage in M of the square radical of M/N: N + M * S^2, since
+    (M/N) * S^2 = (M * S^2 + N)/N (:mod:`modlab.cosingular`)."""
+    lat = submodules(module)
+    return lat.nodes[lat.join(lat.node_index(n), lat.node_index(zbar2(module)))].elements
 
 
 @memo
 def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
     """The square radical of a submodule viewed as a module, as a code set
-    of the parent."""
-    if sub.is_full():
-        return zbar2(module).elements
-    if sub.is_zero():
-        return frozenset((0,))
-    inner = submodule_as_module(sub)
-    return inner.push_out(zbar2(inner.module).elements)
+    of the parent: C * S^2."""
+    return times_left_socle(module, times_left_socle(module, sub.elements))
 
 
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:

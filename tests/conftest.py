@@ -2,7 +2,7 @@ import pytest
 
 from modlab import config, memo
 from modlab.modules import direct_sum, regular_module, span, submodule_as_module
-from modlab.rings import builtin_ring
+from modlab.rings import builtin_ring, ring_from_constants
 
 
 @pytest.fixture
@@ -100,3 +100,29 @@ def c_block(F2xZ4):
 @pytest.fixture(scope="session")
 def s_plus_c(s_block, c_block):
     return direct_sum(s_block, c_block)
+
+
+def _path_algebra_constants():
+    """Structure constants of the path algebra over F2 of the quiver
+    1 -> 3 <- 2, on the basis e1, e2, e3, a, b: the only nonzero products
+    are e_i * e_i = e_i, e1 * a = a * e3 = a and e2 * b = b * e3 = b."""
+    unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    e1, e2, e3, a, b = unit
+    products = {(0, 0): e1, (1, 1): e2, (2, 2): e3,
+                (0, 3): a, (3, 2): a, (1, 4): b, (4, 2): b}
+    return [[products.get((i, j), (0,) * 5) for j in range(5)] for i in range(5)]
+
+
+@pytest.fixture(scope="session")
+def Q():
+    """The path algebra Q of 1 -> 3 <- 2 over F2, of order 32.  Its left
+    socle S is not inside J(Q), which no built-in ring has."""
+    return ring_from_constants((2,) * 5, _path_algebra_constants(), (1, 1, 1, 0, 0))
+
+
+@pytest.fixture(scope="session")
+def Qop():
+    """The opposite ring of Q, from the transposed constants."""
+    c = _path_algebra_constants()
+    return ring_from_constants((2,) * 5, [[c[j][i] for j in range(5)] for i in range(5)],
+                               (1, 1, 1, 0, 0))

@@ -1,10 +1,18 @@
 """The oracles that production fast paths are checked against: the
-definitional smallness scans, plain and in a quotient, and lifting by
-the criterion "amply supplemented, and every coclosed submodule is a
-direct summand"."""
+definitional smallness scans, plain and in a quotient, lifting by the
+criterion "amply supplemented, and every coclosed submodule is a direct
+summand", and the hull route to the cosingularity radicals, which the
+closed forms M * S and M * S^2 replace."""
 
-from modlab.lattice import is_small_over, submodules
-from modlab.structure import is_amply_supplemented, is_coclosed, summand_keys
+from modlab.cosingular import zbar2
+from modlab.lattice import is_small_over, radical, submodules
+from modlab.modules import Submodule, quotient_module, submodule_as_module
+from modlab.structure import (
+    injective_hull,
+    is_amply_supplemented,
+    is_coclosed,
+    summand_keys,
+)
 
 
 def small_scan(node):
@@ -25,3 +33,49 @@ def lifting_by_coclosed(module):
         return False
     summands = summand_keys(module)
     return all(s.key in summands for s in submodules(module).nodes if is_coclosed(s, module))
+
+
+def small_by_hull(module):
+    """A small module by the definition: it lies in the radical of its
+    injective hull, N <= Rad E(N)."""
+    hull, embed = injective_hull(module)
+    return embed.image().elements <= radical(hull).elements
+
+
+def zbar_witnesses(module):
+    """All submodules with small quotient, each quotient tested by its
+    hull."""
+    return [node for node in submodules(module).nodes
+            if small_by_hull(quotient_module(module, node)[0])]
+
+
+def zbar_by_hull(module):
+    """Zbar(M) by the definition: the intersection of the submodules with
+    small quotient."""
+    out = frozenset(module.elements())
+    for node in zbar_witnesses(module):
+        out &= node.elements
+    return out
+
+
+def zbar2_by_hull(module):
+    """Zbar2(M) by the definition: Zbar of Zbar(M) as a module, pushed back
+    into M."""
+    z = zbar_by_hull(module)
+    if len(z) == module.size:
+        return z
+    inner = submodule_as_module(Submodule(module, z))
+    return inner.push_out(zbar_by_hull(inner.module))
+
+
+def zbar2_pullback_by_quotient(module, n):
+    """The preimage of Zbar2(M/N) in M, read off the quotient module."""
+    q, proj = quotient_module(module, n)
+    target = zbar2(q).elements
+    return frozenset(c for c, y in enumerate(proj.table()) if y in target)
+
+
+def zbar2_of_node_by_submodule(module, sub):
+    """Zbar2 of a submodule, read off the submodule as a module."""
+    inner = submodule_as_module(sub)
+    return inner.push_out(zbar2(inner.module).elements)

@@ -1,16 +1,16 @@
-"""The cosingularity radical, its square, and the classification."""
+"""The cosingularity radical, its square, and the classification: the
+closed forms M * S and M * S^2 against the hull route."""
 
 import pytest
 
 from modlab import memo
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
-from modlab.cosingular import classify, is_cosingular, zbar, zbar2, zbar_witnesses
+from modlab.cosingular import classify, zbar, zbar2
 from modlab.errors import SizeLimitExceeded
-from modlab.lattice import submodules
+from modlab.lattice import jacobson_radical, left_socle_generators, submodules
 from modlab.modules import (
     FiniteModule,
-    IsoClasses,
     direct_sum,
     hom_set,
     quotient_module,
@@ -21,7 +21,21 @@ from modlab.modules import (
 )
 from modlab.rings import builtin_ring
 from modlab.structure import is_small_module
-from modlab.tpredicates import end_data
+from modlab.tpredicates import end_data, zbar2_of_node, zbar2_pullback
+from scan_oracles import (
+    small_by_hull,
+    zbar2_by_hull,
+    zbar2_of_node_by_submodule,
+    zbar2_pullback_by_quotient,
+    zbar_by_hull,
+    zbar_witnesses,
+)
+
+RING_IDS = ("Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2")
+
+
+def is_cosingular(module):
+    return zbar(module).is_zero()
 
 
 def test_zbar_chain_ring(z4_reg):
@@ -147,39 +161,88 @@ def reversed_copy(m):
 
 def test_radical_and_small_module_memos_are_keyed_by_limits(z2_plus_z4, z2_over_z4,
                                                             limits):
-    """Under max_module=8 the hull of the quotient Z2 + Z2 (16 elements) is
-    over the limit, so a value memoized under the default limits, for the
-    same presentation or an isomorphic one, must not answer."""
+    """Under max_module=2 the regular module of Z4 (4 elements) is over the
+    limit, so J(Z4) and S = Soc(_R R), which both radicals and the
+    small-module test read, are refused: a value memoized under the
+    default limits, for the same presentation or an isomorphic one, must
+    not answer."""
     copy = reversed_copy(z2_plus_z4)
     assert copy != z2_plus_z4
     assert not zbar(z2_plus_z4).is_full()
     assert zbar2(z2_plus_z4).is_zero()
     pair = direct_sum(z2_over_z4, z2_over_z4)
+    pair_copy = reversed_copy(pair)
     assert is_small_module(pair)
-    limits(Limits(max_module=8))
+    limits(Limits(max_module=2))
     for m in (z2_plus_z4, copy):
         for radical in (zbar, zbar2):
             with pytest.raises(SizeLimitExceeded):
                 radical(m)
-    for m in (pair, reversed_copy(pair)):
+    for m in (pair, pair_copy):
         with pytest.raises(SizeLimitExceeded):
             is_small_module(m)
 
 
-@pytest.mark.parametrize("rid", ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"])
-def test_isomorphism_class_index_agrees_with_cold_computation(rid, monkeypatch):
-    """zbar and is_small_module answered through the isomorphism-class
-    index, on every catalog member and on an isomorphic copy of it with
-    its components reversed, equal the values computed with the index
-    switched off and every memo empty."""
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_isomorphism_class_index_agrees_with_cold_computation(rid):
+    """zbar and is_small_module keep no isomorphism-class index: the closed
+    form gives isomorphic presentations the same answer by itself.  On
+    every catalog member and on its copy with the components reversed,
+    computed cold (every memo empty), the radicals of the copy are the
+    reversals of the member's, and smallness agrees."""
     members = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256),
                                 ring_id=rid).modules
-    modules = members + [reversed_copy(m) for m in members]
-    indexed = [(zbar(m).key, is_small_module(m)) for m in modules]
+    warm = [(zbar(m).elements, zbar2(m).elements, is_small_module(m)) for m in members]
     memo.clear()
-    monkeypatch.setattr(IsoClasses, "find", lambda self, module: None)
-    try:
-        cold = [(zbar(m).key, is_small_module(m)) for m in modules]
-    finally:
-        memo.clear()
-    assert indexed == cold
+    for m, (z, z2, small) in zip(members, warm):
+        copy = reversed_copy(m)
+
+        def reverse(codes):
+            return frozenset(copy.encode(m.decode(c)[::-1]) for c in codes)
+
+        assert zbar(copy).elements == reverse(z), (rid, m.component_orders)
+        assert zbar2(copy).elements == reverse(z2), (rid, m.component_orders)
+        assert is_small_module(copy) == small
+    memo.clear()
+
+
+def check_against_the_hull_route(catalog):
+    """On every catalog module M and every lattice node N: the small-module
+    test of M/N against its hull; Zbar(M/N), pulled back to M, against the
+    intersection of the nodes K >= N with M/K small by the hull, since
+    (M/N)/(K/N) = M/K; the pullback of Zbar2(M/N) against the quotient
+    module's; Zbar2 of N against N as a module's.  Then Zbar(M) and
+    Zbar2(M) against the hull route."""
+    for m in catalog.modules:
+        lat = submodules(m)
+        small = [small_by_hull(quotient_module(m, k)[0]) for k in lat.nodes]
+        for n in lat.nodes:
+            q, proj = quotient_module(m, n)
+            assert is_small_module(q) == small[lat.node_index(n)]
+            want = frozenset(m.elements())
+            for k, k_small in zip(lat.nodes, small):
+                if k_small and n.elements <= k.elements:
+                    want &= k.elements
+            table, z = proj.table(), zbar(q).elements
+            assert frozenset(c for c in m.elements() if table[c] in z) == want
+            assert zbar2_pullback(m, n) == zbar2_pullback_by_quotient(m, n)
+            assert zbar2_of_node(m, n) == zbar2_of_node_by_submodule(m, n)
+        assert zbar(m).elements == zbar_by_hull(m), m.component_orders
+        assert zbar2(m).elements == zbar2_by_hull(m), m.component_orders
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_closed_form_matches_the_hull_route(rid):
+    check_against_the_hull_route(
+        enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid))
+
+
+@pytest.mark.parametrize("rid", ["Q", "Qop"])
+def test_closed_form_matches_the_hull_route_over_the_quiver_rings(rid, request):
+    """Over Q and its opposite S = Soc(_R R) is not inside J(R), so M * S
+    and M * J(R) differ there on modules the built-in rings do not have."""
+    ring = request.getfixturevalue(rid)
+    assert any(ring.encode(s) not in jacobson_radical(ring)
+               for s in left_socle_generators(ring))
+    check_against_the_hull_route(enumerate_modules(ring, GenerationPolicy(1, 256),
+                                                   ring_id=rid))

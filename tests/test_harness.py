@@ -565,20 +565,20 @@ def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
 
 def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, Z4,
                                                          limits):
-    """Under max_module=8 three Z4 catalog modules are over a limit, also
-    after a default-limits pass has profiled them; and a profile under
-    other limits never reaches the disk cache."""
+    """Under max_module=4 two Z4 catalog modules have a lattice over the
+    limit, also after a default-limits pass has profiled them; and a
+    profile under other limits never reaches the disk cache."""
     cat = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
     for m in cat.modules:
         profile_module(m)
-    limits(Limits(max_module=8))
+    limits(Limits(max_module=4))
     over = []
     for m in cat.modules:
         try:
             profile_module(m)
         except SizeLimitExceeded:
             over.append(m.size)
-    assert over == [4, 8, 16]
+    assert over == [8, 16]
     monkeypatch.setenv("MODLAB_CACHE", str(tmp_path))
     memo.clear()
     profile_module(cat.modules[1])

@@ -78,8 +78,9 @@ def test_t312_statement_names(f2xz4_catalog):
 
 
 def test_suite_loop_counts_each_kind_of_skip(z8_catalog):
-    """A failed hypothesis, a raise and each ``REFUSED`` yield count one
-    skip; a raise keeps the records yielded before it."""
+    """A failed hypothesis, a hypothesis that raises, a raise and each
+    ``REFUSED`` yield count one skip; a raise keeps the records yielded
+    before it."""
     from modlab.errors import SizeLimitExceeded
     from modlab.suites import REFUSED, _per_module
 
@@ -92,13 +93,18 @@ def test_suite_loop_counts_each_kind_of_skip(z8_catalog):
             raise SizeLimitExceeded("planted")
         yield {"instance": f"{label} second", "holds": m.size != 16}
 
-    rep = _per_module("X", "planted", each, lambda m: m.size != 8)(z8_catalog)
+    def hypothesis(m):
+        if m.size == 64:
+            raise SizeLimitExceeded("planted")
+        return m.size != 8
+
+    rep = _per_module("X", "planted", each, hypothesis)(z8_catalog)
     sizes = [m.size for m in z8_catalog.modules]
-    assert (sizes.count(2), sizes.count(4), sizes.count(8)) == (1, 2, 2)
+    assert (sizes.count(2), sizes.count(4), sizes.count(8), sizes.count(64)) == (1, 2, 2, 1)
     assert rep.summary == {
-        "instances": 8 + 6,  # a first record per module run, a second unless raised
+        "instances": 7 + 5,  # a first record per module run, a second unless raised
         "disagreements": 2,  # the second records of size 16
-        "skipped": 2 + 2 + 2,  # hypothesis, raises, refusals
+        "skipped": 2 + 1 + 2 + 2,  # hypothesis fails, hypothesis raises, raises, refusals
     }
     assert rep.suite == "X" and rep.scope == "planted"
 
@@ -152,29 +158,31 @@ def z4_catalog():
 
 
 def test_t312_skips_modules_over_limits(z4_catalog, limits):
-    """Projective covers over ``max_module`` make zbar raise; T3.12 counts
-    those modules as skipped instead of failing."""
-    limits(Limits(max_module=8))
-    # the injective hulls of Z2^2, Z4+Z2 and Z4^2 have 16 elements
+    """Lattices over ``max_module`` are refused; T3.12 counts those modules
+    as skipped instead of failing."""
+    limits(Limits(max_module=4))
+    # the lattices of Z4+Z2 and Z4^2 have 8 and 16 elements
     assert verify_theorem("T3.12", z4_catalog).summary == {
-        "instances": 1, "disagreements": 0, "skipped": 3}
+        "instances": 1, "disagreements": 0, "skipped": 2}
 
 
 def test_t312_skips_modules_over_limits_after_a_default_run(z4_catalog, limits):
     """The same count after a default-limits T3.12 run in this process has
-    filled the radical, small-module and hull memos."""
+    filled the lattice, radical and summand memos."""
     assert verify_theorem("T3.12", z4_catalog).summary["skipped"] == 0
-    limits(Limits(max_module=8))
+    limits(Limits(max_module=4))
     assert verify_theorem("T3.12", z4_catalog).summary == {
-        "instances": 1, "disagreements": 0, "skipped": 3}
+        "instances": 1, "disagreements": 0, "skipped": 2}
 
 
 def test_t312_skips_modules_over_the_ring_limit(z4_catalog, limits):
-    """Over a ring above ``max_ring`` the primitive idempotent search raises
-    a limit error, so every nonzero module is skipped."""
-    limits(Limits(max_ring=2))
+    """A refusal at the ring level skips every module, the zero module
+    too: under ``max_module=2`` the regular module of Z4, whose lattice
+    gives J(R) and S = Soc(_R R) and the right ideals of the injectivity
+    test, is over the limit."""
+    limits(Limits(max_module=2))
     assert verify_theorem("T3.12", z4_catalog).summary == {
-        "instances": 1, "disagreements": 0, "skipped": 5}
+        "instances": 1, "disagreements": 0, "skipped": 6}
 
 
 def test_primitive_blocks_checks_the_ring_limit_before_its_memo(Z4, limits):

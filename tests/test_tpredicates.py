@@ -580,12 +580,12 @@ def test_endo_subset_kinds(s_plus_c):
 @pytest.mark.parametrize("predicate", [t_small_keys, is_t_lifting],
                          ids=lambda f: f.__name__)
 def test_relative_memos_are_keyed_by_limits(z2_plus_z4, predicate, limits):
-    """Under max_module=8 the hull of the quotient Z2 + Z2 of Z2 + Z4 is
-    over the limit, so a value memoized under the default limits must not
+    """Under max_module=4 the lattice of Z2 + Z4 (8 elements) is over the
+    limit, so a value memoized under the default limits must not
     answer."""
     from modlab.config import Limits
 
     predicate(z2_plus_z4)
-    limits(Limits(max_module=8))
+    limits(Limits(max_module=4))
     with pytest.raises(SizeLimitExceeded):
         predicate(z2_plus_z4)
