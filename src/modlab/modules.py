@@ -771,13 +771,6 @@ def identity_hom(module: FiniteModule) -> ModuleHom:
                      validate=False)
 
 
-def zero_hom(source: FiniteModule, target: FiniteModule) -> ModuleHom:
-    t = len(target.component_orders)
-    return ModuleHom(source, target,
-                     [[0] * t for _ in range(len(source.component_orders))],
-                     validate=False)
-
-
 def kernel_image(f: ModuleHom) -> tuple[Submodule, Submodule]:
     return f.kernel(), f.image()
 

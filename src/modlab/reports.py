@@ -17,7 +17,6 @@ from .modules import FiniteModule, end_ring_size
 from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
     coclosed_keys,
-    is_amply_supplemented,
     is_injective,
     is_lifting,
     is_small_module,
@@ -148,7 +147,7 @@ def _profile(module: FiniteModule) -> PropertyReport:
     prof = classify(module)
     end_size = _unless_refused(end_ring_size, module)
     preds: dict[str, bool | None] = {}
-    preds["amply_supplemented"] = is_amply_supplemented(module)
+    preds["amply_supplemented"] = True  # a theorem: see modlab.suites
     preds["lifting"] = is_lifting(module)
     preds["t_lifting"] = is_t_lifting(module)
     preds["dual_baer"] = _unless_refused(is_dual_baer, module)
@@ -177,7 +176,7 @@ def _profile(module: FiniteModule) -> PropertyReport:
     flags: list[str] = []
     if preds["lifting"] and not preds["t_lifting"]:
         flags.append("lifting without t_lifting")
-    if preds["t_lifting"] and preds["t_dual_baer"] is False and preds["amply_supplemented"]:
+    if preds["t_lifting"] and preds["t_dual_baer"] is False:
         flags.append("t_lifting without t_dual_baer")
     if preds["noncosingular"] and small_keys != tsmall:
         flags.append("noncosingular but t_small differs from small")

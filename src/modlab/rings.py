@@ -144,17 +144,9 @@ class FiniteRing(MixedRadix):
     def zero(self) -> "RingElement":
         return RingElement(self, self.zero_coords())
 
-    def one_element(self) -> "RingElement":
-        return RingElement(self, self.one)
-
     def elements(self) -> Iterator["RingElement"]:
         for coords in self.element_coords():
             yield RingElement(self, coords)
-
-    def is_commutative(self) -> bool:
-        c = self.constants
-        k = len(self.component_orders)
-        return all(c[i][j] == c[j][i] for i in range(k) for j in range(i + 1, k))
 
     def idempotent_coords(self) -> list[tuple[int, ...]]:
         """All coordinates e with e*e == e, in code order."""

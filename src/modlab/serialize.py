@@ -6,7 +6,6 @@ All integers are decimal; coordinates are little-endian in basis order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -94,6 +93,10 @@ CACHE_SCHEMA = 2
 
 
 def content_hash(obj: FiniteRing | FiniteModule) -> str:
+    """The disk cache's key: SHA-256 of the canonical JSON and schema.
+    ``hashlib`` maps OpenSSL into the process, so only a cache loads it."""
+    import hashlib
+
     if isinstance(obj, FiniteRing):
         payload = {"kind": "ring", "data": ring_to_json(obj)}
     else:

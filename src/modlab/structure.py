@@ -188,15 +188,18 @@ def is_amply_supplemented(module: FiniteModule) -> bool:
 # -- small quotients and coclosed submodules -----------------------------------
 
 
+def radical_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
+    """Preimage N + Rad(M) of Rad(M/N) in M: one lattice join."""
+    lat = submodules(module)
+    return lat.nodes[lat.join(lat.node_index(n), lat.node_index(radical(module)))].elements
+
+
 def small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N << M/N for N <= A, evaluated inside the ambient lattice as
-    A <= N + Rad(M), using Rad(M/N) = (Rad(M) + N)/N."""
+    A <= N + Rad(M)."""
     if not n.elements <= a.elements:
         raise NotSubmodule("need N <= A for a quotient comparison")
-    lat = submodules(module)
-    i = lat.node_index(n)
-    r = lat.node_index(radical(module))
-    return a.elements <= lat.nodes[lat.join(i, r)].elements
+    return a.elements <= radical_pullback(module, n)
 
 
 def is_coclosed_under(small, sub: Submodule, module: FiniteModule) -> bool:

@@ -4,8 +4,12 @@ instance of a module catalog and records agreement.
 
 Suites quantifying over "every module" run over the bounded catalog and
 say so in their scope string; an all-true vector is evidence at that
-bound, not a proof.  Hypotheses (amply supplemented) are computed, never
-assumed; instances failing a hypothesis are recorded as skipped.
+bound, not a proof.  Hypotheses are computed, never assumed, but for one
+that a theorem discharges: a finite module is artinian, hence amply
+supplemented (Wisbauer, Foundations of Module and Ring Theory, 41-43).
+The oracle tests of :func:`structure.is_amply_supplemented` in
+``tests/test_structure.py`` keep that honest.  Instances failing a
+hypothesis are recorded as skipped.
 
 Every suite but the ring-level T3.12 is a per-module function
 ``each(module, label)`` that yields the module's instance records.
@@ -47,7 +51,6 @@ from .modules import (
 from .reports import TheoremReport, disagrees
 from .structure import (
     coclosed_keys,
-    is_amply_supplemented,
     is_coclosed,
     is_injective,
     is_lifting,
@@ -204,11 +207,10 @@ def l25(m: FiniteModule, label: str) -> Iterator:
                     wit4 = {"C": _node_witness(c), "A": _node_witness(a)}
             # (5): A tcc in M iff A tcc in C, for amply supplemented C
             inner = submodule_as_module(c)
-            if is_amply_supplemented(inner.module):
-                a_in = Submodule(inner.module, inner.pull_in(a.elements))
-                if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
-                    ok5 = False
-                    wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
+            a_in = Submodule(inner.module, inner.pull_in(a.elements))
+            if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
+                ok5 = False
+                wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
         if not (ok4 and ok5):
             break
     yield _holds_record(
@@ -509,17 +511,12 @@ def run_t312(catalog: ModuleCatalog) -> TheoremReport:
 
 # in report order: ``--suite all`` and the bundle's files follow it
 SUITES = {
-    "P2.2": _per_module("P2.2", "all (module, submodule) pairs in catalog",
-                        p22, is_amply_supplemented),
-    "L2.5": _per_module("L2.5", "t-coclosed structure statements per module",
-                        l25, is_amply_supplemented),
-    "P2.6": _per_module("P2.6", "all (module, submodule) pairs in catalog",
-                        p26, is_amply_supplemented),
-    "C2.7": _per_module("C2.7", "per module; all endomorphisms scanned",
-                        c27, is_amply_supplemented),
-    "C2.8": _per_module("C2.8", "pairwise-sum closure of the t-coclosed nodes",
-                        c28, is_amply_supplemented),
-    "T2.11": _per_module("T2.11", "per catalog module", t211, is_amply_supplemented),
+    "P2.2": _per_module("P2.2", "all (module, submodule) pairs in catalog", p22),
+    "L2.5": _per_module("L2.5", "t-coclosed structure statements per module", l25),
+    "P2.6": _per_module("P2.6", "all (module, submodule) pairs in catalog", p26),
+    "C2.7": _per_module("C2.7", "per module; all endomorphisms scanned", c27),
+    "C2.8": _per_module("C2.8", "pairwise-sum closure of the t-coclosed nodes", c28),
+    "T2.11": _per_module("T2.11", "per catalog module", t211),
     "P2.13": _per_module("P2.13", "t-lifting catalog members; fully invariant quotients",
                          p213, is_t_lifting),
     "T3.2": _per_module("T3.2", "per catalog module", t32),
@@ -530,9 +527,9 @@ SUITES = {
         "P3.5", "per catalog module; subset quantification via generated right ideals",
         p35),
     "T3.6": _per_module("T3.6", "summands of relative dual-Baer members", t36),
-    "P3.8": _per_module("P3.8", "per catalog module", p38, is_amply_supplemented),
-    "T3.9": _per_module("T3.9", "per catalog module", t39, is_amply_supplemented),
-    "C3.10": _per_module("C3.10", "per catalog module", c310, is_amply_supplemented),
+    "P3.8": _per_module("P3.8", "per catalog module", p38),
+    "T3.9": _per_module("T3.9", "per catalog module", t39),
+    "C3.10": _per_module("C3.10", "per catalog module", c310),
     "T3.12": run_t312,
 }
 

@@ -9,8 +9,9 @@ place of M: A is relatively small when Z <= A + B forces Z <= B, and
 relative coclosure and lifting are coclosure and lifting with relatively
 small remainders.  So relative smallness is the one smallness scan,
 :func:`lattice.is_small_over`, at Z = Zbar2(M) (the plain notion is its
-case Z = M), and relative coclosure and lifting are the plain notions'
-loops, :func:`structure.is_coclosed_under` and
+case Z = M); in a quotient it takes plain smallness's radical route
+(:func:`t_small_in_quotient`).  Relative coclosure and lifting are the
+plain notions' loops, :func:`structure.is_coclosed_under` and
 :func:`structure.is_lifting_under`, run with relative smallness.
 The equivalent characterizations that hold for amply supplemented modules
 are exposed as *variants*, kept as separate code, so the verification
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .cosingular import zbar2
+from .errors import NotSubmodule
 from .lattice import (
     is_small_over,
     is_small_within,
@@ -70,6 +72,7 @@ from .structure import (
     is_direct_summand,
     is_lifting,
     is_lifting_under,
+    radical_pullback,
     small_in_quotient,
     summand_keys,
 )
@@ -123,9 +126,20 @@ def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
 
 
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
-    """A/N is relatively small in M/N, evaluated inside the ambient
-    lattice via the pullback of the quotient's square radical."""
-    return is_small_over(module, a, n, zbar2_pullback(module, n))
+    """A/N is relatively small in M/N, for N <= A, decided as
+    A & Zbar2(M) <= N + Rad(M): :func:`structure.small_in_quotient` with
+    A replaced by A & Zbar2(M).  The definitional scan is the test oracle.
+
+    Proof.  M/N is finite, hence amply supplemented, so by P2.2 (the
+    ``trace_small_in_module`` variant) A/N is relatively small in M/N
+    exactly when A/N & Zbar2(M/N) <= Rad(M/N).  Pulled back along
+    M -> M/N, with Zbar2(M/N) = (N + M * S^2)/N (:mod:`modlab.cosingular`)
+    and Rad(M/N) = (N + Rad(M))/N, that is A & (N + Zbar2(M)) <= N + Rad(M).
+    As N <= A, the modular law makes the left side N + (A & Zbar2(M)), and
+    N lies in the right side, so this is A & Zbar2(M) <= N + Rad(M)."""
+    if not n.elements <= a.elements:
+        raise NotSubmodule("need N <= A for a quotient comparison")
+    return a.elements & zbar2(module).elements <= radical_pullback(module, n)
 
 
 # -- relative coclosure -----------------------------------------------------------
@@ -260,21 +274,6 @@ class EndoSubset:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def verify_right_ideal(self) -> bool:
-        """Closure under addition and under composition with every
-        endomorphism on the inner side."""
-        end = self.end
-        members = self.members
-        for i in members:
-            for j in members:
-                if end.add(i, j) not in members:
-                    return False
-        for i in members:
-            for j in range(end.size):
-                if end.compose(i, j) not in members:
-                    return False
-        return True
 
 
 def _members(images: list[frozenset[int]], codes: frozenset[int]) -> frozenset[int]:

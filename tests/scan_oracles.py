@@ -1,8 +1,9 @@
 """The oracles that production fast paths are checked against: the
-definitional smallness scans, plain and in a quotient, lifting by the
-criterion "amply supplemented, and every coclosed submodule is a direct
-summand", and the hull route to the cosingularity radicals, which the
-closed forms M * S and M * S^2 replace."""
+definitional smallness scans, plain and in a quotient, plain and
+relative, lifting by the criterion "amply supplemented, and every
+coclosed submodule is a direct summand", and the hull route to the
+cosingularity radicals, which the closed forms M * S and M * S^2
+replace."""
 
 from modlab.cosingular import zbar2
 from modlab.lattice import is_small_over, radical, submodules
@@ -13,6 +14,7 @@ from modlab.structure import (
     is_coclosed,
     summand_keys,
 )
+from modlab.tpredicates import zbar2_pullback
 
 
 def small_scan(node):
@@ -24,6 +26,18 @@ def small_scan(node):
 def small_in_quotient_scan(a, n, module):
     """A/N << M/N by the definition: no proper node B >= N has A + B = M."""
     return is_small_over(module, a, n, frozenset(module.elements()))
+
+
+def t_small_in_quotient_scan(a, n, module):
+    """A/N relatively small in M/N by the definition: no node B >= N
+    misses the pullback Zp = N + Zbar2(M) of Zbar2(M/N) while A + B holds
+    it.  The oracle of the radical route A & Zbar2(M) <= N + Rad(M).
+
+    The route with N kept in the pullback, A & (N + Zbar2(M)) <= N + Rad(M),
+    is no near-miss of it: for N <= A the modular law makes
+    A & (N + Zbar2(M)) = N + (A & Zbar2(M)), so the two are one predicate
+    and a mutation table has no row for that form."""
+    return is_small_over(module, a, n, zbar2_pullback(module, n))
 
 
 def lifting_by_coclosed(module):

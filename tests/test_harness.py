@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -280,6 +282,41 @@ def test_ring_job_holds_one_rings_memos():
     memo.clear()
     assert job("F3") == after_z4
     assert sum(map(len, memo._tables)) == entries
+
+
+RING_JOB_IN_A_FRESH_INTERPRETER = """\
+import json, sys
+from modlab import memo
+from modlab.cli import HarnessConfig, _ring_job
+
+def profiles():
+    memo.clear()
+    return [p.to_json() for p in _ring_job("Z4", HarnessConfig(jobs=1))[2]]
+
+first = profiles()
+print(json.dumps({"openssl": "_hashlib" in sys.modules,
+                  "round_trip": profiles() == first, "profiles": len(first)}))
+"""
+
+
+def test_only_the_disk_cache_loads_openssl(tmp_path):
+    """A ring job in a fresh interpreter imports no ``hashlib``, which maps
+    OpenSSL into the process, unless MODLAB_CACHE is set; with it set,
+    the job's profiles round-trip through the cache directory."""
+    env = {k: v for k, v in os.environ.items() if k != "MODLAB_CACHE"}
+
+    def run() -> dict:
+        proc = subprocess.run([sys.executable, "-c", RING_JOB_IN_A_FRESH_INTERPRETER],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout)
+
+    without = run()
+    assert not without["openssl"] and without["round_trip"]
+    env["MODLAB_CACHE"] = str(tmp_path)
+    assert run() == {"openssl": True, "round_trip": True, "profiles": without["profiles"]}
+    cached = [name for name in os.listdir(tmp_path) if name.startswith("profile-")]
+    assert len(cached) == without["profiles"] > 0
 
 
 def test_ring_cost_ranks_the_default_rings():

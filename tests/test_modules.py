@@ -34,10 +34,15 @@ from modlab.modules import (
     span,
     submodule_as_module,
     table_type,
-    zero_hom,
     zero_module,
 )
 from modlab.rings import builtin_ring
+
+
+def zero_hom(source, target):
+    return ModuleHom(source, target,
+                     [[0] * len(target.component_orders) for _ in source.component_orders],
+                     validate=False)
 
 
 # -- oracles -------------------------------------------------------------------

@@ -1,28 +1,33 @@
 """Fast-path versus brute-force cross-checks: the radical criterion for
-smallness, summand detection by complements versus idempotents, and the
-kernel-intersection bound for the cosingularity radical."""
+smallness, plain and relative in a quotient, summand detection by
+complements versus idempotents, and the kernel-intersection bound for the
+cosingularity radical."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
-from modlab.cosingular import zbar
+from modlab.cosingular import zbar, zbar2
 from modlab.errors import SizeLimitExceeded
-from modlab.lattice import is_small, submodules
+from modlab.lattice import is_small, radical, submodules
 from modlab.modules import FiniteModule, hom_set, span
 from modlab.rings import builtin_ring
 from modlab.structure import (
     is_direct_summand,
     is_small_module,
+    small_in_quotient,
     summand_witness_idempotent,
 )
+from modlab.tpredicates import t_small_in_quotient
 from scan_oracles import (
     lifting_by_coclosed,
     small_in_quotient_scan,
     small_scan,
+    t_small_in_quotient_scan,
     zbar_witnesses,
 )
 
@@ -121,6 +126,41 @@ def test_small_in_quotient_scan_agrees(rid):
                 assert small_in_quotient(a, n, m) == small_in_quotient_scan(
                     a, n, m
                 ), (rid, m.component_orders, a.key, n.key)
+
+
+def t_small_in_quotient_mutants(a, n, m) -> dict:
+    """Near misses of the radical route A & Zbar2(M) <= N + Rad(M)."""
+    return {
+        "N dropped from N + Rad(M)": a.elements & zbar2(m).elements <= radical(m).elements,
+        "plain small_in_quotient": small_in_quotient(a, n, m),
+    }
+
+
+def test_t_small_in_quotient_route_matches_the_scan(Q, Qop):
+    """The radical route against the definitional scan on every pair
+    N <= A of every two-generator catalog module of the built-in rings
+    and every one-generator catalog module of Q and Qop, where S is not
+    inside J(R).  Each near-miss mutant of the route disagrees with the
+    scan somewhere, so the comparison can fail."""
+    catalogs = [_catalog(rid) for rid in RING_IDS] + [
+        enumerate_modules(ring, GenerationPolicy(1, 256), ring_id=rid)
+        for rid, ring in (("Q", Q), ("Qop", Qop))]
+    pairs, killed = 0, Counter()
+    for catalog in catalogs:
+        for m in catalog.modules:
+            lat = submodules(m)
+            for i, a in enumerate(lat.nodes):
+                for j in lat.subnode_indices(i):
+                    n = lat.nodes[j]
+                    want = t_small_in_quotient_scan(a, n, m)
+                    assert t_small_in_quotient(a, n, m) == want, (
+                        catalog.ring_id, m.component_orders, a.key, n.key)
+                    pairs += 1
+                    killed.update(name for name, got
+                                  in t_small_in_quotient_mutants(a, n, m).items()
+                                  if got != want)
+    print(f"{pairs} pairs; mutants killed on {dict(killed)}")
+    assert set(killed) == {"N dropped from N + Rad(M)", "plain small_in_quotient"}
 
 
 def test_hypothesis_rejects_malformed_rings():

@@ -8,7 +8,7 @@ import pytest
 from end_presentation import as_ring, hom_index_from_ring_coords
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.cosingular import zbar2
-from modlab.errors import SizeLimitExceeded
+from modlab.errors import NotSubmodule, SizeLimitExceeded
 from modlab.lattice import is_small, submodules
 from modlab.modules import (
     end_ring,
@@ -18,7 +18,7 @@ from modlab.modules import (
     zero_module,
 )
 from modlab.rings import builtin_ring
-from modlab.structure import is_coclosed, is_lifting, summand_keys
+from modlab.structure import is_coclosed, is_lifting, small_in_quotient, summand_keys
 from modlab.tpredicates import (
     EndoSubset,
     d_set,
@@ -185,12 +185,20 @@ def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_
         assert_images_match_each_hom(m)
 
 
+def is_right_ideal(subset):
+    """Closure under addition and under composition with every
+    endomorphism on the inner side."""
+    end, members = subset.end, subset.members
+    return (all(end.add(i, j) in members for i in members for j in members)
+            and all(end.compose(i, j) in members for i in members for j in range(end.size)))
+
+
 def test_endo_subsets_are_right_ideals(s_plus_c, z2_plus_z4):
     for m in (s_plus_c, z2_plus_z4):
         lat = submodules(m)
         for node in list(lat.nodes)[:4]:
-            assert d_set(node, m).verify_right_ideal()
-            assert t_set(node, m).verify_right_ideal()
+            assert is_right_ideal(d_set(node, m))
+            assert is_right_ideal(t_set(node, m))
 
 
 def test_dual_baer_flagship(z4_reg, F3, s_block):
@@ -360,7 +368,7 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
         assert is_t_dual_baer(m) is t_dual_baer, m
         if not dual_baer:
             members, image_sum = dual_baer_witness(m)
-            assert EndoSubset(data.end, members, "d_set").verify_right_ideal(), m
+            assert is_right_ideal(EndoSubset(data.end, members, "d_set")), m
             assert members in {ideal for ideal, _ in ideals}, m
             assert span_of_images(m, whole, members) == image_sum, m
             assert tuple(sorted(image_sum)) not in summands, m
@@ -477,6 +485,16 @@ def test_shared_scan_matches_the_t_small_loops(rid):
                 n = lat.nodes[j]
                 assert (t_small_in_quotient(a, n, m)
                         == t_small_in_quotient_loop(a, n, m)), (m, a.key, n.key)
+
+
+def test_quotient_smallness_needs_n_inside_a(z2_plus_z4):
+    """Both radical routes rest on N <= A (the t-route's modular law
+    too), so a pair with N outside A is refused, not answered."""
+    n = span(z2_plus_z4, [(1, 0)])
+    a = span(z2_plus_z4, [(0, 1)])
+    for small in (small_in_quotient, t_small_in_quotient):
+        with pytest.raises(NotSubmodule):
+            small(a, n, z2_plus_z4)
 
 
 @pytest.mark.parametrize("rid", RING_IDS)
