@@ -55,10 +55,10 @@ class SubmoduleLattice:
 
     def __init__(self, parent: FiniteModule, nodes: list[Submodule]):
         self.parent = parent
-        self.nodes = tuple(sorted(nodes, key=lambda s: (s.size, s.key)))
-        self.index = {s.key: i for i, s in enumerate(self.nodes)}
-        self.zero_index = self.index[parent.zero_submodule().key]
-        self.top_index = self.index[tuple(sorted(parent.elements()))]
+        self.nodes = tuple(sorted(nodes, key=lambda s: (s.size, sorted(s.elements))))
+        self.index = {s.elements: i for i, s in enumerate(self.nodes)}
+        self.zero_index = self.index[frozenset((0,))]
+        self.top_index = self.index[frozenset(parent.elements())]
         # row i holds the joins (meets) of node i with nodes j >= i at
         # position j - i, None until looked up; a row is made on first use
         self._joins: list[list[int | None] | None] = [None] * len(self.nodes)
@@ -75,7 +75,7 @@ class SubmoduleLattice:
 
     def node_index(self, sub: Submodule) -> int:
         try:
-            return self.index[sub.key]
+            return self.index[sub.elements]
         except KeyError:
             raise ParentMismatch("submodule is not a node of this lattice") from None
 
@@ -96,7 +96,7 @@ class SubmoduleLattice:
         got = row[j - i]
         if got is None:
             inter = self.nodes[i].elements & self.nodes[j].elements
-            got = row[j - i] = self.index[tuple(sorted(inter))]
+            got = row[j - i] = self.index[inter]
         return got
 
     def _new_row(self, rows: list, i: int) -> list:
@@ -184,7 +184,7 @@ class SumIndex:
         return values[hit.bit_length() - 1] if hit else None
 
 
-def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...]:
+def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> frozenset[int]:
     # A + B is a union of cosets of the larger summand; an element of the
     # smaller one already in the union adds no new coset.
     small, large = (a, b) if a.size <= b.size else (b, a)
@@ -193,7 +193,7 @@ def _sum_key(parent: FiniteModule, a: Submodule, b: Submodule) -> tuple[int, ...
     for x in small.elements:
         if x not in out:
             out.update(translate(x, large.elements))
-    return tuple(sorted(out))
+    return frozenset(out)
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
@@ -201,7 +201,7 @@ def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
     if a.parent != b.parent:
         raise ParentMismatch("sum needs a common parent")
     gens = tuple(a.generators()) + tuple(b.generators())
-    return Submodule(a.parent, frozenset(_sum_key(a.parent, a, b)), gens=gens)
+    return Submodule(a.parent, _sum_key(a.parent, a, b), gens=gens)
 
 
 def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
@@ -235,7 +235,7 @@ def submodules(module: FiniteModule) -> SubmoduleLattice:
         known = sums.find(a, c)
         if known is None:
             key = _sum_key(module, a, c)
-            known = Submodule(module, frozenset(key), gens=_prune_generators(
+            known = Submodule(module, key, gens=_prune_generators(
                 module, a.generators() + c.generators(), len(key)))
             sums.add(known, known)
         return known
@@ -268,7 +268,7 @@ def _disk_store(module: FiniteModule, lattice: SubmoduleLattice) -> None:
         return
     payload = {
         "nodes": [
-            {"elements": list(node.key), "gens": list(node.generators())}
+            {"elements": sorted(node.elements), "gens": list(node.generators())}
             for node in lattice.nodes
         ]
     }

@@ -9,9 +9,10 @@ argument that has a ``.key`` (a ring, module or submodule) stands in the
 key by that canonical key, so the memo holds no argument object alive;
 any other argument (a policy, an id) stands by itself.  Rings and
 modules carry no names: each is wholly identified by its key, so a
-memo's result serves every equal-key caller.  A submodule's key is its
-element codes alone, so a memoized function that takes a submodule
-takes its parent module too.
+memo's result serves every equal-key caller.  A submodule's key is the
+frozen set of its element codes, the same object as its ``elements``
+and the name every lattice lookup uses; it does not name the parent, so
+a memoized function that takes a submodule takes its parent module too.
 
 Limits rule.  No key holds the limits: they are one process-wide value,
 ``config.LIMITS``, read at call time by the functions that refuse an

@@ -32,6 +32,13 @@ g * e_b (g * r = sum_b r_b (g * e_b), g = g * 1), which seeds the
 closure, a quotient's Smith rows and a submodule's own presentation.
 Validation is a pure function of a module's key, so it runs once per key.
 
+A submodule has one name, the frozen set of its element codes: its
+``key`` is its ``elements``, and every lattice index, memo and
+``*_keys`` set of the package holds that set, so a code set built by
+any route (a span, an image, an intersection) looks its node up as it
+is.  Codes are sorted only where bytes are written: witnesses, instance
+labels, the JSON forms and the lattice disk cache.
+
 Hom groups are solved, not searched.  :func:`hom_group` writes each
 matrix entry F_jl as (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l), so
 every candidate is well defined, and solves the remaining congruences
@@ -450,16 +457,15 @@ class _Workspace:
 
 
 class Submodule:
-    """Action-closed subgroup of a parent module, canonically the frozen
-    set of its element codes."""
+    """Action-closed subgroup of a parent module, named by the frozen set
+    of its element codes: ``key`` is ``elements`` itself."""
 
     __slots__ = ("parent", "elements", "key", "gens", "_hash")
 
     def __init__(self, parent: FiniteModule, elements: frozenset[int],
                  gens: tuple[int, ...] | None = None, check: bool = False):
         self.parent = parent
-        self.elements = elements
-        self.key = tuple(sorted(elements))
+        self.elements = self.key = elements
         self.gens = gens
         self._hash = hash((parent._hash, self.key))
         if check:
@@ -475,7 +481,7 @@ class Submodule:
     def generators(self) -> tuple[int, ...]:
         if self.gens is None:
             ws = self.parent.workspace()
-            self.gens = tuple(ws.spanning_subset(self.key, len(self.elements)))
+            self.gens = tuple(ws.spanning_subset(sorted(self.elements), len(self.elements)))
         return self.gens
 
     @property
@@ -646,7 +652,7 @@ def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
               for tab in ws.basis_action()]
     mod = FiniteModule(parent.ring, orders, action)
     include = ModuleHom(mod, parent, reps)
-    to_sub = {c: mod.encode(coords.coords(ws.coords[c])) for c in sub.key}
+    to_sub = {c: mod.encode(coords.coords(ws.coords[c])) for c in sub.elements}
     return SubmoduleModule(mod, include, to_sub)
 
 
@@ -781,7 +787,9 @@ def kernel_image(f: ModuleHom) -> tuple[Submodule, Submodule]:
 def iso_signature(module: FiniteModule) -> tuple:
     """Cheap isomorphism invariant: the multiset over elements of
     (additive order, annihilator size, cyclic span size).  R/ann(x) is
-    isomorphic to xR, so |ann(x)| = |R| / |xR|."""
+    isomorphic to xR, so |ann(x)| = |R| / |xR|.  The multiset of additive
+    orders fixes the additive group, so the presentation's component
+    orders, which differ between Z2 + Z3 and Z6, are no part of it."""
     ws = module.workspace()
     ring_size = module.ring.size
     profile = []
@@ -789,7 +797,7 @@ def iso_signature(module: FiniteModule) -> tuple:
         o = additive_order(module.component_orders, ws.coords[code])
         span_size = len(ws.cyclic_span(code))
         profile.append((o, ring_size // span_size, span_size))
-    return tuple(sorted(module.component_orders)), tuple(sorted(profile))
+    return tuple(sorted(profile))
 
 
 @memo
@@ -915,8 +923,6 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
         return ModuleHom(m, n, identity_matrix(len(m.component_orders)), validate=False)
     if m.size != n.size:
         return None
-    if _abelian_invariants(m.component_orders) != _abelian_invariants(n.component_orders):
-        return None
     if iso_signature(m) != iso_signature(n):
         return None
     mws = m.workspace()
@@ -997,25 +1003,6 @@ class IsoClasses:
         """Make the module the representative of a new class."""
         self._buckets.setdefault((module.ring.key, iso_signature(module)),
                                  []).append((module, value))
-
-
-def _abelian_invariants(orders) -> tuple[tuple[int, int], ...]:
-    """Multiset of prime-power components, iso-invariant of the group."""
-    out = []
-    for d in orders:
-        n = d
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-            p += 1
-        if n > 1:
-            out.append((n, 1))
-    return tuple(sorted(out))
 
 
 # -- endomorphism rings ------------------------------------------------------

@@ -73,14 +73,14 @@ def module_from_json(obj: dict, ring: FiniteRing | None = None) -> FiniteModule:
 
 
 def submodule_to_json(sub: Submodule) -> dict:
-    return {"size": sub.size, "elements": list(sub.key)}
+    return {"size": sub.size, "elements": sorted(sub.elements)}
 
 
 def lattice_to_hasse_json(lattice) -> dict:
     """Nodes in canonical order with the list of covered node indices."""
     return {
         "nodes": [
-            {"index": i, "size": s.size, "elements": list(s.key)}
+            {"index": i, "size": s.size, "elements": sorted(s.elements)}
             for i, s in enumerate(lattice.nodes)
         ],
         "covers": lattice.covers(),

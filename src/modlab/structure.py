@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import config
+from .cosingular import zbar
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
 from .intlinalg import identity_matrix, subgroup_basis
 from .lattice import (
@@ -24,7 +25,6 @@ from .lattice import (
     is_essential,
     radical,
     submodules,
-    times_left_socle,
 )
 from .memo import memo
 from .modules import (
@@ -131,8 +131,8 @@ def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> boo
 
 
 @memo
-def summand_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
-    """Canonical keys of all direct summand nodes (memoized)."""
+def summand_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
+    """The keys (element sets) of all direct summand nodes (memoized)."""
     return frozenset(a.key for a in submodules(module).nodes if complement_of(a) is not None)
 
 
@@ -217,7 +217,7 @@ def is_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     return is_coclosed_under(small_in_quotient, sub, module)
 
 
-def coclosed_keys(module: FiniteModule) -> frozenset[tuple[int, ...]]:
+def coclosed_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
     lat = submodules(module)
     return frozenset(s.key for s in lat.nodes if is_coclosed(s, module))
 
@@ -455,6 +455,6 @@ def injective_hull(module: FiniteModule):
 
 
 def is_small_module(module: FiniteModule) -> bool:
-    """Small in its injective hull, decided as M * S = 0 with
+    """Small in its injective hull, decided as Zbar(M) = M * S = 0 with
     S = Soc(_R R) (the proof is in :mod:`modlab.cosingular`)."""
-    return len(times_left_socle(module, module.elements())) == 1
+    return zbar(module).is_zero()

@@ -82,7 +82,12 @@ REFUSED = object()
 
 
 def _node_witness(sub: Submodule) -> dict:
-    return {"size": sub.size, "elements": list(sub.key)}
+    return {"size": sub.size, "elements": sorted(sub.elements)}
+
+
+def _node_label(sub: Submodule) -> str:
+    """Size and the first four codes, for an instance label."""
+    return f"{sub.size}@{tuple(sorted(sub.elements)[:4])}"
 
 
 def _finish(suite_id, catalog, scope, instances, skipped) -> TheoremReport:
@@ -148,23 +153,23 @@ def p22(m: FiniteModule, label: str) -> Iterator:
     """Four characterizations of relative smallness agree on amply
     supplemented modules."""
     for a in submodules(m).nodes:
-        yield _values_record(f"{label} A={a.size}@{a.key[:4]}",
+        yield _values_record(f"{label} A={_node_label(a)}",
                              t_small_variants(a, m), witness=_node_witness(a))
 
 
 def l25(m: FiniteModule, label: str) -> Iterator:
     """Containment, quotient and transitivity behavior of relatively
-    coclosed submodules."""
+    coclosed submodules.  Each statement scans the nodes in lattice order
+    to its own first failure."""
     lat = submodules(m)
     z2 = zbar2(m)
     tcc = t_coclosed_keys(m)
 
-    bad = next((k for k in tcc
-                if not frozenset(lat.nodes[lat.index[k]].elements) <= z2.elements),
+    bad = next((c for c in lat.nodes if c.key in tcc and not c.elements <= z2.elements),
                None)
     yield _holds_record(
         f"{label} (1) t-coclosed below square radical", bad is None,
-        witness=None if bad is None else {"elements": list(bad)})
+        witness=None if bad is None else {"elements": sorted(bad.elements)})
 
     whole_tcc = m.full_submodule().key in tcc
     noncosing = zbar(m).is_full()
@@ -172,51 +177,37 @@ def l25(m: FiniteModule, label: str) -> Iterator:
         f"{label} (2) whole module t-coclosed iff noncosingular",
         whole_tcc == noncosing)
 
-    ok3 = True
-    wit3 = None
-    ok4 = True
-    wit4 = None
-    ok5 = True
-    wit5 = None
-    for ck in tcc:
-        c = lat.nodes[lat.index[ck]]
-        for ai in lat.subnode_indices(lat.index[ck]):
-            a = lat.nodes[ai]
-            q, proj = quotient_module(m, a)
-            image = Submodule(q, proj.restrict_codes(c.elements))
-            if not is_t_coclosed(image, q):
-                ok3 = False
-                wit3 = {"C": _node_witness(c), "A": _node_witness(a)}
-                break
-        if not ok3:
-            break
-    yield _holds_record(
-        f"{label} (3) quotients of t-coclosed are t-coclosed", ok3, wit3)
+    def first_failure(fails) -> dict | None:
+        """Witness of the first pair A < C, C then A in node order, with
+        fails(C, A); A = C needs no test, as C/C = 0 is t-coclosed."""
+        for ci, c in enumerate(lat.nodes):
+            for ai in lat.subnode_indices(ci)[:-1]:
+                a = lat.nodes[ai]
+                if fails(c, a):
+                    return {"C": _node_witness(c), "A": _node_witness(a)}
+        return None
 
-    for ci, c in enumerate(lat.nodes):
-        for ai in lat.subnode_indices(ci):
-            a = lat.nodes[ai]
-            if ai == ci:
-                continue
-            # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
-            if a.key in tcc:
-                q, proj = quotient_module(m, a)
-                image = Submodule(q, proj.restrict_codes(c.elements))
-                if is_t_coclosed(image, q) and c.key not in tcc:
-                    ok4 = False
-                    wit4 = {"C": _node_witness(c), "A": _node_witness(a)}
-            # (5): A tcc in M iff A tcc in C, for amply supplemented C
-            inner = submodule_as_module(c)
-            a_in = Submodule(inner.module, inner.pull_in(a.elements))
-            if (a.key in tcc) != is_t_coclosed(a_in, inner.module):
-                ok5 = False
-                wit5 = {"C": _node_witness(c), "A": _node_witness(a)}
-        if not (ok4 and ok5):
-            break
+    def image_t_coclosed(c: Submodule, a: Submodule) -> bool:
+        q, proj = quotient_module(m, a)
+        return is_t_coclosed(Submodule(q, proj.restrict_codes(c.elements)), q)
+
+    def t_coclosed_in(c: Submodule, a: Submodule) -> bool:
+        inner = submodule_as_module(c)
+        return is_t_coclosed(Submodule(inner.module, inner.pull_in(a.elements)),
+                             inner.module)
+
+    wit3 = first_failure(lambda c, a: c.key in tcc and not image_t_coclosed(c, a))
     yield _holds_record(
-        f"{label} (4) two-step t-coclosure collapses", ok4, wit4)
+        f"{label} (3) quotients of t-coclosed are t-coclosed", wit3 is None, wit3)
+    # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
+    wit4 = first_failure(lambda c, a: c.key not in tcc and a.key in tcc
+                         and image_t_coclosed(c, a))
     yield _holds_record(
-        f"{label} (5) relative t-coclosure matches ambient", ok5, wit5)
+        f"{label} (4) two-step t-coclosure collapses", wit4 is None, wit4)
+    # (5): A tcc in M iff A tcc in C, for amply supplemented C
+    wit5 = first_failure(lambda c, a: (a.key in tcc) != t_coclosed_in(c, a))
+    yield _holds_record(
+        f"{label} (5) relative t-coclosure matches ambient", wit5 is None, wit5)
 
 
 def p26(m: FiniteModule, label: str) -> Iterator:
@@ -239,13 +230,13 @@ def p26(m: FiniteModule, label: str) -> Iterator:
             "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
             "noncosingular_part": noncosing,
         }
-        yield _values_record(f"{label} C={c.size}@{c.key[:4]}", values,
+        yield _values_record(f"{label} C={_node_label(c)}", values,
                              witness=_node_witness(c))
 
 
 def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
-    """The first node C of ``keys`` (in their iteration order) and the
-    first endomorphism index with h(C) outside ``keys``, or None.
+    """The first node C of ``keys`` (in lattice order) and the first
+    endomorphism index with h(C) outside ``keys``, or None.
 
     h(C) is spanned by the images of C's generators, so endomorphisms
     that agree on them share the image: each distinct image is tested
@@ -255,14 +246,15 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
     zero node, which has no generators."""
     lat = submodules(module)
     tables = end.tables
-    for key in keys:
-        c = lat.nodes[lat.index[key]]
+    for c in lat.nodes:
+        if c.key not in keys:
+            continue
         signature = operator.itemgetter(0, *c.generators())
         # signature -> first endomorphism index: later (smaller) ones win
         first = dict(zip(map(signature, reversed(tables)), reversed(range(len(tables)))))
         for i in sorted(first.values()):
             tab = tables[i]
-            if tuple(sorted(set(map(tab.__getitem__, c.elements)))) not in keys:
+            if frozenset(map(tab.__getitem__, c.elements)) not in keys:
                 return {"C": _node_witness(c), "endo": i}
     return None
 
@@ -285,7 +277,7 @@ def c28(m: FiniteModule, label: str) -> Iterator:
     lat = submodules(m)
     tcc = t_coclosed_keys(m)
     closure = join_closure([lat.index[k] for k in tcc], lat.join)
-    bad = next((i for i in closure if lat.nodes[i].key not in tcc), None)
+    bad = min((i for i in closure if lat.nodes[i].key not in tcc), default=None)
     yield _holds_record(
         f"{label} sums of t-coclosed are t-coclosed", bad is None,
         witness=None if bad is None else _node_witness(lat.nodes[bad]))
@@ -317,8 +309,9 @@ def p213(m: FiniteModule, label: str) -> Iterator:
     for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
         invariant.add(sub.key)
     ok2, wit2 = True, None
-    for key in sorted(invariant):
-        node = lat.nodes[lat.index[key]]
+    for node in lat.nodes:
+        if node.key not in invariant:
+            continue
         q, _ = quotient_module(m, node)
         if not is_t_lifting(q):
             ok2, wit2 = False, _node_witness(node)
@@ -368,8 +361,10 @@ def t36(m: FiniteModule, label: str) -> Iterator:
         return
     lat = submodules(m)
     ok, wit = True, None
-    for key in sorted(summand_keys(m)):
-        node = lat.nodes[lat.index[key]]
+    summands = summand_keys(m)
+    for node in lat.nodes:
+        if node.key not in summands:
+            continue
         inner = submodule_as_module(node)
         try:
             value = is_t_dual_baer(inner.module)

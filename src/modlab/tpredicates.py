@@ -88,8 +88,12 @@ def is_t_small(sub: Submodule, module: FiniteModule) -> bool:
 
 @memo
 def t_small_keys(module: FiniteModule) -> frozenset:
-    lat = submodules(module)
-    return frozenset(s.key for s in lat.nodes if is_t_small(s, module))
+    """The relatively small nodes, each decided by the radical route
+    :func:`t_small_in_quotient` over N = 0; :func:`is_t_small` is its
+    oracle."""
+    zero = module.zero_submodule()
+    return frozenset(s.key for s in submodules(module).nodes
+                     if t_small_in_quotient(s, zero, module))
 
 
 def t_small_variants(sub: Submodule, module: FiniteModule) -> dict[str, bool]:
@@ -220,7 +224,7 @@ def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
             if only_coclosed and not is_coclosed(a, module):
                 continue
             codes = zbar2_of_node(module, a)
-            if tuple(sorted(codes)) not in summands:
+            if codes not in summands:
                 return False
         return True
 
@@ -312,8 +316,7 @@ class _EndData:
         if self._pair_closure is not None:
             return self._pair_closure
         lat = submodules(self.module)
-        seeds = [(lat.index[tuple(sorted(full))], lat.index[tuple(sorted(z))])
-                 for full, z in self.pairs]
+        seeds = [(lat.index[full], lat.index[z]) for full, z in self.pairs]
         closure = join_closure(seeds, lambda u, v: (lat.join(u[0], v[0]),
                                                    lat.join(u[1], v[1])))
         nodes = lat.nodes
@@ -368,7 +371,7 @@ def dual_baer_witness(module: FiniteModule):
     data = end_data(module)
     summands = summand_keys(module)
     for full, _ in data.image_pair_closure():
-        if tuple(sorted(full)) not in summands:
+        if full not in summands:
             return _members(data.full_images, full), full
     return None
 
@@ -383,7 +386,7 @@ def is_t_dual_baer(module: FiniteModule) -> bool:
     splits off."""
     data = end_data(module)
     summands = summand_keys(module)
-    return all(tuple(sorted(zsum)) in summands for _, zsum in data.image_pair_closure())
+    return all(zsum in summands for _, zsum in data.image_pair_closure())
 
 
 def dual_baer_quotient_condition(module: FiniteModule) -> bool:
@@ -405,7 +408,7 @@ def has_sssp_in_zbar2(module: FiniteModule) -> bool:
     lat = submodules(module)
     summands = summand_keys(module)
     z2 = zbar2(module).elements
-    inside = [lat.index[k] for k in summands if frozenset(lat.nodes[lat.index[k]].elements) <= z2]
+    inside = [lat.index[k] for k in summands if k <= z2]
     return all(lat.nodes[i].key in summands for i in join_closure(inside, lat.join))
 
 
@@ -414,7 +417,7 @@ def is_regular(module: FiniteModule) -> bool:
     ws = module.workspace()
     summands = summand_keys(module)
     for code in range(1, module.size):
-        if tuple(sorted(ws.cyclic_span(code))) not in summands:
+        if ws.cyclic_span(code) not in summands:
             return False
     return True
 
@@ -437,7 +440,7 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
         return is_dual_baer(submodule_as_module(z2).module)
 
     # each h(Zbar2(M)) is the image of a submodule, so already a node key
-    radical_images = {tuple(sorted(img)) for img in data.z_images}
+    radical_images = set(data.z_images)
 
     def sssp_and_single_images() -> bool:
         return has_sssp_in_zbar2(module) and radical_images <= summands

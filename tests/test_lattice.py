@@ -148,6 +148,20 @@ def catalog_and_square(rid):
 
 
 @pytest.mark.parametrize("rid", RING_IDS)
+def test_a_node_is_named_by_its_element_set(rid):
+    """Every node's key is its element set itself, and the index finds
+    the node from any equal set: a fresh span's or a rebuilt one."""
+    for m in catalog_and_square(rid):
+        lat = submodules(m)
+        for i, node in enumerate(lat.nodes):
+            assert node.key is node.elements
+            assert lat.index[frozenset(sorted(node.elements))] == i
+            rebuilt = span(m, node.generators())
+            assert rebuilt.key is rebuilt.elements
+            assert lat.node_index(rebuilt) == i
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
 def test_join_by_size_matches_the_coset_sum(rid):
     """The size lookup of a join names the node the coset sum builds, for
     every node pair of every catalog module and of R^2."""
@@ -265,9 +279,8 @@ def pairwise_closure_keys(module):
     seen[zero.key] = zero
     for code in range(1, module.size):
         cyc = ws.cyclic_span(code)
-        key = tuple(sorted(cyc))
-        if key not in seen:
-            seen[key] = Submodule(module, cyc, gens=(code,))
+        if cyc not in seen:
+            seen[cyc] = Submodule(module, cyc, gens=(code,))
     by_size = {}
     for node in seen.values():
         by_size.setdefault(node.size, []).append(node.elements)
@@ -284,7 +297,7 @@ def pairwise_closure_keys(module):
                 if any(map(frozenset(gens).issubset, by_size.get(size, ()))):
                     continue
                 key = _sum_key(module, a, b)
-                new = Submodule(module, frozenset(key),
+                new = Submodule(module, key,
                                 gens=_prune_generators(module, gens, size))
                 seen[key] = new
                 by_size.setdefault(size, []).append(new.elements)
@@ -336,7 +349,7 @@ def scan_built_nodes(module):
         found = next(filter(frozenset(gens).issubset, candidates), None)
         if found is not None:
             return candidates[found]
-        new = Submodule(module, frozenset(_sum_key(module, a, c)),
+        new = Submodule(module, _sum_key(module, a, c),
                         gens=_prune_generators(module, gens, size))
         candidates[new.elements] = new
         return new

@@ -147,7 +147,7 @@ def signature_by_definition(m):
             y, order = ws.add(y, x), order + 1
         ann = sum(1 for r in m.ring.element_coords() if ws.act(x, r) == 0)
         profile.append((order, ann, len(ws.cyclic_span(x))))
-    return tuple(sorted(m.component_orders)), tuple(sorted(profile))
+    return tuple(sorted(profile))
 
 
 # -- constructions -------------------------------------------------------------
@@ -533,6 +533,23 @@ def test_is_isomorphic_basic(z4_reg, z2_over_z4):
     assert is_isomorphic(z4_reg, z4_reg)
     two_by_two = direct_sum(z2_over_z4, z2_over_z4)
     assert not is_isomorphic(two_by_two, z4_reg)
+
+
+def test_isomorphism_does_not_read_the_presentation_orders(Z6):
+    """Over Z6, R/3R + R/2R has component orders (2, 3) and R_R has (6,):
+    the modules are isomorphic, and an IsoClasses lookup of the first
+    finds the second."""
+    reg = regular_module(Z6)
+    by_three, _ = quotient_module(reg, span(reg, [3]))
+    by_two, _ = quotient_module(reg, span(reg, [2]))
+    split = direct_sum(by_three, by_two)
+    assert sorted(split.component_orders) == [2, 3]
+    assert is_isomorphic(split, reg) and is_isomorphic(reg, split)
+    classes = modules.IsoClasses()
+    classes.add(reg, "regular")
+    value, iso = classes.find(split)
+    assert value == "regular"
+    assert (iso.source, iso.target) == (reg, split) and iso.is_bijective()
 
 
 @pytest.mark.parametrize("rid", RING_IDS)

@@ -143,6 +143,50 @@ def test_no_function_takes_a_method_switch(path):
     assert parameters_named(path.read_text(), "method") == []
 
 
+def sorted_tuples(source: str) -> list[str]:
+    """Calls ``tuple(sorted(...))`` without a sort key, each with the
+    function it sits in.  A submodule is named by its element set alone,
+    so a sorted tuple of its codes would be a second name; where bytes are
+    written, codes are sorted into lists.  A sort by key orders objects,
+    such as the lattice's nodes, not codes."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "tuple" and len(child.args) == 1
+                    and isinstance(child.args[0], ast.Call)
+                    and isinstance(child.args[0].func, ast.Name)
+                    and child.args[0].func.id == "sorted"
+                    and not child.args[0].keywords):
+                out.append(f"line {child.lineno}: {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_sorted_tuple_scan_sees_every_call():
+    source = ("KEY = tuple(sorted(codes))\n"
+              "def f(lat, codes):\n"
+              "    def g():\n"
+              "        return lat.index[tuple(sorted(codes))]\n"
+              "    return g, tuple(sorted(codes)[:4]), sorted(codes), tuple(codes)\n"
+              "NODES = tuple(sorted(nodes, key=len))\n")
+    assert sorted_tuples(source) == ["line 1: <module>", "line 4: g"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_node_is_named_by_a_sorted_tuple(path):
+    """The one sorted tuple left is iso_signature's, a multiset of
+    per-element invariants, not of codes."""
+    assert [line for line in sorted_tuples(path.read_text())
+            if not line.endswith(": iso_signature")] == []
+
+
 def module_level_containers(source: str) -> list[str]:
     """Names a module binds at its top level to a mutable container that
     starts out empty (``{}``, ``dict()``, ``set()``) or to anything

@@ -7,9 +7,10 @@ import pytest
 
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.config import Limits
+from modlab import suites
 from modlab.rings import builtin_ring
 from modlab.lattice import submodules
-from modlab.modules import end_ring
+from modlab.modules import end_ring, span
 from modlab.suites import SUITES, _values_record, endo_image_witness, verify_theorem
 from modlab.tpredicates import t_coclosed_keys
 
@@ -117,17 +118,17 @@ def test_suites_skip_when_end_ring_over_limit(z8_catalog, limits):
 
 
 def per_endomorphism_image_witness(module, end, keys):
-    """C2.7's definitional scan: the image of every node of ``keys`` under
-    every endomorphism, built and tested one by one."""
-    lat = submodules(module)
+    """C2.7's definitional scan: the image of every node of ``keys``, in
+    lattice order, under every endomorphism, built and tested one by one."""
     ws = module.workspace()
     homs = end.homs
-    for key in keys:
-        c = lat.nodes[lat.index[key]]
+    for c in submodules(module).nodes:
+        if c.key not in keys:
+            continue
         for i, h in enumerate(homs):
-            img = ws.additive_closure(h.restrict_codes(c.elements))
-            if tuple(sorted(img)) not in keys:
-                return {"C": {"size": c.size, "elements": list(c.key)}, "endo": i}
+            img = frozenset(ws.additive_closure(h.restrict_codes(c.elements)))
+            if img not in keys:
+                return {"C": {"size": c.size, "elements": sorted(c.elements)}, "endo": i}
     return None
 
 
@@ -218,3 +219,32 @@ def test_witnesses_present_on_planted_disagreement():
     )
     assert rep.summary["disagreements"] == 1
     assert rep.instances[0]["witness"] == {"elements": [0, 1]}
+
+
+def _witness(c, a):
+    return {"C": {"size": c.size, "elements": sorted(c.elements)},
+            "A": {"size": a.size, "elements": sorted(a.elements)}}
+
+
+def test_l25_scans_each_statement_to_its_first_failure(monkeypatch, z4_reg, z2_plus_z4):
+    """Planted failures of L2.5 (4) and (5).  With is_t_coclosed planted
+    to answer True (so every C/A in M/A and every A in C counts), Z4's
+    t-coclosed set is still {0}: (4) fails first, at C = 2Z4, and (5) only
+    at the later C = Z4.  With every proper node of Z2 + Z4 planted as
+    t-coclosed too, (4) fails at the top node against every proper A,
+    first against A = 0.  Each statement reports its own first failure in
+    node order."""
+    monkeypatch.setattr(suites, "is_t_coclosed", lambda sub, module: True)
+    two = span(z4_reg, [2])
+    *_, four, five = suites.l25(z4_reg, "Z4")
+    assert four["witness"] == _witness(two, z4_reg.zero_submodule())
+    assert five["holds"] is False
+    assert five["witness"] == _witness(z4_reg.full_submodule(), two)
+
+    monkeypatch.setattr(suites, "t_coclosed_keys", lambda m: frozenset(
+        n.key for n in submodules(m).nodes if not n.is_full()))
+    m = z2_plus_z4
+    *_, four, five = suites.l25(m, "Z2+Z4")
+    assert four["holds"] is False
+    assert four["witness"] == _witness(m.full_submodule(), m.zero_submodule())
+    assert five["holds"] is True

@@ -11,14 +11,22 @@ from modlab.cosingular import zbar2
 from modlab.errors import NotSubmodule, SizeLimitExceeded
 from modlab.lattice import is_small, submodules
 from modlab.modules import (
+    direct_sum,
     end_ring,
     regular_module,
     span,
+    submodule_as_module,
     table_type,
     zero_module,
 )
 from modlab.rings import builtin_ring
-from modlab.structure import is_coclosed, is_lifting, small_in_quotient, summand_keys
+from modlab.structure import (
+    injective_hull,
+    is_coclosed,
+    is_lifting,
+    small_in_quotient,
+    summand_keys,
+)
 from modlab.tpredicates import (
     EndoSubset,
     d_set,
@@ -231,22 +239,19 @@ def additive_pair_closure(data):
     closure of the single-endomorphism (image, radical image) pairs, in
     the order it finds them."""
     ws = data.module.workspace()
-    closure = {}
-    for full, zi in zip(data.full_images, data.z_images):
-        closure.setdefault((tuple(sorted(full)), tuple(sorted(zi))), (full, zi))
-    worklist = list(closure.values())
+    closure = dict.fromkeys(zip(data.full_images, data.z_images))
+    worklist = list(closure)
     while worklist:
         fu, zu = worklist.pop()
-        for fv, zv in list(closure.values()):
+        for fv, zv in list(closure):
             if fu <= fv and zu <= zv:
                 continue
-            fj = frozenset(ws.additive_closure(fu | fv))
-            zj = frozenset(ws.additive_closure(zu | zv))
-            key = (tuple(sorted(fj)), tuple(sorted(zj)))
-            if key not in closure:
-                closure[key] = (fj, zj)
-                worklist.append((fj, zj))
-    return list(closure.values())
+            joined = (frozenset(ws.additive_closure(fu | fv)),
+                      frozenset(ws.additive_closure(zu | zv)))
+            if joined not in closure:
+                closure[joined] = None
+                worklist.append(joined)
+    return list(closure)
 
 
 def right_ideals(end):
@@ -362,8 +367,8 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
                  for _, g in ideals}
         assert pairs == set(data.image_pair_closure()), m
         summands = summand_keys(m)
-        dual_baer = all(tuple(sorted(full)) in summands for full, _ in pairs)
-        t_dual_baer = all(tuple(sorted(z)) in summands for _, z in pairs)
+        dual_baer = all(full in summands for full, _ in pairs)
+        t_dual_baer = all(z in summands for _, z in pairs)
         assert is_dual_baer(m) is dual_baer, m
         assert is_t_dual_baer(m) is t_dual_baer, m
         if not dual_baer:
@@ -371,7 +376,7 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
             assert is_right_ideal(EndoSubset(data.end, members, "d_set")), m
             assert members in {ideal for ideal, _ in ideals}, m
             assert span_of_images(m, whole, members) == image_sum, m
-            assert tuple(sorted(image_sum)) not in summands, m
+            assert image_sum not in summands, m
         checked += 1
     assert checked
 
@@ -504,6 +509,33 @@ def test_shared_loops_match_the_t_coclosed_and_t_lifting_loops(rid):
         for node in submodules(m).nodes:
             assert is_t_coclosed(node, m) == t_coclosed_loop(node, m), (m, node.key)
         assert is_t_lifting(m) == t_lifting_loop(m), m
+
+
+def test_t_small_keys_match_the_definitional_scan(Q, Qop):
+    """t_small_keys, by the radical route, against the scan is_t_small on
+    every node of every two-generator catalog module of the built-in rings
+    and every one-generator catalog module of Q and Qop."""
+    catalogs = [enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
+                for rid in RING_IDS] + [
+        enumerate_modules(ring, GenerationPolicy(1, 256), ring_id=rid)
+        for rid, ring in (("Q", Q), ("Qop", Qop))]
+    for catalog in catalogs:
+        for m in catalog.modules:
+            scan = frozenset(s.key for s in submodules(m).nodes if is_t_small(s, m))
+            assert t_small_keys(m) == scan, (catalog.ring_id, m.component_orders)
+
+
+def test_lifting_checks_fail_on_a_hull_plus_its_module(Q):
+    """A module that is neither lifting nor t-lifting: over Q, with
+    N = e1 Q, M = E(N) + N has 32 elements.  A lifting loop that skipped
+    its direct-summand test would call M t-lifting."""
+    reg = regular_module(Q)
+    n = submodule_as_module(span(reg, [(1, 0, 0, 0, 0)])).module
+    hull, _ = injective_hull(n)
+    m = direct_sum(hull, n)
+    assert m.size == 32
+    assert is_t_lifting(m) == t_lifting_loop(m) is False
+    assert is_lifting(m) is False
 
 
 def test_sum_over_ideal_members_matches_generators(z2_plus_z4):
