@@ -21,8 +21,9 @@ from .lattice import submodules
 from .memo import memo
 from .modules import (
     FiniteModule,
-    IsoClasses,
     direct_sum_with_maps,
+    is_isomorphic,
+    iso_signature,
     quotient_module,
     regular_module,
     zero_module,
@@ -57,8 +58,8 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
     to isomorphism and sorted.  A ring carries no name, so ``ring_id``
     is the catalog's label prefix only, and part of the memo key."""
     members = [zero_module(ring)]
-    classes = IsoClasses()
-    classes.add(members[0])
+    # iso_signature -> one representative of each class that has it
+    classes = {iso_signature(members[0]): [members[0]]}
     skipped: list[str] = []
     for n in range(1, policy.max_generators + 1):
         if ring.size ** n > config.LIMITS.max_module:
@@ -81,8 +82,9 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
             except SizeLimitExceeded as exc:
                 skipped.append(f"quotient of R^{n}: {exc}")
                 continue
-            if classes.find(q) is None:
-                classes.add(q)
+            reps = classes.setdefault(iso_signature(q), [])
+            if not any(is_isomorphic(rep, q) for rep in reps):
+                reps.append(q)
                 members.append(q)
 
     members.sort(key=lambda m: (m.size, m.component_orders, m.action))

@@ -19,8 +19,8 @@ vectors come from :func:`~modlab.intlinalg.identity_matrix`.
 Element arithmetic is table-driven.  Modules with the same component
 orders share one additive group: its addition table (dense, or
 two-level above ``ADD_TABLE_MAX`` elements) is built by composing
-translations, and its negation table like any other map.  Each module's
-workspace adds one action table per ring basis element.  The
+translations.  Each module's workspace adds one action table per ring
+basis element.  The
 whole-module table of any linear map comes from :func:`image_table`,
 which uses additivity: the images of a block of codes, translated by
 the image of one generator multiple, give the next block.  ``encode``,
@@ -46,8 +46,8 @@ A_b F = F B_b (mod n_l) by Smith reduction.  It returns the cyclic
 decomposition of Hom(M, N) inside the matrix group: factor orders and
 one representative matrix per factor.  Counts need only the orders,
 subgroup tests only the representatives, and :func:`hom_tables`
-enumerates the group (refusing before it starts when the group is too
-large).
+enumerates the group (:func:`end_ring` refuses before it starts when
+End(M) is over ``max_end``).
 
 Homs are enumerated as code tables.  :func:`hom_tables` lists Hom(M, N)
 by additivity, the table of f + rep being the pointwise sum of the two,
@@ -234,8 +234,8 @@ def image_table(source: FiniteModule, target: FiniteModule, matrix) -> bytes | a
 
 
 class _AdditiveGroup:
-    """Z/m_1 x ... x Z/m_t on mixed-radix codes: decode list, addition and
-    negation.  Depends on the orders only, so modules share it.
+    """Z/m_1 x ... x Z/m_t on mixed-radix codes: decode list and addition.
+    Depends on the orders only, so modules share it.
 
     Groups up to ``ADD_TABLE_MAX`` elements get a dense addition table.
     Larger ones split their components at a radix boundary R near the
@@ -253,8 +253,6 @@ class _AdditiveGroup:
             self._split = split = prod(orders[:cut])
             self._lo = _add_table(orders[:cut])
             self._hi = [list(map(split.__mul__, row)) for row in _add_table(orders[cut:])]
-        minus_basis = [(m - 1) * prod(orders[:i]) for i, m in enumerate(orders)]
-        self.neg = _image_table(orders, self, minus_basis)
         self.pack = table_type(len(self.coords))
 
     def add(self, a: int, b: int) -> int:
@@ -317,7 +315,6 @@ class _Workspace:
         group = additive_group(module.component_orders)
         self.coords = group.coords
         self.add_table = group.add_table
-        self.neg = group.neg
         # bound methods of the group, so a workspace add is one call;
         # additive_closure(seeds) is a submodule when the seeds include
         # every seed's images under the ring basis, as generator_images does
@@ -878,18 +875,12 @@ class _HomMatrix:
         return tuple(map(self.coords.__getitem__, map(tab.__getitem__, self.units)))
 
 
-def hom_tables(source: FiniteModule, target: FiniteModule,
-               max_count: int | None = None) -> list[bytes | array]:
+def hom_tables(source: FiniteModule, target: FiniteModule) -> list[bytes | array]:
     """The code table of every hom source -> target, in the canonical
     (matrix-sorted) order, enumerated from :func:`hom_group` by
     additivity: the table of f + rep is the pointwise sum of their
-    tables, packed as it is summed.  Raises :class:`SizeLimitExceeded`
-    without enumerating when there are more than ``max_count`` homs."""
+    tables, packed as it is summed."""
     orders, reps = hom_group(source, target)
-    if max_count is not None and prod(orders) > max_count:
-        raise SizeLimitExceeded(
-            f"hom set larger than {max_count} between {source!r} and {target!r}"
-        )
     group = additive_group(target.component_orders)
     tables = [group.pack([0] * source.size)]
     for o, rep in zip(orders, reps):
@@ -903,13 +894,12 @@ def hom_tables(source: FiniteModule, target: FiniteModule,
     return tables
 
 
-def hom_set(source: FiniteModule, target: FiniteModule,
-            max_count: int | None = None) -> list[ModuleHom]:
+def hom_set(source: FiniteModule, target: FiniteModule) -> list[ModuleHom]:
     """Every hom source -> target, with its code table set, in the order
-    of :func:`hom_tables`, which refuses more than ``max_count``."""
+    of :func:`hom_tables`."""
     matrix = _HomMatrix(source, target)
     return [ModuleHom._reduced(source, target, matrix(tab), tab)
-            for tab in hom_tables(source, target, max_count)]
+            for tab in hom_tables(source, target)]
 
 
 def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
@@ -980,29 +970,6 @@ def find_isomorphism(m: FiniteModule, n: FiniteModule) -> ModuleHom | None:
 
 def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:
     return find_isomorphism(m, n) is not None
-
-
-class IsoClasses:
-    """One representative per isomorphism class, with a value each, in
-    buckets keyed by ring and :func:`iso_signature`.  A lookup tests the
-    representatives of its bucket in the order they were added."""
-
-    def __init__(self):
-        self._buckets: dict[tuple, list[tuple[FiniteModule, object]]] = {}
-
-    def find(self, module: FiniteModule) -> tuple[object, ModuleHom] | None:
-        """(value, isomorphism rep -> module) for the first representative
-        isomorphic to the module, or None."""
-        for rep, value in self._buckets.get((module.ring.key, iso_signature(module)), ()):
-            iso = find_isomorphism(rep, module)
-            if iso is not None:
-                return value, iso
-        return None
-
-    def add(self, module: FiniteModule, value: object = None) -> None:
-        """Make the module the representative of a new class."""
-        self._buckets.setdefault((module.ring.key, iso_signature(module)),
-                                 []).append((module, value))
 
 
 # -- endomorphism rings ------------------------------------------------------

@@ -99,17 +99,14 @@ class TheoremReport:
     summary: dict
     runtime: float = 0.0
 
-    def to_json(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "suite": self.suite,
             "ring": self.ring_id,
             "scope": self.scope,
             "instances": self.instances,
             "summary": self.summary,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime
-        return out
 
 
 def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyReport:

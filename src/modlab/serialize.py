@@ -79,10 +79,8 @@ def submodule_to_json(sub: Submodule) -> dict:
 def lattice_to_hasse_json(lattice) -> dict:
     """Nodes in canonical order with the list of covered node indices."""
     return {
-        "nodes": [
-            {"index": i, "size": s.size, "elements": sorted(s.elements)}
-            for i, s in enumerate(lattice.nodes)
-        ],
+        "nodes": [{"index": i, **submodule_to_json(s)}
+                  for i, s in enumerate(lattice.nodes)],
         "covers": lattice.covers(),
     }
 
@@ -100,12 +98,7 @@ def content_hash(obj: FiniteRing | FiniteModule) -> str:
     if isinstance(obj, FiniteRing):
         payload = {"kind": "ring", "data": ring_to_json(obj)}
     else:
-        payload = {
-            "kind": "module",
-            "ring": ring_to_json(obj.ring),
-            "orders": list(obj.component_orders),
-            "action": [[list(row) for row in mat] for mat in obj.action],
-        }
+        payload = {"kind": "module", **module_to_json(obj)}
     payload["schema"] = CACHE_SCHEMA
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

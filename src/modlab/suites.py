@@ -11,19 +11,20 @@ The oracle tests of :func:`structure.is_amply_supplemented` in
 ``tests/test_structure.py`` keep that honest.  Instances failing a
 hypothesis are recorded as skipped.
 
-Every suite but the ring-level T3.12 is a per-module function
-``each(module, label)`` that yields the module's instance records.
-:func:`_per_module` makes it a suite, with its id, scope string and an
-optional hypothesis, run by the one suite loop over the catalog.  That
-loop counts a skip
+Every suite is a function ``each(module, label)`` that yields the
+module's records, run over the catalog by :func:`_suite_loop`, the one
+place a suite counts a skip.  :func:`_per_module` makes a suite of it
+with its id and scope string, one instance record per yield; T3.12
+instead takes the conjunction of its per-module facts over the catalog.
+A skip is one of two kinds:
 
-- for a module that fails the hypothesis (``each`` is not called);
-- for a module whose hypothesis raises :class:`SizeLimitExceeded`
-  (``each`` is not called either);
-- for a module whose ``each`` raises :class:`SizeLimitExceeded`; the
-  records ``each`` yielded before the raise stay;
-- for each :data:`REFUSED` that ``each`` yields: one evaluation a limit
-  refused, after which ``each`` goes on.
+- an instance that ``each`` does not evaluate: it yields :data:`SKIPPED`
+  for a module that fails its hypothesis (P2.13's t-lifting, after which
+  it returns) and for one evaluation a limit refuses (P2.13's fully
+  invariant submodules, T3.6's summands, T3.12's dual-Baer predicates),
+  after which it goes on;
+- a module whose ``each`` raises :class:`SizeLimitExceeded`; the records
+  ``each`` yielded before the raise stay.
 
 So a suite states only its statements, and the limits are handled in
 one place.  Each suite's statements and characterizations stay separate
@@ -49,6 +50,7 @@ from .modules import (
     submodule_as_module,
 )
 from .reports import TheoremReport, disagrees
+from .serialize import submodule_to_json
 from .structure import (
     coclosed_keys,
     is_coclosed,
@@ -68,6 +70,7 @@ from .tpredicates import (
     is_t_lifting,
     is_minimal_with_joint_complement,
     k_module_class,
+    square_radical_has,
     t_coclosed_keys,
     t_dual_baer_variants,
     t_lifting_variants,
@@ -77,12 +80,8 @@ from .tpredicates import (
     zbar2_of_node,
 )
 
-# yielded by a per-module function for one evaluation a limit refused
-REFUSED = object()
-
-
-def _node_witness(sub: Submodule) -> dict:
-    return {"size": sub.size, "elements": sorted(sub.elements)}
+# yielded by a per-module function for an instance it does not evaluate
+SKIPPED = object()
 
 
 def _node_label(sub: Submodule) -> str:
@@ -105,26 +104,29 @@ def _finish(suite_id, catalog, scope, instances, skipped) -> TheoremReport:
     )
 
 
+def _suite_loop(each: Callable[[FiniteModule, str], Iterator],
+                catalog: ModuleCatalog) -> tuple[list, int]:
+    """``each(module, label)``'s records over the catalog and the skips
+    counted as the module docstring describes."""
+    records, skipped = [], 0
+    for idx, m in enumerate(catalog.modules):
+        try:
+            for record in each(m, catalog.label(idx)):
+                if record is SKIPPED:
+                    skipped += 1
+                else:
+                    records.append(record)
+        except SizeLimitExceeded:
+            skipped += 1
+    return records, skipped
+
+
 def _per_module(suite_id: str, scope: str,
                 each: Callable[[FiniteModule, str], Iterator],
-                hypothesis: Callable[[FiniteModule], bool] | None = None,
                 ) -> Callable[[ModuleCatalog], TheoremReport]:
-    """The suite that runs ``each(module, label)`` over the catalog: the
-    one suite loop the module docstring describes."""
+    """The suite whose instance records are ``each``'s over the catalog."""
     def run(catalog: ModuleCatalog) -> TheoremReport:
-        instances, skipped = [], 0
-        for idx, m in enumerate(catalog.modules):
-            try:
-                if hypothesis is not None and not hypothesis(m):
-                    skipped += 1
-                    continue
-                for record in each(m, catalog.label(idx)):
-                    if record is REFUSED:
-                        skipped += 1
-                    else:
-                        instances.append(record)
-            except SizeLimitExceeded:
-                skipped += 1
+        instances, skipped = _suite_loop(each, catalog)
         return _finish(suite_id, catalog, scope, instances, skipped)
 
     return run
@@ -154,7 +156,7 @@ def p22(m: FiniteModule, label: str) -> Iterator:
     supplemented modules."""
     for a in submodules(m).nodes:
         yield _values_record(f"{label} A={_node_label(a)}",
-                             t_small_variants(a, m), witness=_node_witness(a))
+                             t_small_variants(a, m), witness=submodule_to_json(a))
 
 
 def l25(m: FiniteModule, label: str) -> Iterator:
@@ -169,7 +171,7 @@ def l25(m: FiniteModule, label: str) -> Iterator:
                None)
     yield _holds_record(
         f"{label} (1) t-coclosed below square radical", bad is None,
-        witness=None if bad is None else {"elements": sorted(bad.elements)})
+        witness=None if bad is None else submodule_to_json(bad))
 
     whole_tcc = m.full_submodule().key in tcc
     noncosing = zbar(m).is_full()
@@ -184,7 +186,7 @@ def l25(m: FiniteModule, label: str) -> Iterator:
             for ai in lat.subnode_indices(ci)[:-1]:
                 a = lat.nodes[ai]
                 if fails(c, a):
-                    return {"C": _node_witness(c), "A": _node_witness(a)}
+                    return {"C": submodule_to_json(c), "A": submodule_to_json(a)}
         return None
 
     def image_t_coclosed(c: Submodule, a: Submodule) -> bool:
@@ -231,7 +233,7 @@ def p26(m: FiniteModule, label: str) -> Iterator:
             "noncosingular_part": noncosing,
         }
         yield _values_record(f"{label} C={_node_label(c)}", values,
-                             witness=_node_witness(c))
+                             witness=submodule_to_json(c))
 
 
 def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
@@ -255,7 +257,7 @@ def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
         for i in sorted(first.values()):
             tab = tables[i]
             if frozenset(map(tab.__getitem__, c.elements)) not in keys:
-                return {"C": _node_witness(c), "endo": i}
+                return {"C": submodule_to_json(c), "endo": i}
     return None
 
 
@@ -265,7 +267,7 @@ def c27(m: FiniteModule, label: str) -> Iterator:
     z2 = zbar2(m)
     yield _holds_record(
         f"{label} (1) square radical is t-coclosed",
-        is_t_coclosed(z2, m), witness=_node_witness(z2))
+        is_t_coclosed(z2, m), witness=submodule_to_json(z2))
     witness = endo_image_witness(m, end_ring(m), t_coclosed_keys(m))
     yield _holds_record(
         f"{label} (2) endo images of t-coclosed are t-coclosed",
@@ -280,7 +282,7 @@ def c28(m: FiniteModule, label: str) -> Iterator:
     bad = min((i for i in closure if lat.nodes[i].key not in tcc), default=None)
     yield _holds_record(
         f"{label} sums of t-coclosed are t-coclosed", bad is None,
-        witness=None if bad is None else _node_witness(lat.nodes[bad]))
+        witness=None if bad is None else submodule_to_json(lat.nodes[bad]))
 
 
 def t211(m: FiniteModule, label: str) -> Iterator:
@@ -292,12 +294,15 @@ def t211(m: FiniteModule, label: str) -> Iterator:
 def p213(m: FiniteModule, label: str) -> Iterator:
     """Relative lifting passes to submodules and to quotients by fully
     invariant submodules."""
+    if not is_t_lifting(m):
+        yield SKIPPED
+        return
     lat = submodules(m)
     ok1, wit1 = True, None
     for node in lat.nodes:
         inner = submodule_as_module(node)
         if not is_t_lifting(inner.module):
-            ok1, wit1 = False, _node_witness(node)
+            ok1, wit1 = False, submodule_to_json(node)
             break
     yield _holds_record(f"{label} (1) submodules inherit t-lifting", ok1, wit1)
 
@@ -305,7 +310,7 @@ def p213(m: FiniteModule, label: str) -> Iterator:
         invariant = set(fully_invariant_keys(m))
     except SizeLimitExceeded:
         invariant = set()
-        yield REFUSED
+        yield SKIPPED
     for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
         invariant.add(sub.key)
     ok2, wit2 = True, None
@@ -314,7 +319,7 @@ def p213(m: FiniteModule, label: str) -> Iterator:
             continue
         q, _ = quotient_module(m, node)
         if not is_t_lifting(q):
-            ok2, wit2 = False, _node_witness(node)
+            ok2, wit2 = False, submodule_to_json(node)
             break
     yield _holds_record(
         f"{label} (2) quotients by fully invariant submodules inherit t-lifting",
@@ -337,9 +342,7 @@ def c34(m: FiniteModule, label: str) -> Iterator:
     """Regular relative dual-Baer modules have semisimple square radical."""
     tdb = is_t_dual_baer(m)
     if is_regular(m) and tdb:
-        z2 = zbar2(m)
-        yield _holds_record(
-            label, z2.is_zero() or is_semisimple(submodule_as_module(z2).module))
+        yield _holds_record(label, square_radical_has(m, is_semisimple))
 
 
 def p35(m: FiniteModule, label: str) -> Iterator:
@@ -369,10 +372,10 @@ def t36(m: FiniteModule, label: str) -> Iterator:
         try:
             value = is_t_dual_baer(inner.module)
         except SizeLimitExceeded:
-            yield REFUSED
+            yield SKIPPED
             continue
         if not value:
-            ok, wit = False, _node_witness(node)
+            ok, wit = False, submodule_to_json(node)
             break
     yield _holds_record(label, ok, wit)
 
@@ -396,10 +399,9 @@ def p38(m: FiniteModule, label: str) -> Iterator:
         {"t_k": t_k, "restricted_small_condition": restricted})
 
     if t_k:
-        inherited = z2.is_zero() or k_module_class(submodule_as_module(z2).module)["k"]
         yield _holds_record(
             f"{label} (2) square radical inherits the annihilator condition",
-            inherited)
+            square_radical_has(m, lambda z: k_module_class(z)["k"]))
 
 
 def _trace_and_vanishing(m: FiniteModule, keys) -> tuple[bool, bool]:
@@ -439,64 +441,55 @@ def c310(m: FiniteModule, label: str) -> Iterator:
     })
 
 
+T312_STATEMENTS = (
+    "noncosingular_are_injective",
+    "square_radicals_split_and_are_injective",
+    "all_modules_t_dual_baer",
+    "all_modules_t_lifting",
+    "injective_modules_t_lifting",
+    "noncosingular_dual_baer_and_radicals_split",
+    "noncosingular_lifting_and_radicals_split",
+)
+
+
+def t312_facts(m: FiniteModule, _label: str) -> Iterator:
+    """The module's part of each T3.12 statement; a refused dual-Baer
+    predicate yields :data:`SKIPPED` and counts as holding."""
+    # the statements below read the lattice of every module kept
+    submodules(m)
+    nc = zbar(m).is_full()
+    inj = is_injective(m)
+    try:
+        tdb = is_t_dual_baer(m)
+    except SizeLimitExceeded:
+        tdb = True
+        yield SKIPPED
+    db = True
+    if nc:
+        try:
+            db = is_dual_baer(m)
+        except SizeLimitExceeded:
+            yield SKIPPED
+    t_lifting = is_t_lifting(m)
+    splits = zbar2(m).key in summand_keys(m)
+    yield {
+        "noncosingular_are_injective": not nc or inj,
+        "square_radicals_split_and_are_injective":
+            splits and square_radical_has(m, is_injective),
+        "all_modules_t_dual_baer": tdb,
+        "all_modules_t_lifting": t_lifting,
+        "injective_modules_t_lifting": not inj or t_lifting,
+        "noncosingular_dual_baer_and_radicals_split": db and splits,
+        "noncosingular_lifting_and_radicals_split":
+            (not nc or is_lifting(m)) and splits,
+    }
+
+
 def run_t312(catalog: ModuleCatalog) -> TheoremReport:
     """Seven ring-level statements evaluated as bounded universal claims
     over the catalog."""
-    skipped = 0
-    noncosingular = []
-    injective_members = []
-    per_module = []
-    for m in catalog.modules:
-        try:
-            # the statements below read the lattice of every module kept
-            submodules(m)
-            nc = zbar(m).is_full()
-            inj = is_injective(m)
-        except SizeLimitExceeded:
-            skipped += 1
-            continue
-        per_module.append((m, nc, inj))
-        if nc:
-            noncosingular.append(m)
-        if inj:
-            injective_members.append(m)
-    modules = [m for m, _, _ in per_module]
-
-    def all_evaluated(predicate, members) -> bool:
-        """Whether ``predicate`` holds on every member that no limit
-        refuses; each refused member counts one skip."""
-        nonlocal skipped
-        out = True
-        for m in members:
-            try:
-                out = predicate(m) and out
-            except SizeLimitExceeded:
-                skipped += 1
-        return out
-
-    def radicals_split_and_injective():
-        for m in modules:
-            z2 = zbar2(m)
-            if z2.key not in summand_keys(m):
-                return False
-            if z2.is_zero():
-                continue
-            if not is_injective(submodule_as_module(z2).module):
-                return False
-        return True
-
-    splits = all(zbar2(m).key in summand_keys(m) for m in modules)
-    values = {
-        "noncosingular_are_injective": all(inj for _, nc, inj in per_module if nc),
-        "square_radicals_split_and_are_injective": radicals_split_and_injective(),
-        "all_modules_t_dual_baer": all_evaluated(is_t_dual_baer, modules),
-        "all_modules_t_lifting": all(map(is_t_lifting, modules)),
-        "injective_modules_t_lifting": all(map(is_t_lifting, injective_members)),
-        "noncosingular_dual_baer_and_radicals_split":
-            all_evaluated(is_dual_baer, noncosingular) and splits,
-        "noncosingular_lifting_and_radicals_split":
-            all(map(is_lifting, noncosingular)) and splits,
-    }
+    facts, skipped = _suite_loop(t312_facts, catalog)
+    values = {key: all(f[key] for f in facts) for key in T312_STATEMENTS}
     instances = [_values_record(f"{catalog.ring_id} catalog", values)]
     return _finish(
         "T3.12", catalog,
@@ -513,7 +506,7 @@ SUITES = {
     "C2.8": _per_module("C2.8", "pairwise-sum closure of the t-coclosed nodes", c28),
     "T2.11": _per_module("T2.11", "per catalog module", t211),
     "P2.13": _per_module("P2.13", "t-lifting catalog members; fully invariant quotients",
-                         p213, is_t_lifting),
+                         p213),
     "T3.2": _per_module("T3.2", "per catalog module", t32),
     "C3.3": _per_module(
         "C3.3", "catalog members with sssp inside the square radical and regular", c33),

@@ -129,6 +129,12 @@ def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
     return times_left_socle(module, times_left_socle(module, sub.elements))
 
 
+def square_radical_has(module: FiniteModule, predicate) -> bool:
+    """``predicate`` of Zbar2(M) as a module; true when Zbar2(M) = 0."""
+    z2 = zbar2(module)
+    return z2.is_zero() or predicate(submodule_as_module(z2).module)
+
+
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N is relatively small in M/N, for N <= A, decided as
     A & Zbar2(M) <= N + Rad(M): :func:`structure.small_in_quotient` with
@@ -228,15 +234,6 @@ def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
                 return False
         return True
 
-    # (6) the square radical is a summand and lifts
-    def radical_summand_and_lifting() -> bool:
-        if z2.key not in summands:
-            return False
-        if z2.is_zero():
-            return True
-        inner = submodule_as_module(z2)
-        return is_lifting(inner.module)
-
     # (7) submodules inside the square radical lift with small remainder
     def inside_radical_form() -> bool:
         for i, a in enumerate(lat.nodes):
@@ -260,7 +257,8 @@ def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
         ),
         "node_radicals_are_summands": node_radicals_split(False),
         "coclosed_node_radicals_are_summands": node_radicals_split(True),
-        "radical_summand_and_lifting": radical_summand_and_lifting(),
+        "radical_summand_and_lifting":
+            z2.key in summands and square_radical_has(module, is_lifting),
         "small_lift_inside_radical": inside_radical_form(),
     }
 
@@ -430,14 +428,6 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
     """Four equivalent forms, evaluated independently."""
     data = end_data(module)
     summands = summand_keys(module)
-    z2 = data.z2
-
-    def radical_summand_dual_baer() -> bool:
-        if z2.key not in summands:
-            return False
-        if z2.is_zero():
-            return True
-        return is_dual_baer(submodule_as_module(z2).module)
 
     # each h(Zbar2(M)) is the image of a submodule, so already a node key
     radical_images = set(data.z_images)
@@ -454,7 +444,8 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
 
     return {
         "definitional": is_t_dual_baer(module),
-        "radical_summand_dual_baer": radical_summand_dual_baer(),
+        "radical_summand_dual_baer":
+            data.z2.key in summands and square_radical_has(module, is_dual_baer),
         "sssp_and_single_images": sssp_and_single_images(),
         "subset_sums_split": subset_sums(),
     }

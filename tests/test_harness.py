@@ -34,6 +34,7 @@ from modlab.modules import (
 from modlab.reports import profile_module
 from modlab.rings import builtin_ring
 from modlab.serialize import (
+    CACHE_SCHEMA,
     content_hash,
     module_from_json,
     module_to_json,
@@ -170,6 +171,15 @@ def test_module_json_roundtrip(z2_plus_z8):
 def test_content_hash_distinguishes(z2_plus_z8, z8_reg):
     assert content_hash(z2_plus_z8) != content_hash(z8_reg)
     assert content_hash(z2_plus_z8) == content_hash(z2_plus_z8)
+
+
+def test_content_hash_is_pinned(z2_plus_z8):
+    """The disk cache's file names: a change to the hashed payload or to
+    CACHE_SCHEMA would orphan every cached file, so one module's hash is
+    pinned as it was first written."""
+    assert CACHE_SCHEMA == 2
+    assert content_hash(z2_plus_z8) == (
+        "b19b7f9e614519c1ebff808b435cd084b696b840aafc859fb5a285eaf0c982d7")
 
 
 def test_profile_flags_empty_on_catalog(Z4):

@@ -403,7 +403,8 @@ def test_hom_set_matrices_are_reduced_homs(rid):
     max_end = config.LIMITS.max_end
     for src in mods:
         for tgt in mods:
-            assert_homs_match_the_oracle(hom_set(src, tgt, max_count=max_end), src, tgt)
+            assert prod(hom_group(src, tgt)[0]) <= max_end
+            assert_homs_match_the_oracle(hom_set(src, tgt), src, tgt)
         end = end_ring(src)
         assert_homs_match_the_oracle([end.hom(i) for i in range(end.size)], src, src)
 
@@ -537,19 +538,15 @@ def test_is_isomorphic_basic(z4_reg, z2_over_z4):
 
 def test_isomorphism_does_not_read_the_presentation_orders(Z6):
     """Over Z6, R/3R + R/2R has component orders (2, 3) and R_R has (6,):
-    the modules are isomorphic, and an IsoClasses lookup of the first
-    finds the second."""
+    the modules are isomorphic, and they share the catalog's bucket, their
+    iso_signature."""
     reg = regular_module(Z6)
     by_three, _ = quotient_module(reg, span(reg, [3]))
     by_two, _ = quotient_module(reg, span(reg, [2]))
     split = direct_sum(by_three, by_two)
     assert sorted(split.component_orders) == [2, 3]
     assert is_isomorphic(split, reg) and is_isomorphic(reg, split)
-    classes = modules.IsoClasses()
-    classes.add(reg, "regular")
-    value, iso = classes.find(split)
-    assert value == "regular"
-    assert (iso.source, iso.target) == (reg, split) and iso.is_bijective()
+    assert modules.iso_signature(split) == modules.iso_signature(reg)
 
 
 @pytest.mark.parametrize("rid", RING_IDS)
@@ -816,8 +813,6 @@ def check_tables(module, homs, samples):
         assert list(ws.translate(a, [b, 0])) == [ws.add(a, b), a]
     for c in m.elements():
         assert ws.coords[c] == m.decode(c)
-        assert ws.neg[c] == m.encode([-x for x in m.decode(c)])
-        assert ws.add(c, ws.neg[c]) == 0
     for mat, tab in zip(m.action, ws.basis_action()):
         h = ModuleHom(m, m, mat, validate=False)
         assert tab == table_type(m.size)([h.apply(c) for c in m.elements()])

@@ -10,7 +10,7 @@ from modlab.config import Limits
 from modlab import suites
 from modlab.rings import builtin_ring
 from modlab.lattice import submodules
-from modlab.modules import end_ring, span
+from modlab.modules import end_ring, regular_module, span
 from modlab.suites import SUITES, _values_record, endo_image_witness, verify_theorem
 from modlab.tpredicates import t_coclosed_keys
 
@@ -79,35 +79,69 @@ def test_t312_statement_names(f2xz4_catalog):
 
 
 def test_suite_loop_counts_each_kind_of_skip(z8_catalog):
-    """A failed hypothesis, a hypothesis that raises, a raise and each
-    ``REFUSED`` yield count one skip; a raise keeps the records yielded
-    before it."""
+    """A failed hypothesis (``SKIPPED`` first), a refusal before the first
+    record (a raise first), a raise after one and each later ``SKIPPED``
+    count one skip; a raise keeps the records yielded before it."""
     from modlab.errors import SizeLimitExceeded
-    from modlab.suites import REFUSED, _per_module
+    from modlab.suites import SKIPPED, _per_module
 
     def each(m, label):
+        if m.size == 64:
+            raise SizeLimitExceeded("planted")
+        if m.size == 8:
+            yield SKIPPED
+            return
         yield {"instance": f"{label} first", "holds": True}
         if m.size == 2:
-            yield REFUSED
-            yield REFUSED
+            yield SKIPPED
+            yield SKIPPED
         if m.size == 4:
             raise SizeLimitExceeded("planted")
         yield {"instance": f"{label} second", "holds": m.size != 16}
 
-    def hypothesis(m):
-        if m.size == 64:
-            raise SizeLimitExceeded("planted")
-        return m.size != 8
-
-    rep = _per_module("X", "planted", each, hypothesis)(z8_catalog)
+    rep = _per_module("X", "planted", each)(z8_catalog)
     sizes = [m.size for m in z8_catalog.modules]
     assert (sizes.count(2), sizes.count(4), sizes.count(8), sizes.count(64)) == (1, 2, 2, 1)
     assert rep.summary == {
         "instances": 7 + 5,  # a first record per module run, a second unless raised
         "disagreements": 2,  # the second records of size 16
-        "skipped": 2 + 1 + 2 + 2,  # hypothesis fails, hypothesis raises, raises, refusals
+        "skipped": 2 + 1 + 2 + 2,  # hypothesis fails, raise first, raise later, SKIPPED
     }
     assert rep.suite == "X" and rep.scope == "planted"
+
+
+def test_p213_skips_a_module_that_is_not_t_lifting(Q):
+    """P2.13's hypothesis: over Q, with N = e1 Q, M = E(N) + N is not
+    t-lifting, so P2.13 yields one ``SKIPPED`` and no record for it."""
+    from modlab.modules import direct_sum, submodule_as_module
+    from modlab.structure import injective_hull
+    from modlab.suites import SKIPPED
+
+    n = submodule_as_module(span(regular_module(Q), [(1, 0, 0, 0, 0)])).module
+    m = direct_sum(injective_hull(n)[0], n)
+    assert list(suites.p213(m, "E(N)+N")) == [SKIPPED]
+
+
+def test_t312_counts_a_refused_predicate_as_a_skip(z4_catalog, monkeypatch):
+    """A refusal from any of T3.12's predicates, not only the dual-Baer
+    ones, skips the module it refused: with is_t_lifting planted to raise
+    on the regular module, T3.12 counts one more skip and still reports
+    its one instance."""
+    from modlab.errors import SizeLimitExceeded
+
+    before = verify_theorem("T3.12", z4_catalog).summary
+    target = regular_module(z4_catalog.ring)
+    assert target in z4_catalog.modules
+    is_t_lifting = suites.is_t_lifting
+
+    def refusing(m):
+        if m == target:
+            raise SizeLimitExceeded("planted")
+        return is_t_lifting(m)
+
+    monkeypatch.setattr(suites, "is_t_lifting", refusing)
+    after = verify_theorem("T3.12", z4_catalog).summary
+    assert after == {**before, "skipped": before["skipped"] + 1}
 
 
 def test_suites_skip_when_end_ring_over_limit(z8_catalog, limits):
