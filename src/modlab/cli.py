@@ -88,8 +88,13 @@ def _catalog(rid: str, config: HarnessConfig) -> ModuleCatalog:
 
 
 def _ring_job(rid: str, config: HarnessConfig):
-    """One ring's share of ``run_all`` as plain picklable data: (module
-    count, skipped candidates, profile reports, suite reports).
+    """One ring's share of ``run_all`` as plain picklable data: (summary
+    row, {file name: text}, suite runs).  The row holds the module count,
+    the skipped candidates, the profile flag count and each suite's
+    summary; the texts are the ring's report files, each serialized as
+    soon as its report is made, so no report object outlives its step;
+    a suite run is (suite id, runtime, first disagreeing instance or
+    None).
 
     The job starts from empty memos: an earlier job's entries are keyed
     by its ring (all but a few additive groups), so they would only hold
@@ -101,8 +106,18 @@ def _ring_job(rid: str, config: HarnessConfig):
         profile_module(m, desc=catalog.label(i))
         for i, m in enumerate(catalog.modules)
     ]
-    suite_reports = [verify_theorem(sid, catalog) for sid in config.suites]
-    return len(catalog.modules), catalog.skipped, profiles, suite_reports
+    row = {"ring": rid, "modules": len(catalog.modules),
+           "skipped_candidates": catalog.skipped,
+           "profile_flags": sum(len(p.flags) for p in profiles), "suites": {}}
+    files = {f"profiles_{rid}.json": stable_dumps(
+        {"ring": rid, "modules": [p.to_json() for p in profiles]})}
+    runs = []
+    for sid in config.suites:
+        rep = verify_theorem(sid, catalog)
+        files[f"{sid.replace('.', '_')}_{rid}.json"] = stable_dumps(rep.to_json())
+        row["suites"][sid] = rep.summary
+        runs.append((sid, rep.runtime, next(filter(disagrees, rep.instances), None)))
+    return row, files, runs
 
 
 def _ring_cost(rid: str) -> int:
@@ -136,7 +151,12 @@ def _ring_results(config: HarnessConfig) -> list:
 def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
     """Profiles plus every configured suite over every configured ring.
     Returns (exit status, summary object) and writes the report bundle
-    when an output directory is configured."""
+    when an output directory is configured.
+
+    Each ring job (:func:`_ring_job`) returns its summary row and its
+    report files as text, with each suite's runtime and first
+    disagreeing instance, so this process holds no report object.  The
+    files are written only after every ring's job has returned."""
     config.validate()
     # before the run, so a bad path wastes none of it
     if config.out_dir:
@@ -145,45 +165,30 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
         except OSError as exc:
             raise InvalidConfig(f"output directory: {exc}") from None
     cache_dir()
-    reports = []
-    profile_flags = 0
     ring_results = _ring_results(config)
 
     bundle: dict[str, str] = {}
     summary_rows = []
-    for rid, (n_modules, skipped, profiles, suite_reports) in zip(
-        config.rings, ring_results
-    ):
-        flags = sum(len(p.flags) for p in profiles)
-        profile_flags += flags
-        bundle[f"profiles_{rid}.json"] = stable_dumps(
-            {"ring": rid, "modules": [p.to_json() for p in profiles]}
-        )
-        for rep in suite_reports:
-            reports.append(rep)
-            bundle[f"{rep.suite.replace('.', '_')}_{rid}.json"] = stable_dumps(
-                rep.to_json()
-            )
+    first_bad = []
+    for row, files, runs in ring_results:
+        bundle.update(files)
+        summary_rows.append(row)
+        for sid, runtime, bad in runs:
+            suite_summary = row["suites"][sid]
             echo(
-                f"{rep.suite:6s} {rid:7s} instances={rep.summary['instances']:5d} "
-                f"disagreements={rep.summary['disagreements']} "
-                f"skipped={rep.summary['skipped']} "
-                f"[{rep.runtime:.1f}s]",
+                f"{sid:6s} {row['ring']:7s} instances={suite_summary['instances']:5d} "
+                f"disagreements={suite_summary['disagreements']} "
+                f"skipped={suite_summary['skipped']} "
+                f"[{runtime:.1f}s]",
                 file=sys.stderr,
             )
-        summary_rows.append(
-            {
-                "ring": rid,
-                "modules": n_modules,
-                "skipped_candidates": skipped,
-                "profile_flags": flags,
-                "suites": {
-                    rep.suite: rep.summary for rep in suite_reports
-                },
-            }
-        )
+            if bad is not None:
+                first_bad.append(f"DISAGREEMENT {sid} over {row['ring']}: "
+                                 f"{json.dumps(bad, sort_keys=True)}")
 
-    disagreements = sum(rep.summary["disagreements"] for rep in reports)
+    disagreements = sum(s["disagreements"] for row in summary_rows
+                        for s in row["suites"].values())
+    profile_flags = sum(row["profile_flags"] for row in summary_rows)
     status = 0 if disagreements == 0 and profile_flags == 0 else 1
     summary = {
         "config": {
@@ -206,15 +211,8 @@ def run_all(config: HarnessConfig, echo=print) -> tuple[int, dict]:
                     fh.write("\n")
         except OSError as exc:
             raise InvalidConfig(f"output directory: {exc}") from None
-    if disagreements:
-        for rep in reports:
-            if rep.summary["disagreements"]:
-                bad = next(filter(disagrees, rep.instances))
-                echo(
-                    f"DISAGREEMENT {rep.suite} over {rep.ring_id}: "
-                    f"{json.dumps(bad, sort_keys=True)}",
-                    file=sys.stderr,
-                )
+    for line in first_bad:
+        echo(line, file=sys.stderr)
     return status, summary
 
 

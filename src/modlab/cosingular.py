@@ -63,6 +63,13 @@ def zbar2(module: FiniteModule) -> Submodule:
     return Submodule(module, times_left_socle(module, zbar(module).elements))
 
 
+@memo
+def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
+    """The square radical of a submodule viewed as a module, as a code set
+    of the parent: C * S^2."""
+    return times_left_socle(module, times_left_socle(module, sub.elements))
+
+
 def classify(module: FiniteModule) -> CosingularProfile:
     z = zbar(module)
     z2 = zbar2(module)

@@ -329,9 +329,15 @@ def radical(module: FiniteModule) -> Submodule:
 
 @memo
 def radical_of_subset(module: FiniteModule, codes: frozenset[int]) -> frozenset[int]:
-    """Element codes of Rad(X) = X * J(R) for an action-closed subset X,
-    computed in the ambient coordinates: the additive span of the x * h
-    over x in X and J's additive generators h."""
+    """Element codes of Rad(X) = X * J(R) for an action-closed subset X
+    (memoized :func:`times_jacobson`)."""
+    return times_jacobson(module, codes)
+
+
+def times_jacobson(module: FiniteModule, codes) -> frozenset[int]:
+    """Element codes of X * J(R), for an action-closed subset X, computed
+    in the ambient coordinates: the additive span of the x * h over x in
+    X and J's additive generators h.  It is Rad(X)."""
     return _times(module, codes, jacobson_generators(module.ring))
 
 

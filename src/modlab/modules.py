@@ -623,18 +623,13 @@ class SubmoduleModule:
 
     module: FiniteModule
     include: "ModuleHom"              # module -> parent
-    to_sub: dict[int, int]            # parent code -> module code
-
-    def pull_in(self, codes: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.to_sub[c] for c in codes)
 
     def push_out(self, codes: Iterable[int]) -> frozenset[int]:
         return self.include.restrict_codes(codes)
 
 
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:
-    """Standalone presentation of a submodule, with inclusion and the
-    element correspondence both ways."""
+    """Standalone presentation of a submodule, with its inclusion."""
     return _standalone(sub.parent, sub)
 
 
@@ -648,9 +643,7 @@ def _standalone(parent: FiniteModule, sub: Submodule) -> SubmoduleModule:
     action = [[coords.coords(ws.coords[tab[c]]) for c in rep_codes]
               for tab in ws.basis_action()]
     mod = FiniteModule(parent.ring, orders, action)
-    include = ModuleHom(mod, parent, reps)
-    to_sub = {c: mod.encode(coords.coords(ws.coords[c])) for c in sub.elements}
-    return SubmoduleModule(mod, include, to_sub)
+    return SubmoduleModule(mod, ModuleHom(mod, parent, reps))
 
 
 class ModuleHom:

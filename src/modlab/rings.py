@@ -20,6 +20,26 @@ from .intlinalg import combine, identity_matrix, mat_mul
 from .memo import memo
 
 
+class HashedKey(tuple):
+    """A key tuple that keeps its hash.  Every memo lookup hashes the keys
+    of its ring and module arguments, and a module's key nests its ring's
+    key and action matrices, so hashing it anew costs about a microsecond
+    where this costs one attribute read.  String hashes differ between
+    processes, so an unpickled key hashes again: ``__reduce__`` rebuilds
+    it from a plain tuple."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
+
+
 class MixedRadix:
     """The group Z/d_1 x ... x Z/d_k with its elements as mixed-radix
     codes, little-endian in basis order, equal and hashed by ``key``.
@@ -32,8 +52,8 @@ class MixedRadix:
         self.component_orders = orders
         self.size = prod(orders)
         self._radix = tuple(prod(orders[:i]) for i in range(len(orders)))
-        self.key = key
-        self._hash = hash(key)
+        self.key = HashedKey(key)
+        self._hash = self.key._hash
 
     def encode(self, coords) -> int:
         """The code of a coordinate vector, each coordinate reduced first."""

@@ -1,6 +1,11 @@
-"""Structural module theory: direct summands, supplements, coclosed
-submodules, lifting, character duality, projective covers, injective
-hulls, injectivity, and the small-module predicate.
+"""Structural module theory: intervals of the submodule lattice, direct
+summands, supplements, coclosed submodules, lifting, character duality,
+projective covers, injective hulls, injectivity, and the small-module
+predicate.
+
+Summands, coclosure and lifting are decided on an :class:`Interval`
+[L, H] of a module's lattice, the lattice of H/L, so a submodule or a
+quotient is asked about without being built as a module.
 
 Duality is the character pairing into Z/exp(M): it is involutive on the
 nose in this presentation, swaps projective covers with injective hulls,
@@ -13,18 +18,23 @@ small exactly when S = Soc(_R R) kills it (:mod:`modlab.cosingular`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
+from typing import Sequence
 
 from . import config
-from .cosingular import zbar
+from .cosingular import zbar, zbar2_of_node
 from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, SizeLimitExceeded
 from .intlinalg import identity_matrix, subgroup_basis
 from .lattice import (
+    SubmoduleLattice,
     is_small_within,
     is_essential,
     radical,
     submodules,
+    times_jacobson,
 )
 from .memo import memo
 from .modules import (
@@ -111,17 +121,123 @@ def projection_along(sub: Submodule, comp: Submodule) -> ModuleHom:
     return ModuleHom(module, module, [ws.coords[split[module.encode(e)]] for e in units])
 
 
+# -- intervals -----------------------------------------------------------------
+
+
+class Interval:
+    """The interval [L, H] of a module's submodule lattice: the nodes N
+    with L <= N <= H, as node indices.  It is the lattice of H/L, as the
+    submodules of H are the nodes below H and those of M/L the N/L for the
+    nodes N above L.  So a question about a submodule H or a quotient M/L
+    is decided inside M's lattice; the whole module is [0, M].
+
+    ``rad`` and ``z2`` are the nodes L + H*J and L + H*S^2, with J = J(R)
+    and S = Soc(_R R): the preimages of Rad(H/L) and Zbar2(H/L).  Over a
+    finite ring, which is right perfect, Rad(X) = X*J (Bass, 1960) and
+    Zbar2(X) = X*S^2 (:mod:`modlab.cosingular`), and (H/L)*I = (H*I + L)/L
+    for an ideal I."""
+
+    def __init__(self, lattice: SubmoduleLattice, low: int, high: int):
+        self.lattice, self.low, self.high = lattice, low, high
+
+    @cached_property
+    def rad(self) -> int:
+        top = self.lattice.nodes[self.high]
+        m = self.lattice.parent
+        return self._over_low(radical(m).elements if top.is_full()
+                              else times_jacobson(m, top.elements))
+
+    @cached_property
+    def z2(self) -> int:
+        return self._over_low(zbar2_of_node(self.lattice.parent, self.lattice.nodes[self.high]))
+
+    def _over_low(self, codes) -> int:
+        """The node L + X, for the node X with these codes."""
+        return self.lattice.join(self.low, self.lattice.index[codes])
+
+    def below(self, i: int) -> Sequence[int]:
+        """The nodes of [L, i], ascending, for a node i of the interval.
+        A node above L sorts after it, as nodes sort by size."""
+        lat = self.lattice
+        subs = lat.subnode_indices(i)
+        if self.low == lat.zero_index:
+            return subs
+        low = lat.nodes[self.low].elements
+        return [j for j in subs[bisect_left(subs, self.low):] if low <= lat.nodes[j].elements]
+
+    @cached_property
+    def members(self) -> Sequence[int]:
+        """The nodes of the interval, ascending."""
+        return self.below(self.high)
+
+    @cached_property
+    def _by_size(self) -> dict[int, list[int]]:
+        blocks: dict[int, list[int]] = {}
+        for j in self.members:
+            blocks.setdefault(self.lattice.nodes[j].size, []).append(j)
+        return blocks
+
+    def complement(self, b: int) -> int | None:
+        """The first node B' of the interval, in lattice order, with
+        B & B' = L and |B| |B'| = |H| |L|, if node b has one; B/L is a
+        direct summand of H/L exactly when it does.  For B' in [L, H],
+        B & B' = L gives |B + B'| = |B| |B'| / |L| = |H|, so B + B' = H,
+        and conversely.  So only the nodes of size |H| |L| / |B| are
+        scanned."""
+        nodes = self.lattice.nodes
+        low, elements = nodes[self.low].size, nodes[b].elements
+        need, rest = divmod(nodes[self.high].size * low, len(elements))
+        return None if rest else next(
+            (j for j in self._by_size.get(need, ())
+             if len(elements & nodes[j].elements) == low), None)
+
+    @cached_property
+    def summands(self) -> frozenset[int]:
+        """The nodes B of the interval with B/L a direct summand of H/L."""
+        return frozenset(j for j in self.members if self.complement(j) is not None)
+
+    def small(self, a: int, n: int) -> bool:
+        """A/N << H/N, for nodes N <= A of the interval, decided as
+        A <= N + ``rad``: the radical of a finite module is small and
+        holds every small submodule, and Rad(H/N) pulls back to N + H*J,
+        which is N + ``rad`` as L <= N."""
+        lat = self.lattice
+        return lat.nodes[a].elements <= lat.nodes[lat.join(n, self.rad)].elements
+
+    def t_small(self, a: int, n: int) -> bool:
+        """A/N is relatively small in H/N, for nodes N <= A of the
+        interval, decided as A & ``z2`` <= N + ``rad``.
+
+        Proof.  H/N is finite, hence amply supplemented, so by P2.2 (the
+        ``trace_small_in_module`` variant) A/N is relatively small in H/N
+        exactly when A/N & Zbar2(H/N) <= Rad(H/N).  Pulled back to M, with
+        Zbar2(H/N) = (N + H*S^2)/N and Rad(H/N) = (N + H*J)/N, that is
+        A & (N + H*S^2) <= N + H*J.  As N <= A, the modular law makes the
+        left side N + (A & H*S^2), and N lies in the right side, so this
+        is A & H*S^2 <= N + H*J.  Adding L <= N to H*S^2 and to H*J changes
+        neither side.  The definitional scan is the test oracle."""
+        nodes = self.lattice.nodes
+        return (nodes[a].elements & nodes[self.z2].elements
+                <= nodes[self.lattice.join(n, self.rad)].elements)
+
+
+@memo
+def whole_interval(module: FiniteModule) -> Interval:
+    """The interval [0, M] of the module's lattice, memoized with its
+    direct summands."""
+    lat = submodules(module)
+    return Interval(lat, lat.zero_index, lat.top_index)
+
+
 # -- direct summands ---------------------------------------------------------
 
 
 def complement_of(sub: Submodule) -> Submodule | None:
-    """A lattice node B with A + B = M and A & B = 0, if one exists."""
-    need = sub.parent.size // sub.size
-    for b in submodules(sub.parent).nodes:
-        # A & B = 0 gives |A + B| = |A| |B| = |M|, so A + B = M
-        if b.size == need and len(sub.elements & b.elements) == 1:
-            return b
-    return None
+    """A lattice node B with A + B = M and A & B = 0, if one exists: the
+    first in lattice order (:meth:`Interval.complement` on [0, M])."""
+    iv = whole_interval(sub.parent)
+    j = iv.complement(iv.lattice.node_index(sub))
+    return None if j is None else iv.lattice.nodes[j]
 
 
 def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> bool:
@@ -133,7 +249,8 @@ def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> boo
 @memo
 def summand_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
     """The keys (element sets) of all direct summand nodes (memoized)."""
-    return frozenset(a.key for a in submodules(module).nodes if complement_of(a) is not None)
+    iv = whole_interval(module)
+    return frozenset(iv.lattice.nodes[j].key for j in iv.summands)
 
 
 def summand_witness_idempotent(sub: Submodule) -> ModuleHom | None:
@@ -188,33 +305,27 @@ def is_amply_supplemented(module: FiniteModule) -> bool:
 # -- small quotients and coclosed submodules -----------------------------------
 
 
-def radical_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
-    """Preimage N + Rad(M) of Rad(M/N) in M: one lattice join."""
-    lat = submodules(module)
-    return lat.nodes[lat.join(lat.node_index(n), lat.node_index(radical(module)))].elements
-
-
 def small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N << M/N for N <= A, evaluated inside the ambient lattice as
-    A <= N + Rad(M)."""
+    A <= N + Rad(M) (:meth:`Interval.small` on [0, M])."""
     if not n.elements <= a.elements:
         raise NotSubmodule("need N <= A for a quotient comparison")
-    return a.elements <= radical_pullback(module, n)
+    iv = whole_interval(module)
+    return iv.small(iv.lattice.node_index(a), iv.lattice.node_index(n))
 
 
-def is_coclosed_under(small, sub: Submodule, module: FiniteModule) -> bool:
-    """No proper N < C has small(C, N, module), for a smallness notion
-    small(A, N, M) of A/N in M/N."""
-    lat = submodules(module)
-    i = lat.node_index(sub)
-    return not any(small(sub, lat.nodes[j], module)
-                   for j in lat.subnode_indices(i) if j != i)
+def is_coclosed_under(small, iv: Interval, c: int) -> bool:
+    """Node C of the interval [L, H] is coclosed in H/L under a smallness
+    notion small(iv, A, N) of A/N in H/N: no node N of [L, C) has
+    small(iv, C, N).  These N are the proper submodules of C/L."""
+    return not any(small(iv, c, n) for n in iv.below(c)[:-1])
 
 
 def is_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part of the submodule leaves a small remainder: C' < C
     with C/C' << M/C' forces C = C'."""
-    return is_coclosed_under(small_in_quotient, sub, module)
+    iv = whole_interval(module)
+    return is_coclosed_under(Interval.small, iv, iv.lattice.node_index(sub))
 
 
 def coclosed_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
@@ -225,19 +336,18 @@ def coclosed_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
 # -- lifting -------------------------------------------------------------------
 
 
-def is_lifting_under(small, module: FiniteModule) -> bool:
-    """Every submodule A holds a direct summand N with small(A, N, module),
-    for a smallness notion small(A, N, M) of A/N in M/N."""
-    lat = submodules(module)
-    summands = summand_keys(module)
-    return all(any(lat.nodes[j].key in summands and small(a, lat.nodes[j], module)
-                   for j in lat.subnode_indices(i))
-               for i, a in enumerate(lat.nodes))
+def is_lifting_under(small, iv: Interval) -> bool:
+    """H/L is lifting under a smallness notion small(iv, A, N) of A/N in
+    H/N: every node A of the interval [L, H] holds a node N with N/L a
+    direct summand of H/L and small(iv, A, N)."""
+    summands = iv.summands
+    return all(any(j in summands and small(iv, i, j) for j in iv.below(i))
+               for i in iv.members)
 
 
 def is_lifting(module: FiniteModule) -> bool:
     """Every submodule contains a direct summand with small remainder."""
-    return is_lifting_under(small_in_quotient, module)
+    return is_lifting_under(Interval.small, whole_interval(module))
 
 
 # -- character duality ---------------------------------------------------------

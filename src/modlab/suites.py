@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import operator
 import time
+from functools import cache
 from typing import Callable, Iterator
 
 from .catalog import ModuleCatalog
@@ -46,16 +47,18 @@ from .modules import (
     FiniteModule,
     Submodule,
     end_ring,
-    quotient_module,
     submodule_as_module,
 )
 from .reports import TheoremReport, disagrees
 from .serialize import submodule_to_json
 from .structure import (
+    Interval,
     coclosed_keys,
     is_coclosed,
+    is_coclosed_under,
     is_injective,
     is_lifting,
+    is_lifting_under,
     summand_keys,
 )
 from .tpredicates import (
@@ -66,6 +69,7 @@ from .tpredicates import (
     is_regular,
     is_semisimple,
     is_t_coclosed,
+    is_t_coclosed_in,
     is_t_dual_baer,
     is_t_lifting,
     is_minimal_with_joint_complement,
@@ -181,33 +185,29 @@ def l25(m: FiniteModule, label: str) -> Iterator:
 
     def first_failure(fails) -> dict | None:
         """Witness of the first pair A < C, C then A in node order, with
-        fails(C, A); A = C needs no test, as C/C = 0 is t-coclosed."""
-        for ci, c in enumerate(lat.nodes):
+        fails(C, A) on node indices; A = C needs no test, as C/C = 0 is
+        t-coclosed."""
+        for ci in range(len(lat)):
             for ai in lat.subnode_indices(ci)[:-1]:
-                a = lat.nodes[ai]
-                if fails(c, a):
-                    return {"C": submodule_to_json(c), "A": submodule_to_json(a)}
+                if fails(ci, ai):
+                    return {"C": submodule_to_json(lat.nodes[ci]),
+                            "A": submodule_to_json(lat.nodes[ai])}
         return None
 
-    def image_t_coclosed(c: Submodule, a: Submodule) -> bool:
-        q, proj = quotient_module(m, a)
-        return is_t_coclosed(Submodule(q, proj.restrict_codes(c.elements)), q)
-
-    def t_coclosed_in(c: Submodule, a: Submodule) -> bool:
-        inner = submodule_as_module(c)
-        return is_t_coclosed(Submodule(inner.module, inner.pull_in(a.elements)),
-                             inner.module)
-
-    wit3 = first_failure(lambda c, a: c.key in tcc and not image_t_coclosed(c, a))
+    # C/A in M/A is decided on the interval [A, M], A in C on [0, C]
+    upper = cache(lambda a: Interval(lat, a, lat.top_index))
+    lower = cache(lambda c: Interval(lat, lat.zero_index, c))
+    in_tcc = [node.key in tcc for node in lat.nodes]
+    wit3 = first_failure(lambda c, a: in_tcc[c] and not is_t_coclosed_in(upper(a), c))
     yield _holds_record(
         f"{label} (3) quotients of t-coclosed are t-coclosed", wit3 is None, wit3)
     # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
-    wit4 = first_failure(lambda c, a: c.key not in tcc and a.key in tcc
-                         and image_t_coclosed(c, a))
+    wit4 = first_failure(lambda c, a: not in_tcc[c] and in_tcc[a]
+                         and is_t_coclosed_in(upper(a), c))
     yield _holds_record(
         f"{label} (4) two-step t-coclosure collapses", wit4 is None, wit4)
     # (5): A tcc in M iff A tcc in C, for amply supplemented C
-    wit5 = first_failure(lambda c, a: (a.key in tcc) != t_coclosed_in(c, a))
+    wit5 = first_failure(lambda c, a: in_tcc[a] != is_t_coclosed_in(lower(c), a))
     yield _holds_record(
         f"{label} (5) relative t-coclosure matches ambient", wit5 is None, wit5)
 
@@ -216,19 +216,16 @@ def p26(m: FiniteModule, label: str) -> Iterator:
     """Five characterizations of relatively coclosed submodules agree."""
     lat = submodules(m)
     z2 = zbar2(m)
-    inner = submodule_as_module(z2) if not z2.is_zero() else None
-    for c in lat.nodes:
+    # the lattice of Zbar2(M) as a module is the interval [0, Zbar2(M)]
+    inside = Interval(lat, lat.zero_index, lat.index[z2.key])
+    for ci, c in enumerate(lat.nodes):
         in_rad = c.elements <= z2.elements
-        if inner is not None and in_rad:
-            c_in = Submodule(inner.module, inner.pull_in(c.elements))
-            coclosed_in_rad = is_coclosed(c_in, inner.module)
-        else:
-            coclosed_in_rad = in_rad and c.is_zero()
         noncosing = zbar2_of_node(m, c) == c.elements
         values = {
             "minimal_joint_complement": is_minimal_with_joint_complement(c, m),
             "t_coclosed": is_t_coclosed(c, m),
-            "coclosed_inside_radical": in_rad and coclosed_in_rad,
+            "coclosed_inside_radical":
+                in_rad and is_coclosed_under(Interval.small, inside, ci),
             "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
             "noncosingular_part": noncosing,
         }
@@ -298,13 +295,14 @@ def p213(m: FiniteModule, label: str) -> Iterator:
         yield SKIPPED
         return
     lat = submodules(m)
-    ok1, wit1 = True, None
-    for node in lat.nodes:
-        inner = submodule_as_module(node)
-        if not is_t_lifting(inner.module):
-            ok1, wit1 = False, submodule_to_json(node)
-            break
-    yield _holds_record(f"{label} (1) submodules inherit t-lifting", ok1, wit1)
+
+    def t_lifting(low: int, high: int) -> bool:
+        # C as a module is the interval [0, C], M/N is [N, M]
+        return is_lifting_under(Interval.t_small, Interval(lat, low, high))
+
+    bad1 = next((c for c in range(len(lat)) if not t_lifting(lat.zero_index, c)), None)
+    yield _holds_record(f"{label} (1) submodules inherit t-lifting", bad1 is None,
+                        None if bad1 is None else submodule_to_json(lat.nodes[bad1]))
 
     try:
         invariant = set(fully_invariant_keys(m))
@@ -313,17 +311,11 @@ def p213(m: FiniteModule, label: str) -> Iterator:
         yield SKIPPED
     for sub in (radical(m), socle(m), zbar(m), zbar2(m)):
         invariant.add(sub.key)
-    ok2, wit2 = True, None
-    for node in lat.nodes:
-        if node.key not in invariant:
-            continue
-        q, _ = quotient_module(m, node)
-        if not is_t_lifting(q):
-            ok2, wit2 = False, submodule_to_json(node)
-            break
+    bad2 = next((n for n, node in enumerate(lat.nodes) if node.key in invariant
+                 and not t_lifting(n, lat.top_index)), None)
     yield _holds_record(
         f"{label} (2) quotients by fully invariant submodules inherit t-lifting",
-        ok2, wit2)
+        bad2 is None, None if bad2 is None else submodule_to_json(lat.nodes[bad2]))
 
 
 def t32(m: FiniteModule, label: str) -> Iterator:

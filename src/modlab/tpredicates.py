@@ -10,9 +10,12 @@ relative coclosure and lifting are coclosure and lifting with relatively
 small remainders.  So relative smallness is the one smallness scan,
 :func:`lattice.is_small_over`, at Z = Zbar2(M) (the plain notion is its
 case Z = M); in a quotient it takes plain smallness's radical route
-(:func:`t_small_in_quotient`).  Relative coclosure and lifting are the
-plain notions' loops, :func:`structure.is_coclosed_under` and
-:func:`structure.is_lifting_under`, run with relative smallness.
+(:meth:`structure.Interval.t_small`).  Relative coclosure and lifting are
+the plain notions' loops, :func:`structure.is_coclosed_under` and
+:func:`structure.is_lifting_under`, run with relative smallness on an
+interval of M's lattice: [0, M] for M, [0, C] for a submodule C and
+[A, M] for a quotient M/A, so no submodule or quotient is built as a
+module for them.
 The equivalent characterizations that hold for amply supplemented modules
 are exposed as *variants*, kept as separate code, so the verification
 suites can compare them independently instead of trusting the
@@ -46,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .cosingular import zbar2
+from .cosingular import zbar2, zbar2_of_node
 from .errors import NotSubmodule
 from .lattice import (
     is_small_over,
@@ -55,7 +58,6 @@ from .lattice import (
     radical,
     socle,
     submodules,
-    times_left_socle,
 )
 from .memo import memo
 from .modules import (
@@ -63,18 +65,17 @@ from .modules import (
     FiniteModule,
     Submodule,
     end_ring,
-    quotient_module,
     submodule_as_module,
 )
 from .structure import (
+    Interval,
     is_coclosed,
     is_coclosed_under,
-    is_direct_summand,
     is_lifting,
     is_lifting_under,
-    radical_pullback,
     small_in_quotient,
     summand_keys,
+    whole_interval,
 )
 
 # -- relative smallness --------------------------------------------------------
@@ -122,13 +123,6 @@ def zbar2_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
     return lat.nodes[lat.join(lat.node_index(n), lat.node_index(zbar2(module)))].elements
 
 
-@memo
-def zbar2_of_node(module: FiniteModule, sub: Submodule) -> frozenset[int]:
-    """The square radical of a submodule viewed as a module, as a code set
-    of the parent: C * S^2."""
-    return times_left_socle(module, times_left_socle(module, sub.elements))
-
-
 def square_radical_has(module: FiniteModule, predicate) -> bool:
     """``predicate`` of Zbar2(M) as a module; true when Zbar2(M) = 0."""
     z2 = zbar2(module)
@@ -137,28 +131,35 @@ def square_radical_has(module: FiniteModule, predicate) -> bool:
 
 def t_small_in_quotient(a: Submodule, n: Submodule, module: FiniteModule) -> bool:
     """A/N is relatively small in M/N, for N <= A, decided as
-    A & Zbar2(M) <= N + Rad(M): :func:`structure.small_in_quotient` with
-    A replaced by A & Zbar2(M).  The definitional scan is the test oracle.
-
-    Proof.  M/N is finite, hence amply supplemented, so by P2.2 (the
-    ``trace_small_in_module`` variant) A/N is relatively small in M/N
-    exactly when A/N & Zbar2(M/N) <= Rad(M/N).  Pulled back along
-    M -> M/N, with Zbar2(M/N) = (N + M * S^2)/N (:mod:`modlab.cosingular`)
-    and Rad(M/N) = (N + Rad(M))/N, that is A & (N + Zbar2(M)) <= N + Rad(M).
-    As N <= A, the modular law makes the left side N + (A & Zbar2(M)), and
-    N lies in the right side, so this is A & Zbar2(M) <= N + Rad(M)."""
+    A & Zbar2(M) <= N + Rad(M): :meth:`structure.Interval.t_small` on
+    [0, M], whose docstring has the proof.  The definitional scan is the
+    test oracle."""
     if not n.elements <= a.elements:
         raise NotSubmodule("need N <= A for a quotient comparison")
-    return a.elements & zbar2(module).elements <= radical_pullback(module, n)
+    iv = whole_interval(module)
+    return iv.t_small(iv.lattice.node_index(a), iv.lattice.node_index(n))
 
 
 # -- relative coclosure -----------------------------------------------------------
 
 
+def is_t_coclosed_in(iv: Interval, c: int) -> bool:
+    """Node C of the interval [L, H] is relatively coclosed in H/L: no
+    node N of [L, C) leaves C/N relatively small in H/N.
+
+    On [A, M], for nodes A <= C, this decides C/A in M/A: no N in [A, C)
+    has C & Zbar2(M) <= N + Rad(M), by the modular law as A <= N (see
+    :meth:`structure.Interval.t_small`).  On [0, C] it decides a node A
+    of C in C itself: no N < A has A & C*S^2 <= N + C*J.  The routes that
+    build M/A and C as modules are the test oracles."""
+    return is_coclosed_under(Interval.t_small, iv, c)
+
+
 @memo
 def is_t_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part leaves a relatively small remainder."""
-    return is_coclosed_under(t_small_in_quotient, sub, module)
+    iv = whole_interval(module)
+    return is_t_coclosed_in(iv, iv.lattice.node_index(sub))
 
 
 @memo
@@ -191,7 +192,7 @@ def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule) -> bo
 def is_t_lifting(module: FiniteModule) -> bool:
     """Every submodule contains a direct summand with relatively small
     remainder."""
-    return is_lifting_under(t_small_in_quotient, module)
+    return is_lifting_under(Interval.t_small, whole_interval(module))
 
 
 def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
@@ -388,14 +389,13 @@ def is_t_dual_baer(module: FiniteModule) -> bool:
 
 
 def dual_baer_quotient_condition(module: FiniteModule) -> bool:
-    """For every right ideal: the ideal's module-image, taken modulo the
-    ideal's radical-image, splits off the corresponding quotient."""
+    """For every right ideal: the ideal's module-image F, taken modulo the
+    ideal's radical-image W, splits off the corresponding quotient: F is
+    a direct summand node of the interval [W, M]."""
     data = end_data(module)
+    lat = submodules(module)
     for full, zsum in data.image_pair_closure():
-        w = Submodule(module, zsum)
-        q, proj = quotient_module(module, w)
-        img = Submodule(q, proj.restrict_codes(full))
-        if not is_direct_summand(img, q):
+        if Interval(lat, lat.index[zsum], lat.top_index).complement(lat.index[full]) is None:
             return False
     return True
 

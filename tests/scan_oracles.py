@@ -1,9 +1,11 @@
 """The oracles that production fast paths are checked against: the
 definitional smallness scans, plain and in a quotient, plain and
 relative, lifting by the criterion "amply supplemented, and every
-coclosed submodule is a direct summand", and the hull route to the
+coclosed submodule is a direct summand", the hull route to the
 cosingularity radicals, which the closed forms M * S and M * S^2
-replace."""
+replace, and the module-building route to questions about a submodule
+C or a quotient M/A, which the intervals [0, C] and [A, M] of M's
+lattice replace."""
 
 from modlab.cosingular import zbar2
 from modlab.lattice import is_small_over, radical, submodules
@@ -12,9 +14,10 @@ from modlab.structure import (
     injective_hull,
     is_amply_supplemented,
     is_coclosed,
+    is_direct_summand,
     summand_keys,
 )
-from modlab.tpredicates import zbar2_pullback
+from modlab.tpredicates import is_t_coclosed, is_t_lifting, zbar2_pullback
 
 
 def small_scan(node):
@@ -93,3 +96,33 @@ def zbar2_of_node_by_submodule(module, sub):
     """Zbar2 of a submodule, read off the submodule as a module."""
     inner = submodule_as_module(sub)
     return inner.push_out(zbar2(inner.module).elements)
+
+
+def image_t_coclosed_by_module(module, c, a):
+    """C/A relatively coclosed in M/A, for A <= C, read off the quotient
+    module M/A."""
+    q, proj = quotient_module(module, a)
+    return is_t_coclosed(Submodule(q, proj.restrict_codes(c.elements)), q)
+
+
+def t_coclosed_in_by_module(c, a):
+    """A relatively coclosed in C, for A <= C, read off C as a module."""
+    inner = submodule_as_module(c)
+    pull_in = {y: x for x, y in enumerate(inner.include.table())}
+    return is_t_coclosed(Submodule(inner.module, frozenset(map(pull_in.get, a.elements))),
+                         inner.module)
+
+
+def summand_of_quotient_by_module(module, b, n):
+    """B/N a direct summand of M/N, for N <= B, read off M/N."""
+    q, proj = quotient_module(module, n)
+    return is_direct_summand(Submodule(q, proj.restrict_codes(b.elements)), q)
+
+
+def t_lifting_by_module(module, low, high):
+    """H/L relatively lifting, for nodes L <= H, with L = 0 read off H as
+    a module and H = M read off M/L."""
+    if low.is_zero():
+        return is_t_lifting(submodule_as_module(high).module)
+    assert high.is_full()
+    return is_t_lifting(quotient_module(module, low)[0])

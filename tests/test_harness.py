@@ -281,10 +281,9 @@ def test_ring_job_holds_one_rings_memos():
     config = HarnessConfig(rings=("Z4", "F3"), jobs=1)
 
     def job(rid):
-        n_modules, skipped, profiles, suite_reports = _ring_job(rid, config)
-        # suite runtimes are wall-clock, so compare the reports' JSON
-        return (n_modules, skipped, [p.to_json() for p in profiles],
-                [r.to_json() for r in suite_reports])
+        row, files, runs = _ring_job(rid, config)
+        # suite runtimes are wall-clock, so compare all but them
+        return row, files, [(sid, bad) for sid, _, bad in runs]
 
     job("Z4")
     after_z4 = job("F3")
@@ -294,6 +293,27 @@ def test_ring_job_holds_one_rings_memos():
     assert sum(map(len, memo._tables)) == entries
 
 
+def test_run_all_reports_a_planted_disagreement(tmp_path, monkeypatch):
+    """The parent holds only the ring jobs' texts and rows, yet still
+    counts a disagreement, exits 1 and echoes the first disagreeing
+    instance of each failing suite after the suite lines."""
+    from modlab.suites import _per_module
+
+    def each(m, label):
+        yield {"instance": label, "holds": m.size != 4}
+
+    monkeypatch.setitem(SUITES, "C2.8", _per_module("C2.8", "planted", each))
+    lines = []
+    config = HarnessConfig(rings=("Z4", "F3"), suites=("C2.8",), jobs=1,
+                           out_dir=str(tmp_path))
+    status, summary = run_all(config, echo=lambda *a, **k: lines.append(a[0]))
+    assert status == 1 and summary["total_disagreements"] == 2
+    bad = json.loads((tmp_path / "C2_8_Z4.json").read_text())["instances"]
+    first = next(rec for rec in bad if not rec["holds"])
+    assert lines[2:] == [f"DISAGREEMENT C2.8 over Z4: {json.dumps(first, sort_keys=True)}"]
+    assert [row["suites"]["C2.8"]["disagreements"] for row in summary["rings"]] == [2, 0]
+
+
 RING_JOB_IN_A_FRESH_INTERPRETER = """\
 import json, sys
 from modlab import memo
@@ -301,11 +321,11 @@ from modlab.cli import HarnessConfig, _ring_job
 
 def profiles():
     memo.clear()
-    return [p.to_json() for p in _ring_job("Z4", HarnessConfig(jobs=1))[2]]
+    return _ring_job("Z4", HarnessConfig(jobs=1))[1]["profiles_Z4.json"]
 
 first = profiles()
-print(json.dumps({"openssl": "_hashlib" in sys.modules,
-                  "round_trip": profiles() == first, "profiles": len(first)}))
+print(json.dumps({"openssl": "_hashlib" in sys.modules, "round_trip": profiles() == first,
+                  "profiles": len(json.loads(first)["modules"])}))
 """
 
 

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from modlab.errors import IllFormedConstants, NoIdentity, NonAssociative, SizeLimitExceeded
@@ -165,3 +170,26 @@ def test_element_arithmetic():
     assert (a - b).coords == (5,)
     assert (a * b).coords == (2,)
     assert (-a).coords == (2,)
+
+
+UNPICKLE_AND_HASH = """\
+import pickle, sys
+key = pickle.loads(sys.stdin.buffer.read())
+print(hash(key) == hash(tuple(key)))
+"""
+
+
+def test_keys_hash_as_their_tuples_also_after_a_pickle_round_trip(z2_plus_z4):
+    """A ring's or module's key keeps its hash, which equals its plain
+    tuple's.  String hashes differ between processes, so a key unpickled
+    under another hash seed must hash again, not keep the sender's."""
+    keys = (z2_plus_z4.key, z2_plus_z4.ring.key)
+    for key in keys:
+        back = pickle.loads(pickle.dumps(key))
+        assert back == key
+        assert hash(key) == hash(tuple(key)) == hash(back) == hash(tuple(back))
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", UNPICKLE_AND_HASH],
+                              input=pickle.dumps(keys[0]), capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed}, timeout=120)
+        assert proc.stdout.strip() == b"True", proc.stderr[-2000:]

@@ -32,6 +32,7 @@ from modlab.structure import (
     projective_cover,
     summand_witness_idempotent,
     supplements_of,
+    whole_interval,
 )
 from scan_oracles import lifting_by_coclosed, small_in_quotient_scan
 
@@ -158,9 +159,13 @@ def test_coclosed_examples(z4_reg, s_plus_c):
 
 def test_coclosed_scan_agrees_with_radical_route(z2_plus_z8):
     lat = submodules(z2_plus_z8)
-    for node in lat.nodes:
+
+    def scan(iv, a, n):
+        return small_in_quotient_scan(lat.nodes[a], lat.nodes[n], z2_plus_z8)
+
+    for i, node in enumerate(lat.nodes):
         assert is_coclosed(node, z2_plus_z8) == is_coclosed_under(
-            small_in_quotient_scan, node, z2_plus_z8
+            scan, whole_interval(z2_plus_z8), i
         )
 
 

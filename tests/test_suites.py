@@ -261,14 +261,15 @@ def _witness(c, a):
 
 
 def test_l25_scans_each_statement_to_its_first_failure(monkeypatch, z4_reg, z2_plus_z4):
-    """Planted failures of L2.5 (4) and (5).  With is_t_coclosed planted
-    to answer True (so every C/A in M/A and every A in C counts), Z4's
+    """Planted failures of L2.5 (4) and (5).  With is_t_coclosed_in
+    planted to answer True (so every C/A in M/A and every A in C counts,
+    each on its interval of M's lattice), Z4's
     t-coclosed set is still {0}: (4) fails first, at C = 2Z4, and (5) only
     at the later C = Z4.  With every proper node of Z2 + Z4 planted as
     t-coclosed too, (4) fails at the top node against every proper A,
     first against A = 0.  Each statement reports its own first failure in
     node order."""
-    monkeypatch.setattr(suites, "is_t_coclosed", lambda sub, module: True)
+    monkeypatch.setattr(suites, "is_t_coclosed_in", lambda iv, node: True)
     two = span(z4_reg, [2])
     *_, four, five = suites.l25(z4_reg, "Z4")
     assert four["witness"] == _witness(two, z4_reg.zero_submodule())
@@ -282,3 +283,22 @@ def test_l25_scans_each_statement_to_its_first_failure(monkeypatch, z4_reg, z2_p
     assert four["holds"] is False
     assert four["witness"] == _witness(m.full_submodule(), m.zero_submodule())
     assert five["holds"] is True
+
+
+def test_t312_reads_the_injectivity_of_a_split_square_radical(Q):
+    """T3.12's ``square_radicals_split_and_are_injective`` decides on its
+    injectivity conjunct over Q: 10 of the 20 one-generator catalog
+    modules have a Zbar2 that is a direct summand but not injective, and
+    on each the statement is false."""
+    from modlab.cosingular import zbar2
+    from modlab.structure import is_injective, summand_keys
+    from modlab.suites import SKIPPED
+    from modlab.tpredicates import square_radical_has
+
+    catalog = enumerate_modules(Q, GenerationPolicy(1, 256), ring_id="Q")
+    split = [m for m in catalog.modules if zbar2(m).key in summand_keys(m)
+             and not square_radical_has(m, is_injective)]
+    assert (len(catalog.modules), len(split)) == (20, 10)
+    for m in split:
+        facts = [f for f in suites.t312_facts(m, "Q") if f is not SKIPPED]
+        assert facts[0]["square_radicals_split_and_are_injective"] is False
