@@ -14,8 +14,10 @@ import json
 import os
 import random
 import sys
+import threading
 from dataclasses import dataclass, field
 
+from . import config as modlab_config
 from . import memo
 from .catalog import GenerationPolicy, ModuleCatalog, enumerate_modules
 from .cosingular import zbar
@@ -52,7 +54,8 @@ class HarnessConfig:
     max_generators: int = 2
     max_size: int = 256
     out_dir: str | None = None
-    # upper bound on worker processes; rings are the unit of work
+    # upper bound on worker processes, which are forked or spawned as
+    # cli._start_method says; rings are the unit of work
     jobs: int = field(default_factory=usable_cpus)
 
     def validate(self) -> None:
@@ -98,7 +101,9 @@ def _ring_job(rid: str, config: HarnessConfig):
 
     The job starts from empty memos: an earlier job's entries are keyed
     by its ring (all but a few additive groups), so they would only hold
-    memory.  Clearing at the start, not the end, keeps the deallocation
+    memory, and so would the entries a forked worker inherits from the
+    parent (the regular modules' lattices that ``_ring_cost`` built,
+    say).  Clearing at the start, not the end, keeps the deallocation
     out of the last job."""
     memo.clear()
     catalog = _catalog(rid, config)
@@ -126,12 +131,36 @@ def _ring_cost(rid: str) -> int:
     return len(submodules(regular_module(builtin_ring(rid))))
 
 
+def _start_method() -> str:
+    """How ``_ring_results`` starts its workers: ``"fork"`` on Linux while
+    this process runs one thread, ``"spawn"`` otherwise.  A forked worker
+    inherits the imported modlab, so it starts no interpreter and imports
+    nothing.  With one thread no other thread can hold a lock at fork
+    time; a fork-context pool forks all its workers before it starts its
+    manager thread, and each fork flushes stdout and stderr first, so no
+    buffered text is written twice.  A caller that runs threads, and
+    every other platform, gets spawned workers."""
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+def _worker_init(parent_limits: modlab_config.Limits) -> None:
+    """Pool initializer: the parent's ``config.LIMITS`` in force, where a
+    spawned worker would otherwise import the defaults, then empty memos,
+    as every change of the limits needs (see :mod:`modlab.memo`)."""
+    modlab_config.LIMITS = parent_limits
+    memo.clear()
+
+
 def _ring_results(config: HarnessConfig) -> list:
     """``_ring_job`` over every configured ring, in config order.  With
     more than one worker the rings run in separate processes, costliest
-    first, so the largest ring does not start last.  Workers are spawned,
-    not forked, so a caller that runs threads cannot leave them a
-    half-held lock.  Each job, in a worker or in this process, starts
+    first, so the largest ring does not start last.  Workers are forked
+    on Linux while this process runs one thread, so no lock can be held
+    at the fork, and spawned otherwise (:func:`_start_method`).
+    :func:`_worker_init` gives each the parent's ``config.LIMITS``, so
+    the results do not depend on ``config.jobs``.  Each job, in a worker or in this process, starts
     from empty memos and leaves its own ring's behind."""
     workers = min(config.jobs, len(config.rings))
     if workers <= 1:
@@ -142,7 +171,10 @@ def _ring_results(config: HarnessConfig) -> list:
 
     by_cost = sorted(config.rings, key=_ring_cost, reverse=True)
     with ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_start_method()),
+        initializer=_worker_init,
+        initargs=(modlab_config.LIMITS,),
     ) as pool:
         futures = {rid: pool.submit(_ring_job, rid, config) for rid in by_cost}
         return [futures[rid].result() for rid in config.rings]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -254,25 +255,60 @@ def _timing_free(line: str) -> str:
     return re.sub(r" \[[0-9.]+s\]$", "", line)
 
 
+def _runs_by_jobs(tmp_path, rings) -> dict:
+    """``run_all`` over ``rings`` at ``jobs`` 1 and 2: for each, the
+    summary, the timing-free echo lines and the bundle's bytes."""
+    runs = {}
+    for jobs in (1, 2):
+        lines = []
+        out = tmp_path / str(jobs)
+        config = HarnessConfig(rings=rings, out_dir=str(out), jobs=jobs)
+        status, summary = run_all(config, echo=lambda *a, **k: lines.append(a[0]))
+        assert status == 0
+        files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        runs[jobs] = (summary, [_timing_free(line) for line in lines], files)
+    return runs
+
+
 def test_run_all_jobs_parallel_matches_serial(tmp_path):
     # cost order (Z6, Z4, F3) differs from config order, so the parallel
     # run finishes rings out of order and must merge them back
     rings = ("F3", "Z4", "Z6")
-    runs = {}
-    for jobs in (1, 2):
-        lines = []
-        config = HarnessConfig(rings=rings, out_dir=str(tmp_path / str(jobs)),
-                               jobs=jobs)
-        status, summary = run_all(config, echo=lambda *a, **k: lines.append(a[0]))
-        assert status == 0
-        runs[jobs] = (summary, [_timing_free(line) for line in lines])
+    runs = _runs_by_jobs(tmp_path, rings)
     assert runs[1] == runs[2]
     assert len(runs[1][1]) == len(rings) * len(SUITES)
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert names == sorted(os.listdir(tmp_path / "2"))
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == \
-            (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_start_method_forks_only_a_single_threaded_linux_process(tmp_path):
+    """A caller that runs a second thread gets spawned workers, which give
+    the same bundle and echo lines as one process."""
+    assert cli._start_method() == ("fork" if sys.platform == "linux" else "spawn")
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert cli._start_method() == "spawn"
+        runs = _runs_by_jobs(tmp_path, ("F3", "Z4", "Z6"))
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_run_all_workers_keep_the_callers_limits(tmp_path, limits, monkeypatch,
+                                                 start_method):
+    """Ring workers run under the caller's ``config.LIMITS``, however they
+    start: with a small ``max_end`` the End-ring suites skip modules, and
+    two workers skip the same ones as one process."""
+    monkeypatch.setattr(cli, "_start_method", lambda: start_method)
+    limits(Limits(max_end=64))
+    runs = _runs_by_jobs(tmp_path, ("Z8", "Z4"))
+    assert runs[1] == runs[2]
+    skipped = {row["ring"]: max(s["skipped"] for s in row["suites"].values())
+               for row in runs[2][0]["rings"]}
+    assert skipped == {"Z8": 3, "Z4": 1}
 
 
 def test_ring_job_holds_one_rings_memos():
@@ -564,6 +600,22 @@ def test_cli_cache_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert str(taken) in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_cli_verify_writes_buffered_stdout_once(capfd, monkeypatch):
+    """Text the caller left in a block-buffered stdout, and the status
+    line, each reach the file once: no ring worker writes the buffer it
+    started with."""
+    stdout = open(os.dup(1), "w", buffering=1 << 16)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        print("written before the run", end="")
+        assert main(["verify", "--ring", "Z4,F3", "--suite", "C2.8", "--jobs", "2"]) == 0
+    finally:
+        stdout.close()
+    out = capfd.readouterr().out
+    assert out.count("written before the run") == 1
+    assert out.count('"status": 0') == 1
 
 
 def test_cli_verify_single_suite(tmp_path, capsys):
