@@ -187,9 +187,6 @@ class RowBasis:
             if stored[c] < 0:
                 self.pivots[c] = [-x for x in stored]
 
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.pivots if r is not None]
-
     def is_full_rank(self) -> bool:
         return all(r is not None for r in self.pivots)
 

@@ -248,7 +248,7 @@ def submodules(module: FiniteModule) -> SubmoduleLattice:
 
 
 def _disk_load(module: FiniteModule) -> SubmoduleLattice | None:
-    path = cache_path("lattice", module)
+    path = cache_path(module)
     if path is None:
         return None
 
@@ -263,7 +263,7 @@ def _disk_load(module: FiniteModule) -> SubmoduleLattice | None:
 
 
 def _disk_store(module: FiniteModule, lattice: SubmoduleLattice) -> None:
-    path = cache_path("lattice", module)
+    path = cache_path(module)
     if path is None:
         return
     payload = {

@@ -1,6 +1,12 @@
 """The one memo layer: every module-level memo of modlab is a function
 decorated with :func:`memo`.
 
+Use rule.  Memoize a function only when some run asks it again for one
+key.  An entry nobody reads back holds its result alive for the whole
+ring job and buys nothing: module profiles, computed once per catalog
+module, are not memoized, nor is ``structure.projective_cover``, whose
+one production caller, ``injective_hull``, is.
+
 Key rule.  A call is stored under its full argument list, with the
 defaults filled in, so ``enumerate_modules(r)``,
 ``enumerate_modules(r, GenerationPolicy())`` and

@@ -53,10 +53,10 @@ Homs are enumerated as code tables.  :func:`hom_tables` lists Hom(M, N)
 by additivity, the table of f + rep being the pointwise sum of the two,
 so only the representatives' tables come from matrices; it sorts the
 tables by the matrix read off each (row j holds the coordinates of
-f(e_j)).  :class:`EndRing` keeps End(M) as that list alone, finds an
-index by bisection on the same matrices, and builds a ``ModuleHom``
-only when asked, as :func:`hom_set` does for every table.  End(M)'s
-additive basis is the :func:`hom_group` representatives as they are.
+f(e_j)).  :class:`EndRing` keeps End(M) as that list alone and builds
+a ``ModuleHom`` only when asked, as :func:`hom_set` does for every
+table.  End(M)'s additive basis is the :func:`hom_group`
+representatives as they are.
 
 Code tables are stored packed, in the one type :func:`table_type` gives
 for their target's size: ``bytes`` up to 256 elements, an unsigned
@@ -70,7 +70,6 @@ and iterate as lists do, and equal tables of one target compare equal.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 import operator
@@ -968,26 +967,19 @@ def is_isomorphic(m: FiniteModule, n: FiniteModule) -> bool:
 # -- endomorphism rings ------------------------------------------------------
 
 class EndRing:
-    """All endomorphisms of a module as code tables, with ring operations
-    on their indices and an additive basis of the group they form.
+    """All endomorphisms of a module as code tables, with an additive basis
+    of the group they form.
 
     ``tables`` is the canonical list of :func:`hom_tables`, sorted by
-    matrix with no repeats, so an endomorphism's index is found by
-    bisection on the matrices :class:`_HomMatrix` reads off the tables.
-    ``hom(i)`` builds the i-th endomorphism as a ``ModuleHom`` on each
-    call.  Composition multiplies as "apply right factor first", matching
-    endomorphisms written on the left of the module.
+    matrix with no repeats.  ``hom(i)`` builds the i-th endomorphism as a
+    ``ModuleHom`` on each call.
     """
 
     def __init__(self, module: FiniteModule, tables: list[bytes | array]):
         self.module = module
         self.tables = tables
         self._matrix = _HomMatrix(module, module)
-        self._full_images = None
         self._idempotents = None
-        units = self._matrix.units
-        self.identity_index = self._find(units)
-        self.zero_index = self._find([0] * len(units))
 
     @property
     def size(self) -> int:
@@ -998,72 +990,25 @@ class EndRing:
         m, tab = self.module, self.tables[i]
         return ModuleHom._reduced(m, m, self._matrix(tab), tab)
 
-    @property
-    def homs(self) -> list[ModuleHom]:
-        """Every endomorphism, built anew on each read."""
-        return [self.hom(i) for i in range(self.size)]
-
-    def _find(self, images: Iterable[int]) -> int:
-        """Index of the endomorphism sending e_j to the j-th code."""
-        matrix = tuple(map(self._matrix.coords.__getitem__, images))
-        i = bisect_left(self.tables, matrix, key=self._matrix)
-        if i == len(self.tables) or self._matrix(self.tables[i]) != matrix:
-            raise KeyError(matrix)
-        return i
-
-    def index_of(self, h: ModuleHom) -> int:
-        """Index of an endomorphism of the module."""
-        return self._find(map(self.module.encode, h.matrix))
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of hom(i) after hom(j) (ring product i * j)."""
-        f, g = self.tables[i], self.tables[j]
-        return self._find(f[g[u]] for u in self._matrix.units)
-
-    def add(self, i: int, j: int) -> int:
-        f, g = self.tables[i], self.tables[j]
-        units = self._matrix.units
-        return self._find(map(self.module.workspace().add,
-                              map(f.__getitem__, units), map(g.__getitem__, units)))
-
     def basis_homs(self) -> list[ModuleHom]:
         """The :func:`hom_group` representatives, which generate the
         endomorphisms additively."""
         m = self.module
         return [ModuleHom._reduced(m, m, rep) for rep in hom_group(m, m)[1]]
 
-    def full_images(self) -> list[frozenset[int]]:
-        """Per endomorphism, its image of the whole module, read off its
-        code table.  Equal images are one object."""
-        if self._full_images is None:
-            distinct: dict[frozenset[int], frozenset[int]] = {}
-            self._full_images = [distinct.setdefault(img, img)
-                                 for img in map(frozenset, self.tables)]
-        return self._full_images
-
-    def image_sets(self, codes: frozenset[int]) -> tuple[list[frozenset[int]],
-                                                         list[frozenset[int]]]:
-        """Per endomorphism, its whole image and the image of the given
-        code set, both read off one code table.  The lists hold one object
-        per distinct image, across both of them: many endomorphisms share
-        an image, and an image of the code set is often a whole image."""
-        full = self.full_images()
-        distinct = dict(zip(full, full))
-        of_codes: list[frozenset[int]] = []
-        for tab in self.tables:
-            img = frozenset(map(tab.__getitem__, codes))
-            of_codes.append(distinct.setdefault(img, img))
-        return full, of_codes
-
     def idempotents_by_image(self) -> dict[frozenset[int], ModuleHom]:
         """For each image of an idempotent endomorphism, the first such
-        idempotent in canonical order.  h is idempotent exactly when its
-        table is the identity on its image."""
+        idempotent in canonical order.  h is idempotent exactly when
+        h(h(e_j)) = h(e_j) on the additive basis e_j, so only an
+        idempotent's image is read off its table."""
         if self._idempotents is None:
+            units = self._matrix.units
             out: dict[frozenset[int], ModuleHom] = {}
-            for i, (tab, img) in enumerate(zip(self.tables, self.full_images())):
-                if img not in out and all(tab[y] == y for y in img):
-                    out[img] = self.hom(i)
+            for i, tab in enumerate(self.tables):
+                if all(tab[tab[u]] == tab[u] for u in units):
+                    img = frozenset(tab)
+                    if img not in out:
+                        out[img] = self.hom(i)
             self._idempotents = out
         return self._idempotents
 

@@ -6,15 +6,12 @@ serialized bundles omit them so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from . import config
 from .cosingular import classify
 from .errors import SizeLimitExceeded
 from .lattice import is_small, radical, socle, submodules
-from .memo import memo
 from .modules import FiniteModule, end_ring_size
-from .serialize import cache_path, cache_read, cache_write, stable_dumps
 from .structure import (
     coclosed_keys,
     is_injective,
@@ -109,19 +106,6 @@ class TheoremReport:
         }
 
 
-def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyReport:
-    """Every predicate of the catalog evaluated on one module, with
-    internal-consistency flags, under the caller's description (by
-    default the module's repr)."""
-    return _described(module, desc or repr(module))
-
-
-@memo
-def _described(module: FiniteModule, desc: str) -> PropertyReport:
-    report = _profile(module)
-    return report if report.module_desc == desc else replace(report, module_desc=desc)
-
-
 def _unless_refused(evaluate, module: FiniteModule):
     """``evaluate(module)``, or None (null in the report) when a limit
     refuses it: the End-ring entries of a profile over ``max_end``."""
@@ -131,15 +115,10 @@ def _unless_refused(evaluate, module: FiniteModule):
         return None
 
 
-@memo
-def _profile(module: FiniteModule) -> PropertyReport:
-    """The profile under the module's own description.  The disk cache
-    holds profiles under the default limits only."""
-    on_disk = config.LIMITS == config.Limits()
-    if on_disk:
-        loaded = _disk_cache_load(module)
-        if loaded is not None:
-            return loaded
+def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyReport:
+    """Every predicate of the catalog evaluated on one module, with
+    internal-consistency flags, under the caller's description (by
+    default the module's repr)."""
     lat = submodules(module)
     prof = classify(module)
     end_size = _unless_refused(end_ring_size, module)
@@ -178,8 +157,8 @@ def _profile(module: FiniteModule) -> PropertyReport:
     if preds["noncosingular"] and small_keys != tsmall:
         flags.append("noncosingular but t_small differs from small")
 
-    report = PropertyReport(
-        module_desc=repr(module),
+    return PropertyReport(
+        module_desc=desc or repr(module),
         orders=module.component_orders,
         size=module.size,
         lattice_size=len(lat.nodes),
@@ -195,38 +174,3 @@ def _profile(module: FiniteModule) -> PropertyReport:
         submodule_counts=counts,
         flags=flags,
     )
-    if on_disk:
-        _disk_cache_store(module, report)
-    return report
-
-
-# -- optional disk cache -------------------------------------------------------
-
-
-def _disk_cache_load(module: FiniteModule) -> PropertyReport | None:
-    path = cache_path("profile", module)
-    if path is None:
-        return None
-
-    def parse(data: dict) -> PropertyReport:
-        return PropertyReport(
-            module_desc=data["module"],
-            orders=tuple(data["orders"]),
-            size=data["size"],
-            lattice_size=data["lattice_size"],
-            end_size=data["end_size"],
-            predicates=data["predicates"],
-            cosingular=data["cosingular"],
-            radical_size=data["radical_size"],
-            socle_size=data["socle_size"],
-            submodule_counts=data["submodule_counts"],
-            flags=data["flags"],
-        )
-
-    return cache_read(path, parse)
-
-
-def _disk_cache_store(module: FiniteModule, report: PropertyReport) -> None:
-    path = cache_path("profile", module)
-    if path is not None:
-        cache_write(path, stable_dumps(report.to_json()))

@@ -1,5 +1,5 @@
 """JSON wire formats for rings, modules, lattices and reports, plus the
-content hashes used as cache keys and the on-disk cache files.
+content hashes used as cache keys and the on-disk lattice cache.
 
 All integers are decimal; coordinates are little-endian in basis order.
 """
@@ -123,13 +123,14 @@ def cache_dir() -> str | None:
     return root
 
 
-def cache_path(kind: str, module: FiniteModule) -> str | None:
-    """The cache file of one kind of result for a module, or None when no
-    cache directory is configured."""
+def cache_path(module: FiniteModule) -> str | None:
+    """The cache file of a module's lattice, or None when no cache
+    directory is configured.  A lattice is a function of the module's key
+    alone; nothing else is cached on disk."""
     root = cache_dir()
     if root is None:
         return None
-    return os.path.join(root, f"{kind}-{content_hash(module)}.json")
+    return os.path.join(root, f"lattice-{content_hash(module)}.json")
 
 
 def cache_read(path: str, parse: Callable[[dict], T]) -> T | None:

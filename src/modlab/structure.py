@@ -449,7 +449,6 @@ def primitive_blocks(ring: FiniteRing) -> list[_PrimitiveBlock]:
     return blocks
 
 
-@memo
 def projective_cover(module: FiniteModule):
     """(P, p) with P projective, p surjective, and ker(p) small in P.
 

@@ -36,7 +36,9 @@ with image inside N and T(N) the maps carrying Z into N:
   join closure of the distinct pairs (:meth:`_EndData.image_pair_closure`).
 
 Index sets of endomorphisms are built only at the public boundary
-(:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`).
+(:func:`d_set`, :func:`t_set`, :func:`dual_baer_witness`), from the
+End ring's tables: f(M) lies in a submodule N exactly when f carries
+M's generators into N, and f(Z) when f carries Z's.
 
 Over ``max_end`` every endomorphism-set predicate raises
 :class:`~modlab.errors.SizeLimitExceeded` instead of answering.  The
@@ -279,24 +281,26 @@ class EndoSubset:
         return len(self.members)
 
 
-def _members(images: list[frozenset[int]], codes: frozenset[int]) -> frozenset[int]:
-    """Indexes of the endomorphisms whose image, in a per-endomorphism
-    image list, lies in the code set."""
-    return frozenset(i for i, img in enumerate(images) if img <= codes)
+def _members(module: FiniteModule, gens: tuple[int, ...],
+             codes: frozenset[int]) -> frozenset[int]:
+    """Indexes of the endomorphisms that carry the generators into the
+    code set of a submodule: those whose image of the submodule the
+    generators span lies in it."""
+    return frozenset(i for i, tab in enumerate(end_ring(module).tables)
+                     if all(tab[g] in codes for g in gens))
 
 
 class _EndData:
-    """End ring of a module plus the image data every endomorphism-set
-    predicate reads: each endomorphism's image of the module and of the
-    square radical, and the distinct (image, radical image) pairs in the
-    order of their first endomorphism."""
+    """The image data every endomorphism-set predicate reads: the distinct
+    (f(M), f(Z)) pairs of the endomorphisms f, with Z the square radical,
+    in the order of their first endomorphism."""
 
     def __init__(self, module: FiniteModule):
         self.module = module
-        self.end = end_ring(module)
-        self.z2 = zbar2(module)
-        self.full_images, self.z_images = self.end.image_sets(self.z2.elements)
-        self.pairs = list(dict.fromkeys(zip(self.full_images, self.z_images)))
+        z2 = zbar2(module).elements
+        self.pairs = list(dict.fromkeys(
+            (frozenset(tab), frozenset(map(tab.__getitem__, z2)))
+            for tab in end_ring(module).tables))
         self._pair_closure = None
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
@@ -333,14 +337,14 @@ def end_data(module: FiniteModule) -> _EndData:
 
 def d_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms whose image lies in the submodule."""
-    data = end_data(module)
-    return EndoSubset(data.end, _members(data.full_images, n.elements), "d_set")
+    members = _members(module, module.workspace().generators, n.elements)
+    return EndoSubset(end_ring(module), members, "d_set")
 
 
 def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     """Endomorphisms carrying the square radical into the submodule."""
-    data = end_data(module)
-    return EndoSubset(data.end, _members(data.z_images, n.elements), "t_set")
+    members = _members(module, zbar2(module).generators(), n.elements)
+    return EndoSubset(end_ring(module), members, "t_set")
 
 
 def d_set_is_zero(n: Submodule, module: FiniteModule) -> bool:
@@ -367,17 +371,17 @@ def dual_baer_witness(module: FiniteModule):
     D(F) = {phi : phi(M) <= F}: it is a right ideal (closed under sums
     and under phi o g), and its image sum is F, since any right ideal
     with image sum F lies inside it."""
-    data = end_data(module)
     summands = summand_keys(module)
-    for full, _ in data.image_pair_closure():
+    for full, _ in end_data(module).image_pair_closure():
         if full not in summands:
-            return _members(data.full_images, full), full
+            return _members(module, module.workspace().generators, full), full
     return None
 
 
 def is_dual_baer(module: FiniteModule) -> bool:
     """Sum of the images of every right ideal splits off."""
-    return dual_baer_witness(module) is None
+    summands = summand_keys(module)
+    return all(full in summands for full, _ in end_data(module).image_pair_closure())
 
 
 def is_t_dual_baer(module: FiniteModule) -> bool:
@@ -426,11 +430,10 @@ def is_semisimple(module: FiniteModule) -> bool:
 
 def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
     """Four equivalent forms, evaluated independently."""
-    data = end_data(module)
     summands = summand_keys(module)
 
     # each h(Zbar2(M)) is the image of a submodule, so already a node key
-    radical_images = set(data.z_images)
+    radical_images = {z for _, z in end_data(module).pairs}
 
     def sssp_and_single_images() -> bool:
         return has_sssp_in_zbar2(module) and radical_images <= summands
@@ -445,7 +448,7 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
     return {
         "definitional": is_t_dual_baer(module),
         "radical_summand_dual_baer":
-            data.z2.key in summands and square_radical_has(module, is_dual_baer),
+            zbar2(module).key in summands and square_radical_has(module, is_dual_baer),
         "sssp_and_single_images": sssp_and_single_images(),
         "subset_sums_split": subset_sums(),
     }
@@ -488,9 +491,9 @@ def t_trace(module: FiniteModule, c: Submodule) -> frozenset[int]:
 def fully_invariant_keys(module: FiniteModule) -> frozenset:
     """Nodes stable under every endomorphism.  Stability under the
     additive basis of the end ring suffices."""
-    data = end_data(module)
+    end_data(module)  # over max_end, refuses as every End-ring predicate does
     lat = submodules(module)
-    basis = data.end.basis_homs()
+    basis = end_ring(module).basis_homs()
     out = []
     for node in lat.nodes:
         if all(h.restrict_codes(node.elements) <= node.elements for h in basis):

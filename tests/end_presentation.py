@@ -6,7 +6,7 @@ regular module) is an oracle for the image-pair closure of
 from functools import lru_cache
 
 from modlab.intlinalg import combine, mat_mul, subgroup_decomposition
-from modlab.modules import ModuleHom, hom_group
+from modlab.modules import ModuleHom, hom_group, identity_hom
 from modlab.rings import FiniteRing
 
 
@@ -41,12 +41,22 @@ def as_ring(end) -> FiniteRing:
     constants = tuple(
         tuple(flat(mat_mul(fj, fi, orders)) for fj in basis)
         for fi in basis)
-    return FiniteRing(factor_orders, constants,
-                      flat(end.hom(end.identity_index).matrix))
+    return FiniteRing(factor_orders, constants, flat(identity_hom(end.module).matrix))
+
+
+@lru_cache(maxsize=4)
+def _table_positions(end) -> dict[tuple[int, ...], int]:
+    return {tuple(tab): i for i, tab in enumerate(end.tables)}
+
+
+def end_index(end, table) -> int:
+    """The index in ``end.tables`` of the endomorphism with this code
+    table."""
+    return _table_positions(end)[tuple(table)]
 
 
 def hom_index_from_ring_coords(end, coords: tuple[int, ...]) -> int:
     """Endomorphism index for an element of ``as_ring(end)``."""
     m = end.module
     matrix = combine(coords, _decomposition(end)[1], m.component_orders)
-    return end.index_of(ModuleHom(m, m, matrix, validate=False))
+    return end_index(end, ModuleHom(m, m, matrix, validate=False).table())

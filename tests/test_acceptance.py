@@ -107,14 +107,14 @@ def test_criterion_2_regular_module_contrast():
     code = (
         "import json\n"
         "from modlab.rings import builtin_ring\n"
-        "from modlab.modules import regular_module, end_ring\n"
+        "from modlab.modules import regular_module, hom_set\n"
         "from modlab.tpredicates import dual_baer_witness, is_t_dual_baer\n"
         "m = regular_module(builtin_ring('Z4'))\n"
         "w = dual_baer_witness(m)\n"
         "members, image_sum = w\n"
-        "ends = end_ring(m)\n"
-        "doubling = [i for i, h in enumerate(ends.homs) if h.matrix == ((2,),)][0]\n"
-        "zero = ends.zero_index\n"
+        "matrices = [h.matrix for h in hom_set(m, m)]\n"
+        "doubling = matrices.index(((2,),))\n"
+        "zero = matrices.index(((0,),))\n"
         "print(json.dumps({'dual_baer': w is None,"
         " 't_dual_baer': is_t_dual_baer(m),"
         " 'witness_members': sorted(members),"

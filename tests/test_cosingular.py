@@ -21,7 +21,7 @@ from modlab.modules import (
 )
 from modlab.rings import builtin_ring
 from modlab.structure import is_small_module
-from modlab.tpredicates import end_data, zbar2_of_node, zbar2_pullback
+from modlab.tpredicates import zbar2_of_node, zbar2_pullback
 from scan_oracles import (
     small_by_hull,
     zbar2_by_hull,
@@ -117,10 +117,9 @@ def test_square_radical_is_noncosingular(z2_plus_z8, s_plus_c, z4_reg):
 
 def test_full_invariance_of_radicals(s_plus_c, z2_plus_z4):
     for m in (s_plus_c, z2_plus_z4):
-        data = end_data(m)
         z = zbar(m)
         z2 = zbar2(m)
-        for h in data.end.homs:
+        for h in hom_set(m, m):
             assert h.restrict_codes(z.elements) <= z.elements
             assert h.restrict_codes(z2.elements) <= z2.elements
 

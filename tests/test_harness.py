@@ -351,24 +351,27 @@ def test_run_all_reports_a_planted_disagreement(tmp_path, monkeypatch):
 
 
 RING_JOB_IN_A_FRESH_INTERPRETER = """\
-import json, sys
+import json, os, sys
 from modlab import memo
 from modlab.cli import HarnessConfig, _ring_job
 
-def profiles():
+def job():
     memo.clear()
-    return _ring_job("Z4", HarnessConfig(jobs=1))[1]["profiles_Z4.json"]
+    row, files, _ = _ring_job("Z4", HarnessConfig(jobs=1))
+    cache = os.environ.get("MODLAB_CACHE")
+    return {"row": row, "files": files, "cached": sorted(os.listdir(cache)) if cache else []}
 
-first = profiles()
-print(json.dumps({"openssl": "_hashlib" in sys.modules, "round_trip": profiles() == first,
-                  "profiles": len(json.loads(first)["modules"])}))
+first = job()
+print(json.dumps({"openssl": "_hashlib" in sys.modules, "warm": job(), **first}))
 """
 
 
 def test_only_the_disk_cache_loads_openssl(tmp_path):
-    """A ring job in a fresh interpreter imports no ``hashlib``, which maps
-    OpenSSL into the process, unless MODLAB_CACHE is set; with it set,
-    the job's profiles round-trip through the cache directory."""
+    """A Z4 ring job in a fresh interpreter imports no ``hashlib``, which
+    maps OpenSSL into the process, unless MODLAB_CACHE is set.  With it
+    set, the job writes lattice files only, and its row and report files
+    are those of a job without the cache and of a second, warm job that
+    writes no further file."""
     env = {k: v for k, v in os.environ.items() if k != "MODLAB_CACHE"}
 
     def run() -> dict:
@@ -378,11 +381,14 @@ def test_only_the_disk_cache_loads_openssl(tmp_path):
         return json.loads(proc.stdout)
 
     without = run()
-    assert not without["openssl"] and without["round_trip"]
+    assert not without.pop("openssl") and without.pop("warm") == without
+    assert without.pop("cached") == []
     env["MODLAB_CACHE"] = str(tmp_path)
-    assert run() == {"openssl": True, "round_trip": True, "profiles": without["profiles"]}
-    cached = [name for name in os.listdir(tmp_path) if name.startswith("profile-")]
-    assert len(cached) == without["profiles"] > 0
+    cold = run()
+    assert cold.pop("openssl") and cold.pop("warm") == cold
+    cached = cold.pop("cached")
+    assert cached and all(n.startswith("lattice-") and n.endswith(".json") for n in cached)
+    assert cold == without
 
 
 def test_ring_cost_ranks_the_default_rings():
@@ -593,7 +599,7 @@ def test_cli_cache_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
     taken = tmp_path / "taken"
     taken.write_text("")
     monkeypatch.setenv("MODLAB_CACHE", str(taken))
-    memo.clear()  # a memoized profile would never reach the cache
+    memo.clear()  # a memoized lattice would never reach the cache
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid configuration: MODLAB_CACHE: ")
@@ -653,10 +659,11 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, Z4):
     m = cat.modules[-1]
     memo.clear()
     rep1 = profile_module(m)
-    assert os.listdir(tmp_path / "cache")
+    files = os.listdir(tmp_path / "cache")
+    assert files and all(name.startswith("lattice-") for name in files)
     memo.clear()
     rep2 = profile_module(m)
-    assert rep1.predicates == rep2.predicates
+    assert rep1.to_json() == rep2.to_json()
 
 
 @pytest.mark.parametrize("damage", ["truncate", "drop_keys"])
@@ -669,7 +676,7 @@ def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
     memo.clear()
     expected = profile_module(m).to_json()
     files = sorted(cache.iterdir())
-    assert {f.name.split("-")[0] for f in files} == {"lattice", "profile"}
+    assert {f.name.split("-")[0] for f in files} == {"lattice"}
     for f in files:
         text = f.read_text()
         f.write_text(text[: len(text) // 2] if damage == "truncate" else "{}")
@@ -682,11 +689,9 @@ def test_damaged_disk_cache_is_recomputed(tmp_path, monkeypatch, Z4, damage):
         json.loads(f.read_text())
 
 
-def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, Z4,
-                                                         limits):
+def test_profile_is_refused_under_smaller_limits_after_a_default_pass(Z4, limits):
     """Under max_module=4 two Z4 catalog modules have a lattice over the
-    limit, also after a default-limits pass has profiled them; and a
-    profile under other limits never reaches the disk cache."""
+    limit, also after a default-limits pass has profiled them."""
     cat = enumerate_modules(Z4, GenerationPolicy(2, 256), ring_id="Z4")
     for m in cat.modules:
         profile_module(m)
@@ -698,27 +703,13 @@ def test_profile_memo_and_disk_cache_are_keyed_by_limits(tmp_path, monkeypatch, 
         except SizeLimitExceeded:
             over.append(m.size)
     assert over == [8, 16]
-    monkeypatch.setenv("MODLAB_CACHE", str(tmp_path))
-    memo.clear()
-    profile_module(cat.modules[1])
-    assert not list(tmp_path.glob("profile-*"))
-    limits(Limits())
-    profile_module(cat.modules[1])
-    assert list(tmp_path.glob("profile-*"))
 
 
-def test_profile_reports_the_callers_description(tmp_path, monkeypatch, Z4):
-    monkeypatch.setenv("MODLAB_CACHE", str(tmp_path / "cache"))
+def test_profile_reports_the_callers_description(Z4):
     m = enumerate_modules(Z4, GenerationPolicy(1, 16), ring_id="Z4").modules[-1]
-    memo.clear()
     first = profile_module(m, desc="first")
     assert first.module_desc == "first"
-    assert profile_module(m, desc="first") is first
     second = profile_module(m, desc="second")
     assert second.module_desc == "second"
     assert second.predicates == first.predicates
     assert profile_module(m).module_desc == repr(m)
-    # a report loaded from the disk cache takes the caller's description too
-    memo.clear()
-    assert profile_module(m, desc="third").module_desc == "third"
-    assert profile_module(m, desc="first").module_desc == "first"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from end_presentation import as_ring, hom_coords
+from end_presentation import as_ring, end_index, hom_coords
 from modlab import config, memo, modules
 from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
@@ -329,7 +329,7 @@ def test_end_ring_as_ring_valid(z2_plus_z4):
     # composition agrees with the structure constants through coordinates
     for i in (0, 1, 5):
         for j in (0, 2, 7):
-            left = hom_coords(ends, ends.hom(ends.compose(i, j)))
+            left = hom_coords(ends, ends.hom(j).then(ends.hom(i)))
             fi = hom_coords(ends, ends.hom(i))
             fj = hom_coords(ends, ends.hom(j))
             assert left == ring.mul_coords(fi, fj)
@@ -342,9 +342,10 @@ LOOKUP_END_MAX = 64
 @pytest.mark.parametrize("rid", RING_IDS)
 def test_end_ring_lookups_match_a_linear_scan(rid):
     """For every End ring of at most LOOKUP_END_MAX elements in the
-    two-generator catalog, each index the bisection returns is the
-    linear-scan position of the matrix that then, add, identity_hom and
-    zero_hom give, and the composite is "apply the right factor first"."""
+    two-generator catalog, the tables are hom_set's, and the tables of
+    identity_hom, zero_hom and of the composite and sum of every two
+    endomorphisms, looked up among them, sit at the linear-scan position
+    of the matrix that then and add give: the tables hold a ring."""
     checked = 0
     for m in catalog_modules(rid):
         try:
@@ -353,16 +354,18 @@ def test_end_ring_lookups_match_a_linear_scan(rid):
             continue
         if end.size > LOOKUP_END_MAX:
             continue
-        homs = end.homs
+        homs = hom_set(m, m)
+        assert [h.table() for h in homs] == end.tables
         position = [h.matrix for h in homs].index
-        assert end.identity_index == position(identity_hom(m).matrix)
-        assert end.zero_index == position(zero_hom(m, m).matrix)
-        for i, f in enumerate(homs):
-            for j, g in enumerate(homs):
-                k = end.compose(i, j)
-                assert k == position(g.then(f).matrix), (m, i, j)
-                assert list(homs[k].table()) == [f.table()[y] for y in g.table()]
-                assert end.add(i, j) == position(f.add(g).matrix), (m, i, j)
+        add = m.workspace().add
+        assert end_index(end, identity_hom(m).table()) == position(identity_hom(m).matrix)
+        assert end_index(end, zero_hom(m, m).table()) == position(zero_hom(m, m).matrix)
+        for f in homs:
+            for g in homs:
+                after = end_index(end, map(f.table().__getitem__, g.table()))
+                assert after == position(g.then(f).matrix), (m, f, g)
+                plus = end_index(end, map(add, f.table(), g.table()))
+                assert plus == position(f.add(g).matrix), (m, f, g)
         checked += 1
     assert checked
 
@@ -387,7 +390,7 @@ def test_end_tables_built_by_additivity_match_image_table(rid):
     """hom_set sums the tables of its enumeration; each must equal the
     table built from the hom's own matrix."""
     for m in catalog_modules(rid):
-        for h in end_ring(m).homs:
+        for h in hom_set(m, m):
             assert h._table == image_table(m, m, h.matrix), (rid, m, h.matrix)
 
 

@@ -325,9 +325,9 @@ def test_suites_do_not_read_the_end_data():
 
 
 def end_homs_reads(source: str) -> list[str]:
-    """Reads of a ``.homs`` attribute.  An End ring builds that list of
-    ``ModuleHom`` objects anew on each read; production code reads its
-    tables, indexes and ``hom(i)`` instead."""
+    """Reads of a ``.homs`` attribute.  An End ring keeps no list of
+    ``ModuleHom`` objects; production code reads its tables and
+    ``hom(i)``."""
     return [f"line {node.lineno}: .homs" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr == "homs"
             and isinstance(node.ctx, ast.Load)]

@@ -155,7 +155,7 @@ def per_endomorphism_image_witness(module, end, keys):
     """C2.7's definitional scan: the image of every node of ``keys``, in
     lattice order, under every endomorphism, built and tested one by one."""
     ws = module.workspace()
-    homs = end.homs
+    homs = list(map(end.hom, range(end.size)))
     for c in submodules(module).nodes:
         if c.key not in keys:
             continue

@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from end_presentation import as_ring, hom_index_from_ring_coords
+from end_presentation import as_ring, end_index, hom_index_from_ring_coords
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.cosingular import zbar2
 from modlab.errors import NotSubmodule, SizeLimitExceeded
@@ -13,6 +13,7 @@ from modlab.lattice import is_small, submodules
 from modlab.modules import (
     direct_sum,
     end_ring,
+    hom_set,
     regular_module,
     span,
     submodule_as_module,
@@ -127,7 +128,7 @@ def table_images(end, codes):
     """Per endomorphism, its image of the code set, read off its code
     table: the whole image for every code, the radical image for the
     square radical's."""
-    return [frozenset(map(h.table().__getitem__, codes)) for h in end.homs]
+    return [frozenset(map(tab.__getitem__, codes)) for tab in end.tables]
 
 
 def within(images, target):
@@ -155,15 +156,15 @@ def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
                 t_mask = within(radical, node.elements)
                 assert d_set(node, m).members == set_bits(d_mask)
                 assert t_set(node, m).members == set_bits(t_mask)
-                assert d_set_is_zero(node, m) == (d_mask == 1 << end.zero_index)
+                assert d_set_is_zero(node, m) == (d_mask == within(whole, {0}))
                 assert t_set_is_trivial(node, m) == (t_mask == within(radical, {0}))
 
 
-def idempotents_by_image_scan(end):
+def idempotents_by_image_scan(homs):
     """EndRing.idempotents_by_image by a frozenset of each endomorphism's
     table: the first idempotent per image, in canonical order."""
     out = {}
-    for h in end.homs:
+    for h in homs:
         tab = h.table()
         img = frozenset(tab)
         if img not in out and all(tab[y] == y for y in img):
@@ -172,20 +173,15 @@ def idempotents_by_image_scan(end):
 
 
 def assert_images_match_each_hom(m):
-    """image_sets and idempotents_by_image against per-endomorphism scans,
-    with one object per distinct image across both image lists."""
-    end = end_ring(m)
+    """The End data's distinct (image, radical image) pairs and
+    idempotents_by_image against per-endomorphism scans of hom_set, whose
+    order is the End ring's."""
+    homs = hom_set(m, m)
     radical = zbar2(m).elements
-    full, of_radical = end.image_sets(radical)
-    assert len(full) == len(of_radical) == end.size
-    for h, img, rad_img in zip(end.homs, full, of_radical):
-        assert img == frozenset(h.table())
-        assert rad_img == h.restrict_codes(radical)
-    both = full + of_radical
-    assert len({id(s) for s in both}) == len(set(both)), m
-    assert end.full_images() is full
-    assert list(end.idempotents_by_image().items()) == list(
-        idempotents_by_image_scan(end).items()), m
+    pairs = [(frozenset(h.table()), h.restrict_codes(radical)) for h in homs]
+    assert end_data(m).pairs == list(dict.fromkeys(pairs)), m
+    assert list(end_ring(m).idempotents_by_image().items()) == list(
+        idempotents_by_image_scan(homs).items()), m
 
 
 def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_block):
@@ -195,10 +191,18 @@ def test_one_pass_image_sets_match_each_hom(s_plus_c, z2_plus_z8, z2_plus_z4, c_
 
 def is_right_ideal(subset):
     """Closure under addition and under composition with every
-    endomorphism on the inner side."""
+    endomorphism on the inner side, each looked up by its table."""
     end, members = subset.end, subset.members
-    return (all(end.add(i, j) in members for i in members for j in members)
-            and all(end.compose(i, j) in members for i in members for j in range(end.size)))
+    tables, add = end.tables, end.module.workspace().add
+
+    def plus(i, j):
+        return end_index(end, map(add, tables[i], tables[j]))
+
+    def after(i, j):
+        return end_index(end, map(tables[i].__getitem__, tables[j]))
+
+    return (all(plus(i, j) in members for i in members for j in members)
+            and all(after(i, j) in members for i in members for j in range(end.size)))
 
 
 def test_endo_subsets_are_right_ideals(s_plus_c, z2_plus_z4):
@@ -234,12 +238,14 @@ def test_t_dual_baer_variants_agree(z4_reg, s_plus_c, z2_plus_z8, z2_plus_z4):
         assert len(set(values.values())) == 1, (m, values)
 
 
-def additive_pair_closure(data):
+def additive_pair_closure(module):
     """image_pair_closure by additive closures of unions: the pairwise-join
     closure of the single-endomorphism (image, radical image) pairs, in
     the order it finds them."""
-    ws = data.module.workspace()
-    closure = dict.fromkeys(zip(data.full_images, data.z_images))
+    ws = module.workspace()
+    end = end_ring(module)
+    closure = dict.fromkeys(zip(table_images(end, range(module.size)),
+                                table_images(end, zbar2(module).elements)))
     worklist = list(closure)
     while worklist:
         fu, zu = worklist.pop()
@@ -296,10 +302,9 @@ def test_fully_invariant_keys_match_a_scan_over_every_endomorphism(rid):
     checked = 0
     for m in catalog.modules:
         try:
-            end = end_ring(m)
+            tables = end_ring(m).tables
         except SizeLimitExceeded:
             continue
-        tables = [h.table() for h in end.homs]
         stable = frozenset(
             node.key for node in submodules(m).nodes
             if all(tab[x] in node.elements for tab in tables for x in node.elements))
@@ -325,12 +330,12 @@ def test_end_ring_tables_and_masks_match_single_element_scans(rid):
             continue
         pack = table_type(m.size)
         packed_type = bytes if m.size <= 256 else array
-        for h in end.homs:
+        for h in map(end.hom, range(end.size)):
             assert type(h.table()) is packed_type
             assert h.table() == pack([h.apply(c) for c in range(m.size)]), (m, h.matrix)
         whole = table_images(end, range(m.size))
         radical = table_images(end, zbar2(m).elements)
-        zero_d = 1 << end.zero_index
+        zero_d = within(whole, {0})
         t0 = within(radical, {0})
         for node in submodules(m).nodes:
             t_mask = within(radical, node.elements)
@@ -358,11 +363,12 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
             data = end_data(m)
         except SizeLimitExceeded:
             continue
-        if data.end.size > LISTED_END_MAX:
+        end = end_ring(m)
+        if end.size > LISTED_END_MAX:
             continue
-        ideals = right_ideals(data.end)
-        whole = table_images(data.end, range(m.size))
-        radical = table_images(data.end, data.z2.elements)
+        ideals = right_ideals(end)
+        whole = table_images(end, range(m.size))
+        radical = table_images(end, zbar2(m).elements)
         pairs = {(span_of_images(m, whole, g), span_of_images(m, radical, g))
                  for _, g in ideals}
         assert pairs == set(data.image_pair_closure()), m
@@ -373,7 +379,7 @@ def test_closure_route_matches_the_right_ideal_listing(rid, gens):
         assert is_t_dual_baer(m) is t_dual_baer, m
         if not dual_baer:
             members, image_sum = dual_baer_witness(m)
-            assert is_right_ideal(EndoSubset(data.end, members, "d_set")), m
+            assert is_right_ideal(EndoSubset(end, members, "d_set")), m
             assert members in {ideal for ideal, _ in ideals}, m
             assert span_of_images(m, whole, members) == image_sum, m
             assert image_sum not in summands, m
@@ -386,9 +392,8 @@ def test_pair_closure_by_node_index_matches_additive_closure(rid):
     catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 256), ring_id=rid)
     large = 0
     for m in catalog.modules:
-        data = end_data(m)
-        large += data.end.size > LISTED_END_MAX
-        assert data.image_pair_closure() == additive_pair_closure(data), m
+        large += end_ring(m).size > LISTED_END_MAX
+        assert end_data(m).image_pair_closure() == additive_pair_closure(m), m
     if rid in ("Z8", "F2xZ4", "T2F2"):
         assert large
 
