@@ -19,11 +19,13 @@ Every closure over joins goes through :func:`join_closure`, which joins
 each new element with the seeds only: a finite join is a seed joined onto
 a smaller join.  The lattice is the closure of the cyclic spans, since
 every submodule is a finite sum of cyclic ones, so each node is found as
-B + xR for a smaller node B.  The builder and the lattice find every
-join A + B through a :class:`SumIndex` of element bitmasks per node size.
-A sum is built only for a new node, as a union of cosets of the larger
-summand, translating it only by elements of the smaller one not yet
-covered.
+B + xR for a smaller node B.  The builder finds each join A + B among
+the nodes found so far through a :class:`SumIndex` of element bitmasks
+per node size, and builds a sum only for a new node, as a union of
+cosets of the larger summand, translating it only by elements of the
+smaller one not yet covered.  A built lattice reads a join, and any
+span, off one node bitmask per element code
+(:meth:`SubmoduleLattice.span_index`).
 Smallness is decided by the radical, A << M exactly when A <= Rad(M)
 (the radical of a module over a finite ring is small).  One definitional
 scan, :func:`is_small_over`, decides smallness relative to any node Z in
@@ -35,6 +37,7 @@ radical route against the scan instead of assuming the agreement.
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 from . import config
 from .errors import ParentMismatch, SizeLimitExceeded
@@ -51,7 +54,14 @@ from .serialize import cache_path, cache_read, cache_write
 
 class SubmoduleLattice:
     """All submodules of a module in canonical order, with joins and meets
-    memoized in one row per node index."""
+    memoized in one row per node index.
+
+    Nodes are sorted by size, so the submodule some codes generate is the
+    first node holding them all: the lowest set bit of the AND of their
+    node masks, where bit k of a code's mask says that node k holds it
+    (:meth:`span_index`).  A join A + B is the span of A's and B's
+    generators.  The masks are built on first use and never stored on
+    disk."""
 
     def __init__(self, parent: FiniteModule, nodes: list[Submodule]):
         self.parent = parent
@@ -65,7 +75,7 @@ class SubmoduleLattice:
         self._meets: list[list[int | None] | None] = [None] * len(self.nodes)
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
-        self._sums = SumIndex((node, i) for i, node in enumerate(self.nodes))
+        self._masks: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -85,9 +95,27 @@ class SubmoduleLattice:
         row = self._joins[i] or self._new_row(self._joins, i)
         got = row[j - i]
         if got is None:
-            a, b = self.nodes[i], self.nodes[j]
-            got = row[j - i] = j if a.elements <= b.elements else self._sums.find(a, b)
+            got = row[j - i] = self.span_index(
+                self.nodes[i].generators() + self.nodes[j].generators())
         return got
+
+    def span_index(self, codes: Iterable[int]) -> int:
+        """The index of the submodule the codes generate: the first node
+        holding every code (node 0, the zero submodule, for no codes)."""
+        masks = self._masks or self._code_masks()
+        hit = masks[0]
+        for code in codes:
+            hit &= masks[code]
+        return (hit & -hit).bit_length() - 1
+
+    def _code_masks(self) -> list[int]:
+        masks = [0] * self.parent.size
+        for k, node in enumerate(self.nodes):
+            bit = 1 << k
+            for code in node.elements:
+                masks[code] |= bit
+        self._masks = masks
+        return masks
 
     def meet(self, i: int, j: int) -> int:
         if i > j:

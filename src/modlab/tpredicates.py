@@ -50,10 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .cosingular import zbar2, zbar2_of_node
 from .errors import NotSubmodule
 from .lattice import (
+    SubmoduleLattice,
     is_small_over,
     is_small_within,
     join_closure,
@@ -290,17 +292,35 @@ def _members(module: FiniteModule, gens: tuple[int, ...],
                      if all(tab[g] in codes for g in gens))
 
 
+def _image_nodes(lat: SubmoduleLattice, tables, gens: tuple[int, ...]) -> list[int]:
+    """Per endomorphism table, the node index of f(X), for X the submodule
+    the generators span: f(X) is the submodule their images span, looked
+    up once per distinct tuple of images."""
+    if not gens:
+        return [lat.zero_index] * len(tables)
+    images = list(zip(*[map(itemgetter(g), tables) for g in gens]))
+    nodes = dict.fromkeys(images)
+    for img in nodes:
+        nodes[img] = lat.span_index(img)
+    return list(map(nodes.__getitem__, images))
+
+
 class _EndData:
     """The image data every endomorphism-set predicate reads: the distinct
     (f(M), f(Z)) pairs of the endomorphisms f, with Z the square radical,
-    in the order of their first endomorphism."""
+    in the order of their first endomorphism.  Both images are read off
+    the lattice's node masks from the images of M's and Z's generators,
+    so no image is built as a set of codes."""
 
     def __init__(self, module: FiniteModule):
         self.module = module
-        z2 = zbar2(module).elements
-        self.pairs = list(dict.fromkeys(
-            (frozenset(tab), frozenset(map(tab.__getitem__, z2)))
-            for tab in end_ring(module).tables))
+        tables = end_ring(module).tables  # refuses before the lattice is built
+        lat = submodules(module)
+        fulls = _image_nodes(lat, tables, module.workspace().generators)
+        zs = _image_nodes(lat, tables, zbar2(module).generators())
+        nodes = lat.nodes
+        self.pairs = [(nodes[f].elements, nodes[z].elements)
+                      for f, z in dict.fromkeys(zip(fulls, zs))]
         self._pair_closure = None
 
     def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
@@ -457,10 +477,12 @@ def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
 # -- K-style conditions ---------------------------------------------------------------
 
 
+@memo
 def k_module_class(module: FiniteModule) -> dict[str, bool]:
     """Flags for the three annihilator-style conditions on submodules:
     only-zero image set forces smallness; radical image set equal to the
-    zero one forces relative smallness, respectively plain smallness."""
+    zero one forces relative smallness, respectively plain smallness.
+    Memoized, so every caller shares one dict and only reads it."""
     end_data(module)  # a refusal comes before the lattice work
     lat = submodules(module)
     k = True

@@ -1,12 +1,20 @@
 """An End ring as a structure-constant ring, for the tests only: the
 definitional listing of its right ideals (the submodule lattice of its
 regular module) is an oracle for the image-pair closure of
-``tpredicates``."""
+``tpredicates``.  Also the row-wise enumeration of a hom set, the oracle
+for the column-wise :func:`modlab.modules.hom_tables`."""
 
 from functools import lru_cache
 
 from modlab.intlinalg import combine, mat_mul, subgroup_decomposition
-from modlab.modules import ModuleHom, hom_group, identity_hom
+from modlab.modules import (
+    ModuleHom,
+    _HomMatrix,
+    additive_group,
+    hom_group,
+    identity_hom,
+    image_table,
+)
 from modlab.rings import FiniteRing
 
 
@@ -60,3 +68,21 @@ def hom_index_from_ring_coords(end, coords: tuple[int, ...]) -> int:
     m = end.module
     matrix = combine(coords, _decomposition(end)[1], m.component_orders)
     return end_index(end, ModuleHom(m, m, matrix, validate=False).table())
+
+
+def hom_tables_by_rows(source, target) -> list:
+    """Hom(source, target) as packed code tables, enumerated row by row:
+    the table of f + rep is the pointwise sum of the two tables, and the
+    tables are sorted by the matrix read off each."""
+    orders, reps = hom_group(source, target)
+    group = additive_group(target.component_orders)
+    tables = [group.pack([0] * source.size)]
+    for o, rep in zip(orders, reps):
+        step = image_table(source, target, rep)
+        block = tables
+        tables = list(block)
+        for _ in range(1, o):
+            block = [group.pack(map(group.add, tab, step)) for tab in block]
+            tables.extend(block)
+    tables.sort(key=_HomMatrix(source, target))
+    return tables

@@ -163,8 +163,8 @@ def test_a_node_is_named_by_its_element_set(rid):
 
 @pytest.mark.parametrize("rid", RING_IDS)
 def test_join_by_size_matches_the_coset_sum(rid):
-    """The size lookup of a join names the node the coset sum builds, for
-    every node pair of every catalog module and of R^2."""
+    """The node-mask lookup of a join names the node the coset sum builds,
+    for every node pair of every catalog module and of R^2."""
     for m in catalog_and_square(rid):
         lat = submodules(m)
         for i, a in enumerate(lat.nodes):
@@ -172,6 +172,21 @@ def test_join_by_size_matches_the_coset_sum(rid):
                 want = _sum_key(m, a, lat.nodes[j])
                 assert lat.nodes[lat.join(i, j)].key == want
                 assert lat.nodes[lat.join(j, i)].key == want
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_span_index_names_the_span_of_any_codes(rid):
+    """The node-mask lookup of the submodule some codes generate names the
+    workspace span: for no codes, for code 0 alone, and for random code
+    sets of one to four codes, over every catalog module and R^2."""
+    rng = random.Random(rid)
+    for m in catalog_and_square(rid):
+        lat = submodules(m)
+        ws = m.workspace()
+        samples = [(), (0,)] + [tuple(rng.choices(range(m.size), k=rng.randint(1, 4)))
+                                for _ in range(40)]
+        for codes in samples:
+            assert lat.nodes[lat.span_index(codes)].elements == frozenset(ws.span(codes))
 
 
 def test_large_sum_matches_the_span(Z4):

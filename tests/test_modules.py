@@ -2,6 +2,7 @@
 independently of the code paths they check."""
 
 import gc
+from array import array
 import itertools
 import random
 import types
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from end_presentation import as_ring, end_index, hom_coords
+from end_presentation import as_ring, end_index, hom_coords, hom_tables_by_rows
 from modlab import config, memo, modules
 from modlab.errors import NotSubmodule, RingMismatch, SizeLimitExceeded
 from modlab.modules import (
@@ -22,9 +23,11 @@ from modlab.modules import (
     direct_sum,
     direct_sum_with_maps,
     end_ring,
+    end_ring_size,
     find_isomorphism,
     hom_group,
     hom_set,
+    hom_tables,
     identity_hom,
     image_table,
     is_isomorphic,
@@ -428,6 +431,39 @@ def test_end_ring_homs_match_the_oracle_at_three_generators():
         assert_homs_match_the_oracle([end.hom(i) for i in range(end.size)], m, m)
         checked += 1
     assert checked == 9
+
+
+@pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
+                         ids=lambda v: f"gens{v}" if isinstance(v, int) else v)
+def test_hom_tables_by_columns_match_the_row_oracle(rid, gens):
+    """hom_tables builds End(M) column by column; the row-wise additivity
+    loop lists the same tables, in the same order and packed type, for
+    every catalog module whose End ring is within max_end."""
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+
+    checked = 0
+    for m in enumerate_modules(builtin_ring(rid), GenerationPolicy(gens, 256),
+                               ring_id=rid).modules:
+        try:
+            end_ring_size(m)
+        except SizeLimitExceeded:
+            continue
+        got, want = hom_tables(m, m), hom_tables_by_rows(m, m)
+        assert got == want and {type(t) for t in got} == {type(t) for t in want}, m
+        checked += 1
+    assert checked
+
+
+def test_hom_tables_into_a_target_over_256_elements_match_the_row_oracle(
+        z2_over_z4, z4_reg, z2_plus_z4):
+    """Into Z4^5 (1024 elements) the tables are arrays, shifted by the
+    additive group's translate rather than bytes.translate."""
+    big = direct_sum(*[z4_reg] * 5)
+    for src in (z2_over_z4, z4_reg, z2_plus_z4, zero_module(z4_reg.ring)):
+        got, want = hom_tables(src, big), hom_tables_by_rows(src, big)
+        assert got == want and all(type(t) is array for t in got), src
+        assert len(got) == prod(hom_group(src, big)[0])
+    assert hom_tables(big, z2_over_z4) == hom_tables_by_rows(big, z2_over_z4)
 
 
 def live_homs() -> list[ModuleHom]:
