@@ -60,8 +60,9 @@ class SubmoduleLattice:
     first node holding them all: the lowest set bit of the AND of their
     node masks, where bit k of a code's mask says that node k holds it
     (:meth:`span_index`).  A join A + B is the span of A's and B's
-    generators.  The masks are built on first use and never stored on
-    disk."""
+    generators.  The AND itself is the mask of the nodes over that span
+    (:meth:`holders`), and :meth:`upper_masks` keeps it for every node.
+    The masks are built on first use and never stored on disk."""
 
     def __init__(self, parent: FiniteModule, nodes: list[Submodule]):
         self.parent = parent
@@ -76,6 +77,7 @@ class SubmoduleLattice:
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
         self._masks: list[int] | None = None
+        self._uppers: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -102,11 +104,23 @@ class SubmoduleLattice:
     def span_index(self, codes: Iterable[int]) -> int:
         """The index of the submodule the codes generate: the first node
         holding every code (node 0, the zero submodule, for no codes)."""
+        hit = self.holders(codes)
+        return (hit & -hit).bit_length() - 1
+
+    def holders(self, codes: Iterable[int]) -> int:
+        """The mask of the nodes holding every code: the nodes over the
+        submodule the codes generate."""
         masks = self._masks or self._code_masks()
         hit = masks[0]
         for code in codes:
             hit &= masks[code]
-        return (hit & -hit).bit_length() - 1
+        return hit
+
+    def upper_masks(self) -> list[int]:
+        """Per node, the mask of the nodes over it, built on first use."""
+        if self._uppers is None:
+            self._uppers = [self.holders(node.generators()) for node in self.nodes]
+        return self._uppers
 
     def _code_masks(self) -> list[int]:
         masks = [0] * self.parent.size

@@ -176,17 +176,21 @@ def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule) -> bo
     """There is an S with the square radical under C + S, and no proper
     part of C has that property for the same S.  Joins are monotone and
     every proper part of C lies in a node C covers, so only the covered
-    nodes need the test."""
+    nodes need the test.
+
+    The nodes over X + S are those over both X and S, and X + S holds the
+    square radical exactly when all of them do, so each test is one AND
+    of node masks: the nodes over X, over S and not over the radical."""
     lat = submodules(module)
-    z = zbar2(module).elements
+    uppers = lat.upper_masks()
+    outside = ~lat.holders(zbar2(module).generators())
     ci = lat.node_index(sub)
-    covered = lat.covers()[ci]
-    for j in range(len(lat.nodes)):
-        if not z <= lat.nodes[lat.join(ci, j)].elements:
-            continue
-        if not any(z <= lat.nodes[lat.join(xi, j)].elements for xi in covered):
-            return True
-    return False
+    mine = uppers[ci] & outside
+    joint = [up for up in uppers if not up & mine]
+    for x in lat.covers()[ci]:
+        part = uppers[x] & outside
+        joint = [up for up in joint if up & part]
+    return bool(joint)
 
 
 # -- relative lifting ---------------------------------------------------------------

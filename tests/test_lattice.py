@@ -177,16 +177,25 @@ def test_join_by_size_matches_the_coset_sum(rid):
 @pytest.mark.parametrize("rid", RING_IDS)
 def test_span_index_names_the_span_of_any_codes(rid):
     """The node-mask lookup of the submodule some codes generate names the
-    workspace span: for no codes, for code 0 alone, and for random code
-    sets of one to four codes, over every catalog module and R^2."""
+    workspace span, and its mask holds exactly the nodes over that span:
+    for no codes, for code 0 alone, and for random code sets of one to
+    four codes, over every catalog module and R^2.  A node's upper mask
+    holds exactly the nodes over it."""
     rng = random.Random(rid)
+
+    def over(lat, elements):
+        return sum(1 << k for k, n in enumerate(lat.nodes) if elements <= n.elements)
+
     for m in catalog_and_square(rid):
         lat = submodules(m)
         ws = m.workspace()
         samples = [(), (0,)] + [tuple(rng.choices(range(m.size), k=rng.randint(1, 4)))
                                 for _ in range(40)]
         for codes in samples:
-            assert lat.nodes[lat.span_index(codes)].elements == frozenset(ws.span(codes))
+            span = frozenset(ws.span(codes))
+            assert lat.nodes[lat.span_index(codes)].elements == span
+            assert lat.holders(codes) == over(lat, span)
+        assert lat.upper_masks() == [over(lat, n.elements) for n in lat.nodes]
 
 
 def test_large_sum_matches_the_span(Z4):
