@@ -23,9 +23,10 @@ B + xR for a smaller node B.  The builder finds each join A + B among
 the nodes found so far through a :class:`SumIndex` of element bitmasks
 per node size, and builds a sum only for a new node, as a union of
 cosets of the larger summand, translating it only by elements of the
-smaller one not yet covered.  A built lattice reads a join, and any
-span, off one node bitmask per element code
-(:meth:`SubmoduleLattice.span_index`).
+smaller one not yet covered.  A built lattice reads any span off one
+node bitmask per element code (:meth:`SubmoduleLattice.span_index`), and
+every order question, joins, meets, subnodes and covers, off two masks
+per node: the nodes over it and the nodes under it.
 Smallness is decided by the radical, A << M exactly when A <= Rad(M)
 (the radical of a module over a finite ring is small).  One definitional
 scan, :func:`is_small_over`, decides smallness relative to any node Z in
@@ -37,6 +38,7 @@ radical route against the scan instead of assuming the agreement.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable
 
 from . import config
@@ -53,16 +55,19 @@ from .serialize import cache_path, cache_read, cache_write
 
 
 class SubmoduleLattice:
-    """All submodules of a module in canonical order, with joins and meets
-    memoized in one row per node index.
+    """All submodules of a module in canonical order, with the order kept
+    as two bitmasks of nodes per node.
 
     Nodes are sorted by size, so the submodule some codes generate is the
     first node holding them all: the lowest set bit of the AND of their
     node masks, where bit k of a code's mask says that node k holds it
-    (:meth:`span_index`).  A join A + B is the span of A's and B's
-    generators.  The AND itself is the mask of the nodes over that span
-    (:meth:`holders`), and :meth:`upper_masks` keeps it for every node.
-    The masks are built on first use and never stored on disk."""
+    (:meth:`span_index`).  That AND is the mask of the nodes over the
+    span (:meth:`holders`), and :meth:`upper_masks` keeps it for every
+    node; :meth:`lower_masks` is its transpose, the nodes under each
+    node.  Every order question reads these masks: A + B is the first
+    node over both, A & B the last node under both, and node j lies in
+    node i when bit j of i's lower mask is set.  The masks are built on
+    first use and never stored on disk."""
 
     def __init__(self, parent: FiniteModule, nodes: list[Submodule]):
         self.parent = parent
@@ -70,14 +75,11 @@ class SubmoduleLattice:
         self.index = {s.elements: i for i, s in enumerate(self.nodes)}
         self.zero_index = self.index[frozenset((0,))]
         self.top_index = self.index[frozenset(parent.elements())]
-        # row i holds the joins (meets) of node i with nodes j >= i at
-        # position j - i, None until looked up; a row is made on first use
-        self._joins: list[list[int | None] | None] = [None] * len(self.nodes)
-        self._meets: list[list[int | None] | None] = [None] * len(self.nodes)
         self._covers: list[list[int]] | None = None
         self._subnodes: dict[int, tuple[int, ...]] = {}
         self._masks: list[int] | None = None
         self._uppers: list[int] | None = None
+        self._lowers: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -92,14 +94,15 @@ class SubmoduleLattice:
             raise ParentMismatch("submodule is not a node of this lattice") from None
 
     def join(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        row = self._joins[i] or self._new_row(self._joins, i)
-        got = row[j - i]
-        if got is None:
-            got = row[j - i] = self.span_index(
-                self.nodes[i].generators() + self.nodes[j].generators())
-        return got
+        """A + B: the first node over both."""
+        uppers = self._uppers or self.upper_masks()
+        hit = uppers[i] & uppers[j]
+        return (hit & -hit).bit_length() - 1
+
+    def meet(self, i: int, j: int) -> int:
+        """A & B: the last node under both."""
+        lowers = self._lowers or self.lower_masks()
+        return (lowers[i] & lowers[j]).bit_length() - 1
 
     def span_index(self, codes: Iterable[int]) -> int:
         """The index of the submodule the codes generate: the first node
@@ -122,6 +125,18 @@ class SubmoduleLattice:
             self._uppers = [self.holders(node.generators()) for node in self.nodes]
         return self._uppers
 
+    def lower_masks(self) -> list[int]:
+        """Per node, the mask of the nodes under it: the upper masks
+        transposed, built on first use."""
+        if self._lowers is None:
+            lowers = [0] * len(self.nodes)
+            for j, up in enumerate(self.upper_masks()):
+                bit = 1 << j
+                for i in bits(up):
+                    lowers[i] |= bit
+            self._lowers = lowers
+        return self._lowers
+
     def _code_masks(self) -> list[int]:
         masks = [0] * self.parent.size
         for k, node in enumerate(self.nodes):
@@ -130,20 +145,6 @@ class SubmoduleLattice:
                 masks[code] |= bit
         self._masks = masks
         return masks
-
-    def meet(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        row = self._meets[i] or self._new_row(self._meets, i)
-        got = row[j - i]
-        if got is None:
-            inter = self.nodes[i].elements & self.nodes[j].elements
-            got = row[j - i] = self.index[inter]
-        return got
-
-    def _new_row(self, rows: list, i: int) -> list:
-        row = rows[i] = [None] * (len(self.nodes) - i)
-        return row
 
     def covers(self) -> list[list[int]]:
         """Hasse diagram: for each node, the indices it covers."""
@@ -156,27 +157,26 @@ class SubmoduleLattice:
         return self.covered_indices(self.top_index)
 
     def covered_indices(self, i: int) -> list[int]:
-        """Indices of the nodes node i covers, ascending.  Nodes are sorted
-        by size, so going down through the proper subnodes, every node
-        holding j comes before j and is covered or lies in a covered one:
-        j is covered exactly when no covered node found so far holds it."""
-        covered: list[int] = []
-        inside: set[int] = set()
-        for j in reversed(self.subnode_indices(i)[:-1]):  # drop node i itself
-            if j not in inside:
-                covered.append(j)
-                inside.update(self.subnode_indices(j))
-        return covered[::-1]
+        """Indices of the nodes node i covers, ascending: the proper
+        subnodes j whose interval [j, i], the nodes under i and over j,
+        holds only j and i."""
+        under, uppers = self.lower_masks()[i], self.upper_masks()
+        top = 1 << i
+        return [j for j in self.subnode_indices(i)[:-1]
+                if under & uppers[j] == top | 1 << j]
 
     def subnode_indices(self, i: int) -> tuple[int, ...]:
-        """Indices of all nodes contained in node i (including i), memoized.
-        Nodes are sorted by size, so only indices up to i can qualify."""
+        """Indices of all nodes contained in node i (including i), read
+        off its lower mask and memoized."""
         got = self._subnodes.get(i)
         if got is None:
-            a = self.nodes[i].elements
-            got = tuple(j for j in range(i + 1) if self.nodes[j].elements <= a)
-            self._subnodes[i] = got
+            got = self._subnodes[i] = bits(self.lower_masks()[i])
         return got
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a mask, ascending."""
+    return tuple(m.start() for m in re.finditer("1", bin(mask)[:1:-1]))
 
 
 def join_closure(seeds, join) -> list:

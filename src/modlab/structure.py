@@ -18,7 +18,6 @@ small exactly when S = Soc(_R R) kills it (:mod:`modlab.cosingular`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -30,6 +29,7 @@ from .errors import IdempotentSearchExceeded, NotSubmodule, ParentMismatch, Size
 from .intlinalg import identity_matrix, subgroup_basis
 from .lattice import (
     SubmoduleLattice,
+    bits,
     is_small_within,
     is_essential,
     radical,
@@ -156,14 +156,12 @@ class Interval:
         return self.lattice.join(self.low, self.lattice.index[codes])
 
     def below(self, i: int) -> Sequence[int]:
-        """The nodes of [L, i], ascending, for a node i of the interval.
-        A node above L sorts after it, as nodes sort by size."""
+        """The nodes of [L, i], ascending, for a node i of the interval:
+        those under i and over L."""
         lat = self.lattice
-        subs = lat.subnode_indices(i)
         if self.low == lat.zero_index:
-            return subs
-        low = lat.nodes[self.low].elements
-        return [j for j in subs[bisect_left(subs, self.low):] if low <= lat.nodes[j].elements]
+            return lat.subnode_indices(i)
+        return bits(lat.lower_masks()[i] & lat.upper_masks()[self.low])
 
     @cached_property
     def members(self) -> Sequence[int]:
@@ -179,17 +177,22 @@ class Interval:
 
     def complement(self, b: int) -> int | None:
         """The first node B' of the interval, in lattice order, with
-        B & B' = L and |B| |B'| = |H| |L|, if node b has one; B/L is a
-        direct summand of H/L exactly when it does.  For B' in [L, H],
-        B & B' = L gives |B + B'| = |B| |B'| / |L| = |H|, so B + B' = H,
-        and conversely.  So only the nodes of size |H| |L| / |B| are
-        scanned."""
-        nodes = self.lattice.nodes
-        low, elements = nodes[self.low].size, nodes[b].elements
-        need, rest = divmod(nodes[self.high].size * low, len(elements))
+        B & B' = L and B + B' = H, if node b has one; B/L is a direct
+        summand of H/L exactly when it does.  Such a B' has
+        |B'| = |H| |L| / |B|, as |B + B'| |B & B'| = |B| |B'|, so only the
+        nodes of that size are scanned, and among them B + B' = H is the
+        same test as B & B' = L.  Proof: B & B' holds L and B + B' lies
+        in H, as both nodes lie in [L, H].  If B & B' = L, then
+        |B + B'| = |B| |B'| / |L| = |H|, so B + B' = H; if B + B' = H,
+        then |B & B'| = |B| |B'| / |H| = |L|, so B & B' = L.  So the
+        scan tests B + B' = H: H is over both, and no node before it
+        is."""
+        lat = self.lattice
+        nodes, uppers = lat.nodes, lat.upper_masks()
+        need, rest = divmod(nodes[self.high].size * nodes[self.low].size, nodes[b].size)
+        before_h = uppers[b] & (1 << self.high) - 1
         return None if rest else next(
-            (j for j in self._by_size.get(need, ())
-             if len(elements & nodes[j].elements) == low), None)
+            (j for j in self._by_size.get(need, ()) if not uppers[j] & before_h), None)
 
     @cached_property
     def summands(self) -> frozenset[int]:
@@ -202,7 +205,7 @@ class Interval:
         holds every small submodule, and Rad(H/N) pulls back to N + H*J,
         which is N + ``rad`` as L <= N."""
         lat = self.lattice
-        return lat.nodes[a].elements <= lat.nodes[lat.join(n, self.rad)].elements
+        return bool(lat.upper_masks()[a] >> lat.join(n, self.rad) & 1)
 
     def t_small(self, a: int, n: int) -> bool:
         """A/N is relatively small in H/N, for nodes N <= A of the
@@ -216,9 +219,8 @@ class Interval:
         left side N + (A & H*S^2), and N lies in the right side, so this
         is A & H*S^2 <= N + H*J.  Adding L <= N to H*S^2 and to H*J changes
         neither side.  The definitional scan is the test oracle."""
-        nodes = self.lattice.nodes
-        return (nodes[a].elements & nodes[self.z2].elements
-                <= nodes[self.lattice.join(n, self.rad)].elements)
+        lat = self.lattice
+        return bool(lat.upper_masks()[lat.meet(a, self.z2)] >> lat.join(n, self.rad) & 1)
 
 
 @memo

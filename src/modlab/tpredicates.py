@@ -23,15 +23,17 @@ equivalences.
 
 The endomorphism-set predicates read only the distinct images f(M) and
 f(Z) of the endomorphisms f, where Z is the square radical, kept in
-:class:`_EndData` as the distinct (f(M), f(Z)) pairs.  With D(N) the maps
-with image inside N and T(N) the maps carrying Z into N:
+:class:`_EndData` as the distinct (f(M), f(Z)) pairs of node indices,
+with the nodes over some nonzero f(M), and over some nonzero f(Z), as
+one mask each.  With D(N) the maps with image inside N and T(N) the maps
+carrying Z into N:
 
 - D(N) = {0} exactly when no nonzero image f(M) lies in N, since only the
-  zero map has image {0};
+  zero map has image {0}: N is outside the first mask;
 - T(N) = T(0) exactly when no nonzero radical image f(Z) lies in N, since
-  T(0) lies in T(N);
-- the radical image sum over T(C) (:func:`t_trace`) is the additive span
-  of the radical images that lie in C;
+  T(0) lies in T(N): N is outside the second mask;
+- the radical image sum over T(C) (:func:`t_trace`) is the span of the
+  radical images that lie in C;
 - the (image sum, radical image sum) pairs of the right ideals are the
   join closure of the distinct pairs (:meth:`_EndData.image_pair_closure`).
 
@@ -56,6 +58,7 @@ from .cosingular import zbar2, zbar2_of_node
 from .errors import NotSubmodule
 from .lattice import (
     SubmoduleLattice,
+    bits,
     is_small_over,
     is_small_within,
     join_closure,
@@ -213,25 +216,11 @@ def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
 
     # (2) every submodule splits as (summand of M) + (relatively small part)
     def split_form() -> bool:
-        for i, a in enumerate(lat.nodes):
-            sub_idx = lat.subnode_indices(i)
-            found = False
-            for ni in sub_idx:
-                n = lat.nodes[ni]
-                if n.key not in summands:
-                    continue
-                for pi in sub_idx:
-                    p = lat.nodes[pi]
-                    if p.key not in tsmall:
-                        continue
-                    if lat.meet(ni, pi) == lat.zero_index and lat.join(ni, pi) == i:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
-        return True
+        def splits(i: int, below: tuple[int, ...]) -> bool:
+            return any(lat.meet(ni, pi) == lat.zero_index and lat.join(ni, pi) == i
+                       for ni in below if lat.nodes[ni].key in summands
+                       for pi in below if lat.nodes[pi].key in tsmall)
+        return all(splits(i, lat.subnode_indices(i)) for i in range(len(lat)))
 
     # (4)/(5) the square radical of each (coclosed) submodule is a summand
     def node_radicals_split(only_coclosed: bool) -> bool:
@@ -245,18 +234,10 @@ def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
 
     # (7) submodules inside the square radical lift with small remainder
     def inside_radical_form() -> bool:
-        for i, a in enumerate(lat.nodes):
-            if not a.elements <= z2.elements:
-                continue
-            found = False
-            for j in lat.subnode_indices(i):
-                n = lat.nodes[j]
-                if n.key in summands and small_in_quotient(a, n, module):
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
+        nodes, under_z2 = lat.nodes, lat.lower_masks()[lat.node_index(z2)]
+        return all(any(nodes[j].key in summands and small_in_quotient(nodes[i], nodes[j], module)
+                       for j in lat.subnode_indices(i))
+                   for i in bits(under_z2))
 
     return {
         "definitional": is_t_lifting(module),
@@ -312,42 +293,43 @@ def _image_nodes(lat: SubmoduleLattice, tables, gens: tuple[int, ...]) -> list[i
 class _EndData:
     """The image data every endomorphism-set predicate reads: the distinct
     (f(M), f(Z)) pairs of the endomorphisms f, with Z the square radical,
-    in the order of their first endomorphism.  Both images are read off
-    the lattice's node masks from the images of M's and Z's generators,
-    so no image is built as a set of codes."""
+    as node indices in the order of their first endomorphism, and the
+    masks of the nodes over some nonzero f(M) (``full_over``) and over
+    some nonzero f(Z) (``z_over``).  Both images are read off the
+    lattice's node masks from the images of M's and Z's generators, so no
+    image is built as a set of codes."""
 
     def __init__(self, module: FiniteModule):
-        self.module = module
         tables = end_ring(module).tables  # refuses before the lattice is built
-        lat = submodules(module)
+        self.lattice = lat = submodules(module)
         fulls = _image_nodes(lat, tables, module.workspace().generators)
         zs = _image_nodes(lat, tables, zbar2(module).generators())
-        nodes = lat.nodes
-        self.pairs = [(nodes[f].elements, nodes[z].elements)
-                      for f, z in dict.fromkeys(zip(fulls, zs))]
+        self.pairs = list(dict.fromkeys(zip(fulls, zs)))
+        uppers = lat.upper_masks()
+        self.full_over = self.z_over = 0
+        for f, z in self.pairs:
+            if f != lat.zero_index:
+                self.full_over |= uppers[f]
+            if z != lat.zero_index:
+                self.z_over |= uppers[z]
         self._pair_closure = None
 
-    def image_pair_closure(self) -> list[tuple[frozenset[int], frozenset[int]]]:
+    def image_pair_closure(self) -> list[tuple[int, int]]:
         """All pairs (sum of images, sum of radical images) realized by
-        right ideals, in the order :func:`join_closure` finds them.
+        right ideals, as node indices, in the order :func:`join_closure`
+        finds them.
 
         Ideals are sums of their principal subideals, and a principal
         ideal's image sum equals the single generator's image (radical
         images use that the square radical is carried into itself by each
         endomorphism), so the realized pairs are the join closure of the
-        distinct single-endomorphism pairs under the componentwise join.
-        Both components are nodes of the module's lattice, so the closure
-        runs on pairs of node indices and joins through
+        distinct single-endomorphism pairs under the componentwise join
         :meth:`SubmoduleLattice.join`.
         """
-        if self._pair_closure is not None:
-            return self._pair_closure
-        lat = submodules(self.module)
-        seeds = [(lat.index[full], lat.index[z]) for full, z in self.pairs]
-        closure = join_closure(seeds, lambda u, v: (lat.join(u[0], v[0]),
-                                                   lat.join(u[1], v[1])))
-        nodes = lat.nodes
-        self._pair_closure = [(nodes[f].elements, nodes[z].elements) for f, z in closure]
+        if self._pair_closure is None:
+            join = self.lattice.join
+            self._pair_closure = join_closure(
+                self.pairs, lambda u, v: (join(u[0], v[0]), join(u[1], v[1])))
         return self._pair_closure
 
 
@@ -373,14 +355,15 @@ def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
 
 def d_set_is_zero(n: Submodule, module: FiniteModule) -> bool:
     """D(N) = {0}: no nonzero image of the module lies in the submodule."""
-    return not any(len(full) > 1 and full <= n.elements
-                   for full, _ in end_data(module).pairs)
+    data = end_data(module)
+    return not data.full_over >> data.lattice.node_index(n) & 1
 
 
 def t_set_is_trivial(n: Submodule, module: FiniteModule) -> bool:
     """T(N) = T(0): no nonzero image of the square radical lies in the
     submodule."""
-    return not any(len(z) > 1 and z <= n.elements for _, z in end_data(module).pairs)
+    data = end_data(module)
+    return not data.z_over >> data.lattice.node_index(n) & 1
 
 
 # -- the dual-Baer family ----------------------------------------------------------
@@ -395,16 +378,18 @@ def dual_baer_witness(module: FiniteModule):
     D(F) = {phi : phi(M) <= F}: it is a right ideal (closed under sums
     and under phi o g), and its image sum is F, since any right ideal
     with image sum F lies inside it."""
-    summands = summand_keys(module)
-    for full, _ in end_data(module).image_pair_closure():
+    summands = whole_interval(module).summands
+    data = end_data(module)
+    for full, _ in data.image_pair_closure():
         if full not in summands:
-            return _members(module, module.workspace().generators, full), full
+            codes = data.lattice.nodes[full].elements
+            return _members(module, module.workspace().generators, codes), codes
     return None
 
 
 def is_dual_baer(module: FiniteModule) -> bool:
     """Sum of the images of every right ideal splits off."""
-    summands = summand_keys(module)
+    summands = whole_interval(module).summands
     return all(full in summands for full, _ in end_data(module).image_pair_closure())
 
 
@@ -412,7 +397,7 @@ def is_t_dual_baer(module: FiniteModule) -> bool:
     """For every right ideal, the ideal's image of the square radical
     splits off."""
     data = end_data(module)
-    summands = summand_keys(module)
+    summands = whole_interval(module).summands
     return all(zsum in summands for _, zsum in data.image_pair_closure())
 
 
@@ -421,21 +406,19 @@ def dual_baer_quotient_condition(module: FiniteModule) -> bool:
     ideal's radical-image W, splits off the corresponding quotient: F is
     a direct summand node of the interval [W, M]."""
     data = end_data(module)
-    lat = submodules(module)
-    for full, zsum in data.image_pair_closure():
-        if Interval(lat, lat.index[zsum], lat.top_index).complement(lat.index[full]) is None:
-            return False
-    return True
+    lat = data.lattice
+    return all(Interval(lat, zsum, lat.top_index).complement(full) is not None
+               for full, zsum in data.image_pair_closure())
 
 
 def has_sssp_in_zbar2(module: FiniteModule) -> bool:
     """Sums of direct summands contained in the square radical are
     summands (the join closure of those summands)."""
-    lat = submodules(module)
-    summands = summand_keys(module)
-    z2 = zbar2(module).elements
-    inside = [lat.index[k] for k in summands if k <= z2]
-    return all(lat.nodes[i].key in summands for i in join_closure(inside, lat.join))
+    iv = whole_interval(module)
+    lat = iv.lattice
+    under_z2 = lat.lower_masks()[lat.node_index(zbar2(module))]
+    inside = [j for j in iv.summands if under_z2 >> j & 1]
+    return all(i in iv.summands for i in join_closure(inside, lat.join))
 
 
 def is_regular(module: FiniteModule) -> bool:
@@ -454,25 +437,24 @@ def is_semisimple(module: FiniteModule) -> bool:
 
 def t_dual_baer_variants(module: FiniteModule) -> dict[str, bool]:
     """Four equivalent forms, evaluated independently."""
-    summands = summand_keys(module)
-
-    # each h(Zbar2(M)) is the image of a submodule, so already a node key
-    radical_images = {z for _, z in end_data(module).pairs}
+    summands = whole_interval(module).summands
+    data = end_data(module)
+    # each h(Zbar2(M)) is the image of a submodule, so a node
+    radical_images = list(dict.fromkeys(z for _, z in data.pairs))
 
     def sssp_and_single_images() -> bool:
-        return has_sssp_in_zbar2(module) and radical_images <= summands
+        return has_sssp_in_zbar2(module) and summands.issuperset(radical_images)
 
     def subset_sums() -> bool:
         # sums over arbitrary endomorphism subsets = join closure of the
         # single images
-        lat = submodules(module)
-        base = {lat.index[key] for key in radical_images}
-        return all(lat.nodes[i].key in summands for i in join_closure(base, lat.join))
+        return all(i in summands for i in join_closure(radical_images, data.lattice.join))
 
     return {
         "definitional": is_t_dual_baer(module),
         "radical_summand_dual_baer":
-            zbar2(module).key in summands and square_radical_has(module, is_dual_baer),
+            data.lattice.node_index(zbar2(module)) in summands
+            and square_radical_has(module, is_dual_baer),
         "sssp_and_single_images": sssp_and_single_images(),
         "subset_sums_split": subset_sums(),
     }
@@ -486,42 +468,40 @@ def k_module_class(module: FiniteModule) -> dict[str, bool]:
     """Flags for the three annihilator-style conditions on submodules:
     only-zero image set forces smallness; radical image set equal to the
     zero one forces relative smallness, respectively plain smallness.
-    Memoized, so every caller shares one dict and only reads it."""
-    end_data(module)  # a refusal comes before the lattice work
-    lat = submodules(module)
-    k = True
-    t_k = True
-    strongly = True
-    rad = radical(module).elements
-    tsmall = t_small_keys(module)
-    for node in lat.nodes:
-        if d_set_is_zero(node, module) and not node.elements <= rad:
-            k = False
-        if t_set_is_trivial(node, module):
-            if node.key not in tsmall:
-                t_k = False
-            if not node.elements <= rad:
-                strongly = False
-    return {"k": k, "t_k": t_k, "strongly_t_k": strongly}
+    Memoized, so every caller shares one dict and only reads it.  The
+    nodes N with D(N) = {0} are those outside ``full_over``, and those
+    with T(N) = T(0) those outside ``z_over``."""
+    data = end_data(module)  # a refusal comes before the lattice work
+    iv = whole_interval(module)
+    lat = iv.lattice
+    not_small = ~lat.lower_masks()[iv.rad]
+    every = (1 << len(lat)) - 1
+    zero_d = every & ~data.full_over
+    trivial_t = every & ~data.z_over
+    return {"k": not zero_d & not_small,
+            "t_k": all(iv.t_small(i, lat.zero_index) for i in bits(trivial_t)),
+            "strongly_t_k": not trivial_t & not_small}
 
 
 def t_trace(module: FiniteModule, c: Submodule) -> frozenset[int]:
     """Sum of the radical images over every endomorphism carrying the
     square radical into the given submodule: the span of the radical
-    images that lie in it."""
-    ws = module.workspace()
-    return frozenset(ws.additive_closure(chain.from_iterable(
-        z for _, z in end_data(module).pairs if z <= c.elements)))
+    images that lie in it, one span of their generators."""
+    data = end_data(module)
+    lat = data.lattice
+    ci, uppers, nodes = lat.node_index(c), lat.upper_masks(), lat.nodes
+    return nodes[lat.span_index(chain.from_iterable(
+        nodes[z].generators() for _, z in data.pairs if uppers[z] >> ci & 1))].elements
 
 
 def fully_invariant_keys(module: FiniteModule) -> frozenset:
     """Nodes stable under every endomorphism.  Stability under the
-    additive basis of the end ring suffices."""
+    additive basis of the end ring suffices, and f(N) <= N exactly when
+    N holds f's images of N's generators."""
     end_data(module)  # over max_end, refuses as every End-ring predicate does
     lat = submodules(module)
-    basis = end_ring(module).basis_homs()
-    out = []
-    for node in lat.nodes:
-        if all(h.restrict_codes(node.elements) <= node.elements for h in basis):
-            out.append(node.key)
-    return frozenset(out)
+    tables = [h.table() for h in end_ring(module).basis_homs()]
+    return frozenset(
+        node.key for n, node in enumerate(lat.nodes)
+        if all(lat.holders(map(tab.__getitem__, node.generators())) >> n & 1
+               for tab in tables))

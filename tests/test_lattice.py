@@ -126,16 +126,6 @@ def test_joins_match_the_span_of_both_generator_sets(rid):
                 assert sum_submodules(a, b).elements == want
 
 
-@pytest.mark.parametrize("rid", ["Z8", "F2xZ4", "T2F2"])
-def test_meets_match_the_intersection_of_both_element_sets(rid):
-    catalog = enumerate_modules(builtin_ring(rid), GenerationPolicy(2, 32), ring_id=rid)
-    for m in catalog.modules:
-        lat = submodules(m)
-        for i, a in enumerate(lat.nodes):
-            for j, b in enumerate(lat.nodes):
-                assert lat.nodes[lat.meet(i, j)].elements == a.elements & b.elements
-
-
 RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
 
 
@@ -145,6 +135,15 @@ def catalog_and_square(rid):
     catalog = enumerate_modules(ring, GenerationPolicy(2, 256), ring_id=rid)
     reg = regular_module(ring)
     return list(catalog.modules) + [direct_sum(reg, reg)]
+
+
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_meets_match_the_intersection_of_both_element_sets(rid):
+    for m in catalog_and_square(rid):
+        lat = submodules(m)
+        for i, a in enumerate(lat.nodes):
+            for j, b in enumerate(lat.nodes):
+                assert lat.nodes[lat.meet(i, j)].elements == a.elements & b.elements
 
 
 @pytest.mark.parametrize("rid", RING_IDS)
@@ -180,11 +179,15 @@ def test_span_index_names_the_span_of_any_codes(rid):
     workspace span, and its mask holds exactly the nodes over that span:
     for no codes, for code 0 alone, and for random code sets of one to
     four codes, over every catalog module and R^2.  A node's upper mask
-    holds exactly the nodes over it."""
+    holds exactly the nodes over it, and its lower mask exactly the nodes
+    under it."""
     rng = random.Random(rid)
 
     def over(lat, elements):
         return sum(1 << k for k, n in enumerate(lat.nodes) if elements <= n.elements)
+
+    def under(lat, elements):
+        return sum(1 << k for k, n in enumerate(lat.nodes) if n.elements <= elements)
 
     for m in catalog_and_square(rid):
         lat = submodules(m)
@@ -196,6 +199,7 @@ def test_span_index_names_the_span_of_any_codes(rid):
             assert lat.nodes[lat.span_index(codes)].elements == span
             assert lat.holders(codes) == over(lat, span)
         assert lat.upper_masks() == [over(lat, n.elements) for n in lat.nodes]
+        assert lat.lower_masks() == [under(lat, n.elements) for n in lat.nodes]
 
 
 def test_large_sum_matches_the_span(Z4):
