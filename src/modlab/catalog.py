@@ -63,8 +63,9 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
     skipped: list[str] = []
     for n in range(1, policy.max_generators + 1):
         if ring.size ** n > config.LIMITS.max_module:
+            # |R^n| never shrinks as n grows, so no later n fits either
             skipped.append(f"free module R^{n} over module size limit")
-            continue
+            break
         if n == 1:
             free = regular_module(ring)
         else:

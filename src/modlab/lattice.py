@@ -323,7 +323,6 @@ def _prune_generators(module: FiniteModule, gens: tuple[int, ...], target_size: 
     return tuple(module.workspace().spanning_subset(gens, target_size))
 
 
-@memo
 def jacobson_radical(ring) -> frozenset[int]:
     """Element codes of J(R): intersection of the maximal right ideals of
     the regular module."""

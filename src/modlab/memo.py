@@ -17,8 +17,11 @@ any other argument (a policy, an id) stands by itself.  Rings and
 modules carry no names: each is wholly identified by its key, so a
 memo's result serves every equal-key caller.  A submodule's key is the
 frozen set of its element codes, the same object as its ``elements``
-and the name every lattice lookup uses; it does not name the parent, so
+and the name a lattice lookup takes; it does not name the parent, so
 a memoized function that takes a submodule takes its parent module too.
+A set of nodes of one lattice is held as node indices, not element
+sets: the memoized :func:`structure.whole_interval` keeps the summands
+and the coclosed, t-coclosed and t-small nodes that way.
 
 Limits rule.  No key holds the limits: they are one process-wide value,
 ``config.LIMITS``, read at call time by the functions that refuse an

@@ -32,12 +32,16 @@ g * e_b (g * r = sum_b r_b (g * e_b), g = g * 1), which seeds the
 closure, a quotient's Smith rows and a submodule's own presentation.
 Validation is a pure function of a module's key, so it runs once per key.
 
-A submodule has one name, the frozen set of its element codes: its
-``key`` is its ``elements``, and every lattice index, memo and
-``*_keys`` set of the package holds that set, so a code set built by
-any route (a span, an image, an intersection) looks its node up as it
-is.  Codes are sorted only where bytes are written: witnesses, instance
-labels, the JSON forms and the lattice disk cache.
+A submodule has one name at the API boundary, the frozen set of its
+element codes: its ``key`` is its ``elements``, which the memos and the
+lattice's ``index`` hold, so a code set built by any route (a span, an
+image, an intersection) looks its node up as it is.  Inside one lattice
+a node is its index and a set of nodes an index set (the summands and
+the coclosed, t-coclosed and t-small nodes of
+:class:`~modlab.structure.Interval`); the public ``*_keys`` functions
+give such a set as element sets.  Codes are sorted only where bytes are
+written: witnesses, instance labels, the JSON forms and the lattice disk
+cache.
 
 Hom groups are solved, not searched.  :func:`hom_group` writes each
 matrix entry F_jl as (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l), so
@@ -647,9 +651,6 @@ class SubmoduleModule:
 
     module: FiniteModule
     include: "ModuleHom"              # module -> parent
-
-    def push_out(self, codes: Iterable[int]) -> frozenset[int]:
-        return self.include.restrict_codes(codes)
 
 
 def submodule_as_module(sub: Submodule) -> SubmoduleModule:

@@ -10,14 +10,13 @@ from dataclasses import dataclass, field
 
 from .cosingular import classify
 from .errors import SizeLimitExceeded
-from .lattice import is_small, radical, socle, submodules
+from .lattice import bits, radical, socle
 from .modules import FiniteModule, end_ring_size
 from .structure import (
-    coclosed_keys,
     is_injective,
     is_lifting,
     is_small_module,
-    summand_keys,
+    whole_interval,
 )
 from .tpredicates import (
     has_sssp_in_zbar2,
@@ -27,8 +26,6 @@ from .tpredicates import (
     is_t_dual_baer,
     is_t_lifting,
     k_module_class,
-    t_coclosed_keys,
-    t_small_keys,
 )
 
 PREDICATE_IDS = (
@@ -119,7 +116,8 @@ def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyRep
     """Every predicate of the catalog evaluated on one module, with
     internal-consistency flags, under the caller's description (by
     default the module's repr)."""
-    lat = submodules(module)
+    iv = whole_interval(module)
+    lat = iv.lattice
     prof = classify(module)
     end_size = _unless_refused(end_ring_size, module)
     preds: dict[str, bool | None] = {}
@@ -138,15 +136,15 @@ def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyRep
     preds["cosingular"] = prof.zbar.is_zero()
     preds["sssp_in_zbar2"] = has_sssp_in_zbar2(module)
 
-    small_keys = frozenset(s.key for s in lat.nodes if is_small(s))
-    tsmall = t_small_keys(module)
+    # the small nodes are those under the radical
+    small = frozenset(bits(lat.lower_masks()[iv.rad]))
     counts = {
         "submodules": len(lat.nodes),
-        "small": len(small_keys),
-        "t_small": len(tsmall),
-        "coclosed": len(coclosed_keys(module)),
-        "t_coclosed": len(t_coclosed_keys(module)),
-        "summands": len(summand_keys(module)),
+        "small": len(small),
+        "t_small": len(iv.t_small_nodes),
+        "coclosed": len(iv.coclosed),
+        "t_coclosed": len(iv.t_coclosed),
+        "summands": len(iv.summands),
     }
 
     flags: list[str] = []
@@ -154,7 +152,7 @@ def profile_module(module: FiniteModule, desc: str | None = None) -> PropertyRep
         flags.append("lifting without t_lifting")
     if preds["t_lifting"] and preds["t_dual_baer"] is False:
         flags.append("t_lifting without t_dual_baer")
-    if preds["noncosingular"] and small_keys != tsmall:
+    if preds["noncosingular"] and small != iv.t_small_nodes:
         flags.append("noncosingular but t_small differs from small")
 
     return PropertyReport(

@@ -199,6 +199,27 @@ class Interval:
         """The nodes B of the interval with B/L a direct summand of H/L."""
         return frozenset(j for j in self.members if self.complement(j) is not None)
 
+    @cached_property
+    def coclosed(self) -> frozenset[int]:
+        """The nodes C of the interval with C/L coclosed in H/L."""
+        return frozenset(c for c in self.members if is_coclosed_under(Interval.small, self, c))
+
+    @cached_property
+    def t_coclosed(self) -> frozenset[int]:
+        """The nodes C of the interval with C/L relatively coclosed in
+        H/L."""
+        return frozenset(c for c in self.members if is_coclosed_under(Interval.t_small, self, c))
+
+    @cached_property
+    def t_small_nodes(self) -> frozenset[int]:
+        """The nodes A of the interval with A/L relatively small in H/L."""
+        return frozenset(a for a in self.members if self.t_small(a, self.low))
+
+    def keys(self, nodes) -> frozenset[frozenset[int]]:
+        """The element sets of these nodes: a node set's name at the API
+        boundary."""
+        return frozenset(self.lattice.nodes[i].key for i in nodes)
+
     def small(self, a: int, n: int) -> bool:
         """A/N << H/N, for nodes N <= A of the interval, decided as
         A <= N + ``rad``: the radical of a finite module is small and
@@ -226,7 +247,8 @@ class Interval:
 @memo
 def whole_interval(module: FiniteModule) -> Interval:
     """The interval [0, M] of the module's lattice, memoized with its
-    direct summands."""
+    node sets: the direct summands, the coclosed, t-coclosed and t-small
+    nodes."""
     lat = submodules(module)
     return Interval(lat, lat.zero_index, lat.top_index)
 
@@ -248,11 +270,10 @@ def is_direct_summand(sub: Submodule, module: FiniteModule | None = None) -> boo
     return complement_of(sub) is not None
 
 
-@memo
 def summand_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
-    """The keys (element sets) of all direct summand nodes (memoized)."""
+    """The keys (element sets) of all direct summand nodes."""
     iv = whole_interval(module)
-    return frozenset(iv.lattice.nodes[j].key for j in iv.summands)
+    return iv.keys(iv.summands)
 
 
 def summand_witness_idempotent(sub: Submodule) -> ModuleHom | None:
@@ -327,12 +348,12 @@ def is_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part of the submodule leaves a small remainder: C' < C
     with C/C' << M/C' forces C = C'."""
     iv = whole_interval(module)
-    return is_coclosed_under(Interval.small, iv, iv.lattice.node_index(sub))
+    return iv.lattice.node_index(sub) in iv.coclosed
 
 
 def coclosed_keys(module: FiniteModule) -> frozenset[frozenset[int]]:
-    lat = submodules(module)
-    return frozenset(s.key for s in lat.nodes if is_coclosed(s, module))
+    iv = whole_interval(module)
+    return iv.keys(iv.coclosed)
 
 
 # -- lifting -------------------------------------------------------------------

@@ -53,13 +53,10 @@ from .reports import TheoremReport, disagrees
 from .serialize import submodule_to_json
 from .structure import (
     Interval,
-    coclosed_keys,
-    is_coclosed,
-    is_coclosed_under,
     is_injective,
     is_lifting,
     is_lifting_under,
-    summand_keys,
+    whole_interval,
 )
 from .tpredicates import (
     dual_baer_quotient_condition,
@@ -68,14 +65,12 @@ from .tpredicates import (
     is_dual_baer,
     is_regular,
     is_semisimple,
-    is_t_coclosed,
     is_t_coclosed_in,
     is_t_dual_baer,
     is_t_lifting,
     is_minimal_with_joint_complement,
     k_module_class,
     square_radical_has,
-    t_coclosed_keys,
     t_dual_baer_variants,
     t_lifting_variants,
     t_set_is_trivial,
@@ -167,17 +162,16 @@ def l25(m: FiniteModule, label: str) -> Iterator:
     """Containment, quotient and transitivity behavior of relatively
     coclosed submodules.  Each statement scans the nodes in lattice order
     to its own first failure."""
-    lat = submodules(m)
-    z2 = zbar2(m)
-    tcc = t_coclosed_keys(m)
+    iv = whole_interval(m)
+    lat, tcc = iv.lattice, iv.t_coclosed
+    under_z2 = lat.lower_masks()[lat.node_index(zbar2(m))]
 
-    bad = next((c for c in lat.nodes if c.key in tcc and not c.elements <= z2.elements),
-               None)
+    bad = min((c for c in tcc if not under_z2 >> c & 1), default=None)
     yield _holds_record(
         f"{label} (1) t-coclosed below square radical", bad is None,
-        witness=None if bad is None else submodule_to_json(bad))
+        witness=None if bad is None else submodule_to_json(lat.nodes[bad]))
 
-    whole_tcc = m.full_submodule().key in tcc
+    whole_tcc = lat.top_index in tcc
     noncosing = zbar(m).is_full()
     yield _holds_record(
         f"{label} (2) whole module t-coclosed iff noncosingular",
@@ -197,63 +191,64 @@ def l25(m: FiniteModule, label: str) -> Iterator:
     # C/A in M/A is decided on the interval [A, M], A in C on [0, C]
     upper = cache(lambda a: Interval(lat, a, lat.top_index))
     lower = cache(lambda c: Interval(lat, lat.zero_index, c))
-    in_tcc = [node.key in tcc for node in lat.nodes]
-    wit3 = first_failure(lambda c, a: in_tcc[c] and not is_t_coclosed_in(upper(a), c))
+    wit3 = first_failure(lambda c, a: c in tcc and not is_t_coclosed_in(upper(a), c))
     yield _holds_record(
         f"{label} (3) quotients of t-coclosed are t-coclosed", wit3 is None, wit3)
     # (4): C/A tcc in M/A and A tcc in M imply C tcc in M
-    wit4 = first_failure(lambda c, a: not in_tcc[c] and in_tcc[a]
+    wit4 = first_failure(lambda c, a: c not in tcc and a in tcc
                          and is_t_coclosed_in(upper(a), c))
     yield _holds_record(
         f"{label} (4) two-step t-coclosure collapses", wit4 is None, wit4)
     # (5): A tcc in M iff A tcc in C, for amply supplemented C
-    wit5 = first_failure(lambda c, a: in_tcc[a] != is_t_coclosed_in(lower(c), a))
+    wit5 = first_failure(lambda c, a: (a in tcc) != is_t_coclosed_in(lower(c), a))
     yield _holds_record(
         f"{label} (5) relative t-coclosure matches ambient", wit5 is None, wit5)
 
 
 def p26(m: FiniteModule, label: str) -> Iterator:
     """Five characterizations of relatively coclosed submodules agree."""
-    lat = submodules(m)
-    z2 = zbar2(m)
+    iv = whole_interval(m)
+    lat = iv.lattice
     # the lattice of Zbar2(M) as a module is the interval [0, Zbar2(M)]
-    inside = Interval(lat, lat.zero_index, lat.index[z2.key])
+    inside = Interval(lat, lat.zero_index, lat.node_index(zbar2(m)))
+    under_z2 = lat.lower_masks()[inside.high]
     for ci, c in enumerate(lat.nodes):
-        in_rad = c.elements <= z2.elements
+        in_rad = bool(under_z2 >> ci & 1)
         noncosing = zbar2_of_node(m, c) == c.elements
         values = {
             "minimal_joint_complement": is_minimal_with_joint_complement(c, m),
-            "t_coclosed": is_t_coclosed(c, m),
-            "coclosed_inside_radical":
-                in_rad and is_coclosed_under(Interval.small, inside, ci),
-            "coclosed_in_module_and_below_radical": in_rad and is_coclosed(c, m),
+            "t_coclosed": ci in iv.t_coclosed,
+            "coclosed_inside_radical": ci in inside.coclosed,
+            "coclosed_in_module_and_below_radical": in_rad and ci in iv.coclosed,
             "noncosingular_part": noncosing,
         }
         yield _values_record(f"{label} C={_node_label(c)}", values,
                              witness=submodule_to_json(c))
 
 
-def endo_image_witness(module: FiniteModule, end: EndRing, keys) -> dict | None:
-    """The first node C of ``keys`` (in lattice order) and the first
-    endomorphism index with h(C) outside ``keys``, or None.
+def endo_image_witness(module: FiniteModule, end: EndRing, nodes) -> dict | None:
+    """The first node C of the node index set ``nodes`` (in lattice
+    order) and the first endomorphism index with h(C) outside ``nodes``,
+    or None.
 
-    h(C) is spanned by the images of C's generators, so endomorphisms
+    h(C) is the node the images of C's generators span, so endomorphisms
     that agree on them share the image: each distinct image is tested
     once, and the first endomorphism to reach a failing image is still
     the first failing one.  The signatures are read off the tables by one
-    ``itemgetter``; its leading item tab[0] = 0 keeps it defined on the
-    zero node, which has no generators."""
+    ``itemgetter``; its leading item tab[0] = 0, which every node holds,
+    makes it return a tuple for a node with one generator.  The zero
+    node, which has none, is its own image."""
     lat = submodules(module)
     tables = end.tables
-    for c in lat.nodes:
-        if c.key not in keys:
+    for ci in sorted(nodes):
+        c = lat.nodes[ci]
+        if ci == lat.zero_index:
             continue
         signature = operator.itemgetter(0, *c.generators())
         # signature -> first endomorphism index: later (smaller) ones win
         first = dict(zip(map(signature, reversed(tables)), reversed(range(len(tables)))))
-        for i in sorted(first.values()):
-            tab = tables[i]
-            if frozenset(map(tab.__getitem__, c.elements)) not in keys:
+        for sig, i in sorted(first.items(), key=operator.itemgetter(1)):
+            if lat.span_index(sig) not in nodes:
                 return {"C": submodule_to_json(c), "endo": i}
     return None
 
@@ -262,10 +257,11 @@ def c27(m: FiniteModule, label: str) -> Iterator:
     """The square radical is relatively coclosed and endomorphic images of
     relatively coclosed submodules stay relatively coclosed."""
     z2 = zbar2(m)
+    iv = whole_interval(m)
     yield _holds_record(
         f"{label} (1) square radical is t-coclosed",
-        is_t_coclosed(z2, m), witness=submodule_to_json(z2))
-    witness = endo_image_witness(m, end_ring(m), t_coclosed_keys(m))
+        iv.lattice.node_index(z2) in iv.t_coclosed, witness=submodule_to_json(z2))
+    witness = endo_image_witness(m, end_ring(m), iv.t_coclosed)
     yield _holds_record(
         f"{label} (2) endo images of t-coclosed are t-coclosed",
         witness is None, witness)
@@ -273,10 +269,9 @@ def c27(m: FiniteModule, label: str) -> Iterator:
 
 def c28(m: FiniteModule, label: str) -> Iterator:
     """Sums of relatively coclosed submodules are relatively coclosed."""
-    lat = submodules(m)
-    tcc = t_coclosed_keys(m)
-    closure = join_closure([lat.index[k] for k in tcc], lat.join)
-    bad = min((i for i in closure if lat.nodes[i].key not in tcc), default=None)
+    iv = whole_interval(m)
+    lat, tcc = iv.lattice, iv.t_coclosed
+    bad = min((i for i in join_closure(tcc, lat.join) if i not in tcc), default=None)
     yield _holds_record(
         f"{label} sums of t-coclosed are t-coclosed", bad is None,
         witness=None if bad is None else submodule_to_json(lat.nodes[bad]))
@@ -342,8 +337,8 @@ def p35(m: FiniteModule, label: str) -> Iterator:
     dual-Baer property plus the quotient splitting condition."""
     db = is_dual_baer(m)
     tdb = is_t_dual_baer(m)
-    summands = summand_keys(m)
-    lhs = db and zbar2(m).key in summands
+    iv = whole_interval(m)
+    lhs = db and iv.lattice.node_index(zbar2(m)) in iv.summands
     rhs = tdb and dual_baer_quotient_condition(m)
     yield _values_record(
         label, {"dual_baer_with_split_radical": lhs, "t_dual_baer_with_quotients": rhs})
@@ -355,12 +350,10 @@ def t36(m: FiniteModule, label: str) -> Iterator:
     once M is answered no limit refuses N."""
     if not is_t_dual_baer(m):
         return
-    lat = submodules(m)
+    iv = whole_interval(m)
     ok, wit = True, None
-    summands = summand_keys(m)
-    for node in lat.nodes:
-        if node.key not in summands:
-            continue
+    for i in sorted(iv.summands):
+        node = iv.lattice.nodes[i]
         if not is_t_dual_baer(submodule_as_module(node).module):
             ok, wit = False, submodule_to_json(node)
             break
@@ -391,11 +384,10 @@ def p38(m: FiniteModule, label: str) -> Iterator:
             square_radical_has(m, lambda z: k_module_class(z)["k"]))
 
 
-def _trace_and_vanishing(m: FiniteModule, keys) -> tuple[bool, bool]:
-    """Over the nodes C of ``keys``: whether the trace recovers every C,
-    and whether every C with T(C) = T(0) is zero."""
-    lat = submodules(m)
-    nodes = [lat.nodes[lat.index[key]] for key in keys]
+def _trace_and_vanishing(m: FiniteModule, indices) -> tuple[bool, bool]:
+    """Over the nodes C with these indices: whether the trace recovers
+    every C, and whether every C with T(C) = T(0) is zero."""
+    nodes = [submodules(m).nodes[i] for i in indices]
     return (all(t_trace(m, c) == c.elements for c in nodes),
             all(c.is_zero() or not t_set_is_trivial(c, m) for c in nodes))
 
@@ -405,7 +397,7 @@ def t39(m: FiniteModule, label: str) -> Iterator:
     annihilator-style conditions on relatively coclosed submodules."""
     t_k = k_module_class(m)["t_k"]
     tdb = is_t_dual_baer(m)
-    trace_ok, vanish_ok = _trace_and_vanishing(m, t_coclosed_keys(m))
+    trace_ok, vanish_ok = _trace_and_vanishing(m, whole_interval(m).t_coclosed)
     yield _values_record(label, {
         "t_lifting": is_t_lifting(m),
         "t_dual_baer_and_t_k": tdb and t_k,
@@ -419,7 +411,7 @@ def c310(m: FiniteModule, label: str) -> Iterator:
     annihilator-style conditions on coclosed submodules."""
     strongly_t_k = k_module_class(m)["strongly_t_k"]
     tdb = is_t_dual_baer(m)
-    trace_ok, vanish_ok = _trace_and_vanishing(m, coclosed_keys(m))
+    trace_ok, vanish_ok = _trace_and_vanishing(m, whole_interval(m).coclosed)
     yield _values_record(label, {
         "noncosingular_lifting": zbar(m).is_full() and is_lifting(m),
         "t_dual_baer_and_strongly_t_k": tdb and strongly_t_k,
@@ -443,7 +435,7 @@ def t312_facts(m: FiniteModule, _label: str) -> Iterator:
     """The module's part of each T3.12 statement; a refused dual-Baer
     predicate yields :data:`SKIPPED` and counts as holding."""
     # the statements below read the lattice of every module kept
-    submodules(m)
+    iv = whole_interval(m)
     nc = zbar(m).is_full()
     inj = is_injective(m)
     try:
@@ -458,7 +450,7 @@ def t312_facts(m: FiniteModule, _label: str) -> Iterator:
         except SizeLimitExceeded:
             yield SKIPPED
     t_lifting = is_t_lifting(m)
-    splits = zbar2(m).key in summand_keys(m)
+    splits = iv.lattice.node_index(zbar2(m)) in iv.summands
     yield {
         "noncosingular_are_injective": not nc or inj,
         "square_radicals_split_and_are_injective":

@@ -76,12 +76,9 @@ from .modules import (
 )
 from .structure import (
     Interval,
-    is_coclosed,
     is_coclosed_under,
     is_lifting,
     is_lifting_under,
-    small_in_quotient,
-    summand_keys,
     whole_interval,
 )
 
@@ -94,14 +91,12 @@ def is_t_small(sub: Submodule, module: FiniteModule) -> bool:
     return is_small_over(module, sub, module.zero_submodule(), zbar2(module).elements)
 
 
-@memo
 def t_small_keys(module: FiniteModule) -> frozenset:
     """The relatively small nodes, each decided by the radical route
-    :func:`t_small_in_quotient` over N = 0; :func:`is_t_small` is its
-    oracle."""
-    zero = module.zero_submodule()
-    return frozenset(s.key for s in submodules(module).nodes
-                     if t_small_in_quotient(s, zero, module))
+    :meth:`structure.Interval.t_small` over N = 0; :func:`is_t_small` is
+    its oracle."""
+    iv = whole_interval(module)
+    return iv.keys(iv.t_small_nodes)
 
 
 def t_small_variants(sub: Submodule, module: FiniteModule) -> dict[str, bool]:
@@ -122,7 +117,6 @@ def t_small_variants(sub: Submodule, module: FiniteModule) -> dict[str, bool]:
 # -- pullbacks of quotient data --------------------------------------------------
 
 
-@memo
 def zbar2_pullback(module: FiniteModule, n: Submodule) -> frozenset[int]:
     """Preimage in M of the square radical of M/N: N + M * S^2, since
     (M/N) * S^2 = (M * S^2 + N)/N (:mod:`modlab.cosingular`)."""
@@ -162,17 +156,15 @@ def is_t_coclosed_in(iv: Interval, c: int) -> bool:
     return is_coclosed_under(Interval.t_small, iv, c)
 
 
-@memo
 def is_t_coclosed(sub: Submodule, module: FiniteModule) -> bool:
     """No proper part leaves a relatively small remainder."""
     iv = whole_interval(module)
-    return is_t_coclosed_in(iv, iv.lattice.node_index(sub))
+    return iv.lattice.node_index(sub) in iv.t_coclosed
 
 
-@memo
 def t_coclosed_keys(module: FiniteModule) -> frozenset:
-    lat = submodules(module)
-    return frozenset(s.key for s in lat.nodes if is_t_coclosed(s, module))
+    iv = whole_interval(module)
+    return iv.keys(iv.t_coclosed)
 
 
 def is_minimal_with_joint_complement(sub: Submodule, module: FiniteModule) -> bool:
@@ -209,46 +201,37 @@ def is_t_lifting(module: FiniteModule) -> bool:
 def t_lifting_variants(module: FiniteModule) -> dict[str, bool]:
     """Seven equivalent forms for amply supplemented modules, evaluated
     independently."""
-    lat = submodules(module)
-    summands = summand_keys(module)
-    z2 = zbar2(module)
-    tsmall = t_small_keys(module)
+    iv = whole_interval(module)
+    lat, summands, tsmall = iv.lattice, iv.summands, iv.t_small_nodes
+    z2 = lat.node_index(zbar2(module))
 
     # (2) every submodule splits as (summand of M) + (relatively small part)
     def split_form() -> bool:
         def splits(i: int, below: tuple[int, ...]) -> bool:
             return any(lat.meet(ni, pi) == lat.zero_index and lat.join(ni, pi) == i
-                       for ni in below if lat.nodes[ni].key in summands
-                       for pi in below if lat.nodes[pi].key in tsmall)
+                       for ni in below if ni in summands
+                       for pi in below if pi in tsmall)
         return all(splits(i, lat.subnode_indices(i)) for i in range(len(lat)))
 
     # (4)/(5) the square radical of each (coclosed) submodule is a summand
     def node_radicals_split(only_coclosed: bool) -> bool:
-        for a in lat.nodes:
-            if only_coclosed and not is_coclosed(a, module):
-                continue
-            codes = zbar2_of_node(module, a)
-            if codes not in summands:
-                return False
-        return True
+        return all(lat.index[zbar2_of_node(module, a)] in summands
+                   for i, a in enumerate(lat.nodes)
+                   if not only_coclosed or i in iv.coclosed)
 
     # (7) submodules inside the square radical lift with small remainder
     def inside_radical_form() -> bool:
-        nodes, under_z2 = lat.nodes, lat.lower_masks()[lat.node_index(z2)]
-        return all(any(nodes[j].key in summands and small_in_quotient(nodes[i], nodes[j], module)
-                       for j in lat.subnode_indices(i))
-                   for i in bits(under_z2))
+        return all(any(j in summands and iv.small(i, j) for j in lat.subnode_indices(i))
+                   for i in bits(lat.lower_masks()[z2]))
 
     return {
         "definitional": is_t_lifting(module),
         "split_into_summand_and_t_small": split_form(),
-        "t_coclosed_are_summands": all(
-            k in summands for k in t_coclosed_keys(module)
-        ),
+        "t_coclosed_are_summands": iv.t_coclosed <= summands,
         "node_radicals_are_summands": node_radicals_split(False),
         "coclosed_node_radicals_are_summands": node_radicals_split(True),
         "radical_summand_and_lifting":
-            z2.key in summands and square_radical_has(module, is_lifting),
+            z2 in summands and square_radical_has(module, is_lifting),
         "small_lift_inside_radical": inside_radical_form(),
     }
 
@@ -353,12 +336,6 @@ def t_set(n: Submodule, module: FiniteModule) -> EndoSubset:
     return EndoSubset(end_ring(module), members, "t_set")
 
 
-def d_set_is_zero(n: Submodule, module: FiniteModule) -> bool:
-    """D(N) = {0}: no nonzero image of the module lies in the submodule."""
-    data = end_data(module)
-    return not data.full_over >> data.lattice.node_index(n) & 1
-
-
 def t_set_is_trivial(n: Submodule, module: FiniteModule) -> bool:
     """T(N) = T(0): no nonzero image of the square radical lies in the
     submodule."""
@@ -423,12 +400,9 @@ def has_sssp_in_zbar2(module: FiniteModule) -> bool:
 
 def is_regular(module: FiniteModule) -> bool:
     """Every cyclic submodule splits off."""
-    ws = module.workspace()
-    summands = summand_keys(module)
-    for code in range(1, module.size):
-        if ws.cyclic_span(code) not in summands:
-            return False
-    return True
+    iv = whole_interval(module)
+    return all(iv.lattice.span_index((code,)) in iv.summands
+               for code in range(1, module.size))
 
 
 def is_semisimple(module: FiniteModule) -> bool:

@@ -82,7 +82,7 @@ def zbar2_by_hull(module):
     if len(z) == module.size:
         return z
     inner = submodule_as_module(Submodule(module, z))
-    return inner.push_out(zbar_by_hull(inner.module))
+    return inner.include.restrict_codes(zbar_by_hull(inner.module))
 
 
 def zbar2_pullback_by_quotient(module, n):
@@ -95,7 +95,7 @@ def zbar2_pullback_by_quotient(module, n):
 def zbar2_of_node_by_submodule(module, sub):
     """Zbar2 of a submodule, read off the submodule as a module."""
     inner = submodule_as_module(sub)
-    return inner.push_out(zbar2(inner.module).elements)
+    return inner.include.restrict_codes(zbar2(inner.module).elements)
 
 
 def image_t_coclosed_by_module(module, c, a):

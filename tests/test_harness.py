@@ -92,6 +92,16 @@ def test_catalog_memo_is_keyed_by_ring_id_and_limits(Z4, limits):
     assert a.skipped == []
 
 
+def test_catalog_stops_at_the_first_free_module_over_the_limit(Z4, limits):
+    """|R^n| grows with n, so the first R^n over ``max_module`` ends the
+    enumeration with one note: the loop does not run on to
+    ``max_generators``."""
+    limits(Limits(max_module=8))
+    catalog = enumerate_modules(Z4, GenerationPolicy(4, 256), ring_id="Z4")
+    assert catalog.skipped == ["free module R^2 over module size limit"]
+    assert [m.size for m in catalog.modules] == [1, 2, 4]
+
+
 def linear_scan_catalog(ring, policy):
     """A reference catalog: the quotients of R^n, each tested against
     every earlier member with an equal signature, in order (no

@@ -187,6 +187,52 @@ def test_no_node_is_named_by_a_sorted_tuple(path):
             if not line.endswith(": iso_signature")] == []
 
 
+KEY_SETS = ("summand_keys", "coclosed_keys", "t_coclosed_keys", "t_small_keys")
+
+
+def key_set_calls(source: str) -> list[str]:
+    """Calls of the element-set forms of a module's node sets, each with
+    the function it sits in, outside the called function's own
+    definition.  Inside one lattice a node set is an index set, read off
+    ``structure.Interval``; the ``*_keys`` forms name it by element sets
+    at the API boundary only."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in KEY_SETS and name != owner:
+                    out.append(f"line {child.lineno}: {owner} calls {name}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_key_set_call_scan_sees_calls_outside_their_definitions():
+    source = ("def summand_keys(m):\n"
+              "    return summand_keys(m.parent)\n"
+              "def f(m):\n"
+              "    def g():\n"
+              "        return structure.t_small_keys(m)\n"
+              "    return g, coclosed_keys(m), fully_invariant_keys(m), t_coclosed_keys\n"
+              "KEYS = t_coclosed_keys(M)\n")
+    assert key_set_calls(source) == ["line 5: g calls t_small_keys",
+                                     "line 6: f calls coclosed_keys",
+                                     "line 7: <module> calls t_coclosed_keys"]
+
+
+# P2.13's fully_invariant_keys is no node set of an Interval and is not scanned
+@pytest.mark.parametrize("name", ["suites.py", "tpredicates.py", "reports.py"])
+def test_predicates_read_node_sets_by_index(name):
+    path = next(p for p in SOURCES if p.name == name)
+    assert key_set_calls(path.read_text()) == []
+
+
 def module_level_containers(source: str) -> list[str]:
     """Names a module binds at its top level to a mutable container that
     starts out empty (``{}``, ``dict()``, ``set()``) or to anything

@@ -18,6 +18,7 @@ from modlab.modules import (
 from modlab.rings import builtin_ring
 from modlab.structure import (
     character_dual,
+    coclosed_keys,
     complement_of,
     dual_hom,
     injective_hull,
@@ -155,16 +156,21 @@ def test_coclosed_examples(z4_reg, s_plus_c):
     assert is_coclosed(span(s_plus_c, [(1, 0)]), s_plus_c)
 
 
-def test_coclosed_scan_agrees_with_radical_route(z2_plus_z8):
-    lat = submodules(z2_plus_z8)
+@pytest.mark.parametrize("rid", RING_IDS)
+def test_coclosed_scan_agrees_with_radical_route(rid):
+    """coclosed_keys, read off the coclosed node set of [0, M], against
+    the coclosure loop run with the definitional smallness scan, on every
+    two-generator catalog module."""
+    for m in catalog_modules(rid):
+        lat = submodules(m)
 
-    def scan(iv, a, n):
-        return small_in_quotient_scan(lat.nodes[a], lat.nodes[n], z2_plus_z8)
+        def scan(iv, a, n):
+            return small_in_quotient_scan(lat.nodes[a], lat.nodes[n], m)
 
-    for i, node in enumerate(lat.nodes):
-        assert is_coclosed(node, z2_plus_z8) == is_coclosed_under(
-            scan, whole_interval(z2_plus_z8), i
-        )
+        iv = whole_interval(m)
+        assert coclosed_keys(m) == frozenset(
+            node.key for i, node in enumerate(lat.nodes)
+            if is_coclosed_under(scan, iv, i)), (rid, m.component_orders)
 
 
 def test_lifting_flagship_examples(z2_plus_z4, z2_plus_z8, F3):

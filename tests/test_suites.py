@@ -12,7 +12,7 @@ from modlab.rings import builtin_ring
 from modlab.lattice import submodules
 from modlab.modules import end_ring, regular_module, span
 from modlab.suites import SUITES, _values_record, endo_image_witness, verify_theorem
-from modlab.tpredicates import t_coclosed_keys
+from modlab.structure import Interval, whole_interval
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +151,15 @@ def test_suites_skip_when_end_ring_over_limit(z8_catalog, limits):
     assert rep.summary["disagreements"] == 0
 
 
-def per_endomorphism_image_witness(module, end, keys):
-    """C2.7's definitional scan: the image of every node of ``keys``, in
-    lattice order, under every endomorphism, built and tested one by one."""
+def per_endomorphism_image_witness(module, end, nodes):
+    """C2.7's definitional scan: the image of every node of the index set
+    ``nodes``, in lattice order, under every endomorphism, built as a set
+    of codes and tested against the nodes' element sets one by one."""
     ws = module.workspace()
     homs = list(map(end.hom, range(end.size)))
-    for c in submodules(module).nodes:
+    lat = submodules(module)
+    keys = {lat.nodes[i].key for i in nodes}
+    for c in lat.nodes:
         if c.key not in keys:
             continue
         for i, h in enumerate(homs):
@@ -175,13 +178,13 @@ def test_c27_image_dedupe_matches_per_endomorphism_scan(rid):
     failures = 0
     for m in catalog.modules:
         end = end_ring(m)
-        node_keys = [n.key for n in submodules(m).nodes]
-        key_sets = [t_coclosed_keys(m)] + [
-            frozenset(k for k in node_keys if rng.random() < 0.7) for _ in range(4)
+        count = len(submodules(m))
+        node_sets = [whole_interval(m).t_coclosed] + [
+            frozenset(i for i in range(count) if rng.random() < 0.7) for _ in range(4)
         ]
-        for keys in key_sets:
-            want = per_endomorphism_image_witness(m, end, keys)
-            assert endo_image_witness(m, end, keys) == want
+        for nodes in node_sets:
+            want = per_endomorphism_image_witness(m, end, nodes)
+            assert endo_image_witness(m, end, nodes) == want
             failures += want is not None
     assert failures
 
@@ -276,8 +279,8 @@ def test_l25_scans_each_statement_to_its_first_failure(monkeypatch, z4_reg, z2_p
     assert five["holds"] is False
     assert five["witness"] == _witness(z4_reg.full_submodule(), two)
 
-    monkeypatch.setattr(suites, "t_coclosed_keys", lambda m: frozenset(
-        n.key for n in submodules(m).nodes if not n.is_full()))
+    monkeypatch.setattr(Interval, "t_coclosed", property(
+        lambda iv: frozenset(iv.members[:-1])))
     m = z2_plus_z4
     *_, four, five = suites.l25(m, "Z2+Z4")
     assert four["holds"] is False

@@ -31,7 +31,6 @@ from modlab.structure import (
 from modlab.tpredicates import (
     EndoSubset,
     d_set,
-    d_set_is_zero,
     dual_baer_witness,
     end_data,
     fully_invariant_keys,
@@ -151,12 +150,14 @@ def test_memoized_endo_sets_match_the_image_scan(s_plus_c, z2_plus_z8):
         whole = table_images(end, range(m.size))
         radical = table_images(end, zbar2(m).elements)
         for _ in range(2):  # the second pass reads the memoized End data
-            for node in submodules(m).nodes:
+            for n, node in enumerate(submodules(m).nodes):
                 d_mask = within(whole, node.elements)
                 t_mask = within(radical, node.elements)
                 assert d_set(node, m).members == set_bits(d_mask)
                 assert t_set(node, m).members == set_bits(t_mask)
-                assert d_set_is_zero(node, m) == (d_mask == within(whole, {0}))
+                # D(N) = {0} exactly when N is over no nonzero image f(M)
+                assert (not end_data(m).full_over >> n & 1) == (
+                    d_mask == within(whole, {0}))
                 assert t_set_is_trivial(node, m) == (t_mask == within(radical, {0}))
 
 
@@ -344,9 +345,9 @@ def test_end_ring_tables_and_masks_match_single_element_scans(rid):
         radical = table_images(end, zbar2(m).elements)
         zero_d = within(whole, {0})
         t0 = within(radical, {0})
-        for node in submodules(m).nodes:
+        for n, node in enumerate(submodules(m).nodes):
             t_mask = within(radical, node.elements)
-            assert d_set_is_zero(node, m) == (
+            assert (not end_data(m).full_over >> n & 1) == (
                 within(whole, node.elements) == zero_d), (m, node.key)
             assert t_set_is_trivial(node, m) == (t_mask == t0), (m, node.key)
             assert t_trace(m, node) == span_of_images(
