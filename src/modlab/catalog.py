@@ -6,9 +6,11 @@ catalog is exactly the quotients of R^n by its lattice nodes, for n up to
 the policy bound, deduplicated by isomorphism and sorted.  It is closed
 under direct summands by construction: a summand N of an n-generated
 module M is a quotient of M (along the complement), hence a quotient of
-R^n, and |N| <= |M|, so N passes the same size bound.  Only a limit that
-skips R^n or one of its quotients can leave a summand out, and the
-catalog's ``skipped`` list records each such skip.
+R^n, and |N| <= |M|, so N passes the same size bound.  Only the module
+size limit, which skips R^n, can leave a summand out, and the catalog's
+``skipped`` list records that skip.  Nothing past it can refuse: the
+lattice of R^n and every quotient of it are refused on that same bound,
+and a quotient is no larger than R^n.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import config
-from .errors import SizeLimitExceeded
 from .lattice import submodules
 from .memo import memo
 from .modules import (
@@ -70,19 +71,10 @@ def enumerate_modules(ring: FiniteRing, policy: GenerationPolicy = GenerationPol
             free = regular_module(ring)
         else:
             free = direct_sum_with_maps(*[regular_module(ring)] * n)[0]
-        try:
-            lat = submodules(free)
-        except SizeLimitExceeded as exc:
-            skipped.append(f"lattice of R^{n}: {exc}")
-            continue
-        for node in lat.nodes:
+        for node in submodules(free).nodes:
             if free.size // node.size > policy.max_size:
                 continue
-            try:
-                q, _ = quotient_module(free, node)
-            except SizeLimitExceeded as exc:
-                skipped.append(f"quotient of R^{n}: {exc}")
-                continue
+            q, _ = quotient_module(free, node)
             reps = classes.setdefault(iso_signature(q), [])
             if not any(is_isomorphic(rep, q) for rep in reps):
                 reps.append(q)

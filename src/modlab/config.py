@@ -6,7 +6,11 @@ and endomorphism rings (``max_end``).  Operations that enumerate such an
 object raise :class:`~modlab.errors.SizeLimitExceeded` instead of
 silently truncating.  Limits bound work; they never choose between
 algorithms.  Hom groups are solved as linear congruence systems, so
-their size is known before anything is enumerated.
+their size is known before anything is enumerated: by elimination mod p
+when every modulus of the system is one prime p, by Smith reduction
+otherwise.  The route is read off the moduli, and both give the same
+group (only the representatives differ, and End(M) is listed in a
+canonical order), so no limit or setting picks it.
 
 The limits in force are one process-wide value, :data:`LIMITS`.  The
 places that refuse (ring and module construction, catalog enumeration,

@@ -1,7 +1,15 @@
 """Exact integer matrix utilities: the one matrix product (optionally
 reduced by column orders) and identity builder of the package, Smith
-normal form with column transforms, triangular lattice bases, and exact
-solves.
+normal form with column transforms, triangular lattice bases, exact
+solves, and Gauss-Jordan elimination mod a prime.
+
+Two routes solve a system of congruences or decompose a subgroup.  When
+every modulus in sight is one prime p, the group is a vector space over
+F_p: :func:`echelon_mod_p` reduces it and :func:`kernel_mod_p` reads a
+kernel basis off the echelon rows, every factor has order p, and no
+Smith reduction runs.  Prime-power and mixed moduli take Smith normal
+form.  The route is read off the moduli; the two give the same group,
+so only the choice of representatives differs between them.
 
 Matrices are sequences of row sequences of Python ints; working results
 are lists of row lists, and reduced products tuples of row tuples.
@@ -13,6 +21,7 @@ for free.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import mod
 
 
@@ -235,9 +244,59 @@ def relation_matrix(orders: tuple[int, ...]) -> list[list[int]]:
     return [[o * x for x in unit] for o, unit in zip(orders, identity_matrix(len(orders)))]
 
 
+def prime_modulus(moduli) -> int | None:
+    """The prime p when every modulus is p, else None (also when there
+    are none)."""
+    distinct = set(moduli)
+    if len(distinct) != 1:
+        return None
+    (p,) = distinct
+    return p if p > 1 and all(p % d for d in range(2, isqrt(p) + 1)) else None
+
+
+def echelon_mod_p(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination mod the prime p: the nonzero rows of the
+    reduced row echelon form, each with a 1 at its pivot column and 0 at
+    every other row's, and the pivot columns, ascending."""
+    m = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        row = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = [x * inv % p for x in row]
+        m[r], m[top] = m[top], row
+        for i, other in enumerate(m):
+            if i != top and (f := other[c]):
+                m[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def kernel_mod_p(rows, ncols: int, p: int) -> list[list[int]]:
+    """A basis of the y in F_p^ncols with rows @ y = 0 mod the prime p,
+    read off :func:`echelon_mod_p`: one vector per free column f, with a
+    1 at f and minus each echelon row's entry f at that row's pivot."""
+    echelon, pivots = echelon_mod_p(rows, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            y = [0] * ncols
+            y[f] = 1
+            for row, c in zip(echelon, pivots):
+                y[c] = -row[f] % p
+            basis.append(y)
+    return basis
+
+
 def subgroup_decomposition(
     ambient_orders: tuple[int, ...], generators: list[list[int]]
-) -> tuple[tuple[int, ...], list[tuple[int, ...]], "SubgroupCoords"]:
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], "SubgroupCoords | PivotCoords"]:
     """Cyclic decomposition of the subgroup generated by ``generators``
     inside the group with the given component orders.
 
@@ -245,7 +304,21 @@ def subgroup_decomposition(
     divisor chain), one reduced ambient representative vector per factor,
     and a coordinate solver mapping subgroup elements to factor
     coordinates.
+
+    When every ambient order is one prime p, the subgroup is the row
+    space of its generators over F_p: the :func:`echelon_mod_p` rows are
+    the representatives and a member's entries at their pivot columns
+    are its coordinates.  Otherwise the relation lattice is put in Smith
+    form.  The two routes give the same subgroup and factor orders but
+    different representatives; no caller writes them out (the
+    presentations they build feed booleans, counts and the End-ring
+    tables, which are sorted canonically).
     """
+    p = prime_modulus(ambient_orders)
+    if p is not None:
+        echelon, pivots = echelon_mod_p(generators, p)
+        orders = (p,) * len(echelon)
+        return orders, list(map(tuple, echelon)), PivotCoords(orders, pivots)
     basis = subgroup_basis(ambient_orders, generators)
     # Express the ambient relation lattice in the coordinates of B, then
     # diagonalize: the quotient by those relations is the subgroup.
@@ -270,3 +343,16 @@ class SubgroupCoords:
 
     def coords(self, vector: list[int]) -> tuple[int, ...]:
         return mat_mul((self._basis.solve(vector),), self._v_keep, self.orders)[0]
+
+
+class PivotCoords:
+    """Maps ambient vectors of a subgroup of (Z/p)^d, given by its reduced
+    echelon rows, to their coordinates over those rows: the entries at
+    the pivot columns, as every row is 0 at the other rows' pivots."""
+
+    def __init__(self, orders: tuple[int, ...], pivots: list[int]):
+        self.orders = orders
+        self._pivots = pivots
+
+    def coords(self, vector: list[int]) -> tuple[int, ...]:
+        return tuple(vector[c] % o for c, o in zip(self._pivots, self.orders))

@@ -46,9 +46,13 @@ cache.
 Hom groups are solved, not searched.  :func:`hom_group` writes each
 matrix entry F_jl as (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l), so
 every candidate is well defined, and solves the remaining congruences
-A_b F = F B_b (mod n_l) by Smith reduction.  It returns the cyclic
-decomposition of Hom(M, N) inside the matrix group: factor orders and
-one representative matrix per factor.  Counts need only the orders,
+A_b F = F B_b (mod n_l): by elimination mod p when every modulus is one
+prime p (every system of an F_2-algebra such as T2F2), by Smith
+reduction otherwise.  It returns the cyclic decomposition of Hom(M, N)
+inside the matrix group: factor orders and one representative matrix
+per factor.  The two routes pick different representatives of one
+group; :func:`hom_tables` sorts what it enumerates, so End(M)'s tables
+are the same either way.  Counts need only the orders,
 subgroup tests only the representatives, and :func:`hom_tables`
 enumerates the group (:func:`end_ring` refuses before it starts when
 End(M) is over ``max_end``).
@@ -97,7 +101,9 @@ from .errors import (
 from .intlinalg import (
     combine,
     identity_matrix,
+    kernel_mod_p,
     mat_mul,
+    prime_modulus,
     relation_matrix,
     smith_normal_form,
     subgroup_decomposition,
@@ -824,9 +830,16 @@ def hom_group(source: FiniteModule, target: FiniteModule
 
     Entry (j, l) is written (n_l / g) * y with y in Z/g, g = gcd(m_j, n_l),
     which is exactly the well-defined entries.  What remains is the
-    congruence system (A_b F - F B_b)_jl = 0 mod n_l; its integer kernel,
-    read off the column transform of a Smith reduction, spans the
-    solutions."""
+    congruence system (A_b F - F B_b)_jl = 0 mod n_l.  When every g and
+    every n_l of a kept equation is one prime p, the solutions are the
+    kernel of the system over F_p: :func:`~modlab.intlinalg.kernel_mod_p`
+    gives a basis, which is the representatives, each of order p.
+    Otherwise the integer kernel, read off the column transform of a
+    Smith reduction, spans the solutions and
+    :func:`~modlab.intlinalg.subgroup_decomposition` decomposes them.
+    The routes differ only in the representatives, and no output reads
+    them as they are: :func:`hom_tables` sorts the group it enumerates,
+    and the other callers count or test membership."""
     if source.ring != target.ring:
         raise RingMismatch("hom endpoints must share the base ring")
     src, tgt = source.component_orders, target.component_orders
@@ -836,6 +849,8 @@ def hom_group(source: FiniteModule, target: FiniteModule
             if (g := gcd(m, n)) > 1:
                 cells.append((j, l))
                 mods.append(g)
+    if not cells:  # every entry is 0 mod its gcd: only the zero hom
+        return (), []
     var = {cell: i for i, cell in enumerate(cells)}
     # n_l / g per variable: the scale from y back to the matrix entry
     scale = [tgt[l] // g for (j, l), g in zip(cells, mods)]
@@ -857,17 +872,22 @@ def hom_group(source: FiniteModule, target: FiniteModule
                     equations.append(row)
                     moduli.append(n)
     v_count, r_count = len(cells), len(equations)
-    if equations:
-        # The y with C y = 0 mod the moduli are the first v_count entries
-        # of the integer kernel of [C | diag(moduli)].  That matrix has
-        # full row rank, so its kernel is spanned by the columns of the
-        # Smith column transform past the diagonal.
-        system = [row + rel for row, rel in zip(equations, relation_matrix(moduli))]
-        _, v, _ = smith_normal_form(system)
-        gens = [[v[r][i] for r in range(v_count)] for i in range(r_count, r_count + v_count)]
+    if (p := prime_modulus(mods + moduli)) is not None:
+        y_reps = kernel_mod_p(equations, v_count, p)
+        orders = (p,) * len(y_reps)
     else:
-        gens = identity_matrix(v_count)
-    orders, y_reps, _ = subgroup_decomposition(tuple(mods), gens)
+        if equations:
+            # The y with C y = 0 mod the moduli are the first v_count
+            # entries of the integer kernel of [C | diag(moduli)].  That
+            # matrix has full row rank, so its kernel is spanned by the
+            # columns of the Smith column transform past the diagonal.
+            system = [row + rel for row, rel in zip(equations, relation_matrix(moduli))]
+            _, v, _ = smith_normal_form(system)
+            gens = [[v[r][i] for r in range(v_count)]
+                    for i in range(r_count, r_count + v_count)]
+        else:
+            gens = identity_matrix(v_count)
+        orders, y_reps, _ = subgroup_decomposition(tuple(mods), gens)
     reps = []
     for y in y_reps:
         mat = [[0] * len(tgt) for _ in src]

@@ -3,7 +3,8 @@ definitional smallness scans, plain and in a quotient, plain and
 relative, lifting by the criterion "amply supplemented, and every
 coclosed submodule is a direct summand", the hull route to the
 cosingularity radicals, which the closed forms M * S and M * S^2
-replace, and the module-building route to questions about a submodule
+replace, the pair scan of T2.11's split form, which its mask test
+replaces, and the module-building route to questions about a submodule
 C or a quotient M/A, which the intervals [0, C] and [A, M] of M's
 lattice replace."""
 
@@ -126,3 +127,15 @@ def t_lifting_by_module(module, low, high):
         return is_t_lifting(submodule_as_module(high).module)
     assert high.is_full()
     return is_t_lifting(quotient_module(module, low)[0])
+
+
+def split_pair_scan(iv, i):
+    """Node i of the whole interval [0, M] is S + T with S & T = 0 for a
+    summand S of M and a relatively small T under i, by a meet and a
+    join for every such pair.  The oracle of
+    :func:`tpredicates.splits_into_summand_and_t_small`."""
+    lat = iv.lattice
+    below = lat.subnode_indices(i)
+    return any(lat.meet(s, t) == lat.zero_index and lat.join(s, t) == i
+               for s in below if s in iv.summands
+               for t in below if t in iv.t_small_nodes)

@@ -1,12 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.intlinalg import (
     RowBasis,
+    echelon_mod_p,
     identity_matrix,
+    kernel_mod_p,
     mat_mul,
+    prime_modulus,
     smith_normal_form,
     subgroup_decomposition,
 )
@@ -139,11 +143,15 @@ def test_subgroup_decomposition_trivial():
     assert reps == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+# all-prime ambient orders take the elimination route, the others Smith's
+ambient_orders = st.one_of(
     st.lists(st.sampled_from([2, 3, 4, 8]), min_size=1, max_size=3),
-    st.data(),
+    st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3)).map(lambda pk: [pk[0]] * pk[1]),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ambient_orders, st.data())
 def test_subgroup_decomposition_counts_match_bruteforce(orders, data):
     orders = tuple(orders)
     k = data.draw(st.integers(0, 2))
@@ -169,3 +177,66 @@ def test_subgroup_decomposition_counts_match_bruteforce(orders, data):
     assert prod == expected
     # every member solves to a unique coordinate tuple
     assert len({coords.coords(list(x)) for x in seen}) == expected
+
+
+def test_prime_modulus_needs_one_prime():
+    assert prime_modulus([5, 5, 5]) == 5
+    assert prime_modulus((2,)) == 2
+    assert prime_modulus([4, 4]) is None
+    assert prime_modulus([2, 3]) is None
+    assert prime_modulus([1]) is None
+    assert prime_modulus([]) is None
+
+
+def random_system(rng, p):
+    rows = rng.randrange(0, 6)
+    cols = rng.randrange(1, 7)
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_mod_p_solves_and_has_smiths_size(p):
+    """Every basis vector solves the system, the basis is independent,
+    and p^(basis length) is the number of solutions mod p that Smith's
+    diagonal gives: p^(columns - diagonal entries prime to p)."""
+    rng = random.Random(p)
+    for _ in range(200):
+        rows, cols = random_system(rng, p)
+        basis = kernel_mod_p(rows, cols, p)
+        for y in basis:
+            assert all(sum(a * b for a, b in zip(row, y)) % p == 0 for row in rows)
+        assert len(echelon_mod_p(basis, p)[0]) == len(basis)
+        rank = sum(1 for d in smith_normal_form(rows)[0] if d % p) if rows else 0
+        assert len(basis) == cols - rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_echelon_rows_are_reduced(p):
+    rng = random.Random(10 + p)
+    for _ in range(200):
+        rows, _ = random_system(rng, p)
+        echelon, pivots = echelon_mod_p(rows, p)
+        assert pivots == sorted(pivots) and len(echelon) == len(pivots)
+        for i, row in enumerate(echelon):
+            assert [row[c] for c in pivots] == [int(i == k) for k in range(len(pivots))]
+            assert not any(row[:pivots[i]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_route_coordinates_round_trip(p):
+    """Over (Z/p)^d: a combination of the representatives has its
+    coefficients as coordinates, and each generator is the combination
+    of the representatives its coordinates give."""
+    rng = random.Random(20 + p)
+    for _ in range(100):
+        d = rng.randrange(1, 5)
+        gens = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randrange(0, 4))]
+        orders, reps, coords = subgroup_decomposition((p,) * d, gens)
+        assert orders == (p,) * len(reps)
+        combo = tuple(rng.randrange(p) for _ in reps)
+        x = [sum(c * r[j] for c, r in zip(combo, reps)) % p for j in range(d)]
+        assert coords.coords(x) == combo
+        for g in gens:
+            back = [sum(c * r[j] for c, r in zip(coords.coords(g), reps)) % p
+                    for j in range(d)]
+            assert back == g

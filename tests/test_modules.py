@@ -914,3 +914,61 @@ def test_tables_of_large_module_use_two_levels(z8_reg):
     rng = random.Random(7)
     samples = [(rng.randrange(4096), rng.randrange(4096)) for _ in range(2000)]
     assert check_tables(total, injections + projections, samples).add_table is None
+
+
+# -- the two routes of hom_group ------------------------------------------------
+
+
+def hom_routes(a, b, monkeypatch):
+    """(orders, tables) of Hom(a, b) by the route hom_group picks, then by
+    Smith reduction with the prime test made to fail.  Memos are emptied
+    before each, so each route solves the system itself."""
+    memo.clear()
+    picked = (hom_group(a, b)[0], hom_tables(a, b))
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "prime_modulus", lambda moduli: None)
+        memo.clear()
+        smith = (hom_group(a, b)[0], hom_tables(a, b))
+    memo.clear()
+    return picked, smith
+
+
+@pytest.mark.parametrize("rid", RING_IDS + ["Q"])
+def test_elimination_and_smith_routes_give_one_hom_group(rid, request, monkeypatch):
+    """Over every pair of the two-generator catalog (Q: one generator),
+    both routes give the same factor orders and the same canonical list
+    of hom tables.  T2F2, F3 and Q solve every system mod p; the others
+    some."""
+    from modlab.catalog import GenerationPolicy, enumerate_modules
+
+    ring = request.getfixturevalue("Q") if rid == "Q" else builtin_ring(rid)
+    mods = enumerate_modules(ring, GenerationPolicy(1 if rid == "Q" else 2, 256),
+                             ring_id=rid).modules
+    for a in mods:
+        for b in mods:
+            picked, smith = hom_routes(a, b, monkeypatch)
+            assert picked == smith, (a, b)
+
+
+@pytest.mark.parametrize("rid,calls", [("T2F2", False), ("Z4", True)])
+def test_hom_group_reaches_smith_only_off_prime_fields(rid, calls, monkeypatch):
+    """T2F2 is an F_2-algebra, so each of its hom systems is solved mod 2
+    with no Smith reduction; Z4's catalog has Z/4 components, so some of
+    its systems still take Smith's route."""
+    from modlab import intlinalg
+
+    mods = catalog_modules(rid)
+    memo.clear()
+    count = [0]
+    smith = intlinalg.smith_normal_form
+
+    def counted(a):
+        count[0] += 1
+        return smith(a)
+
+    monkeypatch.setattr(modules, "smith_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    for a in mods:
+        for b in mods:
+            hom_group(a, b)
+    assert bool(count[0]) is calls

@@ -6,6 +6,7 @@ from array import array
 import pytest
 
 from end_presentation import as_ring, end_index, hom_index_from_ring_coords
+from scan_oracles import split_pair_scan
 from modlab.catalog import GenerationPolicy, enumerate_modules
 from modlab.cosingular import zbar2
 from modlab.errors import NotSubmodule, SizeLimitExceeded
@@ -27,6 +28,7 @@ from modlab.structure import (
     is_lifting,
     small_in_quotient,
     summand_keys,
+    whole_interval,
 )
 from modlab.tpredicates import (
     EndoSubset,
@@ -44,6 +46,7 @@ from modlab.tpredicates import (
     is_t_lifting,
     is_t_small,
     k_module_class,
+    splits_into_summand_and_t_small,
     t_coclosed_keys,
     t_dual_baer_variants,
     t_lifting_variants,
@@ -283,6 +286,27 @@ def right_ideals(end):
 RING_IDS = ["Z4", "Z8", "F3", "Z6", "F2xZ4", "T2F2"]
 # End rings up to this size are small enough to list their right ideals
 LISTED_END_MAX = 1024
+
+
+@pytest.mark.parametrize("rid,gens",
+                         [(rid, 2) for rid in RING_IDS] + [("Z4", 3), ("Q", 1), ("Qop", 1)],
+                         ids=lambda v: f"gens{v}" if isinstance(v, int) else v)
+def test_split_form_by_masks_matches_the_pair_scan(rid, gens, request):
+    """T2.11's split form, node by node over every catalog module: the
+    mask test against the meet-and-join scan of every (summand, t-small)
+    pair under the node.  Every node of the built-in rings' catalogs
+    splits; Q's one-generator catalog has nodes that do not."""
+    ring = request.getfixturevalue(rid) if rid in ("Q", "Qop") else builtin_ring(rid)
+    catalog = enumerate_modules(ring, GenerationPolicy(gens, 256), ring_id=rid)
+    seen = set()
+    for m in catalog.modules:
+        iv = whole_interval(m)
+        splits = splits_into_summand_and_t_small(iv)
+        got = [splits(i) for i in range(len(iv.lattice))]
+        assert got == [split_pair_scan(iv, i) for i in range(len(iv.lattice))], m
+        assert t_lifting_variants(m)["split_into_summand_and_t_small"] is all(got), m
+        seen.update(got)
+    assert seen == ({True, False} if rid == "Q" else {True})
 
 
 @pytest.mark.parametrize("rid,gens", [(rid, 2) for rid in RING_IDS] + [("Z4", 3)],
